@@ -327,11 +327,19 @@ func BenchmarkAblationDescend(b *testing.B) {
 	b.Run("naive-lookup-per-key", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n := 0
-			m.DescendNaive(nil, nil, func(uint64, core.ValueHandle) bool {
-				n++
-				return n < scanLen
-			})
+			// One fresh O(log n) Lower query per key, the way skiplists
+			// descend; nil is the open bound the first query starts from.
+			var bound []byte
+			for n := 0; n < scanLen; n++ {
+				kr, h, ok := m.Lower(bound)
+				if !ok {
+					break
+				}
+				var err error
+				if bound, err = m.CopyKey(kr, h, bound[:0]); err != nil {
+					break
+				}
+			}
 		}
 	})
 }

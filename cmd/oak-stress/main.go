@@ -440,9 +440,9 @@ func main() {
 // armFaults installs seeded probabilistic hooks on the branch faults and
 // scheduling-jitter hooks on the pause points.
 func armFaults(prob float64, seed uint64) {
-	// link-cas and publish-fail divert retry loops: at probability 1 a
-	// put would retry forever and the run could never drain. Clamp so
-	// the loops always converge.
+	// link-cas, publish-fail and the install lost-race points divert
+	// retry loops: at probability 1 a put would retry forever and the run
+	// could never drain. Clamp so the loops always converge.
 	retryProb := prob
 	if retryProb > 0.9 {
 		retryProb = 0.9
@@ -452,6 +452,9 @@ func armFaults(prob float64, seed uint64) {
 		"arena/alloc-fail":   prob / 5, // errors surface to callers: keep rare
 		"chunk/link-cas":     retryProb,
 		"chunk/publish-fail": retryProb,
+		// Halved: both sit on one install attempt, after publish-fail.
+		"core/install-publish-lost": retryProb / 2,
+		"core/install-cas-lost":     retryProb / 2,
 	}
 	i := uint64(0)
 	for name, p := range branch {

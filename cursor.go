@@ -1,5 +1,7 @@
 package oakmap
 
+import "oakmap/sharded"
+
 // Iterator is a pull-style zero-copy scan: the Go rendering of the
 // iterators behind the paper's keySet()/entrySet() views. Obtain one
 // from ZeroCopyMap.Iterator; advance with Next. Iterators are not safe
@@ -8,10 +10,10 @@ package oakmap
 // guarantees apply. On a sharded map the iterator pulls from the k-way
 // merge cursor, so entries arrive in global key order.
 type Iterator[K, V any] struct {
-	cur    entryCursor
+	cur    *sharded.Cursor
 	m      *Map[K, V]
 	stream bool
-	kb, vb OakRBuffer // reused when stream is true
+	reused viewPair // re-filled per entry when stream is true
 }
 
 // Iterator creates a pull iterator over from ≤ key < to (nil bounds are
@@ -21,7 +23,7 @@ type Iterator[K, V any] struct {
 func (z ZeroCopyMap[K, V]) Iterator(from, to *K, descending, stream bool) *Iterator[K, V] {
 	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
 	return &Iterator[K, V]{
-		cur:    z.m.be.NewCursor(lo, hi, descending),
+		cur:    z.m.s.NewCursor(lo, hi, descending),
 		m:      z.m,
 		stream: stream,
 	}
@@ -34,13 +36,12 @@ func (it *Iterator[K, V]) Next() (key, value *OakRBuffer, ok bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	if it.stream {
-		it.kb.view = kbytes
-		it.vb.m, it.vb.h = src, h
-		return &it.kb, &it.vb, true
+	p := &it.reused
+	if !it.stream {
+		p = &viewPair{}
 	}
-	return &OakRBuffer{m: src, keyRef: kr, h: h},
-		&OakRBuffer{m: src, h: h}, true
+	p.set(it.stream, src, kbytes, kr, h)
+	return &p.key, &p.val, true
 }
 
 // NextEntry returns the next entry deserialized (a convenience for
@@ -52,16 +53,9 @@ func (it *Iterator[K, V]) NextEntry() (k K, v V, ok bool) {
 		if !cok {
 			return k, v, false
 		}
-		got := false
-		src.ReadValue(h, func(b []byte) error {
-			v = it.m.valSer.Deserialize(b)
-			got = true
-			return nil
-		})
-		if !got {
-			continue // deleted between the cursor step and the read
+		if v, ok = it.m.readValue(src, h); ok {
+			return it.m.keySer.Deserialize(kbytes), v, true
 		}
-		k = it.m.keySer.Deserialize(kbytes)
-		return k, v, true
+		// Deleted between the cursor step and the read: skip.
 	}
 }

@@ -91,7 +91,7 @@ func repinLeak(d *epoch.Domain) {
 }
 
 func loopImbalance(d *epoch.Domain) {
-	g := d.Pin() // want `missing Unpin: the guard is still pinned when the function ends`
+	g := d.Pin()             // want `missing Unpin: the guard is still pinned when the function ends`
 	for i := 0; i < 3; i++ { // want `pin/unpin imbalance across a loop iteration`
 		g.Unpin()
 	}
@@ -99,7 +99,7 @@ func loopImbalance(d *epoch.Domain) {
 
 func viaGoto(d *epoch.Domain) {
 	g := d.Pin() // want `pin released through unstructured control flow \(goto/label\): use defer g.Unpin\(\)`
-	if cond() { // want `call inside a pin window without a deferred Unpin`
+	if cond() {  // want `call inside a pin window without a deferred Unpin`
 		goto out
 	}
 	g.Unpin()
@@ -139,20 +139,20 @@ func guardToGoroutine(d *epoch.Domain) {
 
 // --- The *Pinned naming convention. ---
 
-func lowerEntryPinned(d *epoch.Domain) {}
+func seekPinned(d *epoch.Domain) {}
 
 func conventionViolated(d *epoch.Domain) {
-	lowerEntryPinned(d) // want `lowerEntryPinned called without a pin in scope: \*Pinned functions require the caller to hold an epoch pin`
+	seekPinned(d) // want `seekPinned called without a pin in scope: \*Pinned functions require the caller to hold an epoch pin`
 }
 
 func conventionOK(d *epoch.Domain) {
 	g := d.Pin()
 	defer g.Unpin()
-	lowerEntryPinned(d)
+	seekPinned(d)
 }
 
 func conventionChainedOK(d *epoch.Domain) func() {
 	g := d.Pin()
 	defer g.Unpin()
-	return func() { lowerEntryPinned(d) }
+	return func() { seekPinned(d) }
 }

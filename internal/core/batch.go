@@ -15,18 +15,19 @@ import (
 //  1. Prepare: the clock ratchets by 2, giving the batch a base version
 //     no normal write ever stamps, and the install record is registered
 //     in the pending registry.
-//  2. Install: each op is applied under its value's write lock, but its
-//     version word is stamped base|pending (plus tomb for deletes) and
-//     the pre-state is recorded. Readers that hit a flagged word resolve
-//     through the registry: pre-state while the batch is undecided,
-//     post-state once committed. Normal writers wait out flagged values
-//     (lockStable), so no write intervenes between install and
-//     finalize.
+//  2. Install: each op is one run of the ordinary insertion or removal
+//     algorithm (doPut / doIfPresent) handed the install record instead
+//     of a plain version: the value's version word is stamped
+//     base|pending (plus tomb for deletes) and the pre-state is
+//     recorded. Readers that hit a flagged word resolve through the
+//     registry: pre-state while the batch is undecided, post-state once
+//     committed. Normal writers wait out flagged values (lockStable), so
+//     no write intervenes between install and finalize.
 //  3. Commit: one atomic store of the descriptor's state flips every
 //     installed op from invisible to visible at once — the batch's
 //     linearization point. (On error, Abort + rollback restores the
 //     pre-state instead.)
-//  4. Finalize: flags are cleared value by value (tombstones become real
+//  4. Settle: flags are cleared value by value (tombstones become real
 //     deletes), pre-image spans are retired or retained for snapshots,
 //     and the registry entry is dropped.
 //
@@ -74,20 +75,20 @@ func (d *BatchDesc) Abort() {
 }
 
 // batchRec is one installed op's pre-state, kept for reader resolution
-// (pre-commit reads see the old value) and finalize/rollback.
+// (pre-commit reads see the old value) and finalize/rollback. A put that
+// inserted a fresh entry has neither del nor hadOld set.
 type batchRec struct {
-	key      []byte // owned copy
-	h        ValueHandle
-	del      bool      // tombstone (batch delete)
-	hadOld   bool      // a committed value existed before the install
-	inserted bool      // entry newly inserted by this batch (rollback removes it)
-	oldRef   arena.Ref // pre-image span (puts only; tombs leave data in place)
-	oldVer   uint64    // pre-image's committed version
+	key    []byte // owned copy
+	h      ValueHandle
+	del    bool      // tombstone (batch delete)
+	hadOld bool      // a committed value existed before the install
+	oldRef arena.Ref // pre-image span (puts only; tombs leave data in place)
+	oldVer uint64    // pre-image's committed version
 }
 
 // BatchInstall is one map's (or shard's) install record for a batch.
-// Install methods are driven by a single goroutine; the internal lock
-// only guards concurrent reader lookups against record appends.
+// Installs are driven by a single goroutine; the internal lock only
+// guards concurrent reader lookups against record appends.
 type BatchInstall struct {
 	m    *Map
 	desc *BatchDesc
@@ -99,8 +100,8 @@ type BatchInstall struct {
 }
 
 // lookup returns the install record for handle h, nil if the batch did
-// not touch it (or it was touched as a fresh insert the caller cannot
-// have seen).
+// not touch it — or inserted it fresh: readers treat a flagged handle
+// without a record as absent before the batch.
 func (bi *BatchInstall) lookup(h ValueHandle) *batchRec {
 	bi.mu.RLock()
 	defer bi.mu.RUnlock()
@@ -120,19 +121,14 @@ func (bi *BatchInstall) add(r batchRec) {
 	bi.mu.Unlock()
 }
 
-// drop removes the most recently added record (a fresh insert whose
-// publish CAS failed).
-func (bi *BatchInstall) drop(h ValueHandle) {
-	bi.mu.Lock()
-	if i, ok := bi.byH[h]; ok && i == len(bi.recs)-1 {
-		delete(bi.byH, h)
-		bi.recs = bi.recs[:i]
-	}
-	bi.mu.Unlock()
+// stampTomb installs a batch delete on h, whose write lock the caller
+// holds (and this releases): the data stays in place as the pre-image.
+func (bi *BatchInstall) stampTomb(key []byte, h ValueHandle, oldVer uint64) {
+	hd := bi.m.headers
+	bi.add(batchRec{key: append([]byte(nil), key...), h: h, del: true, hadOld: true, oldVer: oldVer})
+	hd.StoreVersion(uint64(h), bi.base|verPendingBit|verTombBit)
+	hd.WriteUnlock(uint64(h))
 }
-
-// Base returns the batch's base version on this map.
-func (bi *BatchInstall) Base() uint64 { return bi.base }
 
 // PrepareBatch allocates a base version for a batch on this map and
 // registers its install record. The clock ratchets by 2 so the base is
@@ -144,10 +140,9 @@ func (bi *BatchInstall) Base() uint64 { return bi.base }
 // so a snapshot whose version exceeds this base (its BeginSnapshot ran
 // after the ratchet here) cannot complete its pending scan until the
 // batch is registered — it always finds the batch and waits out its
-// decision. Without that atomicity a plain-backend Snapshot could
-// stabilize in the gap and watch the batch commit inside its "frozen"
-// view. (The sharded path gets the same guarantee from verMu; this
-// makes core.ApplyBatch safe on its own.)
+// decision. Without that atomicity a snapshot could stabilize in the gap
+// and watch the batch commit inside its "frozen" view. (Across shards,
+// sharded.Map's verMu extends the guarantee to the whole vector.)
 func (m *Map) PrepareBatch(desc *BatchDesc) *BatchInstall {
 	bi := &BatchInstall{
 		m:    m,
@@ -162,288 +157,73 @@ func (m *Map) PrepareBatch(desc *BatchDesc) *BatchInstall {
 	return bi
 }
 
-// unregisterBatch drops the batch from the pending registry — only
-// after every installed value's flags are cleared, so readers that hold
-// a flagged version word can always resolve it.
-func (m *Map) unregisterBatch(bi *BatchInstall) {
+// settle ends the batch on this map after its descriptor was decided:
+// committed installs get their final stamp (tombstones become real
+// deletes), aborted ones are rolled back. The registry entry is dropped
+// only after every flag is cleared, so a reader holding a flagged
+// version word can always resolve it. Called once, by the installer.
+func (bi *BatchInstall) settle(committed bool) {
+	m := bi.m
+	// Install is over: the single installing goroutine owns recs, and
+	// bi.mu only guards reader lookups against appends (none remain).
+	for i := range bi.recs { //oak:allow lockguard installer-private after install phase
+		rec := &bi.recs[i]
+		switch {
+		case committed && rec.del:
+			m.removeOwn(rec, rec.key, bi.base)
+		case !committed && !rec.hadOld:
+			m.removeOwn(rec, nil, 0) // a fresh insert nobody was allowed to see
+		default:
+			m.restamp(rec, committed, bi.base)
+		}
+	}
 	st := &m.mvcc
 	st.pendMu.Lock()
 	delete(st.pending, bi.base)
 	st.pendMu.Unlock()
 }
 
-// InstallBatchPut installs one put into the batch: the new value is
-// written and published, but stamped base|pending so readers resolve it
-// through the batch descriptor. Calls for one batch must be made by a
-// single goroutine in key order.
-func (m *Map) InstallBatchPut(bi *BatchInstall, key, val []byte) error {
-	if m.closed.Load() {
-		return ErrClosed
+// restamp clears rec's flags in place. A committed put keeps its new
+// span, stamped base, and hands the pre-image to retireOrRetain; an
+// aborted put or tombstone gets its pre-image and old version back. The
+// write lock waits out readers still resolving the flagged word through
+// rec; normal writers cannot intervene (they wait for the flags to
+// clear), and the batch's own stamp rules out lockStable.
+func (m *Map) restamp(rec *batchRec, committed bool, base uint64) {
+	h := uint64(rec.h)
+	if !m.headers.TryWriteLock(h) {
+		return // deleted: cannot happen while the flags hold writers off
 	}
-	var keyRef uint64
-	defer func() { m.releaseKeyRef(&keyRef) }()
-	for attempt := 0; ; attempt++ {
-		retryPause(attempt)
-		out, err := m.batchPutAttempt(bi, key, val, &keyRef)
-		if err != nil {
-			return err
-		}
-		if out.full != nil {
-			m.rebalance(out.full)
-		}
-		if out.done {
-			if out.grew != nil {
-				m.maybeRebalance(out.grew)
-			}
-			return nil
-		}
+	switch {
+	case committed:
+		// Retain before publish: the pre-image is findable before the
+		// flag-free version makes snapshots stop resolving through rec.
+		m.retireOrRetain(rec.key, rec.oldRef, rec.oldVer, base)
+		m.headers.StoreVersion(h, base)
+	case rec.del:
+		m.headers.StoreVersion(h, rec.oldVer) // the value was never touched
+	default:
+		m.alloc.Retire(arena.Ref(m.headers.LoadData(h))) // the never-visible new span
+		m.headers.StoreData(h, uint64(rec.oldRef))
+		m.headers.StoreVersion(h, rec.oldVer)
 	}
+	m.headers.WriteUnlock(h)
 }
 
-// batchPutAttempt is putAttempt's batch twin: same chunk walk and entry
-// linking, but the value is stamped pending and the pre-state recorded.
-func (m *Map) batchPutAttempt(bi *BatchInstall, key, val []byte, keyRef *uint64) (putOutcome, error) {
-	g := m.reclaim.Pin()
-	defer g.Unpin()
-	c := m.locateChunk(key)
-	ei := c.LookUp(key)
-	var h ValueHandle
-	if ei >= 0 {
-		h = ValueHandle(c.ValHandle(ei))
-	}
-
-	if h != 0 && !m.IsDeleted(h) {
-		// Present: overwrite in place, recording the pre-image. lockStable
-		// waits out other batches; ours cannot appear here (one op per key
-		// after NormalizeBatch).
-		oldVer, ok := m.lockStable(h)
-		if !ok {
-			return putOutcome{}, nil // deleted concurrently: retry into insert
-		}
-		old := arena.Ref(m.headers.LoadData(uint64(h)))
-		nref, err := m.alloc.Alloc(len(val))
-		if err != nil {
-			m.headers.WriteUnlock(uint64(h))
-			return putOutcome{}, err
-		}
-		copy(m.alloc.Bytes(nref), val)
-		m.headers.StoreData(uint64(h), uint64(nref))
-		// Register the record before the flagged stamp becomes loadable
-		// (the reader's read lock excludes us until WriteUnlock anyway).
-		bi.add(batchRec{
-			key:    append([]byte(nil), key...),
-			h:      h,
-			hadOld: true,
-			oldRef: old,
-			oldVer: oldVer,
-		})
-		m.headers.StoreVersion(uint64(h), bi.base|verPendingBit)
-		m.headers.WriteUnlock(uint64(h))
-		return putOutcome{done: true}, nil
-	}
-
-	// Absent: insert a fresh pending value (putAttempt case 2).
-	if ei < 0 {
-		if *keyRef == 0 {
-			ref, err := m.alloc.Write(key)
-			if err != nil {
-				return putOutcome{}, err
-			}
-			*keyRef = uint64(ref)
-		}
-		nei, st := c.AllocateEntry(*keyRef)
-		if st == chunk.Full {
-			return putOutcome{full: c}, nil
-		}
-		if st != chunk.OK {
-			return putOutcome{}, nil
-		}
-		lei, st := c.PutIfAbsentInList(nei)
-		if st == chunk.Frozen {
-			return putOutcome{}, nil
-		}
-		ei = lei
-		if st == chunk.OK {
-			*keyRef = 0
-		}
-		h = ValueHandle(c.ValHandle(ei))
-		if h != 0 && !m.IsDeleted(h) {
-			return putOutcome{}, nil // racing insert won; retry into case 1
-		}
-	}
-
-	newH, err := m.allocValue(BytesValue(val), bi.base|verPendingBit)
-	if err != nil {
-		return putOutcome{}, err
-	}
-	bi.add(batchRec{
-		key:      append([]byte(nil), key...),
-		h:        newH,
-		inserted: true,
-	})
-	if !c.Publish() {
-		bi.drop(newH)
-		m.discardValue(newH)
-		return putOutcome{}, nil
-	}
-	ok := c.CASValHandle(ei, uint64(h), uint64(newH))
-	c.Unpublish()
-	if !ok {
-		bi.drop(newH)
-		m.discardValue(newH)
-		return putOutcome{}, nil
-	}
-	if h != 0 {
-		m.retireHeader(h)
-	}
-	m.size.Add(1)
-	c.IncLive()
-	return putOutcome{done: true, grew: c}, nil
-}
-
-// InstallBatchDelete installs one delete into the batch: a present
-// value is stamped base|pending|tomb (its data stays in place as the
-// pre-image); an absent key is a no-op. Single-goroutine, key order.
-func (m *Map) InstallBatchDelete(bi *BatchInstall, key []byte) error {
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	for attempt := 0; ; attempt++ {
-		retryPause(attempt)
-		done := func() bool {
-			g := m.reclaim.Pin()
-			defer g.Unpin()
-			c := m.locateChunk(key)
-			ei := c.LookUp(key)
-			if ei < 0 {
-				return true // absent: deleting nothing succeeds
-			}
-			h := ValueHandle(c.ValHandle(ei))
-			if h == 0 || m.IsDeleted(h) {
-				return true
-			}
-			oldVer, ok := m.lockStable(h)
-			if !ok {
-				return true // deleted concurrently: absent now
-			}
-			bi.add(batchRec{
-				key:    append([]byte(nil), key...),
-				h:      h,
-				del:    true,
-				hadOld: true,
-				oldRef: arena.Ref(m.headers.LoadData(uint64(h))),
-				oldVer: oldVer,
-			})
-			m.headers.StoreVersion(uint64(h), bi.base|verPendingBit|verTombBit)
-			m.headers.WriteUnlock(uint64(h))
-			return true
-		}()
-		if done {
-			return nil
-		}
-	}
-}
-
-// FinalizeBatch clears the pending flags after Commit: puts get their
-// committed version stamp, tombstones become real deletes, pre-image
-// spans are retired or retained for open snapshots. Must be called
-// exactly once after desc.Commit, by the installing goroutine.
-func (m *Map) FinalizeBatch(bi *BatchInstall) {
-	// Install is over: the single installing goroutine owns recs, and
-	// bi.mu only guards reader lookups against appends (none remain).
-	for i := range bi.recs { //oak:allow lockguard installer-private after install phase
-		rec := &bi.recs[i]
-		if rec.del {
-			m.finalizeBatchTomb(bi, rec)
-		} else {
-			m.finalizeBatchPut(bi, rec)
-		}
-	}
-	// Unregister only after every flag is cleared: a reader holding a
-	// flagged version word must always find the record.
-	m.unregisterBatch(bi)
-}
-
-func (m *Map) finalizeBatchPut(bi *BatchInstall, rec *batchRec) {
-	// The write lock waits out readers still resolving the flagged word
-	// through rec (their read of oldRef must complete before the span is
-	// handed off below). Normal writers cannot intervene: they wait for
-	// the flags to clear.
-	if m.headers.TryWriteLock(uint64(rec.h)) {
-		m.headers.StoreVersion(uint64(rec.h), bi.base)
-		m.headers.WriteUnlock(uint64(rec.h))
-	}
-	if rec.hadOld {
-		m.retireOrRetain(rec.key, rec.oldRef, rec.oldVer, bi.base)
-	}
-}
-
-func (m *Map) finalizeBatchTomb(bi *BatchInstall, rec *batchRec) {
-	var c *chunk.Chunk
-	func() {
+// removeOwn deletes a value carrying the batch's own stamp and unlinks
+// its entry: a committed tombstone (retKey is the key, deleted at
+// version super) or an aborted fresh insert (retKey nil).
+func (m *Map) removeOwn(rec *batchRec, retKey []byte, super uint64) {
+	c := func() *chunk.Chunk {
 		g := m.reclaim.Pin()
 		defer g.Unpin()
-		c = m.locateChunk(rec.key)
-		if !m.headers.TryWriteLock(uint64(rec.h)) {
-			return // already deleted (cannot happen: writers wait on flags)
+		c := m.locateChunk(rec.key)
+		if m.headers.TryWriteLock(uint64(rec.h)) {
+			m.killValue(retKey, rec.h, c, rec.oldVer, super)
 		}
-		// Same privatize-then-DeleteLocked order as valueRemove.
-		ref := arena.Ref(m.headers.LoadData(uint64(rec.h)))
-		m.headers.StoreData(uint64(rec.h), 0)
-		m.headers.DeleteLocked(uint64(rec.h))
-		m.size.Add(-1)
-		c.DecLive()
-		m.retireOrRetain(rec.key, ref, rec.oldVer, bi.base)
+		return c
 	}()
-	m.finalizeRemove(rec.key, rec.h)
-	m.maybeMerge(c)
-}
-
-// AbortBatch rolls the install back after desc.Abort: pre-images are
-// restored, fresh inserts are removed, and new spans freed. Must be
-// called exactly once after desc.Abort, by the installing goroutine.
-func (m *Map) AbortBatch(bi *BatchInstall) {
-	// Same single-installer ownership argument as FinalizeBatch.
-	for i := range bi.recs { //oak:allow lockguard installer-private after install phase
-		rec := &bi.recs[i]
-		switch {
-		case rec.del:
-			// Un-stamp the tombstone; the value was never touched.
-			if m.headers.TryWriteLock(uint64(rec.h)) {
-				m.headers.StoreVersion(uint64(rec.h), rec.oldVer)
-				m.headers.WriteUnlock(uint64(rec.h))
-			}
-		case rec.hadOld:
-			// Restore the pre-image and retire the never-visible new span.
-			if m.headers.TryWriteLock(uint64(rec.h)) {
-				nref := arena.Ref(m.headers.LoadData(uint64(rec.h)))
-				m.headers.StoreData(uint64(rec.h), uint64(rec.oldRef))
-				m.headers.StoreVersion(uint64(rec.h), rec.oldVer)
-				m.headers.WriteUnlock(uint64(rec.h))
-				m.alloc.Retire(nref)
-			}
-		default:
-			// Remove the fresh insert entirely; it was never visible.
-			m.rollbackInsert(rec)
-		}
-	}
-	m.unregisterBatch(bi)
-}
-
-// rollbackInsert deletes a batch-inserted entry that never committed.
-func (m *Map) rollbackInsert(rec *batchRec) {
-	var c *chunk.Chunk
-	func() {
-		g := m.reclaim.Pin()
-		defer g.Unpin()
-		c = m.locateChunk(rec.key)
-		if m.valueRemove(nil, rec.h) {
-			m.size.Add(-1)
-			c.DecLive()
-		}
-	}()
-	m.finalizeRemove(rec.key, rec.h)
-	m.maybeMerge(c)
+	m.unlinkRemoved(rec.key, rec.h, c)
 }
 
 // BatchOp is one operation in an atomic batch.
@@ -472,6 +252,40 @@ func NormalizeBatch(ops []BatchOp, cmp Comparator) []BatchOp {
 	return out
 }
 
+// RunBatch drives prepared installs to their decision: parts[i], already
+// normalized, is installed into bis[i] (nil entries are skipped) in
+// index order — each op one Algorithm 2 or 3 run stamped by its install
+// record — then desc commits, the batch's linearization point across
+// every map involved, and each install is settled. On error nothing is
+// applied: desc aborts and the installs roll back.
+func RunBatch(desc *BatchDesc, bis []*BatchInstall, parts [][]BatchOp) error {
+	var err error
+install:
+	for i, bi := range bis {
+		for _, op := range parts[i] {
+			if op.Delete {
+				_, err = bi.m.doIfPresent(op.Key, nil, opRemove, bi)
+			} else {
+				_, err = bi.m.doPut(op.Key, BytesValue(op.Val), nil, opPut, bi)
+			}
+			if err != nil {
+				break install
+			}
+		}
+	}
+	if err != nil {
+		desc.Abort()
+	} else {
+		desc.Commit()
+	}
+	for _, bi := range bis {
+		if bi != nil {
+			bi.settle(err == nil)
+		}
+	}
+	return err
+}
+
 // ApplyBatch applies ops as one atomic batch on this map: readers (and
 // snapshots) observe all of them or none. Duplicate keys collapse to
 // the last op. On error nothing is applied.
@@ -479,23 +293,6 @@ func (m *Map) ApplyBatch(ops []BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	norm := NormalizeBatch(ops, m.cmp)
 	desc := NewBatchDesc()
-	bi := m.PrepareBatch(desc)
-	for _, op := range norm {
-		var err error
-		if op.Delete {
-			err = m.InstallBatchDelete(bi, op.Key)
-		} else {
-			err = m.InstallBatchPut(bi, op.Key, op.Val)
-		}
-		if err != nil {
-			desc.Abort()
-			m.AbortBatch(bi)
-			return err
-		}
-	}
-	desc.Commit()
-	m.FinalizeBatch(bi)
-	return nil
+	return RunBatch(desc, []*BatchInstall{m.PrepareBatch(desc)}, [][]BatchOp{NormalizeBatch(ops, m.cmp)})
 }

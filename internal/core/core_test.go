@@ -302,31 +302,6 @@ func TestDescend(t *testing.T) {
 	}
 }
 
-func TestDescendNaiveMatchesDescend(t *testing.T) {
-	m := newTestMap(t, 16)
-	for _, i := range rand.Perm(500) {
-		mustPut(t, m, ik(i), iv(i))
-	}
-	collect := func(f func(lo, hi []byte, y EntryFunc)) []int {
-		var out []int
-		f(ik(100), ik(400), func(kr uint64, h ValueHandle) bool {
-			out = append(out, int(binary.BigEndian.Uint64(m.KeyBytes(kr))))
-			return true
-		})
-		return out
-	}
-	a := collect(m.Descend)
-	b := collect(m.DescendNaive)
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("index %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
 func TestNavigation(t *testing.T) {
 	m := newTestMap(t, 32)
 	for i := 0; i < 100; i += 2 { // even keys 0..98

@@ -5,103 +5,121 @@ import (
 	"oakmap/internal/telemetry"
 )
 
-// Cursor is a pull-based scan over the map — the engine behind the
-// facade's iterator Sets (§2.2). Unlike the callback scans (Ascend /
-// Descend), a Cursor can be advanced lazily, interleaved with other
-// work, or merged with other cursors. It provides the same non-atomic
-// guarantees: keys present for the cursor's whole lifetime are yielded
-// exactly once, in order.
+// Cursor is the map's one scan engine (§4.2): it owns the only loop that
+// steps through a chunk's entries — the linked list going up, the
+// chunk-local stack iterator (Fig. 2) going down — applies the range
+// bound, skips deleted values and hops to the adjacent chunk. Everything
+// that walks the map in key order is a cursor:
 //
-// Each Next call pins the epoch for its own duration only, so a parked
-// cursor never stalls reclamation. The price is that the chunk position
-// held between calls can go stale: if the chunk was rebalanced while
-// the cursor was unpinned, Next re-enters the live chunk list at the
-// cursor's own copy of the last visited key — in both directions — so
-// a pause spanning removals and rebalances resumes at the exact
-// position with no skipped or duplicated keys.
+//   - pull scans (NewCursor/Next — the engine behind the facade's
+//     iterator Sets, §2.2, merged cursors and SnapCursor) pin the epoch
+//     per Next call, so a parked cursor never stalls reclamation;
+//   - push scans (Ascend/Descend) run a stack-resident cursor under one
+//     pin per chunk and hand out arena-aliased keys;
+//   - navigation queries (First … Higher) are a cursor's first step.
+//
+// All give the same non-atomic guarantees: keys present for the scan's
+// whole duration are yielded exactly once, in order (RB1/RB2);
+// concurrently mutated keys may or may not appear.
+//
+// The chunk position held while unpinned can go stale: if the chunk was
+// rebalanced meanwhile, revalidate re-enters the live chunk list at the
+// cursor's own copy of the last visited key — in both directions — so a
+// pause spanning removals and rebalances resumes at the exact position
+// with no skipped or duplicated keys.
 type Cursor struct {
-	m    *Map
-	desc bool
-	done bool
-
+	m      *Map
 	lo, hi []byte
+	desc   bool
+	done   bool
 
-	// resume is a cursor-owned copy of the last visited key (never an
-	// alias of arena bytes — those may be recycled while unpinned).
-	resume []byte
+	// last is the last visited key: the re-entry point after a stale
+	// chunk, and the guard against revisiting entries when hopping
+	// through concurrently rebalanced regions. While aliased is set it
+	// points into pinned arena space, and own must copy it into buf
+	// before the pin drops (those bytes may be recycled while unpinned).
+	last, buf []byte
+	aliased   bool
 
-	// ascending state
 	c  *chunk.Chunk
-	ei int32
-
-	// descending state
-	it    *chunk.DescIter
-	bound []byte
+	ei int32           // ascending: the next entry to visit
+	it *chunk.DescIter // descending: c's stack iterator
 }
 
 // NewCursor creates a cursor over lo ≤ key < hi (nil bounds are open).
-// When desc is true the cursor yields entries in descending order using
-// the chunk-stack mechanism of §4.2.
+// When desc is true the cursor yields entries in descending order.
 func (m *Map) NewCursor(lo, hi []byte, desc bool) *Cursor {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
-	cur := &Cursor{m: m, desc: desc, lo: lo, hi: hi}
-	if desc {
-		cur.repositionDesc()
-	} else {
-		cur.repositionAsc()
-	}
+	cur := &Cursor{m: m, lo: lo, hi: hi, desc: desc}
+	cur.reposition()
 	return cur
 }
 
-// repositionAsc (re-)enters the live chunk list for an ascending scan:
-// at the first key past resume when set, else at lo. Must run pinned.
-func (cur *Cursor) repositionAsc() {
+// reposition (re-)enters the live chunk list: ascending at the first key
+// past last (at lo before any visit), descending below the exclusive
+// bound last (hi before any visit). Every key beyond last is still
+// unvisited, so re-entry is exact even if last was removed and its chunk
+// merged away. Must run pinned.
+func (cur *Cursor) reposition() {
 	m := cur.m
-	start := cur.resume
-	if start == nil {
-		start = cur.lo
-	}
-	if start == nil {
-		cur.c = chunk.Forward(m.head.Load())
-	} else {
-		cur.c = m.locateChunk(start)
-	}
-	cur.ei = cur.c.FirstGE(start)
-	if cur.resume != nil {
-		// The resume key itself was already yielded (or visited); skip it.
-		for cur.ei >= 0 && m.cmp(cur.c.Key(cur.ei), cur.resume) == 0 {
-			cur.ei = cur.c.NextEntry(cur.ei)
+	from := cur.last
+	if from == nil {
+		from = cur.lo
+		if cur.desc {
+			from = cur.hi
 		}
 	}
-}
-
-// repositionDesc (re-)enters the live chunk list for a descending scan
-// with the exclusive upper bound at resume when set, else at hi. Every
-// key < resume is still unvisited, so re-entry is exact even if the
-// resume key was removed and its chunk merged away. Must run pinned.
-func (cur *Cursor) repositionDesc() {
-	m := cur.m
-	b := cur.resume
-	if b == nil {
-		b = cur.hi
-	}
-	if b == nil {
+	switch {
+	case from != nil:
+		cur.c = m.locateChunk(from)
+	case cur.desc:
 		cur.c = m.lastChunk()
-	} else {
-		cur.c = m.locateChunk(b)
+	default:
+		cur.c = chunk.Forward(m.head.Load())
 	}
-	cur.bound = b
-	cur.it = cur.c.NewDescIter(b)
+	if cur.desc {
+		cur.it = cur.c.NewDescIter(from)
+	} else {
+		cur.enter(from)
+	}
 }
 
-// Key returns the cursor's owned copy of the last key Next yielded (or
-// visited). The slice lives on-heap — never in arena space — so it stays
-// readable while the cursor is parked, but it is reused by the following
-// Next call: callers that keep it across steps must copy. It is the hook
+// enter positions an ascending cursor at c's first key ≥ from, skipping
+// last itself (it was already visited).
+func (cur *Cursor) enter(from []byte) {
+	cur.ei = cur.c.FirstGE(from)
+	for cur.last != nil && cur.ei >= 0 && cur.m.cmp(cur.c.Key(cur.ei), cur.last) == 0 {
+		cur.ei = cur.c.NextEntry(cur.ei)
+	}
+}
+
+// revalidate must follow every re-pin: a chunk rebalanced while the
+// cursor was unpinned may have had its key space recycled, so the cursor
+// re-enters from the index. A chunk not replaced by now is safe to keep
+// walking — whatever a later rebalance retires, this pin protects.
+func (cur *Cursor) revalidate() {
+	if cur.c.ReplacedBy() != nil {
+		cur.reposition()
+	}
+}
+
+// own moves the last visited key out of arena space; it must precede
+// every unpin.
+func (cur *Cursor) own() {
+	if cur.aliased {
+		cur.buf = append(cur.buf[:0], cur.last...)
+		cur.last, cur.aliased = cur.buf, false
+	}
+}
+
+// Key returns the cursor's owned copy of the last key Next yielded. The
+// slice lives on-heap — never in arena space — so it stays readable
+// while the cursor is parked, but it is reused by the following Next
+// call: callers that keep it across steps must copy. It is the hook
 // merged multi-shard scans are built on: a k-way merge can compare the
 // heads of several cursors without holding any epoch pin.
-func (cur *Cursor) Key() []byte { return cur.resume }
+func (cur *Cursor) Key() []byte { return cur.last }
 
 // Next returns the next live entry, or ok=false when the range is
 // exhausted. The returned handle is live (non-⊥, not deleted) at yield
@@ -115,93 +133,89 @@ func (cur *Cursor) Next() (keyRef uint64, h ValueHandle, ok bool) {
 	defer tk.Done()
 	g := cur.m.reclaim.Pin()
 	defer g.Unpin()
-	if cur.c.ReplacedBy() != nil {
-		// The chunk was rebalanced while the cursor was unpinned: its
-		// key space may already be recycled. Re-enter from the index.
-		if cur.desc {
-			cur.repositionDesc()
-		} else {
-			cur.repositionAsc()
-		}
-	}
-	if cur.desc {
-		return cur.nextDesc()
-	}
-	return cur.nextAsc()
+	cur.revalidate()
+	keyRef, h, ok = cur.step(false)
+	cur.own()
+	return keyRef, h, ok
 }
 
-func (cur *Cursor) nextAsc() (uint64, ValueHandle, bool) {
+// step advances to the next live entry in range. It must run pinned, on
+// a cursor revalidated under that pin. ok=false with done set means the
+// range is exhausted. With perChunk set, ok=false with done unset is a
+// chunk boundary crossed after progress: the caller cycles its pin (own,
+// unpin, pin, revalidate) and calls step again.
+func (cur *Cursor) step(perChunk bool) (keyRef uint64, h ValueHandle, ok bool) {
 	m := cur.m
 	for {
-		for cur.ei >= 0 {
-			key := cur.c.Key(cur.ei)
-			if cur.hi != nil && m.cmp(key, cur.hi) >= 0 {
-				cur.done = true
-				return 0, 0, false
+		// The one entry-stepping loop of each direction. Every visited
+		// key — live or not — becomes last, so a re-entry never goes back
+		// over a run of deleted entries.
+		if cur.desc {
+			for ei := cur.it.Next(); ei >= 0; ei = cur.it.Next() {
+				key := cur.c.Key(ei)
+				if cur.lo != nil && m.cmp(key, cur.lo) < 0 {
+					cur.done = true
+					return 0, 0, false
+				}
+				cur.last, cur.aliased = key, true
+				if h := ValueHandle(cur.c.ValHandle(ei)); h != 0 && !m.IsDeleted(h) {
+					return cur.c.KeyRef(ei), h, true
+				}
 			}
-			cur.resume = append(cur.resume[:0], key...)
-			h := ValueHandle(cur.c.ValHandle(cur.ei))
-			kr := cur.c.KeyRef(cur.ei)
-			cur.ei = cur.c.NextEntry(cur.ei)
-			if h != 0 && !m.IsDeleted(h) {
-				return kr, h, true
+		} else {
+			c := cur.c
+			for ei := cur.ei; ei >= 0; ei = cur.ei {
+				key := c.Key(ei)
+				if cur.hi != nil && m.cmp(key, cur.hi) >= 0 {
+					cur.done = true
+					return 0, 0, false
+				}
+				cur.last, cur.aliased = key, true
+				cur.ei = c.NextEntry(ei)
+				if h := ValueHandle(c.ValHandle(ei)); h != 0 && !m.IsDeleted(h) {
+					return c.KeyRef(ei), h, true
+				}
 			}
 		}
-		n := cur.c.Next()
-		if n == nil {
+		if perChunk && cur.aliased {
+			return 0, 0, false
+		}
+		if !cur.hop() {
 			cur.done = true
 			return 0, 0, false
 		}
-		next := chunk.Forward(n)
-		if next != n && cur.resume != nil {
-			// Rebalanced successor: re-enter past the last visited key
-			// to avoid re-yielding merged ranges (same as Ascend).
-			cur.c = next
-			cur.ei = cur.c.FirstGE(cur.resume)
-			for cur.ei >= 0 && m.cmp(cur.c.Key(cur.ei), cur.resume) == 0 {
-				cur.ei = cur.c.NextEntry(cur.ei)
-			}
-			continue
+	}
+}
+
+// hop moves from an exhausted chunk to the adjacent one, reporting false
+// at the end of the list or of the range.
+func (cur *Cursor) hop() bool {
+	m := cur.m
+	if cur.desc {
+		// One index query per exhausted chunk rather than one per key
+		// (§4.2). The head chunk (nil minKey) has no predecessor.
+		mk := cur.c.MinKey()
+		if mk == nil || (cur.lo != nil && m.cmp(mk, cur.lo) <= 0) {
+			return false
 		}
-		cur.c = next
+		// All remaining keys are < c.minKey; that also bounds against
+		// duplicates if the predecessor was rebalanced meanwhile.
+		cur.c = m.prevChunk(mk)
+		cur.it = cur.c.NewDescIter(mk)
+		return true
+	}
+	n := cur.c.Next()
+	if n == nil {
+		return false
+	}
+	cur.c = chunk.Forward(n)
+	if cur.c != n {
+		// The successor was rebalanced: its replacement may cover ranges
+		// already visited (e.g. after a merge with c's replacement).
+		// Re-enter at the first key past last.
+		cur.enter(cur.last)
+	} else {
 		cur.ei = cur.c.Head()
 	}
-}
-
-func (cur *Cursor) nextDesc() (uint64, ValueHandle, bool) {
-	m := cur.m
-	for {
-		for {
-			ei := cur.it.Next()
-			if ei < 0 {
-				break
-			}
-			key := cur.c.Key(ei)
-			if cur.lo != nil && m.cmp(key, cur.lo) < 0 {
-				cur.done = true
-				return 0, 0, false
-			}
-			cur.resume = append(cur.resume[:0], key...)
-			h := ValueHandle(cur.c.ValHandle(ei))
-			if h != 0 && !m.IsDeleted(h) {
-				return cur.c.KeyRef(ei), h, true
-			}
-		}
-		mk := cur.c.MinKey()
-		if mk == nil {
-			cur.done = true
-			return 0, 0, false
-		}
-		if cur.lo != nil && m.cmp(mk, cur.lo) <= 0 {
-			cur.done = true
-			return 0, 0, false
-		}
-		cur.bound = append([]byte(nil), mk...)
-		cur.c = m.prevChunk(cur.bound)
-		if cur.c == nil {
-			cur.done = true
-			return 0, 0, false
-		}
-		cur.it = cur.c.NewDescIter(cur.bound)
-	}
+	return true
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"oakmap/internal/chunk"
 	"oakmap/internal/telemetry"
 )
 
@@ -44,281 +43,87 @@ func (m *Map) wrapYield(yield EntryFunc) EntryFunc {
 }
 
 // Ascend scans entries with lo ≤ key < hi in ascending order (nil bounds
-// are open). It traverses each chunk's entries linked list and hops to
-// the next chunk (§4.2). RB1/RB2 hold: keys present for the scan's whole
-// duration are reported exactly once; concurrently mutated keys may or
-// may not appear.
-func (m *Map) Ascend(lo, hi []byte, yield EntryFunc) {
-	yield = m.wrapYield(yield)
-	// The scan pins the epoch per chunk, not for its whole duration:
-	// chunk pointers and keys stay valid while pinned, and at each chunk
-	// boundary the pin is cycled and the scan re-enters at the last
-	// visited key (the cursor's reposition), so a long scan — or a slow
-	// user callback — stalls reclamation by at most one chunk's worth of
-	// yields instead of freezing the global epoch (and growing the limbo
-	// lists without bound) for the entire traversal. The pull-based
-	// Cursor goes further and pins per Next call.
-	g := m.reclaim.Pin()
-	defer func() { g.Unpin() }()
-	var c *chunk.Chunk
-	if lo == nil {
-		c = chunk.Forward(m.head.Load())
-	} else {
-		c = m.locateChunk(lo)
-	}
-	ei := c.FirstGE(lo)
-	// resume tracks the last visited key: the re-entry point after a pin
-	// cycle, and the guard against revisiting entries when hopping
-	// through concurrently rebalanced regions. It aliases c's key space
-	// exactly while progressed is true; a chunk boundary copies it into
-	// resumeBuf before dropping the pin that keeps those bytes valid.
-	var resume, resumeBuf []byte
-	progressed := false
-	for {
-		for ei >= 0 {
-			key := c.Key(ei)
-			if hi != nil && m.cmp(key, hi) >= 0 {
-				return
-			}
-			resume = key
-			progressed = true
-			h := ValueHandle(c.ValHandle(ei))
-			if h != 0 && !m.IsDeleted(h) {
-				if !yield(c.KeyRef(ei), h) {
-					return
-				}
-			}
-			ei = c.NextEntry(ei)
-		}
-		n := c.Next()
-		if n == nil {
-			return
-		}
-		if progressed {
-			// Keys were visited since the last re-entry: cycle the pin
-			// and reposition at the first key past resume. Re-locating
-			// from the index (rather than trusting c's next pointer,
-			// which may go stale the moment the pin drops) also covers
-			// any rebalance that runs while unpinned.
-			resumeBuf = append(resumeBuf[:0], resume...)
-			resume = resumeBuf
-			progressed = false
-			g.Unpin()
-			g = m.reclaim.Pin()
-			c = m.locateChunk(resume)
-			ei = c.FirstGE(resume)
-			for ei >= 0 && m.cmp(c.Key(ei), resume) == 0 {
-				ei = c.NextEntry(ei)
-			}
-			continue
-		}
-		// No key visited since the last re-entry (empty or fully-dead
-		// chunk): hop under the same pin — repositioning by key could
-		// not make progress. resume, if set, is already an owned copy.
-		next := chunk.Forward(n)
-		if next != n && resume != nil {
-			// The successor was rebalanced: its replacement may cover
-			// ranges we already visited (e.g. after a merge with c's
-			// replacement). Re-enter at the first key past resume.
-			c = next
-			ei = c.FirstGE(resume)
-			for ei >= 0 && m.cmp(c.Key(ei), resume) == 0 {
-				ei = c.NextEntry(ei)
-			}
-			continue
-		}
-		c = next
-		ei = c.Head()
-	}
-}
+// are open): each chunk's entries linked list, then a hop to the next
+// chunk (§4.2). The keyRef handed to yield is readable via KeyBytes for
+// the duration of the callback.
+func (m *Map) Ascend(lo, hi []byte, yield EntryFunc) { m.scan(lo, hi, false, yield) }
 
 // Descend scans entries with lo ≤ key < hi in descending order using the
 // chunk-local stack iterator (§4.2, Fig. 2), issuing only one chunk
 // lookup per exhausted chunk rather than one per key.
-func (m *Map) Descend(lo, hi []byte, yield EntryFunc) {
+func (m *Map) Descend(lo, hi []byte, yield EntryFunc) { m.scan(lo, hi, true, yield) }
+
+// scan is the push form of the cursor: a stack-resident Cursor stepped
+// under a pin that is cycled per chunk, not held for the scan's whole
+// duration. Chunk pointers and keys stay valid while pinned, and at each
+// chunk boundary the pin is cycled and the cursor revalidated, so a long
+// scan — or a slow user callback — stalls reclamation by at most one
+// chunk's worth of yields instead of freezing the global epoch (and
+// growing the limbo lists without bound) for the entire traversal. The
+// pull-based Cursor.Next goes further and pins per call.
+func (m *Map) scan(lo, hi []byte, desc bool, yield EntryFunc) {
 	yield = m.wrapYield(yield)
-	// As in Ascend, the pin is cycled at each chunk boundary so a long
-	// descending scan stalls reclamation by at most one chunk. The bound
-	// is an owned copy by the time the pin drops, and prevChunk re-enters
-	// from the index under the fresh pin.
 	g := m.reclaim.Pin()
 	defer func() { g.Unpin() }()
-	var c *chunk.Chunk
-	if hi == nil {
-		c = m.lastChunk()
-	} else {
-		c = m.locateChunk(hi)
-	}
-	bound := hi
-	for c != nil {
-		it := c.NewDescIter(bound)
-		for {
-			ei := it.Next()
-			if ei < 0 {
-				break
-			}
-			key := c.Key(ei)
-			if lo != nil && m.cmp(key, lo) < 0 {
-				return
-			}
-			h := ValueHandle(c.ValHandle(ei))
-			if h != 0 && !m.IsDeleted(h) {
-				if !yield(c.KeyRef(ei), h) {
-					return
-				}
-			}
-		}
-		mk := c.MinKey()
-		if mk == nil {
-			return // the head chunk has no predecessor
-		}
-		if lo != nil && m.cmp(mk, lo) <= 0 {
-			return // everything below is out of range
-		}
-		// All remaining keys are < c.minKey; that also bounds against
-		// duplicates if the predecessor was rebalanced meanwhile. The
-		// copy must precede the pin cycle — mk aliases c's key space.
-		bound = append([]byte(nil), mk...)
-		g.Unpin()
-		g = m.reclaim.Pin()
-		c = m.prevChunk(bound)
-	}
-}
-
-// DescendNaive is the ablation baseline for Fig. 4f's design point: a
-// descending scan implemented as a sequence of fresh lookups (one
-// O(log n) locate per key), the way skiplists do it. Each lookup runs
-// under its own short epoch pin — also the skiplist way — so the
-// baseline neither holds a scan-long pin nor doubles up pins per step.
-func (m *Map) DescendNaive(lo, hi []byte, yield EntryFunc) {
-	yield = m.wrapYield(yield)
-	bound := hi
-	var buf []byte
+	cur := Cursor{m: m, lo: lo, hi: hi, desc: desc}
+	cur.reposition()
 	for {
-		stop := true
-		func() {
-			g := m.reclaim.Pin()
-			defer g.Unpin()
-			keyRef, h, ok := m.lowerEntryPinned(bound)
-			if !ok {
+		keyRef, h, ok := cur.step(true)
+		switch {
+		case ok:
+			if !yield(keyRef, h) {
 				return
 			}
-			key := m.KeyBytes(keyRef)
-			if lo != nil && m.cmp(key, lo) < 0 {
-				return
-			}
-			// Copy before the pin drops: key aliases arena space.
-			buf = append(buf[:0], key...)
-			bound = buf
-			stop = !yield(keyRef, h)
-		}()
-		if stop {
+		case cur.done:
 			return
+		default: // chunk boundary
+			cur.own()
+			g.Unpin()
+			g = m.reclaim.Pin()
+			cur.revalidate()
 		}
 	}
 }
 
-// lowerEntry finds the greatest live entry with key < bound (nil bound
-// means no upper limit).
-func (m *Map) lowerEntry(bound []byte) (uint64, ValueHandle, bool) {
+// seek returns the first live entry a cursor over lo ≤ key < hi visits,
+// starting past the key `past` when it is non-nil — the body of every
+// navigation query.
+func (m *Map) seek(lo, hi, past []byte, desc bool) (uint64, ValueHandle, bool) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
-	return m.lowerEntryPinned(bound)
+	return m.seekPinned(lo, hi, past, desc)
 }
 
-// lowerEntryPinned is lowerEntry's body for internal callers that
-// already hold an epoch pin (Floor, DescendNaive), so each public entry
-// point pins exactly once.
-func (m *Map) lowerEntryPinned(bound []byte) (uint64, ValueHandle, bool) {
-	var c *chunk.Chunk
-	if bound == nil {
-		c = m.lastChunk()
-	} else {
-		c = m.locateChunk(bound)
-	}
-	b := bound
-	for c != nil {
-		it := c.NewDescIter(b)
-		for {
-			ei := it.Next()
-			if ei < 0 {
-				break
-			}
-			h := ValueHandle(c.ValHandle(ei))
-			if h != 0 && !m.IsDeleted(h) {
-				return c.KeyRef(ei), h, true
-			}
-		}
-		mk := c.MinKey()
-		if mk == nil {
-			return 0, 0, false
-		}
-		b = append([]byte(nil), mk...)
-		c = m.prevChunk(b)
-	}
-	return 0, 0, false
+func (m *Map) seekPinned(lo, hi, past []byte, desc bool) (uint64, ValueHandle, bool) {
+	cur := Cursor{m: m, lo: lo, hi: hi, last: past, desc: desc}
+	cur.reposition()
+	return cur.step(false)
 }
 
 // Navigation queries (the ConcurrentNavigableMap surface).
 
 // First returns the smallest live entry.
-func (m *Map) First() (uint64, ValueHandle, bool) {
-	var out uint64
-	var oh ValueHandle
-	found := false
-	m.Ascend(nil, nil, func(kr uint64, h ValueHandle) bool {
-		out, oh, found = kr, h, true
-		return false
-	})
-	return out, oh, found
-}
+func (m *Map) First() (uint64, ValueHandle, bool) { return m.seek(nil, nil, nil, false) }
 
 // Last returns the greatest live entry.
-func (m *Map) Last() (uint64, ValueHandle, bool) {
-	return m.lowerEntry(nil)
-}
+func (m *Map) Last() (uint64, ValueHandle, bool) { return m.seek(nil, nil, nil, true) }
 
 // Lower returns the greatest live entry with key < k.
-func (m *Map) Lower(k []byte) (uint64, ValueHandle, bool) {
-	return m.lowerEntry(k)
-}
+func (m *Map) Lower(k []byte) (uint64, ValueHandle, bool) { return m.seek(nil, k, nil, true) }
 
-// Floor returns the greatest live entry with key ≤ k.
+// Ceiling returns the smallest live entry with key ≥ k.
+func (m *Map) Ceiling(k []byte) (uint64, ValueHandle, bool) { return m.seek(k, nil, nil, false) }
+
+// Higher returns the smallest live entry with key > k.
+func (m *Map) Higher(k []byte) (uint64, ValueHandle, bool) { return m.seek(nil, nil, k, false) }
+
+// Floor returns the greatest live entry with key ≤ k: the exact match
+// (a descending cursor's bound is exclusive), else Lower(k).
 func (m *Map) Floor(k []byte) (uint64, ValueHandle, bool) {
 	g := m.reclaim.Pin() // one pin covers the exact lookup and the fallback
 	defer g.Unpin()
-	if h, ok := m.getPinned(k); ok {
-		c := m.locateChunk(k)
-		if ei := c.LookUp(k); ei >= 0 {
-			return c.KeyRef(ei), h, true
-		}
+	if keyRef, h, ok := m.getPinned(k); ok {
+		return keyRef, h, true
 	}
-	return m.lowerEntryPinned(k)
-}
-
-// Ceiling returns the smallest live entry with key ≥ k.
-func (m *Map) Ceiling(k []byte) (uint64, ValueHandle, bool) {
-	var out uint64
-	var oh ValueHandle
-	found := false
-	m.Ascend(k, nil, func(kr uint64, h ValueHandle) bool {
-		out, oh, found = kr, h, true
-		return false
-	})
-	return out, oh, found
-}
-
-// Higher returns the smallest live entry with key > k.
-func (m *Map) Higher(k []byte) (uint64, ValueHandle, bool) {
-	var out uint64
-	var oh ValueHandle
-	found := false
-	m.Ascend(k, nil, func(kr uint64, h ValueHandle) bool {
-		if m.cmp(m.KeyBytes(kr), k) == 0 {
-			return true // skip the equal key
-		}
-		out, oh, found = kr, h, true
-		return false
-	})
-	return out, oh, found
+	return m.seekPinned(nil, k, nil, true)
 }

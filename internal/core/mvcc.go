@@ -245,6 +245,9 @@ func (m *Map) sweepRetainedLocked() {
 // at version super), the span enters the retained store; otherwise it is
 // retired through the epoch domain. key nil means the value was never
 // visible (a discarded unpublished allocation) and is always retired.
+// Callers hold the value's header write lock and call this before the
+// store that makes the superseding state loadable (retain before
+// publish; header lock → mvccState.mu is the lock order).
 // The fast path is one atomic load: with no open snapshots retainFloor
 // is 0 and nothing is ever retained.
 func (m *Map) retireOrRetain(key []byte, ref arena.Ref, oldVer, super uint64) {
@@ -320,8 +323,11 @@ func (m *Map) MVCCStats() MVCCStats {
 // and a normal write slipping in between install and commit would tear
 // the batch's atomicity (readers could observe the overwrite before the
 // batch's other keys). Returns the current committed version; ok=false
-// iff the value is deleted. May block on the owning batch's decision —
-// batches never wait on individual writers, so there is no cycle.
+// iff the value is deleted. May block on the owning batch's decision, so
+// a batch must never call it on a value carrying its own stamp (it would
+// wait on itself): its finalize, rollback and lost-race discard take the
+// plain write lock instead. Batches do wait on other batches here, and
+// the global install order (key, then shard) keeps those waits acyclic.
 func (m *Map) lockStable(h ValueHandle) (uint64, bool) {
 	for spins := 0; ; spins++ {
 		if !m.headers.TryWriteLock(uint64(h)) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -14,6 +15,51 @@ func takeSnap(m *Map) (uint64, func()) {
 	s := m.BeginSnapshot()
 	m.StabilizeSnapshot(s)
 	return s, func() { m.EndSnapshot(s) }
+}
+
+// writers is a group of background writer goroutines. Its cleanup is
+// registered when the group is made — after the map's, so it runs first:
+// a test that fails while writers run stops and waits for them before
+// the map closes, and the failure message is not buried under a panic
+// from a writer using a closed map.
+type writers struct {
+	stop chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
+}
+
+func newWriters(t *testing.T) *writers {
+	w := &writers{stop: make(chan struct{})}
+	t.Cleanup(w.halt)
+	return w
+}
+
+// halt stops the writers and waits for them; it may be called early.
+func (w *writers) halt() {
+	w.once.Do(func() { close(w.stop) })
+	w.wg.Wait()
+}
+
+// run calls step(0), step(1), … on a new goroutine until halt, or until
+// a step fails; a failure other than the map having closed is reported.
+func (w *writers) run(t *testing.T, step func(i int) error) {
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-w.stop:
+				return
+			default:
+			}
+			if err := step(i); err != nil {
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("background writer: %v", err)
+				}
+				return
+			}
+		}
+	}()
 }
 
 func snapGetString(t *testing.T, m *Map, s uint64, k []byte) (string, bool) {
@@ -219,7 +265,7 @@ func TestApplyBatchBasic(t *testing.T) {
 		{Key: ik(1), Val: []byte("new1")},
 		{Key: ik(2), Delete: true},
 		{Key: ik(3), Val: []byte("new3")},
-		{Key: ik(4), Delete: true}, // absent delete: no-op
+		{Key: ik(4), Delete: true},         // absent delete: no-op
 		{Key: ik(3), Val: []byte("new3b")}, // dup: last wins
 	})
 	if err != nil {
@@ -327,25 +373,14 @@ func TestApplyBatchSnapshotCut(t *testing.T) {
 	for _, k := range keys {
 		mustPut(t, m, k, []byte("before"))
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ops := make([]BatchOp, len(keys))
-			for j, k := range keys {
-				ops[j] = BatchOp{Key: k, Val: []byte(fmt.Sprintf("batch-%d", i))}
-			}
-			if err := m.ApplyBatch(ops); err != nil {
-				panic(err)
-			}
+	bg := newWriters(t)
+	bg.run(t, func(i int) error {
+		ops := make([]BatchOp, len(keys))
+		for j, k := range keys {
+			ops[j] = BatchOp{Key: k, Val: []byte(fmt.Sprintf("batch-%d", i))}
 		}
-	}()
+		return m.ApplyBatch(ops)
+	})
 	for round := 0; round < 200; round++ {
 		s, end := takeSnap(m)
 		var vals []string
@@ -363,8 +398,7 @@ func TestApplyBatchSnapshotCut(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	<-done
+	bg.halt()
 }
 
 // TestBatchConcurrentBatches: concurrent multi-key batches over an
@@ -390,7 +424,8 @@ func TestBatchConcurrentBatches(t *testing.T) {
 					}
 				}
 				if err := m.ApplyBatch(ops); err != nil {
-					panic(err)
+					t.Errorf("ApplyBatch: %v", err)
+					return
 				}
 			}
 		}(w)

@@ -12,6 +12,15 @@ import (
 // the "value was deleted concurrently: retry" path of Algorithm 2.
 var fpPutRace = faultpoint.New("core/put-race")
 
+// fpInstallPublishLost and fpInstallCASLost force putAttempt's lost-race
+// exit — a freshly allocated, already stamped value that never reaches
+// its entry and must be discarded — as if the chunk had frozen before
+// Publish, or a concurrent operation had won the entry CAS.
+var (
+	fpInstallPublishLost = faultpoint.New("core/install-publish-lost")
+	fpInstallCASLost     = faultpoint.New("core/install-cas-lost")
+)
+
 // Get implements Algorithm 1: locate the chunk, look the key up, and
 // return the value's handle if a non-deleted value is present. The
 // caller turns the handle into a read-only view (OakRBuffer). The
@@ -23,28 +32,30 @@ func (m *Map) Get(key []byte) (ValueHandle, bool) {
 	defer tk.Done()
 	g := m.reclaim.Pin()
 	defer g.Unpin()
-	return m.getPinned(key)
+	_, h, ok := m.getPinned(key)
+	return h, ok
 }
 
 // getPinned is Get's body for internal callers that already hold an
-// epoch pin (Floor), so each public entry point pins exactly once.
-func (m *Map) getPinned(key []byte) (ValueHandle, bool) {
+// epoch pin (Floor), so each public entry point pins exactly once. It
+// also returns the entry's key reference.
+func (m *Map) getPinned(key []byte) (uint64, ValueHandle, bool) {
 	c := m.locateChunk(key)
 	ei := c.LookUp(key)
 	if ei < 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	h := ValueHandle(c.ValHandle(ei))
 	if h == 0 || m.IsDeleted(h) {
-		return 0, false
+		return 0, 0, false
 	}
 	// MVCC slow path: a batch-flagged version word means presence is
 	// decided by the owning batch's state (pre-state before commit,
 	// post-state after), keeping ApplyBatch all-or-nothing for readers.
 	if v := m.headers.LoadVersion(uint64(h)); v&verFlagMask != 0 && !m.pendingPresent(h, v) {
-		return 0, false
+		return 0, 0, false
 	}
-	return h, true
+	return c.KeyRef(ei), h, true
 }
 
 // opKind distinguishes the three insertion operations sharing doPut
@@ -59,46 +70,52 @@ const (
 
 // Put maps key to val unconditionally (ZC put: no old value returned).
 func (m *Map) Put(key, val []byte) error {
-	_, err := m.doPut(key, BytesValue(val), nil, opPut)
+	_, err := m.doPut(key, BytesValue(val), nil, opPut, nil)
 	return err
 }
 
 // PutWriter is Put with the value serialized directly into off-heap
 // memory by vw (§2.1).
 func (m *Map) PutWriter(key []byte, vw ValueWriter) error {
-	_, err := m.doPut(key, vw, nil, opPut)
+	_, err := m.doPut(key, vw, nil, opPut, nil)
 	return err
 }
 
 // PutIfAbsent maps key to val iff key is absent; reports whether it did.
 func (m *Map) PutIfAbsent(key, val []byte) (bool, error) {
-	return m.doPut(key, BytesValue(val), nil, opPutIfAbsent)
+	return m.doPut(key, BytesValue(val), nil, opPutIfAbsent, nil)
 }
 
 // PutIfAbsentWriter is PutIfAbsent with direct off-heap serialization.
 func (m *Map) PutIfAbsentWriter(key []byte, vw ValueWriter) (bool, error) {
-	return m.doPut(key, vw, nil, opPutIfAbsent)
+	return m.doPut(key, vw, nil, opPutIfAbsent, nil)
 }
 
 // PutIfAbsentComputeIfPresent inserts val if key is absent, otherwise
 // atomically applies f to the present value in place (§2.2). The lambda
 // runs exactly once per successful application.
 func (m *Map) PutIfAbsentComputeIfPresent(key, val []byte, f func(*WBuffer) error) error {
-	_, err := m.doPut(key, BytesValue(val), f, opPutIfAbsentComputeIfPresent)
+	_, err := m.doPut(key, BytesValue(val), f, opPutIfAbsentComputeIfPresent, nil)
 	return err
 }
 
 // PutIfAbsentComputeIfPresentWriter is PutIfAbsentComputeIfPresent with
 // direct off-heap serialization of the initial value.
 func (m *Map) PutIfAbsentComputeIfPresentWriter(key []byte, vw ValueWriter, f func(*WBuffer) error) error {
-	_, err := m.doPut(key, vw, f, opPutIfAbsentComputeIfPresent)
+	_, err := m.doPut(key, vw, f, opPutIfAbsentComputeIfPresent, nil)
 	return err
 }
 
 // doPut is Algorithm 2. It returns true when the operation took effect
 // as an insertion or in-place update; PutIfAbsent returns false when the
 // key was already present.
-func (m *Map) doPut(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKind) (bool, error) {
+//
+// bi selects the version stamp. nil is a plain write, stamped with the
+// clock's current value. A batch install stamps bi.base|pending instead,
+// records the pre-state in bi and never overwrites in place, so readers
+// resolve the value through the batch descriptor until it settles; the
+// chunk walk, entry linking, publish and CAS are the same either way.
+func (m *Map) doPut(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKind, bi *BatchInstall) (bool, error) {
 	if m.closed.Load() {
 		return false, ErrClosed
 	}
@@ -115,7 +132,7 @@ func (m *Map) doPut(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKin
 	defer func() { m.releaseKeyRef(&keyRef) }()
 	for attempt := 0; ; attempt++ {
 		retryPause(attempt)
-		out, err := m.putAttempt(key, vw, f, op, &keyRef)
+		out, err := m.putAttempt(key, vw, f, op, bi, &keyRef)
 		if err != nil {
 			return false, err
 		}
@@ -146,7 +163,7 @@ type putOutcome struct {
 // and list linking) so a concurrent rebalance cannot recycle key space
 // mid-walk. Anything that triggers a rebalance is reported via the
 // outcome and executed by the unpinned caller.
-func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKind, keyRef *uint64) (putOutcome, error) {
+func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKind, bi *BatchInstall, keyRef *uint64) (putOutcome, error) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
 	c := m.locateChunk(key)
@@ -159,27 +176,18 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 	if h != 0 && !m.IsDeleted(h) {
 		// Case 1: the key is present (lines 19–26).
 		fpPutRace.Fire()
+		var ok bool
+		var err error
 		switch op {
 		case opPutIfAbsent:
 			return putOutcome{done: true, ok: false}, nil
 		case opPut:
-			ok, err := m.valuePut(key, h, vw)
-			if err != nil {
-				return putOutcome{}, err
-			}
-			if ok {
-				return putOutcome{done: true, ok: true}, nil
-			}
+			ok, err = m.valuePut(key, h, vw, bi)
 		case opPutIfAbsentComputeIfPresent:
-			ok, err := m.valueCompute(key, h, f)
-			if err != nil {
-				return putOutcome{}, err
-			}
-			if ok {
-				return putOutcome{done: true, ok: true}, nil
-			}
+			ok, err = m.valueCompute(key, h, f)
 		}
-		return putOutcome{}, nil // value was deleted concurrently: retry (line 25)
+		// !ok: the value was deleted concurrently: retry (line 25).
+		return putOutcome{done: ok, ok: ok}, err
 	}
 
 	// Case 2: the key is absent (h = ⊥ or deleted). A removed entry
@@ -217,24 +225,33 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 		}
 	}
 
-	// Fresh inserts are stamped with the current version before the
-	// entry CAS publishes them, so a snapshot taken before this write
-	// (version ≤ S fails ⇒ resolves older ⇒ absent) never sees it.
-	newH, err := m.allocValue(vw, m.mvcc.clock.Load())
+	// Fresh inserts are stamped before the entry CAS publishes them, so a
+	// snapshot taken before this write (version ≤ S fails ⇒ resolves
+	// older ⇒ absent) never sees it. A batch's stamp is flagged: readers
+	// that find no install record for a flagged handle treat it as a fresh
+	// insert, which is why the record is added only once the CAS has won.
+	stamp := m.mvcc.clock.Load()
+	if bi != nil {
+		stamp = bi.base | verPendingBit
+	}
+	newH, err := m.allocValue(vw, stamp)
 	if err != nil {
 		return putOutcome{}, err
 	}
-	if !c.Publish() {
+	won := false
+	if !fpInstallPublishLost.Fire() && c.Publish() {
+		won = !fpInstallCASLost.Fire() && c.CASValHandle(ei, uint64(h), uint64(newH))
+		c.Unpublish()
+	}
+	if !won {
+		// The chunk froze, or a concurrent operation changed the value
+		// reference and we cannot linearize before it (§4.3): drop the
+		// never-published value and retry.
 		m.discardValue(newH)
 		return putOutcome{}, nil
 	}
-	ok := c.CASValHandle(ei, uint64(h), uint64(newH))
-	c.Unpublish()
-	if !ok {
-		// A concurrent operation changed the value reference; we
-		// cannot linearize before it (see §4.3), so retry.
-		m.discardValue(newH)
-		return putOutcome{}, nil
+	if bi != nil {
+		bi.add(batchRec{key: append([]byte(nil), key...), h: newH})
 	}
 	if h != 0 {
 		// The deleted predecessor is no longer referenced by the
@@ -258,24 +275,16 @@ func (m *Map) releaseKeyRef(keyRef *uint64) {
 	}
 }
 
-// discardValue reclaims a value that was never published: its data
-// space, and (under the reclaiming policy) its header slot. The nil key
-// marks the span never-visible, so it is retired rather than retained.
-func (m *Map) discardValue(h ValueHandle) {
-	m.valueRemove(nil, h)
-	m.headers.Release(uint64(h))
-}
-
 // ComputeIfPresent atomically applies f to the value mapped to key, in
 // place. Returns false if the key is absent (Algorithm 3).
 func (m *Map) ComputeIfPresent(key []byte, f func(*WBuffer) error) (bool, error) {
-	return m.doIfPresent(key, f, opCompute)
+	return m.doIfPresent(key, f, opCompute, nil)
 }
 
 // Remove deletes the mapping for key, reporting whether a mapping was
 // removed (ZC remove: the old value is not returned).
 func (m *Map) Remove(key []byte) (bool, error) {
-	return m.doIfPresent(key, nil, opRemove)
+	return m.doIfPresent(key, nil, opRemove, nil)
 }
 
 type nonInsertOp int
@@ -285,8 +294,10 @@ const (
 	opRemove
 )
 
-// doIfPresent is Algorithm 3.
-func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, op nonInsertOp) (bool, error) {
+// doIfPresent is Algorithm 3. With bi set (removes only) the value is
+// not deleted but stamped bi.base|pending|tomb — a batch delete, turned
+// into a real one when the batch settles.
+func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, op nonInsertOp, bi *BatchInstall) (bool, error) {
 	if m.closed.Load() {
 		return false, ErrClosed
 	}
@@ -298,16 +309,12 @@ func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, op nonInsertOp) (b
 	defer tk.Done()
 	for attempt := 0; ; attempt++ {
 		retryPause(attempt)
-		out, err := m.ifPresentAttempt(key, f, op)
+		out, err := m.ifPresentAttempt(key, f, op, bi)
 		if err != nil {
 			return false, err
 		}
 		if out.removedFrom != nil {
-			// Post-linearization helpers run unpinned: finalizeRemove
-			// re-pins per attempt, and maybeMerge may rebalance — which
-			// retires keys the caller must not be holding alive.
-			m.finalizeRemove(key, out.removedPrev)
-			m.maybeMerge(out.removedFrom)
+			m.unlinkRemoved(key, out.removedPrev, out.removedFrom)
 		}
 		if out.done {
 			return out.ok, nil
@@ -326,8 +333,8 @@ type ifPresentOutcome struct {
 
 // ifPresentAttempt runs one iteration of Algorithm 3 under an epoch
 // pin (same rationale as putAttempt). The remove success path defers
-// finalizeRemove/maybeMerge to the unpinned caller.
-func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertOp) (ifPresentOutcome, error) {
+// unlinkRemoved to the unpinned caller.
+func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertOp, bi *BatchInstall) (ifPresentOutcome, error) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
 	c := m.locateChunk(key)
@@ -349,13 +356,14 @@ func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertO
 			if ok {
 				return ifPresentOutcome{done: true, ok: true}, nil // l.p.: successful v.compute (line 46)
 			}
-		} else {
-			if m.valueRemove(key, h) {
-				// l.p.: v.remove set the deleted bit (line 48).
-				m.size.Add(-1)
-				c.DecLive()
-				return ifPresentOutcome{done: true, ok: true, removedFrom: c, removedPrev: h}, nil
+		} else if oldVer, ok := m.lockStable(h); ok {
+			if bi != nil {
+				bi.stampTomb(key, h, oldVer)
+				return ifPresentOutcome{done: true, ok: true}, nil
 			}
+			// l.p.: v.remove sets the deleted bit (line 48).
+			m.killValue(key, h, c, oldVer, m.mvcc.clock.Load())
+			return ifPresentOutcome{done: true, ok: true, removedFrom: c, removedPrev: h}, nil
 		}
 	}
 	// Case 2: the value is deleted — ensure the entry is removed
@@ -370,6 +378,14 @@ func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertO
 	}
 	m.retireHeader(h)
 	return ifPresentOutcome{done: true}, nil
+}
+
+// unlinkRemoved is a remove's post-linearization tail, run unpinned:
+// finalizeRemove re-pins per attempt, and maybeMerge may rebalance —
+// which retires keys the caller must not be holding alive.
+func (m *Map) unlinkRemoved(key []byte, prev ValueHandle, from *chunk.Chunk) {
+	m.finalizeRemove(key, prev)
+	m.maybeMerge(from)
 }
 
 // finalizeRemove clears the entry's value reference after a successful

@@ -2,6 +2,7 @@ package core
 
 import (
 	"oakmap/internal/arena"
+	"oakmap/internal/chunk"
 	"oakmap/internal/faultpoint"
 )
 
@@ -12,9 +13,10 @@ var (
 	// valueCompute): a pausing hook stretches the critical section so
 	// concurrent readers and writers pile up on the header spinlock.
 	fpHeaderLock = faultpoint.New("core/header-lock")
-	// fpDeletedBit is hit between setting a value's deleted bit and
-	// releasing its data space: in this window the handle must read as
-	// deleted everywhere while the entry still references it.
+	// fpDeletedBit is hit right after a value's deleted bit is set: in
+	// this window the handle must read as deleted everywhere while the
+	// entry still references it, and the pre-image must already be
+	// findable in the retained store (retain-before-publish).
 	fpDeletedBit = faultpoint.New("core/deleted-bit")
 )
 
@@ -127,9 +129,13 @@ func (m *Map) CopyValue(h ValueHandle, dst []byte) ([]byte, error) {
 // the old version, the in-place path is disabled (copy-on-write: the
 // old span's bytes must survive) and the superseded span is retained
 // instead of retired. key is the serialized key for the retained-chain
-// index; nil means the value was never visible and retention never
-// applies.
-func (m *Map) valuePut(key []byte, h ValueHandle, vw ValueWriter) (bool, error) {
+// index.
+//
+// A batch install (bi non-nil) always takes the copy-on-write path, and
+// instead of disposing of the pre-image it records it in bi and stamps
+// the value base|pending: readers resolve to the pre-image until the
+// batch commits, and finalize or rollback disposes of one of the spans.
+func (m *Map) valuePut(key []byte, h ValueHandle, vw ValueWriter, bi *BatchInstall) (bool, error) {
 	oldVer, ok := m.lockStable(h)
 	if !ok {
 		return false, nil
@@ -137,9 +143,9 @@ func (m *Map) valuePut(key []byte, h ValueHandle, vw ValueWriter) (bool, error) 
 	defer m.headers.WriteUnlock(uint64(h))
 	fpHeaderLock.Fire()
 	newVer := m.mvcc.clock.Load()
-	retain := key != nil && oldVer < m.mvcc.retainFloor.Load()
+	retain := oldVer < m.mvcc.retainFloor.Load()
 	old := arena.Ref(m.headers.LoadData(uint64(h)))
-	if old.Len() == vw.N && !retain {
+	if bi == nil && old.Len() == vw.N && !retain {
 		vw.Write(m.alloc.Bytes(old))
 		m.headers.StoreVersion(uint64(h), newVer)
 		return true, nil
@@ -150,11 +156,18 @@ func (m *Map) valuePut(key []byte, h ValueHandle, vw ValueWriter) (bool, error) 
 	}
 	vw.Write(m.alloc.Bytes(nref))
 	m.headers.StoreData(uint64(h), uint64(nref))
+	if bi != nil {
+		// The record is registered before the flagged stamp becomes
+		// loadable (readers are excluded until the deferred unlock).
+		bi.add(batchRec{key: append([]byte(nil), key...), h: h, hadOld: true, oldRef: old, oldVer: oldVer})
+		m.headers.StoreVersion(uint64(h), bi.base|verPendingBit)
+		return true, nil
+	}
 	m.headers.StoreVersion(uint64(h), newVer)
-	// The write lock excludes in-protocol readers, but the old span is
-	// retired (not freed) so any path that loaded the ref under an
-	// epoch pin stays safe until the grace period elapses — or retained,
-	// if an open snapshot can still see version oldVer.
+	// The old span is retired (not freed) so any path that loaded the ref
+	// under an epoch pin stays safe until the grace period elapses — or
+	// retained, if an open snapshot can still see version oldVer. Either
+	// way it is disposed of before the unlock publishes the new version.
 	m.retireOrRetain(key, old, oldVer, newVer)
 	return true, nil
 }
@@ -174,7 +187,7 @@ func (m *Map) valueCompute(key []byte, h ValueHandle, f func(*WBuffer) error) (b
 	defer m.headers.WriteUnlock(uint64(h))
 	fpHeaderLock.Fire()
 	newVer := m.mvcc.clock.Load()
-	if key != nil && oldVer < m.mvcc.retainFloor.Load() {
+	if oldVer < m.mvcc.retainFloor.Load() {
 		old := arena.Ref(m.headers.LoadData(uint64(h)))
 		nref, err := m.alloc.Alloc(old.Len())
 		if err != nil {
@@ -192,38 +205,51 @@ func (m *Map) valueCompute(key []byte, h ValueHandle, f func(*WBuffer) error) (b
 	return true, nil
 }
 
-// valueRemove implements v.remove() (§3.3): atomically mark the value
-// deleted. Returns false iff it was already deleted. On success the data
-// space returns to the free list; the header is retained (default
-// reclamation policy, §3.3) or recycled later via Release.
+// killValue implements v.remove() (§3.3) for every path that deletes a
+// value — Remove, a batch tombstone's finalize, the rollback of a batch
+// insert, and the discard of a value that lost its install race. The
+// caller holds h's write lock, which setting the deleted bit releases.
+// oldVer is the value's committed version and super the version deleting
+// it. A nil key marks a value no reader was ever allowed to see: its
+// span is retired, never retained. c, when non-nil, is the chunk holding
+// the value's entry; the map's and the chunk's live counts drop with it.
 //
-// MVCC: the delete happens at the clock's current version; if an open
-// snapshot can see the removed value, its span is retained (the
-// snapshot resolves the key through the retained chain — the deleted
-// header carries no data).
-func (m *Map) valueRemove(key []byte, h ValueHandle) bool {
-	oldVer, ok := m.lockStable(h)
-	if !ok {
-		return false
-	}
-	delVer := m.mvcc.clock.Load()
+// Retain before publish: the pre-image enters the retained store while
+// the lock is still held, so a snapshot reader that finds the value
+// deleted always finds the version it needs in the key's chain.
+func (m *Map) killValue(key []byte, h ValueHandle, c *chunk.Chunk, oldVer, super uint64) {
 	// Privatize the data reference while still holding the write lock,
-	// and only then set the deleted bit (which releases the lock). The
-	// order is load-bearing under header reclamation: the moment the
-	// deleted bit is visible, a concurrent insert over the same entry may
-	// Release this header and recycle its slot, so the header must not be
-	// touched after DeleteLocked. (Found by the deleted-bit fault window:
-	// the previous set-bit-then-privatize order let the remover clobber a
-	// recycled slot's data word and free another value's space.)
+	// and only then set the deleted bit. The order is load-bearing under
+	// header reclamation: the moment the deleted bit is visible, a
+	// concurrent insert over the same entry may Release this header and
+	// recycle its slot, so the header must not be touched afterwards.
+	// (Found by the deleted-bit fault window: a set-bit-then-privatize
+	// order let the remover clobber a recycled slot's data word and free
+	// another value's space.)
 	ref := arena.Ref(m.headers.LoadData(uint64(h)))
 	m.headers.StoreData(uint64(h), 0)
-	// The protecting lock is the header's word-level write lock taken by
-	// lockStable above — a vheader spinlock, not a sync.Mutex, so the
-	// lockguard walker cannot see it.
-	m.headers.DeleteLocked(uint64(h)) //oak:allow lockguard header write-lock held via lockStable
+	m.retireOrRetain(key, ref, oldVer, super)
+	// The protecting lock is the header's word-level write lock — a
+	// vheader spinlock, not a sync.Mutex, so the lockguard walker cannot
+	// see it.
+	m.headers.DeleteLocked(uint64(h)) //oak:allow lockguard header write-lock held by the caller
 	fpDeletedBit.Fire()
-	m.retireOrRetain(key, ref, oldVer, delVer)
-	return true
+	if c != nil {
+		m.size.Add(-1)
+		c.DecLive()
+	}
+}
+
+// discardValue reclaims a value that lost its install race and was never
+// published: its data space, and (under the reclaiming policy) its
+// header slot. Nobody else can hold the handle, so the lock is taken
+// directly — never through lockStable, which would see a batch install's
+// pending stamp and wait on the caller's own batch.
+func (m *Map) discardValue(h ValueHandle) {
+	if m.headers.TryWriteLock(uint64(h)) {
+		m.killValue(nil, h, nil, 0, 0)
+	}
+	m.headers.Release(uint64(h))
 }
 
 // ValueWriter produces a value's serialized form directly inside Oak's

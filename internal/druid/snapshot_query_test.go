@@ -1,9 +1,12 @@
 package druid
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
+
+	"oakmap/internal/core"
 )
 
 // TestQueryAtomicUnderIngest: queries scan a map snapshot, so a result
@@ -23,10 +26,15 @@ func TestQueryAtomicUnderIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idx.Close()
+	t.Cleanup(idx.Close)
 
+	// Registered after the index's cleanup, so it runs first: a failing
+	// round stops and waits for the writer before the index closes, and
+	// the failure is not buried under the writer's use of a closed map.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	t.Cleanup(halt)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -42,7 +50,10 @@ func TestQueryAtomicUnderIngest(t *testing.T) {
 				dim = "b"
 			}
 			if err := idx.Ingest(Tuple{Timestamp: 5, Dims: []string{dim}, Metrics: []float64{1}}); err != nil {
-				panic(err)
+				if !errors.Is(err, core.ErrClosed) {
+					t.Errorf("background ingest: %v", err)
+				}
+				return
 			}
 		}
 	}()
@@ -66,8 +77,7 @@ func TestQueryAtomicUnderIngest(t *testing.T) {
 			t.Fatalf("round %d: timeseries %v went backwards vs groupBy total %v", round, ts, total)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	halt()
 
 	// No snapshot leaked from the query path.
 	if st := idx.oak.Stats(); st.OpenSnapshots != 0 || st.RetainedBytes != 0 {

@@ -201,22 +201,25 @@ func (s *Server) Serve(ln net.Listener) error {
 			c.Close()
 			continue
 		}
+		// Registration and the drain decision share s.mu: Shutdown sets
+		// draining before it takes the lock to count connections, so a
+		// connection accepted as the drain began is either registered
+		// (and waited for) before that count, or sees draining here and
+		// is refused — never added to wg while Shutdown already waits.
+		s.mu.Lock()
+		if s.draining.Load() {
+			s.mu.Unlock()
+			<-s.sem
+			c.Close()
+			return ErrServerClosed
+		}
+		s.conns[c] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
 		s.metrics.connsTotal.Add(1)
 		s.metrics.conns.Add(1)
-		s.trackConn(c, true)
-		s.wg.Add(1)
 		go s.handle(c)
 	}
-}
-
-func (s *Server) trackConn(c net.Conn, add bool) {
-	s.mu.Lock()
-	if add {
-		s.conns[c] = struct{}{}
-	} else {
-		delete(s.conns, c)
-	}
-	s.mu.Unlock()
 }
 
 // errCloseConn is returned by command execution to request an orderly
@@ -236,7 +239,9 @@ func (s *Server) handle(c net.Conn) {
 			s.metrics.panics.Add(1)
 			s.cfg.Logger.Printf("panic on %s (connection closed, server continues): %v", c.RemoteAddr(), p)
 		}
-		s.trackConn(c, false)
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
 		c.Close()
 		s.metrics.conns.Add(-1)
 		<-s.sem

@@ -21,90 +21,83 @@ import "oakmap/internal/core"
 // Ascend scans mappings with from ≤ key < to in ascending order (nil
 // bounds are open), creating fresh buffer views per entry.
 func (z ZeroCopyMap[K, V]) Ascend(from, to *K, f func(key, value *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	z.m.be.Ascend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		return f(&OakRBuffer{m: src, keyRef: keyRef, h: h},
-			&OakRBuffer{m: src, h: h})
-	})
+	z.views(from, to, false, false, f)
 }
 
 // Descend scans mappings with from ≤ key < to in descending order using
 // Oak's chunk-stack descending iterator (§4.2).
 func (z ZeroCopyMap[K, V]) Descend(from, to *K, f func(key, value *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	z.m.be.Descend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		return f(&OakRBuffer{m: src, keyRef: keyRef, h: h},
-			&OakRBuffer{m: src, h: h})
-	})
+	z.views(from, to, true, false, f)
 }
 
 // AscendStream is Ascend with the stream API: the same two view objects
 // are re-filled for every entry.
 //
 // Stream key views read the scan's own key slice directly (no handle
-// validation): the backend guarantees those bytes for exactly the
-// callback's duration — the plain scan's epoch pin keeps arena key bytes
-// alive, and the merged scan hands out its cursor-owned copy — so a key
-// read never spuriously fails when the entry is removed concurrently
-// mid-callback. (Value views still fail with ErrConcurrentModification
-// after a delete — the value's space is released under its own lock
-// protocol, not the scan pin.)
+// validation): the scan guarantees those bytes for exactly the
+// callback's duration — the one-shard scan's epoch pin keeps arena key
+// bytes alive, and the merged scan hands out its cursor-owned copy — so
+// a key read never spuriously fails when the entry is removed
+// concurrently mid-callback. (Value views still fail with
+// ErrConcurrentModification after a delete — the value's space is
+// released under its own lock protocol, not the scan pin.)
 func (z ZeroCopyMap[K, V]) AscendStream(from, to *K, f func(key, value *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	kb := &OakRBuffer{}
-	vb := &OakRBuffer{}
-	z.m.be.Ascend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		kb.view = key
-		vb.m, vb.h = src, h
-		return f(kb, vb)
-	})
+	z.views(from, to, false, true, f)
 }
 
 // DescendStream is Descend with the stream API.
 func (z ZeroCopyMap[K, V]) DescendStream(from, to *K, f func(key, value *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	kb := &OakRBuffer{}
-	vb := &OakRBuffer{}
-	z.m.be.Descend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		kb.view = key // no handle: see AscendStream
-		vb.m, vb.h = src, h
-		return f(kb, vb)
-	})
+	z.views(from, to, true, true, f)
 }
 
 // Keys scans keys only (ascending), with fresh views.
 func (z ZeroCopyMap[K, V]) Keys(from, to *K, f func(key *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	z.m.be.Ascend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		return f(&OakRBuffer{m: src, keyRef: keyRef, h: h})
-	})
+	z.views(from, to, false, false, func(k, _ *OakRBuffer) bool { return f(k) })
 }
 
 // Values scans values only (ascending), with fresh views.
 func (z ZeroCopyMap[K, V]) Values(from, to *K, f func(value *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	z.m.be.Ascend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		return f(&OakRBuffer{m: src, h: h})
-	})
+	z.views(from, to, false, false, func(_, v *OakRBuffer) bool { return f(v) })
 }
 
 // KeysStream is Keys with the stream API: one reused key view.
 func (z ZeroCopyMap[K, V]) KeysStream(from, to *K, f func(key *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	kb := &OakRBuffer{}
-	z.m.be.Ascend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		kb.view = key // no handle: see AscendStream
-		return f(kb)
-	})
+	z.views(from, to, false, true, func(k, _ *OakRBuffer) bool { return f(k) })
 }
 
 // ValuesStream is Values with the stream API: one reused value view.
 func (z ZeroCopyMap[K, V]) ValuesStream(from, to *K, f func(value *OakRBuffer) bool) {
-	lo, hi := z.m.boundBytes(from), z.m.boundBytes(to)
-	vb := &OakRBuffer{}
-	z.m.be.Ascend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		vb.m, vb.h = src, h
-		return f(vb)
+	z.views(from, to, false, true, func(_, v *OakRBuffer) bool { return f(v) })
+}
+
+// viewPair is an entry's key and value views, allocated together.
+type viewPair struct{ key, val OakRBuffer }
+
+// set points the pair at an entry. Stream key views borrow the scan's
+// key slice; retainable ones re-validate through (src, keyRef, h).
+func (p *viewPair) set(stream bool, src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) {
+	if stream {
+		p.key.view = key
+	} else {
+		p.key = OakRBuffer{m: src, keyRef: keyRef, h: h}
+	}
+	p.val.m, p.val.h = src, h
+}
+
+// views is the one zero-copy scan body: a fresh view pair per entry, or
+// with stream one pair re-filled for every entry.
+func (z ZeroCopyMap[K, V]) views(from, to *K, desc, stream bool, f func(key, value *OakRBuffer) bool) {
+	var reused *viewPair
+	if stream {
+		reused = &viewPair{}
+	}
+	z.m.scan(from, to, desc, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
+		p := reused
+		if p == nil {
+			p = &viewPair{}
+		}
+		p.set(stream, src, key, keyRef, h)
+		return f(&p.key, &p.val)
 	})
 }
 

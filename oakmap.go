@@ -95,7 +95,12 @@ type Options struct {
 // Map is an Oak map from K to V. Create instances with New; the zero
 // value is not usable. All methods are safe for concurrent use.
 type Map[K, V any] struct {
-	be     backend
+	// s is the storage engine: Options.Shards hash-partitioned core maps
+	// (one by default, which routes without hashing and scans without a
+	// merge). Point operations resolve their owning core map once via
+	// ShardFor and then speak the core protocol directly; scans and
+	// navigation go through the sharded map's merged views.
+	s      *sharded.Map
 	keySer Serializer[K]
 	valSer Serializer[V]
 
@@ -131,19 +136,9 @@ func New[K, V any](keySer Serializer[K], valSer Serializer[V], opts *Options) *M
 		ReclaimHeaders:    o.ReclaimHeaders,
 		Telemetry:         rec,
 	}
-	m := &Map[K, V]{keySer: keySer, valSer: valSer}
-	if o.Shards > 1 {
-		s := sharded.New(o.Shards, copts)
-		m.be = shardedBackend{s: s}
-		if rec != nil {
-			registerShardedGauges(rec, s)
-		}
-	} else {
-		c := core.New(copts)
-		m.be = plainBackend{c: c}
-		if rec != nil {
-			registerMapGauges(rec, c)
-		}
+	m := &Map[K, V]{s: sharded.New(o.Shards, copts), keySer: keySer, valSer: valSer}
+	if rec != nil {
+		registerGauges(rec, m.s.Shards())
 	}
 	m.keyBufs.New = func() any { b := make([]byte, 0, 64); return &b }
 	return m
@@ -180,19 +175,13 @@ func (m *Map[K, V]) valueWriter(v V) core.ValueWriter {
 }
 
 // Len returns the number of mappings (summed across shards).
-func (m *Map[K, V]) Len() int {
-	n := 0
-	for _, c := range m.be.Shards() {
-		n += c.Len()
-	}
-	return n
-}
+func (m *Map[K, V]) Len() int { return m.s.Len() }
 
 // Footprint returns the map's total off-heap memory in bytes — the fast
 // RAM-footprint estimate the paper calls out as a first-class feature.
 func (m *Map[K, V]) Footprint() int64 {
 	var n int64
-	for _, c := range m.be.Shards() {
+	for _, c := range m.s.Shards() {
 		n += c.Footprint()
 	}
 	return n
@@ -201,7 +190,7 @@ func (m *Map[K, V]) Footprint() int64 {
 // LiveBytes returns the off-heap bytes currently holding keys and values.
 func (m *Map[K, V]) LiveBytes() int64 {
 	var n int64
-	for _, c := range m.be.Shards() {
+	for _, c := range m.s.Shards() {
 		n += c.LiveBytes()
 	}
 	return n
@@ -209,11 +198,11 @@ func (m *Map[K, V]) LiveBytes() int64 {
 
 // NumShards returns the number of independent Oak instances behind the
 // map: 1 unless Options.Shards asked for more.
-func (m *Map[K, V]) NumShards() int { return len(m.be.Shards()) }
+func (m *Map[K, V]) NumShards() int { return m.s.NumShards() }
 
 // Close releases the map's off-heap blocks back to their pool. The map
 // and any outstanding buffer views become invalid.
-func (m *Map[K, V]) Close() { m.be.Close() }
+func (m *Map[K, V]) Close() { m.s.Close() }
 
 // ZC returns the map's zero-copy view (the paper's map.zc()).
 func (m *Map[K, V]) ZC() ZeroCopyMap[K, V] { return ZeroCopyMap[K, V]{m} }
@@ -224,21 +213,22 @@ func (m *Map[K, V]) ZC() ZeroCopyMap[K, V] { return ZeroCopyMap[K, V]{m} }
 func (m *Map[K, V]) Get(k K) (V, bool) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
-	c := m.be.ShardFor(*kb)
-	var out V
-	found := false
-	h, ok := c.Get(*kb)
-	if ok {
-		err := c.ReadValue(h, func(b []byte) error {
-			out = m.valSer.Deserialize(b)
-			found = true
-			return nil
-		})
-		if err != nil {
-			found = false // deleted between Get and read: treat as absent
-		}
+	c := m.s.ShardFor(*kb)
+	if h, ok := c.Get(*kb); ok {
+		return m.readValue(c, h) // deleted between Get and read: absent
 	}
-	return out, found
+	var zero V
+	return zero, false
+}
+
+// readValue copies the value behind h out of c, atomically; ok is false
+// if the value has been deleted.
+func (m *Map[K, V]) readValue(c *core.Map, h core.ValueHandle) (v V, ok bool) {
+	err := c.ReadValue(h, func(b []byte) error {
+		v = m.valSer.Deserialize(b)
+		return nil
+	})
+	return v, err == nil
 }
 
 // Put maps k to v and returns the previous value, if any. Unlike the
@@ -247,7 +237,7 @@ func (m *Map[K, V]) Put(k K, v V) (prev V, replaced bool, err error) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
 	vb := m.serializeVal(v)
-	c := m.be.ShardFor(*kb) // one route for the whole swap loop
+	c := m.s.ShardFor(*kb) // one route for the whole swap loop
 	for {
 		var old V
 		got := false
@@ -279,7 +269,7 @@ func (m *Map[K, V]) PutIfAbsent(k K, v V) (existing V, inserted bool, err error)
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
 	vb := m.serializeVal(v)
-	c := m.be.ShardFor(*kb)
+	c := m.s.ShardFor(*kb)
 	for {
 		ins, perr := c.PutIfAbsent(*kb, vb)
 		if perr != nil {
@@ -288,19 +278,12 @@ func (m *Map[K, V]) PutIfAbsent(k K, v V) (existing V, inserted bool, err error)
 		if ins {
 			return existing, true, nil
 		}
-		h, ok := c.Get(*kb)
-		if !ok {
-			continue // removed in between; retry
+		if h, ok := c.Get(*kb); ok {
+			if out, ok := m.readValue(c, h); ok {
+				return out, false, nil
+			}
 		}
-		var out V
-		rerr := c.ReadValue(h, func(b []byte) error {
-			out = m.valSer.Deserialize(b)
-			return nil
-		})
-		if rerr != nil {
-			continue
-		}
-		return out, false, nil
+		// Removed in between; retry.
 	}
 }
 
@@ -308,7 +291,7 @@ func (m *Map[K, V]) PutIfAbsent(k K, v V) (existing V, inserted bool, err error)
 func (m *Map[K, V]) Remove(k K) (prev V, removed bool, err error) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
-	c := m.be.ShardFor(*kb)
+	c := m.s.ShardFor(*kb)
 	// Copy the value atomically at the removal point: computeIfPresent's
 	// lambda snapshots the value, then the remove races; to keep it
 	// one-shot we snapshot under the compute lock and remove after. If a
@@ -340,7 +323,7 @@ func (m *Map[K, V]) Remove(k K) (prev V, removed bool, err error) {
 func (m *Map[K, V]) ComputeIfPresent(k K, f func(V) V) (bool, error) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
-	return m.be.ShardFor(*kb).ComputeIfPresent(*kb, func(w *core.WBuffer) error {
+	return m.s.ShardFor(*kb).ComputeIfPresent(*kb, func(w *core.WBuffer) error {
 		nv := f(m.valSer.Deserialize(w.Bytes()))
 		return w.Set(m.serializeVal(nv))
 	})
@@ -352,7 +335,7 @@ func (m *Map[K, V]) Merge(k K, v V, f func(V) V) error {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
 	vb := m.serializeVal(v)
-	return m.be.ShardFor(*kb).PutIfAbsentComputeIfPresent(*kb, vb, func(w *core.WBuffer) error {
+	return m.s.ShardFor(*kb).PutIfAbsentComputeIfPresent(*kb, vb, func(w *core.WBuffer) error {
 		nv := f(m.valSer.Deserialize(w.Bytes()))
 		return w.Set(m.serializeVal(nv))
 	})
@@ -362,41 +345,35 @@ func (m *Map[K, V]) Merge(k K, v V, f func(V) V) error {
 // deserializing both key and value (the legacy scan). Nil bounds are
 // open. Returning false stops the scan. With shards the per-shard
 // streams arrive merged: f still sees one globally ascending sequence.
-func (m *Map[K, V]) Range(from, to *K, f func(k K, v V) bool) {
-	lo, hi := m.boundBytes(from), m.boundBytes(to)
-	m.be.Ascend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		k := m.keySer.Deserialize(key)
-		var v V
-		ok := false
-		src.ReadValue(h, func(b []byte) error {
-			v = m.valSer.Deserialize(b)
-			ok = true
-			return nil
-		})
-		if !ok {
-			return true // deleted mid-scan: skip
-		}
-		return f(k, v)
-	})
-}
+func (m *Map[K, V]) Range(from, to *K, f func(k K, v V) bool) { m.rangeScan(from, to, false, f) }
 
 // RangeDescending is Range in descending key order.
 func (m *Map[K, V]) RangeDescending(from, to *K, f func(k K, v V) bool) {
-	lo, hi := m.boundBytes(from), m.boundBytes(to)
-	m.be.Descend(lo, hi, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
-		k := m.keySer.Deserialize(key)
-		var v V
-		ok := false
-		src.ReadValue(h, func(b []byte) error {
-			v = m.valSer.Deserialize(b)
-			ok = true
-			return nil
-		})
+	m.rangeScan(from, to, true, f)
+}
+
+func (m *Map[K, V]) rangeScan(from, to *K, desc bool, f func(k K, v V) bool) {
+	m.scan(from, to, desc, func(src *core.Map, key []byte, _ uint64, h core.ValueHandle) bool {
+		v, ok := m.readValue(src, h)
 		if !ok {
-			return true
+			return true // deleted mid-scan: skip
 		}
-		return f(k, v)
+		return f(m.keySer.Deserialize(key), v)
 	})
+}
+
+// scan streams the entries with from ≤ key < to in either direction.
+// key is valid for the duration of the callback only — arena bytes under
+// the scan's epoch pin with one shard, the merge cursor's owned copy with
+// several; retainable views must go through (src, keyRef, h), which
+// re-validate under src's pin on every read.
+func (m *Map[K, V]) scan(from, to *K, desc bool, yield sharded.EntryFunc) {
+	lo, hi := m.boundBytes(from), m.boundBytes(to)
+	if desc {
+		m.s.Descend(lo, hi, yield)
+	} else {
+		m.s.Ascend(lo, hi, yield)
+	}
 }
 
 func (m *Map[K, V]) boundBytes(k *K) []byte {
@@ -411,56 +388,38 @@ func (m *Map[K, V]) boundBytes(k *K) []byte {
 // --- Navigation queries ---
 
 // FirstKey returns the smallest key.
-func (m *Map[K, V]) FirstKey() (K, bool) { return m.keyOf(m.be.First()) }
+func (m *Map[K, V]) FirstKey() (K, bool) { return m.keyOf(m.s.First()) }
 
 // LastKey returns the greatest key.
-func (m *Map[K, V]) LastKey() (K, bool) { return m.keyOf(m.be.Last()) }
+func (m *Map[K, V]) LastKey() (K, bool) { return m.keyOf(m.s.Last()) }
 
 // FloorKey returns the greatest key ≤ k.
-func (m *Map[K, V]) FloorKey(k K) (K, bool) {
-	kb := m.serializeKey(k)
-	defer m.releaseKey(kb)
-	return m.keyOf(m.be.Floor(*kb))
-}
+func (m *Map[K, V]) FloorKey(k K) (K, bool) { return m.navKey(m.s.Floor, k) }
 
 // CeilingKey returns the smallest key ≥ k.
-func (m *Map[K, V]) CeilingKey(k K) (K, bool) {
-	kb := m.serializeKey(k)
-	defer m.releaseKey(kb)
-	return m.keyOf(m.be.Ceiling(*kb))
-}
+func (m *Map[K, V]) CeilingKey(k K) (K, bool) { return m.navKey(m.s.Ceiling, k) }
 
 // LowerKey returns the greatest key < k.
-func (m *Map[K, V]) LowerKey(k K) (K, bool) {
-	kb := m.serializeKey(k)
-	defer m.releaseKey(kb)
-	return m.keyOf(m.be.Lower(*kb))
-}
+func (m *Map[K, V]) LowerKey(k K) (K, bool) { return m.navKey(m.s.Lower, k) }
 
 // HigherKey returns the smallest key > k.
-func (m *Map[K, V]) HigherKey(k K) (K, bool) {
+func (m *Map[K, V]) HigherKey(k K) (K, bool) { return m.navKey(m.s.Higher, k) }
+
+func (m *Map[K, V]) navKey(nav func([]byte) (sharded.Entry, bool), k K) (K, bool) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
-	return m.keyOf(m.be.Higher(*kb))
+	return m.keyOf(nav(*kb))
 }
 
-func (m *Map[K, V]) keyOf(src *core.Map, keyRef uint64, h core.ValueHandle, ok bool) (K, bool) {
-	var zero K
+// keyOf deserializes a navigation result's key: an owned copy made while
+// the mapping was validated live, so a mapping deleted since is reported
+// from its own bytes, never from recycled ones.
+func (m *Map[K, V]) keyOf(e sharded.Entry, ok bool) (K, bool) {
 	if !ok {
+		var zero K
 		return zero, false
 	}
-	var out K
-	// Deserialize under an epoch pin; a mapping deleted in the window
-	// since the navigation query is reported as absent rather than read
-	// from possibly-recycled bytes.
-	err := src.ReadKey(keyRef, h, func(b []byte) error {
-		out = m.keySer.Deserialize(b)
-		return nil
-	})
-	if err != nil {
-		return zero, false
-	}
-	return out, true
+	return m.keySer.Deserialize(e.Key), true
 }
 
 // Stats exposes internal counters for observability and experiments.
@@ -543,7 +502,7 @@ func statsOf(c *core.Map) Stats {
 func (m *Map[K, V]) Stats() Stats {
 	var agg Stats
 	var fragWeighted float64
-	for _, c := range m.be.Shards() {
+	for _, c := range m.s.Shards() {
 		s := statsOf(c)
 		agg.Len += s.Len
 		agg.Footprint += s.Footprint
@@ -580,7 +539,7 @@ func (m *Map[K, V]) Stats() Stats {
 // single-element slice for an unsharded map. Use it to spot routing
 // imbalance or a shard whose reclamation is lagging.
 func (m *Map[K, V]) ShardStats() []Stats {
-	shards := m.be.Shards()
+	shards := m.s.Shards()
 	out := make([]Stats, len(shards))
 	for i, c := range shards {
 		out[i] = statsOf(c)
@@ -592,7 +551,7 @@ func (m *Map[K, V]) ShardStats() []Stats {
 // drains on every shard, reporting whether all emptied (false means a
 // reader stayed pinned somewhere). Useful before footprint assertions
 // and in tests.
-func (m *Map[K, V]) Quiesce() bool { return m.be.Quiesce() }
+func (m *Map[K, V]) Quiesce() bool { return m.s.Quiesce() }
 
 // StatsConsistent returns a mutually consistent snapshot of the map's
 // internals: it quiesces reclamation, then re-reads Stats until two
@@ -609,7 +568,7 @@ func (m *Map[K, V]) Quiesce() bool { return m.be.Quiesce() }
 // barriers, shutdown); under sustained load it degrades to a weak
 // snapshot with ok=false.
 func (m *Map[K, V]) StatsConsistent() (Stats, bool) {
-	drained := m.be.Quiesce()
+	drained := m.s.Quiesce()
 	prev := m.Stats()
 	for i := 0; i < 16; i++ {
 		cur := m.Stats()
@@ -626,75 +585,35 @@ func (m *Map[K, V]) StatsConsistent() (Stats, bool) {
 func (m *Map[K, V]) ContainsKey(k K) bool {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
-	_, ok := m.be.ShardFor(*kb).Get(*kb)
+	_, ok := m.s.ShardFor(*kb).Get(*kb)
 	return ok
 }
 
 // PollFirst atomically removes and returns the smallest entry — the
 // remaining ConcurrentNavigableMap surface. It loops over First/Remove
 // races, so concurrent pollers each receive distinct entries.
-func (m *Map[K, V]) PollFirst() (k K, v V, ok bool, err error) {
-	for {
-		src, keyRef, h, found := m.be.First()
-		if !found {
-			return k, v, false, nil
-		}
-		var key []byte
-		if src.ReadKey(keyRef, h, func(b []byte) error {
-			key = append(key, b...)
-			return nil
-		}) != nil {
-			continue // removed under us; retry
-		}
-		got := false
-		rerr := src.ReadValue(h, func(b []byte) error {
-			v = m.valSer.Deserialize(b)
-			got = true
-			return nil
-		})
-		if rerr != nil {
-			continue // removed under us; retry
-		}
-		removed, rmErr := src.Remove(key)
-		if rmErr != nil {
-			return k, v, false, rmErr
-		}
-		if removed && got {
-			return m.keySer.Deserialize(key), v, true, nil
-		}
-		// Lost the race with another poller; retry on the next first.
-	}
-}
+func (m *Map[K, V]) PollFirst() (k K, v V, ok bool, err error) { return m.poll(m.s.First) }
 
 // PollLast atomically removes and returns the greatest entry.
-func (m *Map[K, V]) PollLast() (k K, v V, ok bool, err error) {
+func (m *Map[K, V]) PollLast() (k K, v V, ok bool, err error) { return m.poll(m.s.Last) }
+
+func (m *Map[K, V]) poll(end func() (sharded.Entry, bool)) (k K, v V, ok bool, err error) {
 	for {
-		src, keyRef, h, found := m.be.Last()
+		e, found := end()
 		if !found {
 			return k, v, false, nil
 		}
-		var key []byte
-		if src.ReadKey(keyRef, h, func(b []byte) error {
-			key = append(key, b...)
-			return nil
-		}) != nil {
+		val, got := m.readValue(e.Src, e.Handle)
+		if !got {
 			continue // removed under us; retry
 		}
-		got := false
-		rerr := src.ReadValue(h, func(b []byte) error {
-			v = m.valSer.Deserialize(b)
-			got = true
-			return nil
-		})
-		if rerr != nil {
-			continue
-		}
-		removed, rmErr := src.Remove(key)
+		removed, rmErr := e.Src.Remove(e.Key)
 		if rmErr != nil {
 			return k, v, false, rmErr
 		}
-		if removed && got {
-			return m.keySer.Deserialize(key), v, true, nil
+		if removed {
+			return m.keySer.Deserialize(e.Key), val, true, nil
 		}
+		// Lost the race with another poller; retry on the next end entry.
 	}
 }

@@ -158,25 +158,18 @@ type Cursor struct {
 	t         *loserTree
 	started   bool
 	lastShard int
-	shardOf   map[*core.Map]int
 }
 
 // NewCursor opens a merged cursor over lo ≤ key < hi (nil bounds open),
 // descending when desc is set.
 func (m *Map) NewCursor(lo, hi []byte, desc bool) *Cursor {
 	leaves := make([]*leaf, len(m.shards))
-	shardOf := make(map[*core.Map]int, len(m.shards))
 	for i, s := range m.shards {
 		l := &leaf{src: s, cur: s.NewCursor(lo, hi, desc)}
 		l.advance() // prime the head before building the tree
 		leaves[i] = l
-		shardOf[s] = i
 	}
-	return &Cursor{
-		t:         newLoserTree(m.cmp, desc, leaves),
-		lastShard: -1,
-		shardOf:   shardOf,
-	}
+	return &Cursor{t: newLoserTree(m.cmp, desc, leaves), lastShard: -1}
 }
 
 // Next returns the next merged entry, or ok=false when every shard is
@@ -192,7 +185,7 @@ func (c *Cursor) Next() (src *core.Map, key []byte, keyRef uint64, h core.ValueH
 		if w == nil {
 			return nil, nil, 0, 0, false
 		}
-		if i := c.shardOf[w.src]; i != c.lastShard {
+		if i := c.t.node[0]; i != c.lastShard { // leaves are shard-indexed
 			// The scan's attention rotated to another shard: the hot spot
 			// for resume/skip bugs, so give chaos hooks a window here.
 			FpScanRotate.Fire()

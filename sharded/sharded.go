@@ -103,8 +103,12 @@ func routeHash(key []byte) uint64 {
 	return h
 }
 
-// ShardIndex returns the index of the shard owning key.
+// ShardIndex returns the index of the shard owning key. A single shard
+// owns every key: there is no routing decision, so nothing is hashed.
 func (m *Map) ShardIndex(key []byte) int {
+	if len(m.shards) == 1 {
+		return 0
+	}
 	FpRoute.Fire()
 	return int(routeHash(key) % uint64(len(m.shards)))
 }
@@ -206,15 +210,16 @@ type Entry struct {
 // disappearing).
 const navRetries = 8
 
-// reduceNav runs q against every shard, copies each candidate key out
-// under validation, and keeps the minimum (or maximum) by the map's
-// comparator. Ties are impossible: shards partition the key space.
-func (m *Map) reduceNav(q func(*core.Map) (uint64, core.ValueHandle, bool), wantMax bool) (Entry, bool) {
+// reduceNav runs the navigation query q(shard, k) against every shard,
+// copies each candidate key out under validation, and keeps the minimum
+// (or maximum) by the map's comparator. Ties are impossible: shards
+// partition the key space.
+func (m *Map) reduceNav(q func(*core.Map, []byte) (uint64, core.ValueHandle, bool), k []byte, wantMax bool) (Entry, bool) {
 	var best Entry
 	found := false
 	for _, s := range m.shards {
 		for attempt := 0; attempt < navRetries; attempt++ {
-			kr, h, ok := q(s)
+			kr, h, ok := q(s, k)
 			if !ok {
 				break
 			}
@@ -233,44 +238,22 @@ func (m *Map) reduceNav(q func(*core.Map) (uint64, core.ValueHandle, bool), want
 	return best, found
 }
 
-// First returns the entry with the globally smallest key.
-func (m *Map) First() (Entry, bool) {
-	return m.reduceNav(func(s *core.Map) (uint64, core.ValueHandle, bool) {
-		return s.First()
-	}, false)
-}
+// First returns the entry with the globally smallest key (the ceiling
+// of the open bound).
+func (m *Map) First() (Entry, bool) { return m.reduceNav((*core.Map).Ceiling, nil, false) }
 
-// Last returns the entry with the globally largest key.
-func (m *Map) Last() (Entry, bool) {
-	return m.reduceNav(func(s *core.Map) (uint64, core.ValueHandle, bool) {
-		return s.Last()
-	}, true)
-}
+// Last returns the entry with the globally largest key (the entry below
+// the open bound).
+func (m *Map) Last() (Entry, bool) { return m.reduceNav((*core.Map).Lower, nil, true) }
 
 // Floor returns the entry with the largest key ≤ k.
-func (m *Map) Floor(k []byte) (Entry, bool) {
-	return m.reduceNav(func(s *core.Map) (uint64, core.ValueHandle, bool) {
-		return s.Floor(k)
-	}, true)
-}
+func (m *Map) Floor(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Floor, k, true) }
 
 // Ceiling returns the entry with the smallest key ≥ k.
-func (m *Map) Ceiling(k []byte) (Entry, bool) {
-	return m.reduceNav(func(s *core.Map) (uint64, core.ValueHandle, bool) {
-		return s.Ceiling(k)
-	}, false)
-}
+func (m *Map) Ceiling(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Ceiling, k, false) }
 
 // Lower returns the entry with the largest key < k.
-func (m *Map) Lower(k []byte) (Entry, bool) {
-	return m.reduceNav(func(s *core.Map) (uint64, core.ValueHandle, bool) {
-		return s.Lower(k)
-	}, true)
-}
+func (m *Map) Lower(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Lower, k, true) }
 
 // Higher returns the entry with the smallest key > k.
-func (m *Map) Higher(k []byte) (Entry, bool) {
-	return m.reduceNav(func(s *core.Map) (uint64, core.ValueHandle, bool) {
-		return s.Higher(k)
-	}, false)
-}
+func (m *Map) Higher(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Higher, k, false) }

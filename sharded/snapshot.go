@@ -115,37 +115,10 @@ func (m *Map) ApplyBatch(ops []core.BatchOp) error {
 		}
 	}
 	m.verMu.Unlock()
-	// Installs follow a global total order (shard index, then key), so
-	// two batches waiting on each other's flagged values cannot cycle.
-	for i, s := range m.shards {
-		if bis[i] == nil {
-			continue
-		}
-		for _, op := range perShard[i] {
-			var err error
-			if op.Delete {
-				err = s.InstallBatchDelete(bis[i], op.Key)
-			} else {
-				err = s.InstallBatchPut(bis[i], op.Key, op.Val)
-			}
-			if err != nil {
-				desc.Abort()
-				for j, sj := range m.shards {
-					if bis[j] != nil {
-						sj.AbortBatch(bis[j])
-					}
-				}
-				return err
-			}
-		}
-	}
-	desc.Commit() // the batch's cross-shard linearization point
-	for i, s := range m.shards {
-		if bis[i] != nil {
-			s.FinalizeBatch(bis[i])
-		}
-	}
-	return nil
+	// RunBatch installs in a global total order (shard index, then key),
+	// so two batches waiting on each other's flagged values cannot cycle;
+	// its commit is the batch's cross-shard linearization point.
+	return core.RunBatch(desc, bis, perShard)
 }
 
 // MVCCStats aggregates the shards' MVCC counters. OpenSnapshots counts

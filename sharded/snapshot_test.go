@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -8,6 +9,51 @@ import (
 
 	"oakmap/internal/core"
 )
+
+// writers is a group of background writer goroutines. Its cleanup is
+// registered when the group is made — after the map's, so it runs first:
+// a test that fails while writers run stops and waits for them before
+// the map closes, and the failure message is not buried under a panic
+// from a writer using a closed map.
+type writers struct {
+	stop chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
+}
+
+func newWriters(t *testing.T) *writers {
+	w := &writers{stop: make(chan struct{})}
+	t.Cleanup(w.halt)
+	return w
+}
+
+// halt stops the writers and waits for them; it may be called early.
+func (w *writers) halt() {
+	w.once.Do(func() { close(w.stop) })
+	w.wg.Wait()
+}
+
+// run calls step(0), step(1), … on a new goroutine until halt, or until
+// a step fails; a failure other than the map having closed is reported.
+func (w *writers) run(t *testing.T, step func(i int) error) {
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-w.stop:
+				return
+			default:
+			}
+			if err := step(i); err != nil {
+				if !errors.Is(err, core.ErrClosed) {
+					t.Errorf("background writer: %v", err)
+				}
+				return
+			}
+		}
+	}()
+}
 
 func TestSnapshotMergedFrozenViewUnderChurn(t *testing.T) {
 	m := newTestSharded(t, 4, 64)
@@ -104,25 +150,14 @@ func TestShardedBatchAtomicAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for gen := 1; ; gen++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ops := make([]core.BatchOp, nk)
-			for i, k := range keys {
-				ops[i] = core.BatchOp{Key: k, Val: []byte(fmt.Sprintf("gen-%d", gen))}
-			}
-			if err := m.ApplyBatch(ops); err != nil {
-				panic(err)
-			}
+	bg := newWriters(t)
+	bg.run(t, func(gen int) error {
+		ops := make([]core.BatchOp, nk)
+		for i, k := range keys {
+			ops[i] = core.BatchOp{Key: k, Val: []byte(fmt.Sprintf("gen-%d", gen+1))}
 		}
-	}()
+		return m.ApplyBatch(ops)
+	})
 	for round := 0; round < 150; round++ {
 		sn := m.Snapshot()
 		var vals []string
@@ -156,8 +191,7 @@ func TestShardedBatchAtomicAcrossShards(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	<-done
+	bg.halt()
 
 	if st := m.MVCCStats(); st.RetainedBytes != 0 || st.OpenSnapshots != 0 {
 		t.Fatalf("retained state after snapshots closed: %+v", st)
@@ -185,7 +219,8 @@ func TestShardedBatchConcurrent(t *testing.T) {
 					}
 				}
 				if err := m.ApplyBatch(ops); err != nil {
-					panic(err)
+					t.Errorf("ApplyBatch: %v", err)
+					return
 				}
 			}
 		}(w)

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"oakmap/internal/core"
+	"oakmap/sharded"
 )
 
 // Op is one operation in an atomic batch: a put of Key→Value, or — when
@@ -38,7 +39,7 @@ func (m *Map[K, V]) ApplyBatch(ops []Op[K, V]) error {
 			bops[i].Val = m.serializeVal(op.Value)
 		}
 	}
-	return m.be.ApplyBatch(bops)
+	return m.s.ApplyBatch(bops)
 }
 
 // Snapshot is a read-only, point-in-time view of the map. It is frozen:
@@ -56,7 +57,7 @@ func (m *Map[K, V]) ApplyBatch(ops []Op[K, V]) error {
 // goroutine).
 type Snapshot[K, V any] struct {
 	m      *Map[K, V]
-	bs     beSnapshot
+	bs     *sharded.Snapshot
 	closed atomic.Bool
 }
 
@@ -65,7 +66,7 @@ type Snapshot[K, V any] struct {
 // admits is complete before Snapshot returns, so the view never shifts
 // underneath its reader.
 func (m *Map[K, V]) Snapshot() *Snapshot[K, V] {
-	return &Snapshot[K, V]{m: m, bs: m.be.Snapshot()}
+	return &Snapshot[K, V]{m: m, bs: m.s.Snapshot()}
 }
 
 // Close releases the snapshot, letting retained pre-images drain and
@@ -103,13 +104,16 @@ func (s *Snapshot[K, V]) Descend(from, to *K, f func(k K, v V) bool) {
 }
 
 func (s *Snapshot[K, V]) scan(from, to *K, desc bool, f func(k K, v V) bool) {
-	cur := s.bs.Cursor(s.m.boundBytes(from), s.m.boundBytes(to), desc)
+	s.scanRaw(s.m.boundBytes(from), s.m.boundBytes(to), desc, func(kb, vb []byte) bool {
+		return f(s.m.keySer.Deserialize(kb), s.m.valSer.Deserialize(vb))
+	})
+}
+
+func (s *Snapshot[K, V]) scanRaw(lo, hi []byte, desc bool, yield func(key, val []byte) bool) {
+	cur := s.bs.NewCursor(lo, hi, desc)
 	for {
 		kb, vb, ok := cur.Next()
-		if !ok {
-			return
-		}
-		if !f(s.m.keySer.Deserialize(kb), s.m.valSer.Deserialize(vb)) {
+		if !ok || !yield(kb, vb) {
 			return
 		}
 	}
@@ -119,7 +123,7 @@ func (s *Snapshot[K, V]) scan(from, to *K, desc bool, f func(k K, v V) bool) {
 // Advance with Next; not safe for concurrent use.
 type SnapIterator[K, V any] struct {
 	m   *Map[K, V]
-	cur beSnapCursor
+	cur *sharded.SnapCursor
 }
 
 // Iterator creates a pull iterator over the frozen view with
@@ -128,7 +132,7 @@ type SnapIterator[K, V any] struct {
 func (s *Snapshot[K, V]) Iterator(from, to *K, descending bool) *SnapIterator[K, V] {
 	return &SnapIterator[K, V]{
 		m:   s.m,
-		cur: s.bs.Cursor(s.m.boundBytes(from), s.m.boundBytes(to), descending),
+		cur: s.bs.NewCursor(s.m.boundBytes(from), s.m.boundBytes(to), descending),
 	}
 }
 
@@ -155,16 +159,7 @@ func (s *Snapshot[K, V]) GetRaw(key, dst []byte) ([]byte, bool) {
 // of the zero-copy stream scan, for readers that decode value bytes
 // themselves.
 func (s *Snapshot[K, V]) AscendRaw(lo, hi []byte, yield func(key, val []byte) bool) {
-	cur := s.bs.Cursor(lo, hi, false)
-	for {
-		kb, vb, ok := cur.Next()
-		if !ok {
-			return
-		}
-		if !yield(kb, vb) {
-			return
-		}
-	}
+	s.scanRaw(lo, hi, false, yield)
 }
 
 // Stats reports the owning map's live internals (a snapshot freezes the

@@ -1,9 +1,12 @@
 package oakmap
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"oakmap/internal/core"
 )
 
 func snapTestMap(t *testing.T, shards int) *Map[uint64, string] {
@@ -15,6 +18,51 @@ func snapTestMap(t *testing.T, shards int) *Map[uint64, string] {
 }
 
 // runPlainAndSharded exercises a facade behavior against both backends.
+// writers is a group of background writer goroutines. Its cleanup is
+// registered when the group is made — after the map's, so it runs first:
+// a test that fails while writers run stops and waits for them before
+// the map closes, and the failure message is not buried under a panic
+// from a writer using a closed map.
+type writers struct {
+	stop chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
+}
+
+func newWriters(t *testing.T) *writers {
+	w := &writers{stop: make(chan struct{})}
+	t.Cleanup(w.halt)
+	return w
+}
+
+// halt stops the writers and waits for them; it may be called early.
+func (w *writers) halt() {
+	w.once.Do(func() { close(w.stop) })
+	w.wg.Wait()
+}
+
+// run calls step(0), step(1), … on a new goroutine until halt, or until
+// a step fails; a failure other than the map having closed is reported.
+func (w *writers) run(t *testing.T, step func(i int) error) {
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-w.stop:
+				return
+			default:
+			}
+			if err := step(i); err != nil {
+				if !errors.Is(err, core.ErrClosed) {
+					t.Errorf("background writer: %v", err)
+				}
+				return
+			}
+		}
+	}()
+}
+
 func runPlainAndSharded(t *testing.T, f func(t *testing.T, m *Map[uint64, string])) {
 	t.Run("plain", func(t *testing.T) { f(t, snapTestMap(t, 0)) })
 	t.Run("sharded", func(t *testing.T) { f(t, snapTestMap(t, 4)) })
@@ -145,26 +193,14 @@ func TestApplyBatchFacadeAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gen := 1; ; gen++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ops := make([]Op[uint64, string], len(keys))
-				for i, k := range keys {
-					ops[i] = Op[uint64, string]{Key: k, Value: fmt.Sprintf("gen-%d", gen)}
-				}
-				if err := m.ApplyBatch(ops); err != nil {
-					panic(err)
-				}
+		bg := newWriters(t)
+		bg.run(t, func(gen int) error {
+			ops := make([]Op[uint64, string], len(keys))
+			for i, k := range keys {
+				ops[i] = Op[uint64, string]{Key: k, Value: fmt.Sprintf("gen-%d", gen+1)}
 			}
-		}()
+			return m.ApplyBatch(ops)
+		})
 		for round := 0; round < 80; round++ {
 			sn := m.Snapshot()
 			var ref string
@@ -181,8 +217,7 @@ func TestApplyBatchFacadeAtomic(t *testing.T) {
 			}
 			sn.Close()
 		}
-		close(stop)
-		wg.Wait()
+		bg.halt()
 
 		// Batch with deletes and last-wins duplicates.
 		if err := m.ApplyBatch([]Op[uint64, string]{

@@ -11,7 +11,6 @@ import (
 	"oakmap/internal/core"
 	"oakmap/internal/telemetry"
 	"oakmap/internal/telemetry/export"
-	"oakmap/sharded"
 )
 
 // Telemetry is the map's observability scope: sharded op counters,
@@ -195,61 +194,112 @@ func (t *Telemetry) OpLatencies() []OpLatency {
 	return out
 }
 
-// registerMapGauges wires a map's structural read-outs into the
-// recorder so the exporter can enumerate them at scrape time. Names
-// follow Prometheus conventions; per-class occupancy carries a class
-// label with the class's span size in bytes.
-func registerMapGauges(r *telemetry.Recorder, c *core.Map) {
-	reg := func(name string, kind telemetry.GaugeKind, f func() float64) {
-		r.RegisterGauge(name, kind, f)
+// registerGauges wires a map's structural read-outs into the recorder so
+// the exporter can enumerate them at scrape time. Names follow Prometheus
+// conventions. Every oak_* family is a rollup over the shards — a sum,
+// or the maximum for the epoch (domains advance independently), open
+// snapshots and horizon lag (a cross-shard snapshot registers on every
+// shard, so a sum would count it once per shard) — which for one shard
+// is that shard's own value, so dashboards keep their series across a
+// Shards config change. What differs by shard count is the breakdown:
+// one shard exports per-class arena occupancy (a class label carrying
+// the class's span size in bytes); several export oak_shards and
+// per-shard labeled gauges for the signals that matter per partition —
+// occupancy, live bytes, key-leak accounting and rebalance pressure —
+// and no per-class series: shards × classes would drown scrapes for no
+// diagnostic gain.
+func registerGauges(r *telemetry.Recorder, shards []*core.Map) {
+	// Arena gauges read through per-shard snapshots: one ArenaStats call
+	// per shard per scrape, not per gauge (see arenaSnap).
+	snaps := make([]*arenaSnap, len(shards))
+	for i, c := range shards {
+		snaps[i] = &arenaSnap{c: c}
 	}
-	reg("oak_len", telemetry.KindGauge, func() float64 { return float64(c.Len()) })
-	reg("oak_footprint_bytes", telemetry.KindGauge, func() float64 { return float64(c.Footprint()) })
-	reg("oak_live_bytes", telemetry.KindGauge, func() float64 { return float64(c.LiveBytes()) })
-	reg("oak_chunks", telemetry.KindGauge, func() float64 { return float64(c.NumChunks()) })
-	reg("oak_rebalances_total", telemetry.KindCounter, func() float64 { return float64(c.Rebalances()) })
-	reg("oak_key_leak_bytes", telemetry.KindGauge, func() float64 { return float64(c.KeyLeakBytes()) })
-	reg("oak_header_count", telemetry.KindGauge, func() float64 { return float64(c.HeaderCount()) })
+	const gauge, counter = telemetry.KindGauge, telemetry.KindCounter
+	for _, g := range []struct {
+		name string
+		kind telemetry.GaugeKind
+		max  bool // roll up by maximum, not sum
+		per  func(i int) float64
+	}{
+		{"oak_len", gauge, false, func(i int) float64 { return float64(shards[i].Len()) }},
+		{"oak_footprint_bytes", gauge, false, func(i int) float64 { return float64(shards[i].Footprint()) }},
+		{"oak_live_bytes", gauge, false, func(i int) float64 { return float64(shards[i].LiveBytes()) }},
+		{"oak_chunks", gauge, false, func(i int) float64 { return float64(shards[i].NumChunks()) }},
+		{"oak_rebalances_total", counter, false, func(i int) float64 { return float64(shards[i].Rebalances()) }},
+		{"oak_key_leak_bytes", gauge, false, func(i int) float64 { return float64(shards[i].KeyLeakBytes()) }},
+		{"oak_header_count", gauge, false, func(i int) float64 { return float64(shards[i].HeaderCount()) }},
 
-	reg("oak_epoch", telemetry.KindCounter, func() float64 { return float64(c.ReclaimStats().Epoch) })
-	reg("oak_pinned_readers", telemetry.KindGauge, func() float64 { return float64(c.ReclaimStats().Pinned) })
-	reg("oak_limbo_items", telemetry.KindGauge, func() float64 { return float64(c.ReclaimStats().LimboItems) })
-	reg("oak_limbo_bytes", telemetry.KindGauge, func() float64 { return float64(c.ReclaimStats().LimboBytes) })
-	reg("oak_epoch_advances_total", telemetry.KindCounter, func() float64 { return float64(c.ReclaimStats().Advances) })
-	reg("oak_epoch_drains_total", telemetry.KindCounter, func() float64 { return float64(c.ReclaimStats().Drains) })
-	reg("oak_epoch_slot_overflows_total", telemetry.KindCounter, func() float64 { return float64(c.ReclaimStats().SlotOverflows) })
+		{"oak_epoch", counter, true, func(i int) float64 { return float64(shards[i].ReclaimStats().Epoch) }},
+		{"oak_pinned_readers", gauge, false, func(i int) float64 { return float64(shards[i].ReclaimStats().Pinned) }},
+		{"oak_limbo_items", gauge, false, func(i int) float64 { return float64(shards[i].ReclaimStats().LimboItems) }},
+		{"oak_limbo_bytes", gauge, false, func(i int) float64 { return float64(shards[i].ReclaimStats().LimboBytes) }},
+		{"oak_epoch_advances_total", counter, false, func(i int) float64 { return float64(shards[i].ReclaimStats().Advances) }},
+		{"oak_epoch_drains_total", counter, false, func(i int) float64 { return float64(shards[i].ReclaimStats().Drains) }},
+		{"oak_epoch_slot_overflows_total", counter, false, func(i int) float64 { return float64(shards[i].ReclaimStats().SlotOverflows) }},
 
-	reg("oak_mvcc_open_snapshots", telemetry.KindGauge, func() float64 { return float64(c.MVCCStats().OpenSnapshots) })
-	reg("oak_mvcc_retained_bytes", telemetry.KindGauge, func() float64 { return float64(c.MVCCStats().RetainedBytes) })
-	reg("oak_mvcc_retained_spans", telemetry.KindGauge, func() float64 { return float64(c.MVCCStats().RetainedSpans) })
-	reg("oak_mvcc_horizon_lag", telemetry.KindGauge, func() float64 { return float64(c.MVCCStats().HorizonLag) })
+		{"oak_mvcc_open_snapshots", gauge, true, func(i int) float64 { return float64(shards[i].MVCCStats().OpenSnapshots) }},
+		{"oak_mvcc_retained_bytes", gauge, false, func(i int) float64 { return float64(shards[i].MVCCStats().RetainedBytes) }},
+		{"oak_mvcc_retained_spans", gauge, false, func(i int) float64 { return float64(shards[i].MVCCStats().RetainedSpans) }},
+		{"oak_mvcc_horizon_lag", gauge, true, func(i int) float64 { return float64(shards[i].MVCCStats().HorizonLag) }},
 
-	// One ArenaStats snapshot feeds every arena gauge. ArenaStats walks
-	// the allocator's per-class locks, so letting each of the ~2×classes
-	// closures call it independently per scrape was an O(classes²) lock
-	// storm; the cache refreshes once and the whole scrape family reads
-	// the same consistent snapshot.
-	snap := &arenaSnap{c: c}
-	reg("oak_arena_blocks", telemetry.KindGauge, func() float64 { return float64(snap.get().Blocks) })
-	reg("oak_arena_free_spans", telemetry.KindGauge, func() float64 { return float64(snap.get().FreeSpans) })
-	reg("oak_arena_fragmentation_ratio", telemetry.KindGauge, func() float64 { return snap.get().Fragmentation })
-	reg("oak_arena_alloc_calls_total", telemetry.KindCounter, func() float64 { return float64(snap.get().AllocCalls) })
-	for i, cs := range c.ArenaStats().Classes {
-		idx := i // capture
-		reg(fmt.Sprintf("oak_arena_class_spans{class=%q}", fmt.Sprint(cs.Size)), telemetry.KindGauge,
-			func() float64 {
-				if st := snap.get(); idx < len(st.Classes) {
-					return float64(st.Classes[idx].Spans)
+		{"oak_arena_blocks", gauge, false, func(i int) float64 { return float64(snaps[i].get().Blocks) }},
+		{"oak_arena_free_spans", gauge, false, func(i int) float64 { return float64(snaps[i].get().FreeSpans) }},
+		{"oak_arena_alloc_calls_total", counter, false, func(i int) float64 { return float64(snaps[i].get().AllocCalls) }},
+	} {
+		g := g
+		r.RegisterGauge(g.name, g.kind, func() float64 {
+			var out float64
+			for i := range shards {
+				if v := g.per(i); !g.max {
+					out += v
+				} else if v > out {
+					out = v
 				}
-				return 0
+			}
+			return out
+		})
+	}
+	// Fragmentation is a ratio, so the rollup weights each shard's ratio
+	// by its live bytes: a near-empty shard's (noisy) ratio must not
+	// swamp the signal from the shards actually holding data. Falls back
+	// to a plain mean while every shard is empty.
+	r.RegisterGauge("oak_arena_fragmentation_ratio", gauge, func() float64 {
+		var weighted, live, plain float64
+		for _, s := range snaps {
+			st := s.get()
+			weighted += st.Fragmentation * float64(st.LiveBytes)
+			live += float64(st.LiveBytes)
+			plain += st.Fragmentation
+		}
+		if live > 0 {
+			return weighted / live
+		}
+		return plain / float64(len(snaps))
+	})
+
+	if len(shards) == 1 {
+		snap := snaps[0]
+		for i, cs := range snap.get().Classes {
+			idx := i // capture
+			class := fmt.Sprintf("{class=%q}", fmt.Sprint(cs.Size))
+			r.RegisterGauge("oak_arena_class_spans"+class, gauge, func() float64 {
+				return float64(snap.get().Classes[idx].Spans)
 			})
-		reg(fmt.Sprintf("oak_arena_class_bytes{class=%q}", fmt.Sprint(cs.Size)), telemetry.KindGauge,
-			func() float64 {
-				if st := snap.get(); idx < len(st.Classes) {
-					return float64(st.Classes[idx].Bytes)
-				}
-				return 0
+			r.RegisterGauge("oak_arena_class_bytes"+class, gauge, func() float64 {
+				return float64(snap.get().Classes[idx].Bytes)
 			})
+		}
+		return
+	}
+	r.RegisterGauge("oak_shards", gauge, func() float64 { return float64(len(shards)) })
+	for i, c := range shards {
+		c := c
+		lbl := fmt.Sprintf("{shard=%q}", fmt.Sprint(i))
+		r.RegisterGauge("oak_shard_len"+lbl, gauge, func() float64 { return float64(c.Len()) })
+		r.RegisterGauge("oak_shard_live_bytes"+lbl, gauge, func() float64 { return float64(c.LiveBytes()) })
+		r.RegisterGauge("oak_shard_key_leak_bytes"+lbl, gauge, func() float64 { return float64(c.KeyLeakBytes()) })
+		r.RegisterGauge("oak_shard_rebalances_total"+lbl, counter, func() float64 { return float64(c.Rebalances()) })
 	}
 }
 
@@ -277,132 +327,4 @@ func (a *arenaSnap) get() arena.Stats {
 		a.at = time.Now()
 	}
 	return a.st
-}
-
-// registerShardedGauges wires a sharded map's read-outs into the
-// recorder: the same oak_* names as a plain map carrying the rollup
-// across shards (sums; oak_epoch reports the max shard epoch), plus an
-// oak_shards gauge and per-shard labeled gauges for the signals that
-// matter per partition — occupancy, live bytes, key-leak accounting,
-// and rebalance pressure. Per-class arena gauges are deliberately not
-// exported per shard: the cardinality (shards × classes) drowns scrapes
-// for no diagnostic gain.
-func registerShardedGauges(r *telemetry.Recorder, s *sharded.Map) {
-	shards := s.Shards()
-	reg := func(name string, kind telemetry.GaugeKind, f func() float64) {
-		r.RegisterGauge(name, kind, f)
-	}
-	sum := func(per func(c *core.Map) float64) func() float64 {
-		return func() float64 {
-			var t float64
-			for _, c := range shards {
-				t += per(c)
-			}
-			return t
-		}
-	}
-
-	reg("oak_shards", telemetry.KindGauge, func() float64 { return float64(len(shards)) })
-
-	reg("oak_len", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.Len()) }))
-	reg("oak_footprint_bytes", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.Footprint()) }))
-	reg("oak_live_bytes", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.LiveBytes()) }))
-	reg("oak_chunks", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.NumChunks()) }))
-	reg("oak_rebalances_total", telemetry.KindCounter, sum(func(c *core.Map) float64 { return float64(c.Rebalances()) }))
-	reg("oak_key_leak_bytes", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.KeyLeakBytes()) }))
-	reg("oak_header_count", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.HeaderCount()) }))
-
-	reg("oak_epoch", telemetry.KindCounter, func() float64 {
-		var m uint64
-		for _, c := range shards {
-			if e := c.ReclaimStats().Epoch; e > m {
-				m = e
-			}
-		}
-		return float64(m)
-	})
-	reg("oak_pinned_readers", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.ReclaimStats().Pinned) }))
-	reg("oak_limbo_items", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.ReclaimStats().LimboItems) }))
-	reg("oak_limbo_bytes", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.ReclaimStats().LimboBytes) }))
-	reg("oak_epoch_advances_total", telemetry.KindCounter, sum(func(c *core.Map) float64 { return float64(c.ReclaimStats().Advances) }))
-	reg("oak_epoch_drains_total", telemetry.KindCounter, sum(func(c *core.Map) float64 { return float64(c.ReclaimStats().Drains) }))
-	reg("oak_epoch_slot_overflows_total", telemetry.KindCounter, sum(func(c *core.Map) float64 { return float64(c.ReclaimStats().SlotOverflows) }))
-
-	// MVCC rollup: retained space sums; open snapshots and horizon lag
-	// report the maximum (a cross-shard snapshot registers on every
-	// shard, so a sum would multiply-count it by the shard count).
-	maxOf := func(per func(c *core.Map) float64) func() float64 {
-		return func() float64 {
-			var m float64
-			for _, c := range shards {
-				if v := per(c); v > m {
-					m = v
-				}
-			}
-			return m
-		}
-	}
-	reg("oak_mvcc_open_snapshots", telemetry.KindGauge, maxOf(func(c *core.Map) float64 { return float64(c.MVCCStats().OpenSnapshots) }))
-	reg("oak_mvcc_retained_bytes", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.MVCCStats().RetainedBytes) }))
-	reg("oak_mvcc_retained_spans", telemetry.KindGauge, sum(func(c *core.Map) float64 { return float64(c.MVCCStats().RetainedSpans) }))
-	reg("oak_mvcc_horizon_lag", telemetry.KindGauge, maxOf(func(c *core.Map) float64 { return float64(c.MVCCStats().HorizonLag) }))
-
-	// Arena rollups read through per-shard snapshots (one ArenaStats
-	// call per shard per scrape, not per gauge — see arenaSnap).
-	snaps := make([]*arenaSnap, len(shards))
-	for i, c := range shards {
-		snaps[i] = &arenaSnap{c: c}
-	}
-	reg("oak_arena_blocks", telemetry.KindGauge, func() float64 {
-		var t float64
-		for _, s := range snaps {
-			t += float64(s.get().Blocks)
-		}
-		return t
-	})
-	reg("oak_arena_free_spans", telemetry.KindGauge, func() float64 {
-		var t float64
-		for _, s := range snaps {
-			t += float64(s.get().FreeSpans)
-		}
-		return t
-	})
-	reg("oak_arena_alloc_calls_total", telemetry.KindCounter, func() float64 {
-		var t float64
-		for _, s := range snaps {
-			t += float64(s.get().AllocCalls)
-		}
-		return t
-	})
-	// Fragmentation is a ratio, so the rollup weights each shard's ratio
-	// by its live bytes: a near-empty shard's (noisy) ratio must not
-	// swamp the signal from the shards actually holding data. Falls back
-	// to a plain mean while every shard is empty. Plain maps export the
-	// same name from registerMapGauges, so dashboards keep the series
-	// across a Shards config change.
-	reg("oak_arena_fragmentation_ratio", telemetry.KindGauge, func() float64 {
-		var weighted, live, plain float64
-		for _, s := range snaps {
-			st := s.get()
-			weighted += st.Fragmentation * float64(st.LiveBytes)
-			live += float64(st.LiveBytes)
-			plain += st.Fragmentation
-		}
-		if live > 0 {
-			return weighted / live
-		}
-		if n := len(snaps); n > 0 {
-			return plain / float64(n)
-		}
-		return 0
-	})
-
-	for i, c := range shards {
-		c := c
-		lbl := fmt.Sprintf("{shard=%q}", fmt.Sprint(i))
-		reg("oak_shard_len"+lbl, telemetry.KindGauge, func() float64 { return float64(c.Len()) })
-		reg("oak_shard_live_bytes"+lbl, telemetry.KindGauge, func() float64 { return float64(c.LiveBytes()) })
-		reg("oak_shard_key_leak_bytes"+lbl, telemetry.KindGauge, func() float64 { return float64(c.KeyLeakBytes()) })
-		reg("oak_shard_rebalances_total"+lbl, telemetry.KindCounter, func() float64 { return float64(c.Rebalances()) })
-	}
 }

@@ -161,7 +161,7 @@ type ZeroCopyMap[K, V any] struct {
 func (z ZeroCopyMap[K, V]) Get(k K) *OakRBuffer {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	c := z.m.be.ShardFor(*kb)
+	c := z.m.s.ShardFor(*kb)
 	h, ok := c.Get(*kb)
 	if !ok {
 		return nil
@@ -174,21 +174,21 @@ func (z ZeroCopyMap[K, V]) Get(k K) *OakRBuffer {
 func (z ZeroCopyMap[K, V]) Put(k K, v V) error {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.be.ShardFor(*kb).PutWriter(*kb, z.m.valueWriter(v))
+	return z.m.s.ShardFor(*kb).PutWriter(*kb, z.m.valueWriter(v))
 }
 
 // PutIfAbsent inserts k→v if absent, reporting whether it inserted.
 func (z ZeroCopyMap[K, V]) PutIfAbsent(k K, v V) (bool, error) {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.be.ShardFor(*kb).PutIfAbsentWriter(*kb, z.m.valueWriter(v))
+	return z.m.s.ShardFor(*kb).PutIfAbsentWriter(*kb, z.m.valueWriter(v))
 }
 
 // Remove deletes the mapping for k without returning the old value.
 func (z ZeroCopyMap[K, V]) Remove(k K) error {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	_, err := z.m.be.ShardFor(*kb).Remove(*kb)
+	_, err := z.m.s.ShardFor(*kb).Remove(*kb)
 	return err
 }
 
@@ -198,7 +198,7 @@ func (z ZeroCopyMap[K, V]) Remove(k K) error {
 func (z ZeroCopyMap[K, V]) Delete(k K) (bool, error) {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.be.ShardFor(*kb).Remove(*kb)
+	return z.m.s.ShardFor(*kb).Remove(*kb)
 }
 
 // ComputeIfPresent atomically applies f to k's value in place. The
@@ -207,7 +207,7 @@ func (z ZeroCopyMap[K, V]) Delete(k K) (bool, error) {
 func (z ZeroCopyMap[K, V]) ComputeIfPresent(k K, f func(OakWBuffer) error) (bool, error) {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.be.ShardFor(*kb).ComputeIfPresent(*kb, func(w *core.WBuffer) error {
+	return z.m.s.ShardFor(*kb).ComputeIfPresent(*kb, func(w *core.WBuffer) error {
 		return f(OakWBuffer{w})
 	})
 }
@@ -219,7 +219,7 @@ func (z ZeroCopyMap[K, V]) ComputeIfPresent(k K, f func(OakWBuffer) error) (bool
 func (z ZeroCopyMap[K, V]) PutIfAbsentComputeIfPresent(k K, v V, f func(OakWBuffer) error) error {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.be.ShardFor(*kb).PutIfAbsentComputeIfPresentWriter(*kb, z.m.valueWriter(v), func(w *core.WBuffer) error {
+	return z.m.s.ShardFor(*kb).PutIfAbsentComputeIfPresentWriter(*kb, z.m.valueWriter(v), func(w *core.WBuffer) error {
 		return f(OakWBuffer{w})
 	})
 }
