@@ -12,6 +12,10 @@
 package chunk
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,8 +37,19 @@ var (
 	FpPublishFail = faultpoint.New("chunk/publish-fail")
 )
 
-// Comparator orders serialized keys (bytes.Compare semantics).
+// Comparator orders serialized keys (bytes.Compare semantics). A nil
+// Comparator means bytes.Compare. Any other function forgoes the sorted
+// prefix's on-heap search array (see Chunk.prefix) and pays one arena
+// dereference per binary-search probe.
 type Comparator func(a, b []byte) int
+
+var bytesComparePC = reflect.ValueOf(bytes.Compare).Pointer()
+
+// bytewise reports whether cmp is bytes.Compare itself — the one order
+// keyPrefix is known to be monotone under. Called once per NewSorted.
+func bytewise(cmp Comparator) bool {
+	return reflect.ValueOf(cmp).Pointer() == bytesComparePC
+}
 
 // DefaultCapacity is the paper's configuration of 4K entries per chunk.
 const DefaultCapacity = 4096
@@ -66,14 +81,29 @@ type entry struct {
 	next   atomic.Int32
 }
 
+// entryBytes is the size of an entry (next padded to the 8-byte stride).
+const entryBytes = 24
+
 // Chunk holds a contiguous key range of the map.
 type Chunk struct {
 	// minKey is the chunk's minimal key, invariant for its lifespan
 	// (§3.1). nil acts as -infinity (the head sentinel chunk).
 	minKey []byte
 
-	entries  []entry
-	sorted   int          // length of the sorted prefix
+	entries []entry
+	sorted  int // length of the sorted prefix
+
+	// prefix is the search array of the sorted prefix: prefix[i] is
+	// keyPrefix(lcp, key of entry i), so a binary search reads this dense
+	// on-heap array and dereferences an off-heap key only where two
+	// prefixes tie. lcp is a heap copy of the bytes every sorted key
+	// starts with. Both are written once by NewSorted and immutable
+	// after; prefix is nil (and every probe compares full keys) under a
+	// comparator other than bytes.Compare, and where every word would be
+	// the same.
+	prefix []uint64
+	lcp    []byte
+
 	nextFree atomic.Int32 // next unallocated entry slot
 	head     atomic.Int32 // first entry of the ascending list
 
@@ -94,6 +124,9 @@ type Chunk struct {
 
 // New creates an empty chunk covering keys ≥ minKey.
 func New(minKey []byte, capacity int, alloc *arena.Allocator, cmp Comparator) *Chunk {
+	if cmp == nil {
+		cmp = bytes.Compare
+	}
 	c := &Chunk{
 		minKey:  minKey,
 		entries: make([]entry, capacity),
@@ -115,7 +148,8 @@ type Pair struct {
 // (which must be in ascending key order — RB3). This is how the
 // rebalancer builds replacement chunks: the full prefix is sorted, so it
 // can be binary-searched, and the linked-list successor of each prefix
-// entry is the ensuing array entry (§4.1).
+// entry is the ensuing array entry (§4.1). Under bytes.Compare it reads
+// every key once to build the prefix search array.
 func NewSorted(minKey []byte, capacity int, alloc *arena.Allocator, cmp Comparator, pairs []Pair) *Chunk {
 	if len(pairs) > capacity {
 		panic("chunk: sorted prefix exceeds capacity")
@@ -136,8 +170,66 @@ func NewSorted(minKey []byte, capacity int, alloc *arena.Allocator, cmp Comparat
 	c.live.Store(int32(len(pairs)))
 	if len(pairs) > 0 {
 		c.head.Store(0)
+		if bytewise(c.cmp) {
+			c.buildPrefix()
+		}
 	}
 	return c
+}
+
+// buildPrefix fills lcp and prefix from the sorted keys. Every sorted key
+// lies between the first and the last, so it starts with whatever those
+// two share (B-tree prefix truncation): keys with a long common head
+// still differ inside their 8 prefix bytes. If even the first and last
+// words are equal, all are, and an array that cannot decide a probe is
+// not built.
+func (c *Chunk) buildPrefix() {
+	first, last := c.keyAt(0), c.keyAt(int32(c.sorted-1))
+	lcp := first[:commonPrefixLen(first, last)]
+	if keyPrefix(lcp, first) == keyPrefix(lcp, last) {
+		return
+	}
+	c.lcp = append([]byte(nil), lcp...)
+	c.prefix = make([]uint64, c.sorted)
+	for i := range c.prefix {
+		// Sorted keys all start with lcp, so a key long enough is read
+		// without the checks keyPrefix makes for a search key: this loop
+		// is one cache miss per entry, and the fewer instructions between
+		// two of them, the more of them overlap.
+		if k := c.keyAt(int32(i)); len(k) >= len(lcp)+8 {
+			c.prefix[i] = binary.BigEndian.Uint64(k[len(lcp):])
+		} else {
+			c.prefix[i] = keyPrefix(lcp, k)
+		}
+	}
+}
+
+// commonPrefixLen returns how many leading bytes a and b share.
+func commonPrefixLen(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+// keyPrefix maps key to the 8 bytes that follow lcp, big-endian and
+// zero-padded. A key that does not start with lcp maps to 0 if it sorts
+// before lcp and to the maximum otherwise. The map is monotone under
+// bytes.Compare — a ≤ b implies keyPrefix(a) ≤ keyPrefix(b) — because
+// the keys starting with lcp are contiguous in that order and big-endian
+// zero-padding preserves it among them. So unequal prefixes order their
+// keys, and only equal ones need the keys themselves.
+func keyPrefix(lcp, key []byte) uint64 {
+	if !bytes.HasPrefix(key, lcp) {
+		if bytes.Compare(key, lcp) < 0 {
+			return 0
+		}
+		return math.MaxUint64
+	}
+	var word [8]byte
+	copy(word[:], key[len(lcp):])
+	return binary.BigEndian.Uint64(word[:])
 }
 
 // MinKey returns the chunk's minimal key (nil = -infinity).
@@ -149,8 +241,16 @@ func (c *Chunk) Capacity() int { return len(c.entries) }
 // SortedCount returns the length of the sorted prefix.
 func (c *Chunk) SortedCount() int { return c.sorted }
 
-// Allocated returns the number of allocated entry slots.
-func (c *Chunk) Allocated() int { return int(c.nextFree.Load()) }
+// Allocated returns the number of allocated entry slots. AllocateEntry
+// bumps nextFree past the end on every Full, hence the clamp.
+func (c *Chunk) Allocated() int { return min(int(c.nextFree.Load()), len(c.entries)) }
+
+// MetaBytes returns the on-heap bytes the chunk holds besides its fixed
+// header: the entries array, the prefix search array, and the lcp and
+// minKey copies.
+func (c *Chunk) MetaBytes() int {
+	return len(c.entries)*entryBytes + len(c.prefix)*8 + len(c.lcp) + len(c.minKey)
+}
 
 // Next returns the successor chunk in the list (nil at the end).
 func (c *Chunk) Next() *Chunk { return c.next.Load() }
@@ -214,42 +314,62 @@ func (c *Chunk) Head() int32 { return c.head.Load() }
 // NextEntry returns the list successor of ei, or -1.
 func (c *Chunk) NextEntry(ei int32) int32 { return c.entries[ei].next.Load() }
 
-// prefixFloor returns the largest sorted-prefix index whose key is < key
-// (strict) or ≤ key (when orEqual), or -1. The prefix is sorted, so this
-// is a binary search (§4.1).
-func (c *Chunk) prefixFloor(key []byte, orEqual bool) int32 {
-	lo, hi := 0, c.sorted-1
-	res := int32(-1)
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		cv := c.cmp(c.keyAt(int32(mid)), key)
-		if cv < 0 || (orEqual && cv == 0) {
-			res = int32(mid)
+// prefixFloor returns the largest sorted-prefix index whose key is < key,
+// or -1. The prefix is sorted, so this is a binary search (§4.1). A probe
+// whose prefix word differs from key's is decided on-heap; a tie, or a
+// chunk without a prefix array, compares the off-heap key.
+func (c *Chunk) prefixFloor(key []byte) int32 {
+	prefix := c.prefix
+	var kp uint64
+	if prefix != nil {
+		kp = keyPrefix(c.lcp, key)
+	}
+	lo, hi := 0, c.sorted // the answer is lo-1: keys below lo are < key, keys from hi on are ≥ key
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		var less bool
+		if mid < len(prefix) && prefix[mid] != kp {
+			less = prefix[mid] < kp
+		} else {
+			less = c.cmp(c.keyAt(int32(mid)), key) < 0
+		}
+		if less {
 			lo = mid + 1
 		} else {
-			hi = mid - 1
+			hi = mid
 		}
 	}
-	return res
+	return int32(lo - 1)
 }
 
-// LookUp searches for an entry holding key: binary search on the sorted
-// prefix, then a walk of the entries linked list (§4.1). It returns the
-// entry index or -1. LookUp proceeds concurrently with rebalances.
-func (c *Chunk) LookUp(key []byte) int32 {
-	cur := c.prefixFloor(key, true)
-	if cur < 0 {
+// seek locates key in the ascending entries list: binary search on the
+// sorted prefix, then a walk of the list from there (§4.1). pred is the
+// last linked entry with a smaller key (-1 when key sorts before the
+// head), cur its successor — the first entry with a key ≥ key, or -1 —
+// and found reports whether cur holds key itself. seek proceeds
+// concurrently with inserts and rebalances.
+func (c *Chunk) seek(key []byte) (pred, cur int32, found bool) {
+	pred = c.prefixFloor(key)
+	if pred < 0 {
 		cur = c.head.Load()
+	} else {
+		cur = c.entries[pred].next.Load()
 	}
 	for cur != none {
-		cv := c.cmp(c.keyAt(cur), key)
-		if cv == 0 {
-			return cur
+		if cv := c.cmp(c.keyAt(cur), key); cv >= 0 {
+			return pred, cur, cv == 0
 		}
-		if cv > 0 {
-			return none
-		}
+		pred = cur
 		cur = c.entries[cur].next.Load()
+	}
+	return pred, none, false
+}
+
+// LookUp returns the index of the entry holding key, or -1. LookUp
+// proceeds concurrently with rebalances.
+func (c *Chunk) LookUp(key []byte) int32 {
+	if _, cur, found := c.seek(key); found {
+		return cur
 	}
 	return none
 }
@@ -260,15 +380,7 @@ func (c *Chunk) FirstGE(bound []byte) int32 {
 	if bound == nil {
 		return c.head.Load()
 	}
-	cur := c.prefixFloor(bound, false)
-	if cur < 0 {
-		cur = c.head.Load()
-	} else {
-		// cur's key is < bound; its successors may still be < bound.
-	}
-	for cur != none && c.cmp(c.keyAt(cur), bound) < 0 {
-		cur = c.entries[cur].next.Load()
-	}
+	_, cur, _ := c.seek(bound)
 	return cur
 }
 
@@ -303,24 +415,9 @@ func (c *Chunk) PutIfAbsentInList(ei int32) (int32, Status) {
 		if c.frozen.Load() {
 			return none, Frozen
 		}
-		// Locate pred/succ with key(pred) < key ≤ key(succ).
-		pred := c.prefixFloor(key, false)
-		var cur int32
-		if pred < 0 {
-			cur = c.head.Load()
-		} else {
-			cur = c.entries[pred].next.Load()
-		}
-		for cur != none {
-			cv := c.cmp(c.keyAt(cur), key)
-			if cv >= 0 {
-				if cv == 0 {
-					return cur, Exists
-				}
-				break
-			}
-			pred = cur
-			cur = c.entries[cur].next.Load()
+		pred, cur, found := c.seek(key)
+		if found {
+			return cur, Exists
 		}
 		c.entries[ei].next.Store(cur)
 		if c.frozen.Load() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -129,8 +130,19 @@ func TestAllocateEntryFull(t *testing.T) {
 			t.Fatalf("alloc %d failed", i)
 		}
 	}
-	if _, st := c.AllocateEntry(f.keyRef(t, 9)); st != Full {
-		t.Fatalf("expected Full, got %v", st)
+	for i := 0; i < 3; i++ {
+		if _, st := c.AllocateEntry(f.keyRef(t, 9)); st != Full {
+			t.Fatalf("expected Full, got %v", st)
+		}
+	}
+	if c.Allocated() != c.Capacity() {
+		t.Fatalf("Allocated() = %d on a full chunk of %d", c.Allocated(), c.Capacity())
+	}
+}
+
+func TestEntryBytes(t *testing.T) {
+	if got := reflect.TypeOf(entry{}).Size(); got != entryBytes {
+		t.Fatalf("entry is %d bytes; entryBytes says %d", got, entryBytes)
 	}
 }
 

@@ -23,7 +23,7 @@ func (c *Chunk) NewDescIter(hi []byte) *DescIter {
 	if hi == nil {
 		p = c.sorted - 1
 	} else {
-		p = int(c.prefixFloor(hi, false))
+		p = int(c.prefixFloor(hi))
 	}
 	it.anchorPos = p
 	var start int32

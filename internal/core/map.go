@@ -47,7 +47,9 @@ type Options struct {
 	RebalanceRatio float64
 	// Pool supplies off-heap blocks; nil uses arena.DefaultPool().
 	Pool *arena.Pool
-	// Comparator orders keys; nil means bytes.Compare.
+	// Comparator orders keys; nil means bytes.Compare. A custom comparator
+	// — even one with the same order — forgoes the chunks' on-heap prefix
+	// search: every binary-search probe then dereferences an off-heap key.
 	Comparator Comparator
 	// DisableFirstFit turns off free-space reuse entirely (allocator
 	// ablation: pure bump allocation).
@@ -339,6 +341,9 @@ type OccupancyStats struct {
 	MinLive        int
 	MaxLive        int
 	AvgUtilization float64 // live entries / total capacity
+	// MetaBytes is the chunks' on-heap cost: entries arrays, prefix search
+	// arrays, and the lcp and minKey copies.
+	MetaBytes int64
 }
 
 // Occupancy walks the chunk list and returns its population statistics.
@@ -359,6 +364,7 @@ func (m *Map) Occupancy() OccupancyStats {
 			st.MaxLive = live
 		}
 		capTotal += c.Capacity()
+		st.MetaBytes += int64(c.MetaBytes())
 		c = c.Next()
 	}
 	if st.Chunks == 0 {

@@ -7,6 +7,7 @@ import (
 
 	"oakmap/internal/arena"
 	"oakmap/internal/faultpoint"
+	"oakmap/internal/vheader"
 )
 
 // This file is the MVCC heart of the map: a per-map version clock, the
@@ -110,7 +111,7 @@ type mvccState struct {
 }
 
 func (st *mvccState) init() {
-	st.clock.Store(1)
+	st.clock.Store(vheader.InitialVersion) // plain writes then cost the default table no version words
 	st.byKey = make(map[string]*retChain)
 	st.pending = make(map[uint64]*BatchInstall)
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"oakmap/internal/vheader"
 )
 
 // takeSnap begins and stabilizes a snapshot, registering cleanup-free
@@ -671,5 +673,41 @@ func TestSnapshotFloorRatchetOrdering(t *testing.T) {
 	m.EndSnapshot(first)
 	if st := m.MVCCStats(); st.OpenSnapshots != 0 {
 		t.Fatalf("OpenSnapshots = %d after close", st.OpenSnapshots)
+	}
+}
+
+// TestPlainWritesStampInitialVersion pins the other half of the default
+// header table's 16-byte headers (vheader.Table stores no version word
+// for a segment until something other than vheader.InitialVersion is
+// stored into it): until the first snapshot or batch, every write path
+// must stamp exactly that value. A clock that started anywhere else
+// would still be correct and would silently cost 8 B per header again.
+func TestPlainWritesStampInitialVersion(t *testing.T) {
+	m := newTestMap(t, 32)
+	for i := 0; i < 500; i++ {
+		mustPut(t, m, ik(i), iv(i))
+	}
+	for i := 0; i < 500; i += 2 {
+		mustPut(t, m, ik(i), iv(i+1)) // overwrite
+		if _, err := m.ComputeIfPresent(ik(i+1), func(w *WBuffer) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 500; i += 5 {
+		if _, err := m.Remove(ik(i)); err != nil {
+			t.Fatal(err)
+		}
+		mustPut(t, m, ik(i), iv(i)) // a new header
+	}
+	n := 0
+	m.Ascend(nil, nil, func(_ uint64, h ValueHandle) bool {
+		n++
+		if v := m.headers.LoadVersion(uint64(h)); v != vheader.InitialVersion {
+			t.Fatalf("a plain write stamped version %#x; want vheader.InitialVersion", v)
+		}
+		return true
+	})
+	if n != 500 {
+		t.Fatalf("scanned %d values", n)
 	}
 }

@@ -13,7 +13,8 @@
 // header index in its first 8 bytes, preserving the paper's "header at
 // the start of the value" addressing through one extra hop.
 //
-// Each header consists of three words. The first is the lock word:
+// Each header consists of three words, two of them (16 bytes) in the
+// table's segments. The first is the lock word:
 //
 //	bit 63    deleted
 //	bit 62    writer locked
@@ -22,7 +23,11 @@
 // The second is the value's current data reference (a packed arena.Ref).
 // The third is the MVCC version word — the write version stamped by the
 // last mutation plus batch-state flags, packed by internal/core (this
-// package only stores and loads it).
+// package only stores and loads it). Until a map's first snapshot or
+// batch every write stamps InitialVersion, so the version words of a
+// segment are materialised only when some other value is first stored
+// into it: a map that never uses MVCC pays 16 bytes per header, not 24 —
+// which matters because headers are never reclaimed.
 // Keeping the data reference inside the header — readable only under the
 // read lock, replaced only under the write lock — is what makes value
 // resizing (§2.2: compute "extends the value's memory allocation if its
@@ -49,12 +54,25 @@ const (
 	maxSegments = 1 << 14          // ~1B headers per table
 )
 
-type segment [3 * segmentSize]atomic.Uint64
+// InitialVersion is what LoadVersion returns for a header whose version
+// was never stored, and the value a version clock must start at for the
+// version words to stay unmaterialised.
+const InitialVersion = 1
+
+// segment holds the lock and data words of segmentSize headers;
+// verSegment their version words.
+type (
+	segment    [2 * segmentSize]atomic.Uint64
+	verSegment [segmentSize]atomic.Uint64
+)
 
 // Table is an append-only table of value headers. Index 0 is reserved so
 // that "no header" can be expressed as 0 (the paper's ⊥ value reference).
 type Table struct {
 	segments [maxSegments]atomic.Pointer[segment]
+	// versions[i] is nil while every header of segment i is at
+	// InitialVersion.
+	versions [maxSegments]atomic.Pointer[verSegment]
 	next     atomic.Uint64
 }
 
@@ -83,15 +101,11 @@ func (t *Table) Alloc() uint64 {
 func (t *Table) Count() uint64 { return t.next.Load() - 1 }
 
 func (t *Table) word(idx uint64) *atomic.Uint64 {
-	return &t.segments[idx>>segmentBits].Load()[(idx&(segmentSize-1))*3]
+	return &t.segments[idx>>segmentBits].Load()[(idx&(segmentSize-1))*2]
 }
 
 func (t *Table) dataWord(idx uint64) *atomic.Uint64 {
-	return &t.segments[idx>>segmentBits].Load()[(idx&(segmentSize-1))*3+1]
-}
-
-func (t *Table) verWord(idx uint64) *atomic.Uint64 {
-	return &t.segments[idx>>segmentBits].Load()[(idx&(segmentSize-1))*3+2]
+	return &t.segments[idx>>segmentBits].Load()[(idx&(segmentSize-1))*2+1]
 }
 
 // LoadData returns the header's current data reference word. Callers that
@@ -108,12 +122,36 @@ func (t *Table) StoreData(idx uint64, ref uint64) { t.dataWord(idx).Store(ref) }
 // version plus batch-state flag bits into it. Writers store it under
 // the write lock; readers load it under the read lock (or tolerate the
 // race on unlocked probes — the word is a single atomic).
-func (t *Table) LoadVersion(idx uint64) uint64 { return t.verWord(idx).Load() }
+func (t *Table) LoadVersion(idx uint64) uint64 {
+	vs := t.versions[idx>>segmentBits].Load()
+	if vs == nil {
+		return InitialVersion
+	}
+	return vs[idx&(segmentSize-1)].Load()
+}
 
 // StoreVersion replaces the header's version word. Callers must hold
 // the write lock, except when initializing a freshly allocated header
 // that is not yet published.
-func (t *Table) StoreVersion(idx uint64, v uint64) { t.verWord(idx).Store(v) }
+func (t *Table) StoreVersion(idx uint64, v uint64) {
+	slot := &t.versions[idx>>segmentBits]
+	vs := slot.Load()
+	if vs == nil {
+		if v == InitialVersion {
+			return
+		}
+		// Materialise the segment's version words at the value they all
+		// read as so far; a racing materialiser's copy is equivalent.
+		vs = new(verSegment)
+		for i := range vs {
+			vs[i].Store(InitialVersion)
+		}
+		if !slot.CompareAndSwap(nil, vs) {
+			vs = slot.Load()
+		}
+	}
+	vs[idx&(segmentSize-1)].Store(v)
+}
 
 // IsDeleted reports whether the header's deleted bit is set.
 func (t *Table) IsDeleted(idx uint64) bool {

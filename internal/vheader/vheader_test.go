@@ -226,3 +226,74 @@ func TestLockStateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Version words exist only from the first store of a value other than
+// InitialVersion into their segment; until then, and afterwards for every
+// header nobody stored to, LoadVersion reads InitialVersion.
+func TestVersionWordsMaterialiseOnDemand(t *testing.T) {
+	tb := NewTable()
+	var hs []uint64
+	for i := 0; i < segmentSize+10; i++ { // two segments
+		hs = append(hs, tb.Alloc())
+	}
+	for _, h := range hs {
+		tb.StoreVersion(h, InitialVersion)
+	}
+	if tb.versions[0].Load() != nil || tb.versions[1].Load() != nil {
+		t.Fatal("storing InitialVersion materialised version words")
+	}
+	tb.StoreVersion(hs[7], 42)
+	if tb.versions[0].Load() == nil || tb.versions[1].Load() != nil {
+		t.Fatal("storing 42 into segment 0 must materialise exactly that segment")
+	}
+	for i, h := range hs {
+		want := uint64(InitialVersion)
+		if i == 7 {
+			want = 42
+		}
+		if got := tb.LoadVersion(h); got != want {
+			t.Fatalf("LoadVersion(header %d) = %d; want %d", i, got, want)
+		}
+	}
+	tb.StoreVersion(hs[7], InitialVersion)
+	if got := tb.LoadVersion(hs[7]); got != InitialVersion {
+		t.Fatalf("storing InitialVersion back reads %d", got)
+	}
+}
+
+// Racing first stores into one segment must not lose a version, and a
+// reader must only ever see InitialVersion or what its header's owner
+// stored.
+func TestVersionWordsMaterialiseUnderRace(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		tb := NewTable()
+		const owners = 8
+		hs := make([]uint64, owners)
+		for i := range hs {
+			hs[i] = tb.Alloc()
+		}
+		var wg sync.WaitGroup
+		for i, h := range hs {
+			wg.Add(2)
+			go func(i int, h uint64) {
+				defer wg.Done()
+				tb.StoreVersion(h, uint64(100+i))
+			}(i, h)
+			go func(i int, h uint64) {
+				defer wg.Done()
+				for n := 0; n < 100; n++ {
+					if v := tb.LoadVersion(h); v != InitialVersion && v != uint64(100+i) {
+						t.Errorf("header %d read version %d", i, v)
+						return
+					}
+				}
+			}(i, h)
+		}
+		wg.Wait()
+		for i, h := range hs {
+			if v := tb.LoadVersion(h); v != uint64(100+i) {
+				t.Fatalf("round %d: header %d ended at version %d", round, i, v)
+			}
+		}
+	}
+}

@@ -61,7 +61,10 @@ type Options struct {
 	BlockSize int
 	// PoolMaxBytes bounds the private pool (requires BlockSize).
 	PoolMaxBytes int64
-	// Comparator overrides the default bytes.Compare key order.
+	// Comparator overrides the default bytes.Compare key order. Setting it
+	// — even to a function with the same order — forgoes the chunks'
+	// on-heap key-prefix search: a lookup then dereferences an off-heap
+	// key per binary-search probe (DESIGN.md §4).
 	Comparator Comparator
 	// Shards, when > 1, hash-partitions the map across that many
 	// independent Oak instances. Keys route by a stable hash; ordered
@@ -435,6 +438,9 @@ type Stats struct {
 	Chunks       int
 	KeyLeakBytes int64
 	HeaderCount  uint64
+	// MetaBytes is the chunks' on-heap cost: entries arrays, the sorted
+	// prefixes' key-prefix search arrays, and the lcp and minKey copies.
+	MetaBytes int64
 	// Shards is the number of independent Oak instances rolled into this
 	// snapshot (1 for an unsharded map).
 	Shards int
@@ -467,12 +473,14 @@ func statsOf(c *core.Map) Stats {
 	as := c.ArenaStats()
 	rs := c.ReclaimStats()
 	ms := c.MVCCStats()
+	occ := c.Occupancy()
 	return Stats{
 		Len:           c.Len(),
 		Footprint:     c.Footprint(),
 		LiveBytes:     c.LiveBytes(),
 		Rebalances:    c.Rebalances(),
-		Chunks:        c.NumChunks(),
+		Chunks:        occ.Chunks,
+		MetaBytes:     occ.MetaBytes,
 		KeyLeakBytes:  c.KeyLeakBytes(),
 		HeaderCount:   c.HeaderCount(),
 		Shards:        1,
@@ -509,6 +517,7 @@ func (m *Map[K, V]) Stats() Stats {
 		agg.LiveBytes += s.LiveBytes
 		agg.Rebalances += s.Rebalances
 		agg.Chunks += s.Chunks
+		agg.MetaBytes += s.MetaBytes
 		agg.KeyLeakBytes += s.KeyLeakBytes
 		agg.HeaderCount += s.HeaderCount
 		agg.Shards++

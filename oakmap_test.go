@@ -343,6 +343,17 @@ func TestStatsAndFootprint(t *testing.T) {
 	if st.Footprint <= 0 || st.LiveBytes <= 0 || st.Footprint < st.LiveBytes {
 		t.Fatalf("footprint accounting broken: %+v", st)
 	}
+	// The chunks' heap cost is 24 B per entry slot and 8 B per sorted
+	// entry, plus at most 16 B of lcp and minKey copies for 8-byte keys.
+	// The lower bound is also the check that a map built through the
+	// facade with no Comparator gets the prefix arrays at all: the chunk
+	// recognises bytes.Compare by function identity, so wrapping the
+	// comparator anywhere on the way down would lose them silently.
+	sorted := m.s.Shards()[0].Occupancy().Sorted
+	arrays := int64(st.Chunks*64*24 + sorted*8)
+	if sorted == 0 || st.MetaBytes < arrays || st.MetaBytes > arrays+int64(st.Chunks*16) {
+		t.Fatalf("MetaBytes = %d with %d sorted entries; want %d plus at most %d", st.MetaBytes, sorted, arrays, st.Chunks*16)
+	}
 }
 
 func TestEmptyKeysAndValues(t *testing.T) {
