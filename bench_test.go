@@ -283,24 +283,6 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRebalanceThreshold sweeps the unsorted/sorted trigger.
-func BenchmarkAblationRebalanceThreshold(b *testing.B) {
-	for _, ratio := range []float64{0.25, 0.5, 1.0, 2.0} {
-		b.Run(fmt.Sprintf("ratio=%.2f", ratio), func(b *testing.B) {
-			t := bench.NewOak(&oakmap.Options{RebalanceRatio: ratio, BlockSize: 8 << 20}, false)
-			defer t.Close()
-			cfg := benchConfig(1)
-			bench.Warm(t, cfg)
-			cfg.OpsPerThread = int64(b.N)
-			b.ResetTimer()
-			r := bench.Run(t, cfg, bench.MixPut)
-			b.StopTimer()
-			b.ReportMetric(r.KopsPerSec, "Kops/s")
-			b.ReportMetric(float64(t.Map().Stats().Rebalances), "rebalances")
-		})
-	}
-}
-
 // BenchmarkAblationDescend compares Oak's stack-based descending scan
 // with the naive per-key-lookup implementation skiplists use — isolating
 // the contribution of §4.2's design.
@@ -344,37 +326,6 @@ func BenchmarkAblationDescend(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationAllocator compares the three allocator modes under a
-// churn (put+remove) workload: the default segregated size-class free
-// lists, the paper-faithful flat first-fit list (§3.2), and bump-only
-// allocation (no reuse).
-func BenchmarkAblationAllocator(b *testing.B) {
-	modes := []struct {
-		name string
-		opts oakmap.Options
-	}{
-		{"size-class", oakmap.Options{}},
-		{"first-fit", oakmap.Options{FlatFreeList: true}},
-		{"bump-only", oakmap.Options{DisableFirstFit: true}},
-	}
-	for _, m := range modes {
-		opts := m.opts
-		opts.BlockSize = 8 << 20
-		b.Run(m.name, func(b *testing.B) {
-			t := bench.NewOak(&opts, false)
-			defer t.Close()
-			cfg := benchConfig(1)
-			bench.Warm(t, cfg)
-			cfg.OpsPerThread = int64(b.N)
-			b.ResetTimer()
-			r := bench.Run(t, cfg, bench.Mix{Name: "churn", PutPct: 45, RemovePct: 45})
-			b.StopTimer()
-			b.ReportMetric(r.KopsPerSec, "Kops/s")
-			b.ReportMetric(float64(t.OffHeapBytes())/(1<<20), "offheapMB")
-		})
-	}
-}
-
 // BenchmarkZCvsLegacyPut quantifies the copying saved by the zero-copy
 // write path (Table 1's design rationale). Both sub-benchmarks overwrite
 // keys of a pre-populated map, so they measure the same update path; the
@@ -411,30 +362,6 @@ func BenchmarkZCvsLegacyPut(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationHeaderReclaim compares the default (append-only)
-// header table with the generation-based reclaiming table under a
-// delete-heavy churn workload, reporting header-slot growth.
-func BenchmarkAblationHeaderReclaim(b *testing.B) {
-	for _, reclaim := range []bool{false, true} {
-		name := "default-no-reuse"
-		if reclaim {
-			name = "epoch-reclaiming"
-		}
-		b.Run(name, func(b *testing.B) {
-			t := bench.NewOak(&oakmap.Options{BlockSize: 8 << 20, ReclaimHeaders: reclaim}, false)
-			defer t.Close()
-			cfg := benchConfig(1)
-			bench.Warm(t, cfg)
-			cfg.OpsPerThread = int64(b.N)
-			b.ResetTimer()
-			r := bench.Run(t, cfg, bench.Mix{Name: "churn", PutPct: 45, RemovePct: 45})
-			b.StopTimer()
-			b.ReportMetric(r.KopsPerSec, "Kops/s")
-			b.ReportMetric(float64(t.Map().Stats().HeaderCount), "headers")
-		})
-	}
-}
-
 // BenchmarkAblationKeyReclaim measures what the epoch-based key/value
 // reclamation layer costs and saves: a delete-heavy churn mix (put +
 // remove over a bounded key range) at 1–32 goroutines, with the default
@@ -452,7 +379,6 @@ func BenchmarkAblationKeyReclaim(b *testing.B) {
 				t := bench.NewOak(&oakmap.Options{
 					BlockSize:         8 << 20,
 					DisableKeyReclaim: disable,
-					ReclaimHeaders:    true,
 				}, false)
 				defer t.Close()
 				cfg := benchConfig(g)

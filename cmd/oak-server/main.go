@@ -44,7 +44,6 @@ func main() {
 		shards       = flag.Int("shards", 0, "hash-shard the map across N core maps (0 or 1 = plain)")
 		chunkCap     = flag.Int("chunk", 0, "chunk capacity (0 = default 4096)")
 		blockSize    = flag.Int("blocksize", 16<<20, "private block-pool block size in bytes (0 = shared 100MB pool)")
-		reclaimH     = flag.Bool("reclaim-headers", false, "enable the epoch header-reclamation extension")
 		maxConns     = flag.Int("maxconns", 1024, "max concurrently served connections")
 		maxPipeline  = flag.Int("pipeline", 128, "max replies buffered before a forced flush")
 		readTimeout  = flag.Duration("read-timeout", 0, "idle connection limit (0 = none)")
@@ -60,11 +59,10 @@ func main() {
 	}
 	m := oakmap.New[[]byte, []byte](oakmap.BytesSerializer{}, oakmap.BytesSerializer{},
 		&oakmap.Options{
-			ChunkCapacity:  *chunkCap,
-			BlockSize:      *blockSize,
-			Shards:         *shards,
-			ReclaimHeaders: *reclaimH,
-			Telemetry:      tel,
+			ChunkCapacity: *chunkCap,
+			BlockSize:     *blockSize,
+			Shards:        *shards,
+			Telemetry:     tel,
 		})
 	defer m.Close()
 

@@ -7,7 +7,7 @@
 // the concurrency core.
 //
 //	oak-stress -duration 30s -workers 8 -keys 100000
-//	oak-stress -reclaim-headers -chunk 128   # stress the epoch extension
+//	oak-stress -chunk 128                    # small chunks: rebalance-heavy
 //	oak-stress -faults -seed 7               # with fault injection armed
 //	oak-stress -metrics :9090 -progress 5s   # live Prometheus /metrics + stderr summaries
 //	oak-stress -shards 8 -zipf 1.2           # hash-sharded map under a skewed key mix
@@ -105,7 +105,6 @@ func main() {
 		keys      = flag.Int("keys", 50000, "key range")
 		valSize   = flag.Int("valsize", 128, "value size in bytes")
 		chunkCap  = flag.Int("chunk", 512, "chunk capacity (small values stress rebalance)")
-		reclaimH  = flag.Bool("reclaim-headers", false, "enable the epoch header-reclamation extension")
 		noRecK    = flag.Bool("no-reclaim-keys", false, "disable the default epoch-based key reclamation (leaky baseline)")
 		faults    = flag.Bool("faults", false, "arm the fault-injection points")
 		faultProb = flag.Float64("fault-prob", 0.005, "per-hit firing probability for branch faults")
@@ -142,7 +141,6 @@ func main() {
 		&oakmap.Options{
 			ChunkCapacity:     *chunkCap,
 			BlockSize:         16 << 20,
-			ReclaimHeaders:    *reclaimH,
 			DisableKeyReclaim: *noRecK,
 			Telemetry:         tel,
 			Shards:            *shards,

@@ -8,7 +8,7 @@
 // maps a Ref to bytes, under the epoch/header protocols that make the
 // mapping sound. The moment any other package holds a raw pointer into
 // a block, every safety argument (epoch-deferred reuse, rebalance
-// privatization, header recycling) silently stops covering it: the GC
+// privatization, value-header locking) silently stops covering it: the GC
 // won't keep the block alive through a uintptr, and a reclaimed span
 // can be re-allocated under the pointer.
 //

@@ -26,10 +26,9 @@ var (
 	// callers' allocation-error unwind paths (key release, value
 	// discard) that real workloads reach only at memory exhaustion.
 	FpAllocFail = faultpoint.New("arena/alloc-fail")
-	// FpFreeListScan is hit at the start of every linear free-list scan
-	// (the flat first-fit list in ModeFirstFit, the large-span list in
-	// ModeSizeClass), under that list's lock: a pausing hook widens the
-	// lock hold to force free-list contention.
+	// FpFreeListScan is hit at the start of every first-fit scan of the
+	// large-span list, under its lock: a pausing hook widens the lock hold
+	// to force free-list contention.
 	FpFreeListScan = faultpoint.New("arena/freelist-scan")
 	// FpCoalesce is hit each time two adjacent free spans merge (large-
 	// list insert and Compact), under the owning lock: pausing here
@@ -44,38 +43,6 @@ var (
 	FpClassMigrate = faultpoint.New("arena/class-migrate")
 )
 
-// Mode selects the allocator's free-space management strategy.
-type Mode int32
-
-const (
-	// ModeSizeClass (the default) parks freed spans on segregated
-	// power-of-two size-class LIFOs with per-class locks, plus one
-	// address-ordered coalescing list for spans ≥ largeMin. Alloc and
-	// Free are O(1) off the hot path and traffic in different classes
-	// never shares a lock.
-	ModeSizeClass Mode = iota
-	// ModeFirstFit is the paper-faithful flat first-fit free list under
-	// a single lock (§3.2), kept for ablation comparisons.
-	ModeFirstFit
-	// ModeBump disables reuse entirely: freed spans are dropped and only
-	// accounting is updated.
-	ModeBump
-)
-
-// String renders the mode for benchmarks and logs.
-func (m Mode) String() string {
-	switch m {
-	case ModeSizeClass:
-		return "size-class"
-	case ModeFirstFit:
-		return "first-fit"
-	case ModeBump:
-		return "bump-only"
-	default:
-		return "unknown"
-	}
-}
-
 // span is a free range inside a block, kept on one of the allocator's
 // free structures.
 type span struct {
@@ -87,9 +54,11 @@ type span struct {
 // Allocator carves variable-size ranges out of pool blocks on behalf of
 // a single map instance. It is the paper's per-instance memory manager,
 // rebuilt around segregated size-class free lists: fresh space comes
-// from a bump pointer in the current block, freed space is parked per
-// size class (or on the flat first-fit list of §3.2 in the ablation
-// mode) and reused on the next fitting allocation.
+// from a bump pointer in the current block, freed space is parked on
+// power-of-two size-class LIFOs with per-class locks (plus one
+// address-ordered coalescing list for spans ≥ largeMin) and reused on the
+// next fitting allocation, so traffic in different classes never shares a
+// lock.
 //
 // All methods are safe for concurrent use. Reads through Bytes take no
 // locks: the block table is a fixed-size array of atomic pointers, so a
@@ -105,30 +74,25 @@ type Allocator struct {
 	blocks    [MaxBlocks]atomic.Pointer[block]
 	numBlocks atomic.Int32
 
-	modeWord atomic.Int32
-	closed   atomic.Bool
+	closed atomic.Bool
 
 	// Bump state: the current block and its bump offset.
 	bumpMu sync.Mutex
 	cur    int //oak:guarded-by bumpMu — index of the block being bump-allocated
 	top    int //oak:guarded-by bumpMu — bump offset in the current block
 
-	// Size-class free lists (ModeSizeClass). classBits is the occupancy
-	// bitmap: bit c set iff classes[c] is non-empty.
+	// Size-class free lists. classBits is the occupancy bitmap: bit c set
+	// iff classes[c] is non-empty.
 	classes   [numClasses]classList
 	classBits atomic.Uint32
 
-	// Large-span list (ModeSizeClass): sorted by address, coalescing.
+	// Large-span list: sorted by address, coalescing.
 	largeMu    sync.Mutex
 	large      []span //oak:guarded-by largeMu
 	largeBytes int64  //oak:guarded-by largeMu
 
-	// Flat first-fit list (ModeFirstFit), unordered.
-	flatMu sync.Mutex
-	flat   []span //oak:guarded-by flatMu
-
-	// migrateMu serializes whole-structure reshuffles (SetMode, Compact,
-	// Close) against each other; Alloc/Free never take it.
+	// migrateMu serializes whole-structure reshuffles (Compact, Close)
+	// against each other; Alloc/Free never take it.
 	migrateMu sync.Mutex
 
 	// dbg is the arenadebug double-free detector; a no-op without the
@@ -153,13 +117,10 @@ type Allocator struct {
 	tel atomic.Pointer[telemetry.Recorder]
 }
 
-// NewAllocator creates an allocator drawing from pool, in ModeSizeClass.
+// NewAllocator creates an allocator drawing from pool.
 func NewAllocator(pool *Pool) *Allocator {
 	return &Allocator{pool: pool, cur: -1}
 }
-
-// loadMode returns the current strategy.
-func (a *Allocator) loadMode() Mode { return Mode(a.modeWord.Load()) }
 
 // SetTelemetry attaches a recorder: block growth and free-list class
 // migrations become flight-recorder events, Compact and the rescue path
@@ -167,42 +128,6 @@ func (a *Allocator) loadMode() Mode { return Mode(a.modeWord.Load()) }
 // detaches.
 func (a *Allocator) SetTelemetry(r *telemetry.Recorder) {
 	a.tel.Store(r)
-}
-
-// SetMode switches the free-space strategy, migrating any parked spans
-// into the new structure (dropping them for ModeBump). Intended for
-// setup and ablation runs, not hot-path flipping.
-func (a *Allocator) SetMode(m Mode) {
-	a.migrateMu.Lock()
-	defer a.migrateMu.Unlock()
-	if Mode(a.modeWord.Swap(int32(m))) == m {
-		return
-	}
-	spans := a.drainAll()
-	switch m {
-	case ModeSizeClass:
-		for _, s := range spans {
-			a.reinsert(s)
-		}
-	case ModeFirstFit:
-		for _, s := range spans {
-			a.flatPush(s)
-		}
-	case ModeBump:
-		// Reuse disabled: parked spans are dropped (they are already
-		// counted as freed).
-	}
-}
-
-// SetFirstFit is the legacy ablation switch: on selects the paper's flat
-// first-fit list, off disables reuse (pure bump allocation). New code
-// should use SetMode.
-func (a *Allocator) SetFirstFit(on bool) {
-	if on {
-		a.SetMode(ModeFirstFit)
-	} else {
-		a.SetMode(ModeBump)
-	}
 }
 
 // align8 rounds n up to a multiple of 8. Allocations are 8-byte aligned
@@ -246,29 +171,21 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 	if a.closed.Load() {
 		return NilRef, ErrClosed
 	}
-	switch a.loadMode() {
-	case ModeSizeClass:
-		if rounded <= maxClassSize {
-			if ref, ok := a.classAlloc(n, rounded); ok {
-				a.allocated.Add(int64(rounded))
-				return ref, nil
-			}
-		}
-		if ref, ok := a.largeAlloc(n, rounded); ok {
-			a.allocated.Add(int64(rounded))
-			return ref, nil
-		}
-	case ModeFirstFit:
-		if ref, ok := a.flatAlloc(n, rounded); ok {
+	if rounded <= maxClassSize {
+		if ref, ok := a.classAlloc(n, rounded); ok {
 			a.allocated.Add(int64(rounded))
 			return ref, nil
 		}
 	}
-	// Bump path. Before a growth would acquire a fresh block, the
-	// size-class mode gets one rescue pass (floor-class scan, then
-	// coalesce-and-retry): exact-fit spans hiding below their ceil class
-	// and coalescible fragments must be reused before the footprint
-	// grows — and before exhaustion is declared.
+	if ref, ok := a.largeAlloc(n, rounded); ok {
+		a.allocated.Add(int64(rounded))
+		return ref, nil
+	}
+	// Bump path. Before a growth would acquire a fresh block, one rescue
+	// pass (floor-class scan, then coalesce-and-retry) runs: exact-fit
+	// spans hiding below their ceil class and coalescible fragments must
+	// be reused before the footprint grows — and before exhaustion is
+	// declared.
 	rescued := false
 	for {
 		a.bumpMu.Lock()
@@ -277,7 +194,7 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 			return NilRef, ErrClosed
 		}
 		if a.cur < 0 || a.top+rounded > a.pool.blockSize {
-			if !rescued && a.loadMode() == ModeSizeClass {
+			if !rescued {
 				rescued = true
 				a.bumpMu.Unlock()
 				tick := a.tel.Load().Span(telemetry.OpArenaRescue)
@@ -313,15 +230,8 @@ func (a *Allocator) growLocked() error {
 	// structures so it is not stranded.
 	if a.cur >= 0 {
 		if rest := a.pool.blockSize - a.top; rest >= 8 {
-			leftover := span{block: a.cur, offset: a.top, length: rest}
-			switch a.loadMode() {
-			case ModeSizeClass:
-				a.dbg.noteFree(leftover.block, leftover.offset, leftover.length)
-				a.reinsert(leftover)
-			case ModeFirstFit:
-				a.dbg.noteFree(leftover.block, leftover.offset, leftover.length)
-				a.flatPush(leftover)
-			}
+			a.dbg.noteFree(a.cur, a.top, rest)
+			a.reinsert(span{block: a.cur, offset: a.top, length: rest})
 		}
 	}
 	b, err := a.pool.acquire()
@@ -392,15 +302,7 @@ func (a *Allocator) Free(ref Ref) {
 		return
 	}
 	a.dbg.noteFree(ref.Block(), ref.Offset(), rounded)
-	s := span{block: ref.Block(), offset: ref.Offset(), length: rounded}
-	switch a.loadMode() {
-	case ModeSizeClass:
-		a.reinsert(s)
-	case ModeFirstFit:
-		a.flatPush(s)
-	case ModeBump:
-		// Reuse disabled: accounting only.
-	}
+	a.reinsert(span{block: ref.Block(), offset: ref.Offset(), length: rounded})
 }
 
 // Bytes returns the byte range behind ref. The slice aliases the block's
@@ -438,8 +340,7 @@ type Stats struct {
 	FreeSpans    int   // spans across every free structure
 	FreeCapacity int64 // bytes reusable: free structures + bump tail
 
-	Mode       Mode
-	Classes    [numClasses]ClassStats // per-class occupancy (ModeSizeClass)
+	Classes    [numClasses]ClassStats // per-class occupancy
 	LargeSpans int                    // spans on the large coalescing list
 	LargeBytes int64
 	// Fragmentation is the fraction of the footprint parked on free
@@ -458,7 +359,6 @@ func (a *Allocator) Stats() Stats {
 		Footprint:  int64(a.numBlocks.Load()) * int64(a.pool.blockSize),
 		Blocks:     int(a.numBlocks.Load()),
 		AllocCalls: a.requests.Load(),
-		Mode:       a.loadMode(),
 	}
 	var listBytes int64
 	for c := range a.classes {
@@ -475,12 +375,6 @@ func (a *Allocator) Stats() Stats {
 	st.FreeSpans += len(a.large)
 	listBytes += a.largeBytes
 	a.largeMu.Unlock()
-	a.flatMu.Lock()
-	st.FreeSpans += len(a.flat)
-	for _, s := range a.flat {
-		listBytes += int64(s.length)
-	}
-	a.flatMu.Unlock()
 	st.FreeCapacity = listBytes
 	a.bumpMu.Lock()
 	if a.cur >= 0 {
@@ -509,8 +403,7 @@ func (a *Allocator) LiveBytes() int64 { return a.allocated.Load() }
 func (a *Allocator) Compact() int {
 	a.migrateMu.Lock()
 	defer a.migrateMu.Unlock()
-	mode := a.loadMode()
-	if mode == ModeBump || a.closed.Load() {
+	if a.closed.Load() {
 		return 0
 	}
 	tick := a.tel.Load().Span(telemetry.OpArenaCompact)
@@ -531,11 +424,7 @@ func (a *Allocator) Compact() int {
 		}
 	}
 	for _, s := range out {
-		if mode == ModeSizeClass {
-			a.reinsert(s)
-		} else {
-			a.flatPush(s)
-		}
+		a.reinsert(s)
 	}
 	return len(out)
 }

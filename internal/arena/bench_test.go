@@ -25,93 +25,83 @@ var churnSizes = [...]int{24, 64, 100, 128, 200, 512, 1000, 2048, 4096, 9000}
 // set, random frees, mixed sizes — the steady state of a map under
 // put/remove load.
 func BenchmarkAllocFreeChurn(b *testing.B) {
-	for _, mode := range []Mode{ModeSizeClass, ModeFirstFit} {
-		b.Run(mode.String(), func(b *testing.B) {
-			a := NewAllocator(NewPool(1<<20, 0))
-			defer a.Close()
-			a.SetMode(mode)
-			live := make([]Ref, 0, 1024)
-			rng := rand.New(rand.NewPCG(1, 2))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(live) == cap(live) {
-					idx := int(rng.Uint64() % uint64(len(live)))
-					a.Free(live[idx])
-					live[idx] = live[len(live)-1]
-					live = live[:len(live)-1]
-				}
-				n := churnSizes[rng.Uint64()%uint64(len(churnSizes))]
-				r, err := a.Alloc(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				live = append(live, r)
-			}
-		})
+	a := NewAllocator(NewPool(1<<20, 0))
+	defer a.Close()
+	live := make([]Ref, 0, 1024)
+	rng := rand.New(rand.NewPCG(1, 2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(live) == cap(live) {
+			idx := int(rng.Uint64() % uint64(len(live)))
+			a.Free(live[idx])
+			live[idx] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		n := churnSizes[rng.Uint64()%uint64(len(churnSizes))]
+		r, err := a.Alloc(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		live = append(live, r)
 	}
 }
 
 // BenchmarkChurnParallel is the contention benchmark behind the
-// size-class redesign: G goroutines churn mixed-size alloc/free against
-// one allocator. The flat first-fit baseline serializes every operation
-// on one mutex and pays an O(free spans) scan per alloc; the size-class
-// allocator pops per-class LIFOs under per-class locks.
+// size-class design: G goroutines churn mixed-size alloc/free against
+// one allocator, which pops per-class LIFOs under per-class locks.
 func BenchmarkChurnParallel(b *testing.B) {
-	for _, mode := range []Mode{ModeSizeClass, ModeFirstFit} {
-		for _, workers := range []int{1, 2, 4, 8, 16, 32} {
-			b.Run(fmt.Sprintf("%s/g=%d", mode, workers), func(b *testing.B) {
-				a := NewAllocator(NewPool(1<<20, 0))
-				defer a.Close()
-				a.SetMode(mode)
-				// Warm the free structures into churn steady state.
-				warm := make([]Ref, 0, 2048)
-				rng := rand.New(rand.NewPCG(7, 9))
-				for i := 0; i < cap(warm); i++ {
-					r, err := a.Alloc(churnSizes[rng.Uint64()%uint64(len(churnSizes))])
-					if err != nil {
-						b.Fatal(err)
+	for _, workers := range []int{1, 2, 4, 8, 16, 32} {
+		b.Run(fmt.Sprintf("g=%d", workers), func(b *testing.B) {
+			a := NewAllocator(NewPool(1<<20, 0))
+			defer a.Close()
+			// Warm the free structures into churn steady state.
+			warm := make([]Ref, 0, 2048)
+			rng := rand.New(rand.NewPCG(7, 9))
+			for i := 0; i < cap(warm); i++ {
+				r, err := a.Alloc(churnSizes[rng.Uint64()%uint64(len(churnSizes))])
+				if err != nil {
+					b.Fatal(err)
+				}
+				warm = append(warm, r)
+			}
+			for _, r := range warm {
+				a.Free(r)
+			}
+			perG := b.N/workers + 1
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewPCG(uint64(g), 0xbe9c))
+					live := make([]Ref, 0, 256)
+					for i := 0; i < perG; i++ {
+						if len(live) == cap(live) {
+							idx := int(rng.Uint64() % uint64(len(live)))
+							a.Free(live[idx])
+							live[idx] = live[len(live)-1]
+							live = live[:len(live)-1]
+						}
+						n := churnSizes[rng.Uint64()%uint64(len(churnSizes))]
+						r, err := a.Alloc(n)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						live = append(live, r)
 					}
-					warm = append(warm, r)
-				}
-				for _, r := range warm {
-					a.Free(r)
-				}
-				perG := b.N/workers + 1
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < workers; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewPCG(uint64(g), 0xbe9c))
-						live := make([]Ref, 0, 256)
-						for i := 0; i < perG; i++ {
-							if len(live) == cap(live) {
-								idx := int(rng.Uint64() % uint64(len(live)))
-								a.Free(live[idx])
-								live[idx] = live[len(live)-1]
-								live = live[:len(live)-1]
-							}
-							n := churnSizes[rng.Uint64()%uint64(len(churnSizes))]
-							r, err := a.Alloc(n)
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							live = append(live, r)
-						}
-						for _, r := range live {
-							a.Free(r)
-						}
-					}(g)
-				}
-				wg.Wait()
-				b.StopTimer()
-				st := a.Stats()
-				b.ReportMetric(float64(st.Footprint)/(1<<20), "footprintMB")
-			})
-		}
+					for _, r := range live {
+						a.Free(r)
+					}
+				}(g)
+			}
+			wg.Wait()
+			b.StopTimer()
+			st := a.Stats()
+			b.ReportMetric(float64(st.Footprint)/(1<<20), "footprintMB")
+		})
 	}
 }
 
@@ -120,34 +110,29 @@ func BenchmarkChurnParallel(b *testing.B) {
 // and fragmentation so regressions in reuse show up as metric drift,
 // not just ns/op.
 func BenchmarkFootprintChurn(b *testing.B) {
-	for _, mode := range []Mode{ModeSizeClass, ModeFirstFit, ModeBump} {
-		b.Run(mode.String(), func(b *testing.B) {
-			a := NewAllocator(NewPool(1<<20, 0))
-			defer a.Close()
-			a.SetMode(mode)
-			rng := rand.New(rand.NewPCG(3, 5))
-			live := make([]Ref, 0, 512)
-			for i := 0; i < b.N; i++ {
-				if len(live) == cap(live) {
-					idx := int(rng.Uint64() % uint64(len(live)))
-					a.Free(live[idx])
-					live[idx] = live[len(live)-1]
-					live = live[:len(live)-1]
-				}
-				r, err := a.Alloc(churnSizes[rng.Uint64()%uint64(len(churnSizes))])
-				if err != nil {
-					b.Fatal(err)
-				}
-				live = append(live, r)
-				if i%8192 == 8191 {
-					a.Compact()
-				}
-			}
-			st := a.Stats()
-			b.ReportMetric(float64(st.Footprint)/(1<<20), "footprintMB")
-			b.ReportMetric(st.Fragmentation, "frag")
-		})
+	a := NewAllocator(NewPool(1<<20, 0))
+	defer a.Close()
+	rng := rand.New(rand.NewPCG(3, 5))
+	live := make([]Ref, 0, 512)
+	for i := 0; i < b.N; i++ {
+		if len(live) == cap(live) {
+			idx := int(rng.Uint64() % uint64(len(live)))
+			a.Free(live[idx])
+			live[idx] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		r, err := a.Alloc(churnSizes[rng.Uint64()%uint64(len(churnSizes))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		live = append(live, r)
+		if i%8192 == 8191 {
+			a.Compact()
+		}
 	}
+	st := a.Stats()
+	b.ReportMetric(float64(st.Footprint)/(1<<20), "footprintMB")
+	b.ReportMetric(st.Fragmentation, "frag")
 }
 
 func BenchmarkBytesAccess(b *testing.B) {

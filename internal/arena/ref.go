@@ -1,8 +1,7 @@
 // Package arena implements Oak's off-heap memory substrate: a pool of
 // large pointer-free byte slabs ("blocks"), a per-map allocator with
-// segregated size-class free lists (with the paper's flat first-fit
-// list available as an ablation mode), and packed 64-bit references
-// into the slabs.
+// segregated size-class free lists, and packed 64-bit references into
+// the slabs.
 //
 // In the paper, keys and values are allocated in off-heap arenas obtained
 // via direct ByteBuffers so that the JVM garbage collector never scans

@@ -8,12 +8,11 @@ import (
 	"oakmap/internal/telemetry"
 )
 
-// Size-class layout (ModeSizeClass, the default). Classes are powers of
-// two from 8B (the alignment quantum) to 4KiB; a free span of length L <
-// largeMin is parked on the class of its floor power of two, so every
-// span in class c is at least classSize(c) bytes and a pop from any
-// class ≥ ceilClass(r) is guaranteed to fit a request of r bytes without
-// scanning. Spans of largeMin bytes or more live on a single
+// Size-class layout. Classes are powers of two from 8B (the alignment
+// quantum) to 4KiB; a free span of length L < largeMin is parked on the
+// class of its floor power of two, so every span in class c is at least
+// classSize(c) bytes and a pop from any class ≥ ceilClass(r) is
+// guaranteed to fit a request of r bytes without scanning. Spans of largeMin bytes or more live on a single
 // address-ordered list that coalesces adjacent spans on insert — the
 // only place coalescing is needed eagerly, because large spans are what
 // rebalances and big-value churn produce and re-request.
@@ -100,7 +99,7 @@ func (a *Allocator) classPush(s span) {
 }
 
 // reinsert routes a span (a free, a split remainder, or a migrated large
-// tail) to its home structure in size-class mode.
+// tail) to its home structure.
 func (a *Allocator) reinsert(s span) {
 	if s.length >= largeMin {
 		a.largeInsert(s)
@@ -244,42 +243,6 @@ func (a *Allocator) largeAlloc(n, rounded int) (Ref, bool) {
 	return NilRef, false
 }
 
-// flatAlloc is the paper-faithful first-fit scan (ModeFirstFit): one
-// lock, O(free spans) — kept verbatim for the ablation comparison.
-func (a *Allocator) flatAlloc(n, rounded int) (Ref, bool) {
-	a.flatMu.Lock()
-	if len(a.flat) > 0 {
-		FpFreeListScan.Fire()
-	}
-	for i := range a.flat {
-		s := &a.flat[i]
-		if s.length >= rounded {
-			ref := MakeRef(s.block, s.offset, n)
-			a.dbg.noteAlloc(s.block, s.offset, rounded)
-			s.offset += rounded
-			s.length -= rounded
-			if s.length == 0 {
-				last := len(a.flat) - 1
-				a.flat[i] = a.flat[last]
-				a.flat = a.flat[:last]
-			}
-			a.flatMu.Unlock()
-			return ref, true
-		}
-	}
-	a.flatMu.Unlock()
-	return NilRef, false
-}
-
-// flatPush appends a span to the flat first-fit list.
-func (a *Allocator) flatPush(s span) {
-	a.flatMu.Lock()
-	if !a.closed.Load() {
-		a.flat = append(a.flat, s)
-	}
-	a.flatMu.Unlock()
-}
-
 // classScan is the rescue path's first-fit scan of the floor class: a
 // span whose length lies in [rounded, classSize(ceilClass)) is parked
 // there, invisible to classAlloc's guaranteed-fit search, yet it may fit
@@ -315,9 +278,9 @@ func (a *Allocator) classScan(n, rounded int) (Ref, bool) {
 	return NilRef, false
 }
 
-// rescueAlloc is the can't-bump slow path (size-class mode): scan the
-// floor class for an exact fit, then coalesce everything and retry the
-// classes — adjacent small fragments may assemble into a fitting span.
+// rescueAlloc is the can't-bump slow path: scan the floor class for an
+// exact fit, then coalesce everything and retry the classes — adjacent
+// small fragments may assemble into a fitting span.
 // Caller must not hold bumpMu (Compact takes migrateMu).
 func (a *Allocator) rescueAlloc(n, rounded int) (Ref, bool) {
 	if ref, ok := a.classScan(n, rounded); ok {
@@ -337,7 +300,7 @@ func (a *Allocator) rescueAlloc(n, rounded int) (Ref, bool) {
 
 // drainAll removes and returns every parked span from every structure.
 // The debug tracker is deliberately untouched: drained spans are still
-// free, just privately held by the caller (Compact, SetMode, Close).
+// free, just privately held by the caller (Compact, Close).
 func (a *Allocator) drainAll() []span {
 	var out []span
 	for c := range a.classes {
@@ -354,9 +317,5 @@ func (a *Allocator) drainAll() []span {
 	a.large = nil
 	a.largeBytes = 0
 	a.largeMu.Unlock()
-	a.flatMu.Lock()
-	out = append(out, a.flat...)
-	a.flat = nil
-	a.flatMu.Unlock()
 	return out
 }

@@ -28,7 +28,6 @@ import (
 	"oakmap/internal/epoch"
 	"oakmap/internal/faultpoint"
 	"oakmap/internal/lincheck"
-	"oakmap/internal/vheader"
 )
 
 // armAll guards global fault-point state: chaos tests must not run in
@@ -187,7 +186,7 @@ func TestChaosAllocFailOracle(t *testing.T) {
 // only when a rebalance wins a photo-finish race.
 func TestChaosPublishFailDiscard(t *testing.T) {
 	disarmOnExit(t)
-	m := New(&Options{ChunkCapacity: 16, Pool: testPool(t), ReclaimHeaders: true})
+	m := New(&Options{ChunkCapacity: 16, Pool: testPool(t)})
 	defer m.Close()
 
 	chunk.FpPublishFail.Arm(faultpoint.OnHit(1))
@@ -200,10 +199,28 @@ func TestChaosPublishFailDiscard(t *testing.T) {
 	if got, _ := getString(t, m, ik(1)); got != "v1" {
 		t.Fatalf("Get = %q; want v1", got)
 	}
-	// The discarded value's header must have been recycled.
-	rt := m.headers.(*vheader.ReclaimingTable)
-	if rt.Released() < 1 {
-		t.Fatalf("released headers = %d; want ≥1 (discardValue path not taken)", rt.Released())
+	assertOneDiscard(t, m, ik(1), []byte("v1"))
+}
+
+// assertOneDiscard proves that a map holding the single mapping key→val
+// discarded exactly one value on the way: header 1 went to the value
+// that lost its install race and reads deleted, header 2 to the published
+// one, and once the limbo drains the arena holds exactly one key and one
+// value — so a discard that leaks its span fails as well.
+func assertOneDiscard(t *testing.T, m *Map, key, val []byte) {
+	t.Helper()
+	if n := m.HeaderCount(); n != 2 {
+		t.Fatalf("HeaderCount = %d; want 2 (one discarded, one published)", n)
+	}
+	if !m.IsDeleted(1) {
+		t.Fatal("first-allocated handle reads live: discardValue path not taken")
+	}
+	if !m.QuiesceReclaim() {
+		t.Fatal("limbo did not drain")
+	}
+	round := func(n int) int64 { return int64(n+7) &^ 7 }
+	if got, want := m.LiveBytes(), round(len(key))+round(len(val)); got != want {
+		t.Fatalf("LiveBytes = %d after quiesce; want %d (one key + one value): the discarded span leaked", got, want)
 	}
 }
 
@@ -429,15 +446,14 @@ func TestChaosPutRemoveRace(t *testing.T) {
 
 // TestChaosDeletedBitWindow parks a Remove in the window right after the
 // value's deleted bit is set (data already privatized) and, while it is
-// parked, runs the operations that race with that window under header
-// reclamation: reads must see "absent"/ErrConcurrentModification, and an
-// insert over the same entry — which Releases the old header and may
-// recycle its slot — must not be corrupted when the remover resumes.
-// This is the deterministic regression test for the valueRemove
+// parked, runs the operations that race with that window: reads must see
+// "absent"/ErrConcurrentModification, and an insert over the same entry
+// plus a burst of other inserts must not be corrupted when the remover
+// resumes. This is the deterministic regression test for killValue's
 // privatize-before-delete ordering.
 func TestChaosDeletedBitWindow(t *testing.T) {
 	disarmOnExit(t)
-	m := New(&Options{ChunkCapacity: 16, Pool: testPool(t), ReclaimHeaders: true})
+	m := newTestMap(t, 16)
 	defer m.Close()
 	k := ik(3)
 	mustPut(t, m, k, []byte("doomed"))
@@ -469,10 +485,8 @@ func TestChaosDeletedBitWindow(t *testing.T) {
 	if _, err := m.CopyValue(h0, nil); !errors.Is(err, ErrConcurrentModification) {
 		t.Fatalf("CopyValue on deleted handle: err = %v; want ErrConcurrentModification", err)
 	}
-	// Insert over the deleted entry: releases the old header. Then churn
-	// more inserts so the recycled slot is reallocated while the remover
-	// is still parked — the scenario that corrupted state before the
-	// privatize-before-delete fix.
+	// Insert over the deleted entry, then churn more inserts (and their
+	// allocations) while the remover is still parked.
 	if err := m.Put(k, []byte("phoenix")); err != nil {
 		t.Fatalf("Put over deleted value: %v", err)
 	}
@@ -586,8 +600,7 @@ func TestChaosMixedStorm(t *testing.T) {
 		workers     = 6
 		opsPerW     = 3000
 	)
-	m := New(&Options{ChunkCapacity: 64, Pool: testPool(t), ReclaimHeaders: true})
-	defer m.Close()
+	m := newTestMap(t, 64)
 
 	// Seed: residents (k%8==0) stay forever; tombstones (k%8==1) are
 	// inserted then removed and must never come back; counters hold
@@ -805,16 +818,15 @@ func validateFrontier(t *testing.T, m *Map, keySpace, residents int, descending 
 // TestChaosEpochWindows jitters the scheduler inside the epoch advance
 // (slot scan complete, global CAS pending) and inside the limbo drain
 // (bucket privatized, frees pending) while a churn-plus-scan storm runs
-// with full reclamation (keys by default, headers opted in). Scans that
-// overlap stretched grace periods must still see a consistent frontier,
-// and after quiescing the limbo must drain with zero retained key space.
+// with key and value reclamation on. Scans that overlap stretched grace
+// periods must still see a consistent frontier, and after quiescing the
+// limbo must drain with zero retained key space.
 func TestChaosEpochWindows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos storm skipped in -short mode")
 	}
 	disarmOnExit(t)
-	m := New(&Options{ChunkCapacity: 32, Pool: testPool(t), ReclaimHeaders: true})
-	defer m.Close()
+	m := newTestMap(t, 32)
 
 	const keySpace = 2048
 	residents := 0

@@ -177,16 +177,16 @@ func TestMultiKeyLinearizability(t *testing.T) {
 	}
 }
 
-// TestSingleKeyLinearizabilityWithReclaim repeats the check with the
-// epoch header-reclamation extension enabled: handle recycling must not
-// break linearizability (stale handles must read as deleted, never as
-// another incarnation).
+// TestSingleKeyLinearizabilityWithReclaim repeats the check under
+// remove/re-insert churn on one key, while the epoch domain reclaims each
+// removed value's span: every incarnation gets a fresh handle, and a
+// stale one must read as deleted, never as another incarnation.
 func TestSingleKeyLinearizabilityWithReclaim(t *testing.T) {
 	const histories = 100
 	const threads = 4
 	key := ik(7)
 	for h := 0; h < histories; h++ {
-		m := New(&Options{ChunkCapacity: 16, Pool: testPool(t), ReclaimHeaders: true})
+		m := New(&Options{ChunkCapacity: 16, Pool: testPool(t)})
 		var clock atomic.Uint64
 		var mu sync.Mutex
 		var all []lincheck.Op
@@ -197,7 +197,7 @@ func TestSingleKeyLinearizabilityWithReclaim(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewPCG(uint64(h*31+g), 13))
 				for i := 0; i < 3; i++ {
-					// Bias toward remove/insert churn to force slot reuse.
+					// Bias toward remove/insert churn to force entry reuse.
 					var kind lincheck.Kind
 					switch rng.Uint64() % 5 {
 					case 0, 1:

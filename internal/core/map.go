@@ -40,32 +40,12 @@ var (
 type Options struct {
 	// ChunkCapacity is the entries-array size per chunk (paper: 4096).
 	ChunkCapacity int
-	// RebalanceRatio triggers a rebalance when the unsorted suffix
-	// exceeds ratio × max(sortedPrefix, ChunkCapacity/8). The paper uses
-	// 0.5 ("whenever the unsorted linked list exceeds half of the sorted
-	// prefix").
-	RebalanceRatio float64
 	// Pool supplies off-heap blocks; nil uses arena.DefaultPool().
 	Pool *arena.Pool
 	// Comparator orders keys; nil means bytes.Compare. A custom comparator
 	// — even one with the same order — forgoes the chunks' on-heap prefix
 	// search: every binary-search probe then dereferences an off-heap key.
 	Comparator Comparator
-	// DisableFirstFit turns off free-space reuse entirely (allocator
-	// ablation: pure bump allocation).
-	DisableFirstFit bool
-	// FlatFreeList selects the paper-faithful flat first-fit free list
-	// (§3.2) instead of the default segregated size-class allocator
-	// (allocator ablation). Ignored when DisableFirstFit is set.
-	FlatFreeList bool
-	// ReclaimHeaders selects the generation-based reclaiming header
-	// table (the paper's epoch extension, §3.3) instead of the default
-	// append-only table: value headers are recycled once their mapping
-	// is removed, bounding header space by the peak live-value count.
-	// Recycling is deferred through the map's epoch domain, so a stale
-	// handle held by a reader is never re-issued within that reader's
-	// pinned critical section.
-	ReclaimHeaders bool
 	// DisableKeyReclaim turns off the epoch-based reclamation of dead
 	// key space during rebalance (ablation / paper-faithful baseline).
 	// By default dead keys are retired through the epoch domain and
@@ -87,9 +67,6 @@ func (o *Options) withDefaults() Options {
 	if v.ChunkCapacity <= 0 {
 		v.ChunkCapacity = chunk.DefaultCapacity
 	}
-	if v.RebalanceRatio <= 0 {
-		v.RebalanceRatio = 0.5
-	}
 	if v.Pool == nil {
 		v.Pool = arena.DefaultPool()
 	}
@@ -104,7 +81,7 @@ type Map struct {
 	opts    Options
 	cmp     Comparator
 	alloc   *arena.Allocator
-	headers vheader.HeaderTable
+	headers *vheader.Table
 	reclaim *epoch.Domain
 	index   *skiplist.List[*chunk.Chunk]
 	head    atomic.Pointer[chunk.Chunk]
@@ -126,48 +103,27 @@ type Map struct {
 	keyLeak    telemetry.Counter // bytes of dead keys not reclaimed
 }
 
-// Retired-resource kinds routed through the epoch domain.
-const (
-	retiredSpan   uint8 = iota // an arena span (key or value space)
-	retiredHeader              // a value-header handle to recycle
-)
-
 // New creates an empty map.
 func New(o *Options) *Map {
 	opts := o.withDefaults()
-	var headers vheader.HeaderTable
-	if opts.ReclaimHeaders {
-		headers = vheader.NewReclaimingTable()
-	} else {
-		headers = vheader.NewTable()
-	}
 	m := &Map{
 		opts:    opts,
 		cmp:     opts.Comparator,
 		alloc:   arena.NewAllocator(opts.Pool),
-		headers: headers,
+		headers: vheader.NewTable(),
 		index:   skiplist.New[*chunk.Chunk](skiplist.Comparator(opts.Comparator)),
 		tel:     opts.Telemetry,
 	}
 	m.mvcc.init()
 	m.alloc.SetTelemetry(opts.Telemetry)
+	// The only retired resource is an arena span (key or value space).
 	m.reclaim = epoch.NewDomain(func(items []epoch.Retired) {
 		for _, r := range items {
-			switch r.Kind {
-			case retiredSpan:
-				m.alloc.Free(arena.Ref(r.Val))
-			case retiredHeader:
-				m.headers.Release(r.Val)
-			}
+			m.alloc.Free(arena.Ref(r.Val))
 		}
 	})
 	m.reclaim.SetTelemetry(opts.Telemetry)
 	m.alloc.SetReclaimer(spanRetirer{d: m.reclaim})
-	if opts.DisableFirstFit {
-		m.alloc.SetMode(arena.ModeBump)
-	} else if opts.FlatFreeList {
-		m.alloc.SetMode(arena.ModeFirstFit)
-	}
 	// The head sentinel chunk has minKey nil (-infinity) and is a real
 	// data chunk; it is replaced, never removed, by rebalances.
 	m.head.Store(chunk.New(nil, opts.ChunkCapacity, m.alloc, m.cmp))
@@ -180,18 +136,7 @@ func New(o *Options) *Map {
 type spanRetirer struct{ d *epoch.Domain }
 
 func (s spanRetirer) RetireSpan(ref arena.Ref) {
-	s.d.Retire(epoch.Retired{Kind: retiredSpan, Val: uint64(ref)}, int64(ref.Len()))
-}
-
-// retireHeader defers a header-slot recycle until no pinned reader can
-// still validate the stale handle. The default append-only table never
-// recycles slots, so its (no-op) Release runs immediately.
-func (m *Map) retireHeader(h ValueHandle) {
-	if !m.opts.ReclaimHeaders {
-		m.headers.Release(uint64(h))
-		return
-	}
-	m.reclaim.Retire(epoch.Retired{Kind: retiredHeader, Val: uint64(h)}, 0)
+	s.d.Retire(epoch.Retired{Val: uint64(ref)}, int64(ref.Len()))
 }
 
 // ReclaimStats exposes the epoch domain's snapshot: current epoch,
@@ -224,9 +169,8 @@ func (m *Map) ArenaStats() arena.Stats { return m.alloc.Stats() }
 // Rebalances returns the number of chunk rebalances performed.
 func (m *Map) Rebalances() int64 { return m.rebalances.Load() }
 
-// HeaderCount returns the number of value-header slots materialized.
-// With the default table this grows with every insertion ever made;
-// with ReclaimHeaders it is bounded by the peak number of live values.
+// HeaderCount returns the number of value headers allocated: one per
+// value ever created, since headers are never reused (§3.3).
 func (m *Map) HeaderCount() uint64 { return m.headers.Count() }
 
 // NumChunks counts the chunks currently in the list.

@@ -253,12 +253,6 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 	if bi != nil {
 		bi.add(batchRec{key: append([]byte(nil), key...), h: newH})
 	}
-	if h != 0 {
-		// The deleted predecessor is no longer referenced by the
-		// entry; its header slot is retired (a pinned reader may
-		// still be validating the stale handle).
-		m.retireHeader(h)
-	}
 	m.size.Add(1)
 	c.IncLive()
 	return putOutcome{done: true, ok: true, grew: c}, nil
@@ -373,11 +367,7 @@ func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertO
 	}
 	ok := c.CASValHandle(ei, uint64(h), 0)
 	c.Unpublish()
-	if !ok {
-		return ifPresentOutcome{}, nil
-	}
-	m.retireHeader(h)
-	return ifPresentOutcome{done: true}, nil
+	return ifPresentOutcome{done: ok}, nil // CAS lost: retry
 }
 
 // unlinkRemoved is a remove's post-linearization tail, run unpinned:
@@ -416,9 +406,7 @@ func (m *Map) finalizeRemoveAttempt(key []byte, prev ValueHandle) bool {
 	if !c.Publish() {
 		return false
 	}
-	if c.CASValHandle(ei, uint64(prev), 0) {
-		m.retireHeader(prev)
-	}
+	c.CASValHandle(ei, uint64(prev), 0)
 	c.Unpublish()
 	return true // CAS failure means someone else advanced the entry
 }

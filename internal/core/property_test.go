@@ -276,7 +276,7 @@ func TestPoolExhaustionMidStream(t *testing.T) {
 			return nil
 		})
 	}
-	// Removing makes room again (first-fit reuse).
+	// Removing makes room again (free-list reuse).
 	for _, i := range inserted[:len(inserted)/2] {
 		if ok, _ := m.Remove(ik(i)); !ok {
 			t.Fatalf("remove %d", i)

@@ -58,6 +58,9 @@ func (m *Map) maybeMerge(c *chunk.Chunk) {
 	m.rebalance(c)
 }
 
+// shouldRebalance applies the paper's trigger: rebalance "whenever the
+// unsorted linked list exceeds half of the sorted prefix", with the
+// prefix floored at Capacity/8.
 func (m *Map) shouldRebalance(c *chunk.Chunk) bool {
 	alloc := c.Allocated()
 	if alloc >= c.Capacity() {
@@ -68,7 +71,7 @@ func (m *Map) shouldRebalance(c *chunk.Chunk) bool {
 	if min := c.Capacity() / 8; base < min {
 		base = min // fresh/empty chunks tolerate a small unsorted run
 	}
-	return alloc-sorted > int(m.opts.RebalanceRatio*float64(base))
+	return alloc-sorted > base/2
 }
 
 // rebalance replaces chunk c (and possibly its successor, when merging)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"oakmap/internal/faultpoint"
-	"oakmap/internal/vheader"
 )
 
 // Deterministic (-cpu 1 friendly) regressions for the single install
@@ -150,8 +149,7 @@ func TestInstallLostRaceExits(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				disarmOnExit(t)
-				m := New(&Options{ChunkCapacity: 16, Pool: testPool(t), ReclaimHeaders: true})
-				defer m.Close()
+				m := newTestMap(t, 16)
 				fp.Arm(faultpoint.OnHit(1))
 				var err error
 				if batch {
@@ -171,10 +169,7 @@ func TestInstallLostRaceExits(t *testing.T) {
 				if m.Len() != 1 {
 					t.Fatalf("Len = %d; want 1", m.Len())
 				}
-				// The discarded value's header must have been recycled.
-				if rt := m.headers.(*vheader.ReclaimingTable); rt.Released() < 1 {
-					t.Fatalf("released headers = %d; want ≥1 (discard path not taken)", rt.Released())
-				}
+				assertOneDiscard(t, m, ik(1), []byte("v1"))
 			})
 		}
 	}

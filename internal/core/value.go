@@ -218,14 +218,11 @@ func (m *Map) valueCompute(key []byte, h ValueHandle, f func(*WBuffer) error) (b
 // the lock is still held, so a snapshot reader that finds the value
 // deleted always finds the version it needs in the key's chain.
 func (m *Map) killValue(key []byte, h ValueHandle, c *chunk.Chunk, oldVer, super uint64) {
-	// Privatize the data reference while still holding the write lock,
-	// and only then set the deleted bit. The order is load-bearing under
-	// header reclamation: the moment the deleted bit is visible, a
-	// concurrent insert over the same entry may Release this header and
-	// recycle its slot, so the header must not be touched afterwards.
-	// (Found by the deleted-bit fault window: a set-bit-then-privatize
-	// order let the remover clobber a recycled slot's data word and free
-	// another value's space.)
+	// Privatize the data reference and hand it to retireOrRetain while
+	// still holding the write lock, and only then set the deleted bit: a
+	// snapshot reader that observes the bit must already find the
+	// pre-image in the retained store (the retain-before-publish order the
+	// deleted-bit fault window pins).
 	ref := arena.Ref(m.headers.LoadData(uint64(h)))
 	m.headers.StoreData(uint64(h), 0)
 	m.retireOrRetain(key, ref, oldVer, super)
@@ -240,16 +237,15 @@ func (m *Map) killValue(key []byte, h ValueHandle, c *chunk.Chunk, oldVer, super
 	}
 }
 
-// discardValue reclaims a value that lost its install race and was never
-// published: its data space, and (under the reclaiming policy) its
-// header slot. Nobody else can hold the handle, so the lock is taken
+// discardValue reclaims the data space of a value that lost its install
+// race and was never published; its header stays allocated and reads
+// deleted. Nobody else can hold the handle, so the lock is taken
 // directly — never through lockStable, which would see a batch install's
 // pending stamp and wait on the caller's own batch.
 func (m *Map) discardValue(h ValueHandle) {
 	if m.headers.TryWriteLock(uint64(h)) {
 		m.killValue(nil, h, nil, 0, 0)
 	}
-	m.headers.Release(uint64(h))
 }
 
 // ValueWriter produces a value's serialized form directly inside Oak's

@@ -369,7 +369,7 @@ func (d *Domain) drainBucket(i int) {
 	tick := r.Span(telemetry.OpEpochDrain)
 	if r != nil {
 		// The pprof label attributes the free callback's CPU (arena
-		// frees, header recycles) to reclamation in profiles instead of
+		// frees) to reclamation in profiles instead of
 		// smearing it over whichever map operation tripped the advance.
 		pprof.Do(context.Background(), pprof.Labels("oak", "epoch-drain"), func(context.Context) {
 			d.free(items)

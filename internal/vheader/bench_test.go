@@ -34,29 +34,6 @@ func BenchmarkAllocDefault(b *testing.B) {
 	}
 }
 
-func BenchmarkAllocReclaimChurn(b *testing.B) {
-	t := NewReclaimingTable()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := t.Alloc()
-		t.TryDelete(h)
-		t.Release(h)
-	}
-	b.ReportMetric(float64(t.Count()), "slots")
-}
-
-func BenchmarkReclaimReadLock(b *testing.B) {
-	t := NewReclaimingTable()
-	h := t.Alloc()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !t.TryReadLock(h) {
-			b.Fatal("lock failed")
-		}
-		t.ReadUnlock(h)
-	}
-}
-
 func BenchmarkConcurrentReadLock(b *testing.B) {
 	t := NewTable()
 	h := t.Alloc()

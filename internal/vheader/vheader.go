@@ -97,7 +97,8 @@ func (t *Table) Alloc() uint64 {
 	return idx
 }
 
-// Count returns the number of headers allocated so far.
+// Count returns the number of headers allocated so far: every value ever
+// created, since headers are never reused.
 func (t *Table) Count() uint64 { return t.next.Load() - 1 }
 
 func (t *Table) word(idx uint64) *atomic.Uint64 {
@@ -219,10 +220,9 @@ func (t *Table) TryDelete(idx uint64) bool {
 }
 
 // DeleteLocked transitions a write-locked header to deleted, releasing
-// the lock. It lets a remover privatize the value's data reference under
-// the lock before the deleted bit becomes visible — required under
-// header reclamation, where a concurrent insert may Release (and
-// recycle) the header as soon as it observes the deleted bit.
+// the lock. It lets a remover finish its work on the value — privatize
+// the data reference, hand the pre-image to the MVCC layer — under the
+// lock, before the deleted bit becomes visible to anyone.
 func (t *Table) DeleteLocked(idx uint64) {
 	t.word(idx).Store(deletedBit)
 }

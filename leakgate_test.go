@@ -17,7 +17,7 @@ import (
 // churn volume.
 func TestLeakGateChurnDrains(t *testing.T) {
 	m := New[uint64, []byte](Uint64Serializer{}, BytesSerializer{},
-		&Options{ChunkCapacity: 64, BlockSize: 1 << 20, ReclaimHeaders: true})
+		&Options{ChunkCapacity: 64, BlockSize: 1 << 20})
 	defer m.Close()
 	zc := m.ZC()
 
@@ -94,7 +94,7 @@ func TestLeakGateSnapshotRetainedDrains(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		t.Run(map[int]string{0: "plain", 4: "sharded"}[shards], func(t *testing.T) {
 			m := New[uint64, []byte](Uint64Serializer{}, BytesSerializer{},
-				&Options{ChunkCapacity: 64, BlockSize: 1 << 20, ReclaimHeaders: true, Shards: shards})
+				&Options{ChunkCapacity: 64, BlockSize: 1 << 20, Shards: shards})
 			defer m.Close()
 			zc := m.ZC()
 
@@ -156,7 +156,7 @@ func TestLeakGateSnapshotRetainedDrains(t *testing.T) {
 func TestLeakGateShardedChurnDrains(t *testing.T) {
 	const shards = 4
 	m := New[uint64, []byte](Uint64Serializer{}, BytesSerializer{},
-		&Options{ChunkCapacity: 64, BlockSize: 1 << 20, ReclaimHeaders: true, Shards: shards})
+		&Options{ChunkCapacity: 64, BlockSize: 1 << 20, Shards: shards})
 	defer m.Close()
 	zc := m.ZC()
 

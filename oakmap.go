@@ -51,8 +51,6 @@ var ErrConcurrentModification = core.ErrConcurrentModification
 type Options struct {
 	// ChunkCapacity is the number of entry slots per chunk.
 	ChunkCapacity int
-	// RebalanceRatio controls when a chunk reorganizes (see DESIGN.md).
-	RebalanceRatio float64
 	// BlockSize, when non-zero, gives this map a private block pool with
 	// the given block size instead of the shared 100MB-block pool. With
 	// Shards > 1 the private pool is shared by all shards, so the map's
@@ -71,20 +69,10 @@ type Options struct {
 	// scans and navigation queries transparently merge the shards back
 	// into one globally sorted view. 0 and 1 mean a single instance.
 	Shards int
-	// DisableFirstFit disables free-space reuse (ablation studies).
-	DisableFirstFit bool
-	// FlatFreeList selects the paper's flat first-fit free list instead
-	// of the default segregated size-class allocator (ablation studies).
-	FlatFreeList bool
 	// DisableKeyReclaim turns off the default epoch-based reclamation of
 	// dead key space (ablation / paper-faithful baseline): dead keys are
 	// then retained forever and accounted in Stats.KeyLeakBytes.
 	DisableKeyReclaim bool
-	// ReclaimHeaders enables the generation-based header reclamation
-	// extension (bounds header space under delete-heavy workloads).
-	// Header recycling is deferred through the same epoch domain as key
-	// and value space, so retained views stay safe.
-	ReclaimHeaders bool
 	// Telemetry, when non-nil, attaches an observability scope to the
 	// map: sharded op counters, sampled op-latency histograms, structural
 	// gauges and a flight recorder of rebalance/epoch/arena events (see
@@ -130,13 +118,9 @@ func New[K, V any](keySer Serializer[K], valSer Serializer[V], opts *Options) *M
 	}
 	copts := &core.Options{
 		ChunkCapacity:     o.ChunkCapacity,
-		RebalanceRatio:    o.RebalanceRatio,
 		Pool:              pool,
 		Comparator:        cmp,
-		DisableFirstFit:   o.DisableFirstFit,
-		FlatFreeList:      o.FlatFreeList,
 		DisableKeyReclaim: o.DisableKeyReclaim,
-		ReclaimHeaders:    o.ReclaimHeaders,
 		Telemetry:         rec,
 	}
 	m := &Map[K, V]{s: sharded.New(o.Shards, copts), keySer: keySer, valSer: valSer}
