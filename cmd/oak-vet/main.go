@@ -26,17 +26,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"oakmap/internal/analysis"
 	"oakmap/internal/analysis/faultpointid"
 	"oakmap/internal/analysis/load"
-	"oakmap/internal/analysis/lockguard"
-	"oakmap/internal/analysis/lockorder"
+	"oakmap/internal/analysis/lockset"
 	"oakmap/internal/analysis/pinbalance"
-	"oakmap/internal/analysis/publishorder"
-	"oakmap/internal/analysis/snaplife"
 	"oakmap/internal/analysis/unsafespan"
 	"oakmap/internal/analysis/zcescape"
 )
@@ -46,10 +44,7 @@ var all = []*analysis.Analyzer{
 	pinbalance.Analyzer,
 	unsafespan.Analyzer,
 	faultpointid.Analyzer,
-	snaplife.Analyzer,
-	lockguard.Analyzer,
-	lockorder.Analyzer,
-	publishorder.Analyzer,
+	lockset.Analyzer,
 }
 
 // jsonDiag is the machine-readable diagnostic shape emitted by -json:
@@ -62,24 +57,31 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
-func main() {
-	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	strict := flag.Bool("strict-suppress", false, "also report //oak: suppressions that no longer match any diagnostic")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: oak-vet [-checks a,b] [-json] [-strict-suppress] [packages]\n\nAnalyzers:\n")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole driver; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("oak-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	checks := fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
+	list := fs.Bool("list", false, "list analyzers and exit")
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+	strict := fs.Bool("strict-suppress", false, "also report //oak: suppressions that no longer match any diagnostic")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: oak-vet [-checks a,b] [-json] [-strict-suppress] [packages]\n\nAnalyzers:\n")
 		for _, a := range all {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, firstLine(a.Doc))
+			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, firstLine(a.Doc))
 		}
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 1
+	}
 
 	if *list {
 		for _, a := range all {
-			fmt.Printf("%s: %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	analyzers := all
@@ -92,22 +94,22 @@ func main() {
 		for _, name := range strings.Split(*checks, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "oak-vet: unknown analyzer %q\n", name)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "oak-vet: unknown analyzer %q\n", name)
+				return 1
 			}
 			analyzers = append(analyzers, a)
 		}
 	}
 
-	units, err := load.Packages("", flag.Args()...)
+	units, err := load.Packages("", fs.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "oak-vet: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "oak-vet: %v\n", err)
+		return 1
 	}
 	diags, err := analysis.RunWithOptions(units, analyzers, analysis.Options{StrictSuppressions: *strict})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "oak-vet: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "oak-vet: %v\n", err)
+		return 1
 	}
 	fset := units[0].Fset
 	if *jsonOut {
@@ -116,20 +118,21 @@ func main() {
 			p := fset.Position(d.Pos)
 			out = append(out, jsonDiag{Analyzer: d.Analyzer, File: p.Filename, Line: p.Line, Column: p.Column, Message: d.Message})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "oak-vet: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "oak-vet: %v\n", err)
+			return 1
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Printf("%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
+			fmt.Fprintf(stdout, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 		}
 	}
 	if len(diags) > 0 {
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 func firstLine(s string) string {

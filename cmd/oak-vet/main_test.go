@@ -1,0 +1,34 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+func TestListNamesTheAnalyzers(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-list"}, &out, &errb); code != 0 {
+		t.Fatalf("-list exited %d: %s", code, errb.String())
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		name, _, _ := strings.Cut(line, ":")
+		names = append(names, name)
+	}
+	want := "zcescape pinbalance unsafespan faultpointid lockset"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("-list names %q, want %q", got, want)
+	}
+}
+
+// A script still naming a folded analyzer must fail loudly rather than
+// check nothing.
+func TestRemovedAnalyzerNameFails(t *testing.T) {
+	var out, errb strings.Builder
+	if code := run([]string{"-checks", "lockguard", "./..."}, &out, &errb); code != 1 {
+		t.Fatalf("-checks lockguard exited %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "unknown analyzer") {
+		t.Fatalf("stderr %q does not say unknown analyzer", errb.String())
+	}
+}

@@ -19,11 +19,12 @@
 //     exported. oak-vet always analyzes whole programs in one process,
 //     so in-memory facts lose nothing.
 //
-//   - There is no SSA. The escape and balance analyzers work on the
-//     typed AST with a conservative path walk. Go's structured control
-//     flow (no goto in this codebase) makes the AST form adequate: the
-//     analyzers over-approximate (goto/label control flow is flagged,
-//     not traced) rather than miss.
+//   - There is no SSA. The analyzers work on the typed AST, and the
+//     ones that need paths share one conservative walk of structured
+//     control flow (lockset.Walker). Go's structured control flow (no
+//     goto in this codebase) makes the AST form adequate: the walk
+//     over-approximates (goto/label control flow is flagged, not
+//     traced) rather than miss.
 package analysis
 
 import (
@@ -225,7 +226,7 @@ func RunWithOptions(units []*Unit, analyzers []*Analyzer, opts Options) ([]Diagn
 // surrounding comment or doc.
 //
 // One comment may carry several //oak: annotations ("x int
-// //oak:guarded-by mu //oak:allow lockguard installer-private"): the
+// //oak:guarded-by mu //oak:allow lockset installer-private"): the
 // index splits on every "//oak:" marker and evaluates each segment
 // independently, so suppressions compose with the structural
 // annotations (guarded-by, publish-before, lock-order) that the
@@ -247,10 +248,10 @@ func newAllowIndex() *allowIndex {
 }
 
 // Annotations splits one comment's text into its //oak: annotation
-// bodies, in order. "//oak:guarded-by mu //oak:allow lockguard why"
-// yields ["guarded-by mu", "allow lockguard why"]. Non-annotation
+// bodies, in order. "//oak:guarded-by mu //oak:allow lockset why"
+// yields ["guarded-by mu", "allow lockset why"]. Non-annotation
 // comments yield nil. Shared by the suppression index and by the
-// annotation-driven analyzers (lockguard, publishorder, lockorder).
+// annotation-driven lockset analyzer.
 //
 // An annotation must START its comment ("//oak:" with no space): doc
 // prose that merely mentions the grammar ("suppress with //oak:allow

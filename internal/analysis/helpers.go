@@ -118,6 +118,21 @@ func FuncBody(fn ast.Node) *ast.BlockStmt {
 	return nil
 }
 
+// Launch returns the go or defer statement that calls lit in place
+// (go func() { ... }()), or nil: such a body runs on another goroutine
+// or at function exit, not where it is written.
+func Launch(parents map[ast.Node]ast.Node, lit *ast.FuncLit) ast.Stmt {
+	if c, ok := parents[lit].(*ast.CallExpr); ok && c.Fun == lit {
+		switch s := parents[c].(type) {
+		case *ast.GoStmt:
+			return s
+		case *ast.DeferStmt:
+			return s
+		}
+	}
+	return nil
+}
+
 // Within reports whether inner is lexically contained in outer's
 // position range.
 func Within(inner, outer ast.Node) bool {

@@ -1,370 +1,594 @@
-// Package lockset is the shared substrate of oak-vet's concurrency
-// analyzers (lockguard, lockorder, publishorder). It parses the
-// structural //oak: annotations into typed facts, detects sync.Mutex /
-// sync.RWMutex acquisition calls, and names lock and field "classes"
-// so the analyzers can agree on identity across packages.
+// Package lockset is oak-vet's concurrency analyzer. One walk of each
+// function's structured control flow tracks which mutexes are held
+// (RLock and Lock distinguished; defer mu.Unlock() holds to function
+// end; if/else joins intersect; `if !mu.TryLock() { return }` is
+// understood) and feeds three rule families (DESIGN.md §10):
 //
-// Annotation grammar (one comment may carry several annotations; the
-// analysis.Annotations splitter separates them):
+// guarded-by. Every access to a field annotated
 //
-//	//oak:guarded-by m1[,m2...]   on a struct field: every access to
-//	                              the field must hold one of the named
-//	                              mutexes. A name is either a sibling
-//	                              field of the same struct ("mu") or a
-//	                              same-package Type.field path
-//	                              ("snapCursors.mu"). Anything else is
-//	                              a loud error, not a silent no-op.
-//	//oak:publish-before f        on an atomic field X: on every path
-//	                              of a function that publishes f (the
-//	                              publish word), any write to X must
-//	                              happen before the publish. f resolves
-//	                              like a guard name.
-//	//oak:lock-order A B          package-level declaration: lock class
-//	                              A is always acquired before B. Feeds
-//	                              the lockorder graph alongside the
-//	                              edges observed in code.
+//	x T //oak:guarded-by m1[,m2...]
 //
-// Classes are canonical strings "pkgName.Type.field" (package *name*,
-// not path — short, unique in this module, stable in diagnostics).
+// must hold one of the named mutexes. A plain read needs some guard
+// held in read or write mode; a write (assignment, ++/--, delete(),
+// clear(), taking &x) needs one in WRITE mode, because mutating under
+// a shared lock is exactly the bug RWMutex invites. A field of a
+// sync/atomic type needs the guard only for its mutating calls (Store,
+// Add, Swap, CompareAndSwap, Or, And): the "atomic for readers, mutex
+// for writers" idiom of the MVCC clock. A function named *Locked
+// asserts "caller holds the lock": its body is exempt, and every call
+// to it must hold some mutex or sit inside a function that acquires
+// some *Lock (which covers the vheader spinlock). init is exempt: it
+// runs before anything is published. A guard name is a sibling field
+// ("mu") or a same-package Type.field path; anything else is a loud
+// error, not a silent no-op.
+//
+// lock-order. Each package summarizes which lock classes (canonical
+// "pkgName.Type.field" names) every function blocking-acquires, its
+// static calls with the classes held at each site, and its
+//
+//	//oak:lock-order A B
+//
+// declarations. Finish stitches the summaries into one module-wide
+// graph: an edge A → B for every site that acquires B holding A, also
+// through calls (the callee's transitive acquires), and for every
+// declaration. An edge inside a cycle is a potential deadlock and is
+// reported at its site. Acquiring a class while another instance of it
+// is held is reported unless the package declares //oak:lock-order C C
+// (a documented instance order, like the sharded install's). TryLock
+// never blocks and go-launched work is unordered with its spawner, so
+// neither contributes; calls through function values are not traced.
+//
+// publish-before. On an atomic field
+//
+//	x atomic.Uint64 //oak:publish-before y
+//
+// declares that a function which writes x and publishes y must write x
+// first. A publish is a mutating atomic call, close(y), or an
+// assignment; a write is a mutating atomic call, an assignment, or a
+// call to a same-package function whose transitive summary writes x
+// (the epoch drain helper). Events compare in source order, which
+// tolerates the conditional CAS-loop raise `if floor.Load() < c+1 {
+// floor.Store(c+1) }` before the publish but not a publish with no
+// write before it: the shipped retainFloor-after-clock and
+// limbo-drain-after-epoch-publish bugs. Functions that publish y and never write x
+// (PrepareBatch ratchets the clock) are another protocol's business.
+// Writes inside go or defer run at another time: they bind a function
+// to the contract but never count as "before".
 package lockset
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"oakmap/internal/analysis"
 )
 
-// Mode distinguishes how a lock is held.
-type Mode int
+// Analyzer is the lockset analysis.
+var Analyzer = &analysis.Analyzer{
+	Name:   "lockset",
+	Doc:    "flag guarded-by accesses without the declared mutex, lock-order cycles, and publish-before violations",
+	Run:    run,
+	Finish: finish,
+}
+
+type mode int
 
 const (
-	ModeNone  Mode = iota
-	ModeRead       // RLock held
-	ModeWrite      // Lock held
+	modeNone  mode = iota
+	modeRead       // RLock held
+	modeWrite      // Lock held
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeRead:
-		return "read"
-	case ModeWrite:
-		return "write"
+// held maps each held mutex to the strongest mode held. A held set is
+// never mutated once built: transfers return a new one.
+type held map[*types.Var]mode
+
+// apply returns h after op: an acquisition raises op.mu to op.mode, a
+// release drops it.
+func (h held) apply(op *lockOp) held {
+	out := make(held, len(h)+1)
+	for k, v := range h {
+		out[k] = v
 	}
-	return "none"
-}
-
-// FieldClass canonically names a struct field: pkgName.Type.field.
-func FieldClass(pkgName, typeName, fieldName string) string {
-	return pkgName + "." + typeName + "." + fieldName
-}
-
-// ClassOf returns the canonical class of a field object, or "" if obj
-// is not a struct field of a named type. It relies on the field's
-// originating package and the declaring named type found by scanning
-// that package's scope (struct fields don't link back to their named
-// type in go/types, so the annotation tables index by object instead;
-// this is a display/meet helper for objects we resolved ourselves).
-func ClassOf(pkgName, typeName string, field *types.Var) string {
-	return FieldClass(pkgName, typeName, field.Name())
-}
-
-// GuardDecl is one //oak:guarded-by annotation, resolved.
-type GuardDecl struct {
-	Field  *types.Var   // the guarded field
-	Class  string       // canonical class of the guarded field
-	Guards []*types.Var // mutex field objects that may guard it
-	GClass []string     // canonical classes of Guards, same order
-	Atomic bool         // field has an atomic type: only mutating ops need the guard
-}
-
-// PublishDecl is one //oak:publish-before annotation, resolved:
-// stores to Field must precede publishes of Before in any function
-// that does both.
-type PublishDecl struct {
-	Field  *types.Var // X: the field that must be written first
-	Class  string
-	Before *types.Var // Y: the publish word
-	BClass string
-}
-
-// OrderDecl is one //oak:lock-order declaration.
-type OrderDecl struct {
-	Before, After string // canonical lock classes
-	Pos           token.Pos
-}
-
-// Info is everything lockset extracted from one package.
-type Info struct {
-	Guards    map[*types.Var]*GuardDecl // guarded field -> decl
-	Publishes []*PublishDecl
-	Orders    []*OrderDecl
-	// MutexClass names every annotated or guard-referenced mutex field.
-	MutexClass map[*types.Var]string
-
-	loud bool
-}
-
-// Extract parses the structural annotations of one package, silently
-// skipping malformed ones. Use ExtractLoud from exactly one analyzer
-// per run (lockguard) so each malformed annotation is reported once.
-func Extract(pass *analysis.Pass) *Info { return extract(pass, false) }
-
-// ExtractLoud is Extract with malformed annotations reported as
-// diagnostics: a misspelled mutex name silently validating nothing
-// would be worse than no annotation at all.
-func ExtractLoud(pass *analysis.Pass) *Info { return extract(pass, true) }
-
-func extract(pass *analysis.Pass, loud bool) *Info {
-	info := &Info{
-		Guards:     make(map[*types.Var]*GuardDecl),
-		MutexClass: make(map[*types.Var]string),
-		loud:       loud,
+	if op.mode == modeNone {
+		delete(out, op.mu)
+	} else if op.mode > out[op.mu] {
+		out[op.mu] = op.mode
 	}
-	// Class every mutex-typed field of every named struct type up
-	// front: lockorder tracks acquisition order across all mutexes,
-	// annotated or not.
-	scope := pass.Pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		s, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < s.NumFields(); i++ {
-			if f := s.Field(i); isMutexType(f.Type()) {
-				info.MutexClass[f] = FieldClass(pass.Pkg.Name(), name, f.Name())
-			}
+	return out
+}
+
+// joinHeld intersects two paths: a mutex is held after a merge only if
+// both paths hold it, at the weaker of the two modes.
+func joinHeld(a, b held) held {
+	out := make(held)
+	for k, ma := range a {
+		if mb, ok := b[k]; ok {
+			out[k] = min(ma, mb)
 		}
 	}
-	for _, f := range pass.Files {
-		extractFile(pass, f, info)
-	}
-	return info
+	return out
 }
 
-func reportf(pass *analysis.Pass, out *Info, pos token.Pos, format string, args ...any) {
-	if out.loud {
-		pass.Report(pos, format, args...)
-	}
+// lockOp is one sync.Mutex / sync.RWMutex method call.
+type lockOp struct {
+	mu       *types.Var // the mutex: a struct field, or a local/package variable
+	mode     mode       // mode acquired; modeNone for Unlock/RUnlock
+	blocking bool       // Lock or RLock; TryLock forms never block
 }
 
-func extractFile(pass *analysis.Pass, f *ast.File, out *Info) {
-	// File-level and decl-level comments may carry //oak:lock-order.
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			for _, body := range analysis.Annotations(c.Text) {
-				if rest, ok := strings.CutPrefix(body, "lock-order"); ok {
-					parseOrder(pass, c.Pos(), rest, out)
-				}
-			}
-		}
-	}
-	// Struct-field annotations: walk type declarations.
-	ast.Inspect(f, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok {
-			return true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		extractStruct(pass, ts, st, out)
-		return true
-	})
-}
-
-// fieldAnnotations collects the annotation bodies attached to one
-// field: its doc comment and its trailing line comment.
-func fieldAnnotations(fld *ast.Field) []string {
-	var bodies []string
-	for _, cg := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			bodies = append(bodies, analysis.Annotations(c.Text)...)
-		}
-	}
-	return bodies
-}
-
-func extractStruct(pass *analysis.Pass, ts *ast.TypeSpec, st *ast.StructType, out *Info) {
-	pkgName := pass.Pkg.Name()
-	typeName := ts.Name.Name
-	for _, fld := range st.Fields.List {
-		bodies := fieldAnnotations(fld)
-		if len(bodies) == 0 {
-			continue
-		}
-		if len(fld.Names) == 0 {
-			// Embedded field: annotations would be ambiguous about
-			// which promoted name they guard. Reject loudly.
-			for _, body := range bodies {
-				if strings.HasPrefix(body, "guarded-by") || strings.HasPrefix(body, "publish-before") {
-					reportf(pass, out, fld.Pos(), "//oak:%s on an embedded field: name the field explicitly so the guarded object is unambiguous", firstWord(body))
-				}
-			}
-			continue
-		}
-		for _, name := range fld.Names {
-			obj, _ := pass.TypesInfo.Defs[name].(*types.Var)
-			if obj == nil {
-				continue
-			}
-			for _, body := range bodies {
-				switch {
-				case strings.HasPrefix(body, "guarded-by"):
-					parseGuardedBy(pass, st, pkgName, typeName, obj, fld, body, out)
-				case strings.HasPrefix(body, "publish-before"):
-					parsePublishBefore(pass, st, pkgName, typeName, obj, fld, body, out)
-				}
-			}
-		}
-	}
-}
-
-func firstWord(s string) string {
-	if i := strings.IndexByte(s, ' '); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// cutLineComment trims a nested line comment ("x int //oak:guarded-by
-// mu // explanatory text") off an annotation body.
-func cutLineComment(s string) string {
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
-	}
-	return strings.TrimSpace(s)
-}
-
-func parseGuardedBy(pass *analysis.Pass, st *ast.StructType, pkgName, typeName string, obj *types.Var, fld *ast.Field, body string, out *Info) {
-	rest := cutLineComment(strings.TrimPrefix(body, "guarded-by"))
-	if rest == "" {
-		reportf(pass, out, fld.Pos(), "//oak:guarded-by needs a mutex name (sibling field or Type.field)")
-		return
-	}
-	names := strings.Split(strings.Fields(rest)[0], ",")
-	decl := &GuardDecl{
-		Field:  obj,
-		Class:  FieldClass(pkgName, typeName, obj.Name()),
-		Atomic: isAtomicType(obj.Type()),
-	}
-	for _, gname := range names {
-		g, gclass, err := resolveFieldRef(pass, st, pkgName, typeName, gname)
-		if err != "" {
-			reportf(pass, out, fld.Pos(), "//oak:guarded-by %s: %s", gname, err)
-			return
-		}
-		if !isMutexType(g.Type()) {
-			reportf(pass, out, fld.Pos(), "//oak:guarded-by %s: %s is not a sync.Mutex or sync.RWMutex", gname, gclass)
-			return
-		}
-		decl.Guards = append(decl.Guards, g)
-		decl.GClass = append(decl.GClass, gclass)
-		out.MutexClass[g] = gclass
-	}
-	out.Guards[obj] = decl
-}
-
-func parsePublishBefore(pass *analysis.Pass, st *ast.StructType, pkgName, typeName string, obj *types.Var, fld *ast.Field, body string, out *Info) {
-	rest := cutLineComment(strings.TrimPrefix(body, "publish-before"))
-	if rest == "" {
-		reportf(pass, out, fld.Pos(), "//oak:publish-before needs the publish word's field name")
-		return
-	}
-	bname := strings.Fields(rest)[0]
-	b, bclass, err := resolveFieldRef(pass, st, pkgName, typeName, bname)
-	if err != "" {
-		reportf(pass, out, fld.Pos(), "//oak:publish-before %s: %s", bname, err)
-		return
-	}
-	out.Publishes = append(out.Publishes, &PublishDecl{
-		Field:  obj,
-		Class:  FieldClass(pkgName, typeName, obj.Name()),
-		Before: b,
-		BClass: bclass,
-	})
-}
-
-func parseOrder(pass *analysis.Pass, pos token.Pos, rest string, out *Info) {
-	fields := strings.Fields(cutLineComment(rest))
-	if len(fields) < 2 {
-		reportf(pass, out, pos, "//oak:lock-order needs two lock classes: //oak:lock-order pkg.Type.field pkg.Type.field")
-		return
-	}
-	for _, c := range fields[:2] {
-		if strings.Count(c, ".") != 2 {
-			reportf(pass, out, pos, "//oak:lock-order %s: lock classes are written pkg.Type.field", c)
-			return
-		}
-	}
-	out.Orders = append(out.Orders, &OrderDecl{Before: fields[0], After: fields[1], Pos: pos})
-}
-
-// resolveFieldRef resolves a guard/publish target name: either a
-// sibling field of st ("mu") or a same-package "Type.field" path. The
-// error return is a human-readable reason, "" on success.
-func resolveFieldRef(pass *analysis.Pass, st *ast.StructType, pkgName, typeName, name string) (*types.Var, string, string) {
-	if ty, fieldName, ok := strings.Cut(name, "."); ok {
-		obj := pass.Pkg.Scope().Lookup(ty)
-		tn, _ := obj.(*types.TypeName)
-		if tn == nil {
-			return nil, "", fmt.Sprintf("no type %q in package %s", ty, pkgName)
-		}
-		v := lookupField(tn.Type(), fieldName)
-		if v == nil {
-			return nil, "", fmt.Sprintf("type %s.%s has no field %q", pkgName, ty, fieldName)
-		}
-		return v, FieldClass(pkgName, ty, fieldName), ""
-	}
-	// Sibling field of the annotated struct.
-	for _, fld := range st.Fields.List {
-		for _, id := range fld.Names {
-			if id.Name == name {
-				if v, ok := pass.TypesInfo.Defs[id].(*types.Var); ok {
-					return v, FieldClass(pkgName, typeName, name), ""
-				}
-			}
-		}
-	}
-	return nil, "", fmt.Sprintf("no sibling field %q in %s.%s (use Type.field for another struct's mutex)", name, pkgName, typeName)
-}
-
-func lookupField(t types.Type, name string) *types.Var {
-	s, ok := t.Underlying().(*types.Struct)
+func asLockOp(info *types.Info, call *ast.CallExpr) *lockOp {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
-	for i := 0; i < s.NumFields(); i++ {
-		if f := s.Field(i); f.Name() == name {
-			return f
-		}
+	var op lockOp
+	switch sel.Sel.Name {
+	case "Lock":
+		op = lockOp{mode: modeWrite, blocking: true}
+	case "RLock":
+		op = lockOp{mode: modeRead, blocking: true}
+	case "TryLock":
+		op.mode = modeWrite
+	case "TryRLock":
+		op.mode = modeRead
+	case "Unlock", "RUnlock":
+	default:
+		return nil
+	}
+	// The callee must be sync's method, not a same-named local one.
+	if fn := analysis.Callee(info, call); fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return nil
+	}
+	if op.mu = resolveVar(info, sel.X); op.mu == nil {
+		return nil
+	}
+	return &op
+}
+
+// resolveVar resolves the variable a receiver expression denotes: the
+// field for s.mu / a.classes[c].mu / cl.mu, or the variable for a
+// plain identifier.
+func resolveVar(info *types.Info, e ast.Expr) *types.Var {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		v, _ := info.Uses[e].(*types.Var)
+		return v
+	case *ast.SelectorExpr:
+		v, _ := info.Uses[e.Sel].(*types.Var)
+		return v
+	case *ast.StarExpr:
+		return resolveVar(info, e.X)
 	}
 	return nil
 }
 
-// isMutexType reports whether t (possibly behind pointers) is
-// sync.Mutex or sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	return analysis.Named(t, "sync", "Mutex") || analysis.Named(t, "sync", "RWMutex")
+// tryLockCond splits the held set at `if mu.TryLock()` (the then
+// branch holds mu) and `if !mu.TryLock()` (the fall-through holds mu).
+func tryLockCond(info *types.Info, cond ast.Expr, h held) (then, els held) {
+	e, neg := ast.Unparen(cond), false
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		e, neg = ast.Unparen(u.X), true
+	}
+	c, ok := e.(*ast.CallExpr)
+	if !ok {
+		return h, h
+	}
+	op := asLockOp(info, c)
+	if op == nil || op.blocking || op.mode == modeNone {
+		return h, h
+	}
+	if neg {
+		return h, h.apply(op)
+	}
+	return h.apply(op), h
 }
 
-// isAtomicType reports whether t is one of sync/atomic's typed words.
-func isAtomicType(t types.Type) bool {
-	for _, n := range []string{"Uint32", "Uint64", "Int32", "Int64", "Bool", "Pointer", "Value", "Uintptr"} {
-		if analysis.Named(t, "sync/atomic", n) {
+// checker carries one package through the lockset pass.
+type checker struct {
+	*analysis.Pass
+	ann     *annotations
+	parents map[ast.Node]ast.Node
+	walker  *Walker[held]
+	fact    *orderFact
+	writes  map[string]map[string]bool // func -> publish-before field classes it writes
+	events  [][]event                  // publish-before events, one list per function
+
+	// The function being walked.
+	self   string
+	exempt bool // *Locked or init: guarded-by does not check the body
+}
+
+func run(pass *analysis.Pass) error {
+	c := &checker{
+		Pass:    pass,
+		ann:     extract(pass),
+		parents: analysis.Parents(pass.Files),
+		fact:    &orderFact{acquires: make(map[string]map[string]bool), calls: make(map[string]map[string]bool)},
+		writes:  make(map[string]map[string]bool),
+	}
+	c.fact.edges = append(c.fact.edges, c.ann.Orders...)
+	c.walker = &Walker[held]{
+		Join: joinHeld,
+		Step: func(n ast.Node, h held) held {
+			c.scan(n, h)
+			if es, ok := n.(*ast.ExprStmt); ok {
+				if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok {
+					if op := asLockOp(pass.TypesInfo, call); op != nil {
+						return h.apply(op)
+					}
+				}
+			}
+			return h
+		},
+		Cond: func(cond ast.Expr, h held) (held, held) { return tryLockCond(pass.TypesInfo, cond, h) },
+	}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if fn == nil {
+				continue
+			}
+			c.self, c.exempt = fn.FullName(), exemptFunc(fd.Name.Name)
+			c.events = append(c.events, nil)
+			c.walker.Walk(fd.Body, held{})
+		}
+	}
+	c.checkPublishes()
+	pass.ExportFact(c.fact)
+	return nil
+}
+
+// scan visits every node under n with the held set current at that
+// point. A function literal is walked in full with its own lock state:
+// one launched by go or defer starts with nothing held, any other
+// (called in place, or passed to a synchronous caller like sort.Search)
+// inherits h.
+func (c *checker) scan(n ast.Node, h held) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			entry := h
+			if analysis.Launch(c.parents, m) != nil {
+				entry = held{}
+			}
+			c.walker.Walk(m.Body, entry)
+			return false
+		case *ast.SelectorExpr:
+			if v := fieldObj(c.TypesInfo, m); v != nil {
+				c.fieldAccess(m, v, h)
+			}
+		case *ast.CallExpr:
+			c.call(m, h)
+		}
+		return true
+	})
+}
+
+// exemptFunc reports whether a function's body is outside guarded-by's
+// jurisdiction: *Locked functions run under the caller's lock (their
+// call sites are checked instead), and init runs pre-publication.
+func exemptFunc(name string) bool {
+	return strings.HasSuffix(name, "Locked") || name == "init"
+}
+
+// fieldObj resolves sel to the struct-field variable it denotes, or nil.
+func fieldObj(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	v, _ := info.Uses[sel.Sel].(*types.Var)
+	if v == nil || !v.IsField() {
+		return nil
+	}
+	return v
+}
+
+func (c *checker) fieldAccess(sel *ast.SelectorExpr, v *types.Var, h held) {
+	if d := c.ann.Guards[v]; d != nil && !c.exempt {
+		c.guardedBy(sel, d, h)
+	}
+	async := len(c.ann.Publishes) > 0 && under(c.parents, sel, true)
+	for _, d := range c.ann.Publishes {
+		if v == d.Field && isStore(c.parents, sel) {
+			c.addEvent(event{pos: sel.Pos(), decl: d, async: async})
+			add(c.writes, c.self, d.Class)
+		}
+		if v == d.Before && !async && (isStore(c.parents, sel) || isClose(c.TypesInfo, c.parents, sel)) {
+			c.addEvent(event{pos: sel.Pos(), decl: d, publish: true})
+		}
+	}
+}
+
+// guardedBy checks one access to a guarded field.
+func (c *checker) guardedBy(sel *ast.SelectorExpr, d *guardDecl, h held) {
+	// Composite-literal keys (snapCursors{next: 1}) initialize a value
+	// nobody else can see yet.
+	if kv, ok := c.parents[sel].(*ast.KeyValueExpr); ok && kv.Key == sel {
+		return
+	}
+	guards := strings.Join(d.GClass, " or ")
+	if d.Atomic {
+		if m := atomicMutator(c.parents, sel); m != "" && !satisfied(d, h, modeWrite) {
+			c.Report(sel.Sel.Pos(), "%s.%s on %s without %s held: the annotation requires mutators to run under the lock",
+				sel.Sel.Name, m, d.Class, guards)
+		}
+		return
+	}
+	need, verb := modeRead, "read of"
+	if isWrite(c.parents, sel) {
+		need, verb = modeWrite, "write to"
+	}
+	switch {
+	case satisfied(d, h, need):
+	case need == modeWrite && satisfied(d, h, modeRead):
+		c.Report(sel.Sel.Pos(), "write to %s under a read lock: %s must be write-locked to mutate", d.Class, guards)
+	default:
+		c.Report(sel.Sel.Pos(), "%s %s without %s held", verb, d.Class, guards)
+	}
+}
+
+// satisfied reports whether h grants at least mode need on one of the
+// declared guards.
+func satisfied(d *guardDecl, h held, need mode) bool {
+	for _, g := range d.Guards {
+		if h[g] >= need {
 			return true
 		}
 	}
 	return false
+}
+
+// isWrite classifies a guarded access: is sel (possibly under index,
+// star or paren expressions) a mutation target?
+func isWrite(parents map[ast.Node]ast.Node, sel *ast.SelectorExpr) bool {
+	var n ast.Node = sel
+	for {
+		switch p := parents[n].(type) {
+		case *ast.ParenExpr, *ast.StarExpr:
+			n = p
+		case *ast.IndexExpr:
+			// s.open[k] = v mutates through the field; the key does not.
+			if p.X != n {
+				return false
+			}
+			n = p
+		case *ast.AssignStmt:
+			return isLHS(p, n)
+		case *ast.IncDecStmt:
+			return p.X == n
+		case *ast.UnaryExpr:
+			// &s.field hands out a mutable alias.
+			return p.Op == token.AND && p.X == n
+		case *ast.CallExpr:
+			// delete(s.open, k) and clear(s.open) mutate the first arg.
+			id, ok := ast.Unparen(p.Fun).(*ast.Ident)
+			return ok && (id.Name == "delete" || id.Name == "clear") && len(p.Args) > 0 && p.Args[0] == n
+		default:
+			return false
+		}
+	}
+}
+
+func isLHS(as *ast.AssignStmt, n ast.Node) bool {
+	for _, l := range as.Lhs {
+		if l == n {
+			return true
+		}
+	}
+	return false
+}
+
+// isStore reports whether sel is stored to: the receiver of a mutating
+// atomic call, or an assignment target.
+func isStore(parents map[ast.Node]ast.Node, sel *ast.SelectorExpr) bool {
+	as, ok := parents[sel].(*ast.AssignStmt)
+	return atomicMutator(parents, sel) != "" || ok && isLHS(as, sel)
+}
+
+// isClose reports whether sel is the operand of the builtin close.
+func isClose(info *types.Info, parents map[ast.Node]ast.Node, sel *ast.SelectorExpr) bool {
+	c, ok := parents[sel].(*ast.CallExpr)
+	if !ok || len(c.Args) != 1 || c.Args[0] != sel {
+		return false
+	}
+	name, ok := analysis.IsBuiltin(info, c)
+	return ok && name == "close"
+}
+
+// atomicMutator returns the mutating method name if sel is the
+// receiver of an atomic mutate call (x.field.Store(...)), else "".
+func atomicMutator(parents map[ast.Node]ast.Node, sel *ast.SelectorExpr) string {
+	m, ok := parents[sel].(*ast.SelectorExpr)
+	if !ok || m.X != sel {
+		return ""
+	}
+	if c, ok := parents[m].(*ast.CallExpr); !ok || c.Fun != m {
+		return ""
+	}
+	switch m.Sel.Name {
+	case "Store", "Add", "Swap", "CompareAndSwap", "Or", "And":
+		return m.Sel.Name
+	}
+	return ""
+}
+
+// under reports whether n sits inside a go statement, or with defers
+// also inside a defer statement: both run at another time than their
+// place in the function suggests.
+func under(parents map[ast.Node]ast.Node, n ast.Node, defers bool) bool {
+	for p := parents[n]; p != nil; p = parents[p] {
+		switch p.(type) {
+		case *ast.GoStmt:
+			return true
+		case *ast.DeferStmt:
+			if defers {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// call handles one call expression for all three rule families.
+func (c *checker) call(call *ast.CallExpr, h held) {
+	callee := analysis.Callee(c.TypesInfo, call)
+	if callee != nil && strings.HasSuffix(callee.Name(), "Locked") {
+		c.lockedCall(call, callee, h)
+	}
+	if under(c.parents, call, false) {
+		return // another goroutine's locks are unordered with these
+	}
+	if op := asLockOp(c.TypesInfo, call); op != nil {
+		to, ok := c.ann.MutexClass[op.mu]
+		if !ok || !op.blocking || op.mode == modeNone {
+			return // unclassed (local or foreign) mutex, TryLock, or release
+		}
+		add(c.fact.acquires, c.self, to)
+		for _, from := range c.classes(h) {
+			c.fact.edges = append(c.fact.edges, edge{From: from, To: to, Pos: call.Pos()})
+		}
+		return
+	}
+	if callee == nil {
+		return // func value, builtin or conversion: untraced
+	}
+	add(c.fact.calls, c.self, callee.FullName())
+	if classes := c.classes(h); len(classes) > 0 {
+		c.fact.held = append(c.fact.held, heldCall{held: classes, callee: callee.FullName(), pos: call.Pos()})
+	}
+	if len(c.ann.Publishes) > 0 && !under(c.parents, call, true) {
+		c.addEvent(event{pos: call.Pos(), callee: callee.FullName()})
+	}
+}
+
+// classes lists the lock classes of the classed mutexes in h.
+func (c *checker) classes(h held) []string {
+	var out []string
+	for mu := range h {
+		if cl, ok := c.ann.MutexClass[mu]; ok {
+			out = append(out, cl)
+		}
+	}
+	return out
+}
+
+func add(m map[string]map[string]bool, k, v string) {
+	if m[k] == nil {
+		m[k] = make(map[string]bool)
+	}
+	m[k][v] = true
+}
+
+// lockedCall enforces the *Locked call-site convention.
+func (c *checker) lockedCall(call *ast.CallExpr, callee *types.Func, h held) {
+	if len(h) > 0 {
+		return // some mutex is held at the call
+	}
+	// Walk outward: an enclosing *Locked function, or any enclosing
+	// function that acquires some lock-ish thing (a call whose name ends
+	// in "Lock" but not "Unlock": sync mutexes the walk missed, and the
+	// vheader TryWriteLock spinlock).
+	for encl := analysis.EnclosingFunc(c.parents, call); encl != nil; encl = analysis.EnclosingFunc(c.parents, encl) {
+		if d, ok := encl.(*ast.FuncDecl); ok && exemptFunc(d.Name.Name) {
+			return
+		}
+		if acquiresSomeLock(analysis.FuncBody(encl)) {
+			return
+		}
+	}
+	c.Report(call.Pos(), "%s called without any lock held: *Locked functions require the caller to hold the protecting lock", callee.Name())
+}
+
+func acquiresSomeLock(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			name := ""
+			switch f := ast.Unparen(call.Fun).(type) {
+			case *ast.Ident:
+				name = f.Name
+			case *ast.SelectorExpr:
+				name = f.Sel.Name
+			}
+			found = found || strings.HasSuffix(name, "Lock") && !strings.HasSuffix(name, "Unlock")
+		}
+		return !found
+	})
+	return found
+}
+
+// event is one publish-before event in a function: a write of
+// decl.Field, a publish of decl.Before, or a static call that writes
+// every field its callee's summary names.
+type event struct {
+	pos     token.Pos
+	decl    *publishDecl
+	publish bool
+	async   bool   // a write inside go or defer
+	callee  string // a call event; decl is nil
+}
+
+// addEvent records e for the function being walked.
+func (c *checker) addEvent(e event) {
+	c.events[len(c.events)-1] = append(c.events[len(c.events)-1], e)
+}
+
+// checkPublishes reports, per function that writes a declared field at
+// all, every publish with no synchronous write of that field before it.
+func (c *checker) checkPublishes() {
+	summary := transitive(c.writes, c.fact.calls)
+	for _, evs := range c.events {
+		var expanded []event
+		for _, e := range evs {
+			if e.callee == "" {
+				expanded = append(expanded, e)
+				continue
+			}
+			for _, d := range c.ann.Publishes {
+				if summary[e.callee][d.Class] {
+					expanded = append(expanded, event{pos: e.pos, decl: d})
+				}
+			}
+		}
+		sort.Slice(expanded, func(i, j int) bool { return expanded[i].pos < expanded[j].pos })
+		written := make(map[*publishDecl]bool)
+		for _, e := range expanded {
+			written[e.decl] = written[e.decl] || !e.publish
+		}
+		before := make(map[*publishDecl]bool)
+		for _, e := range expanded {
+			switch {
+			case !e.publish:
+				before[e.decl] = before[e.decl] || !e.async
+			case written[e.decl] && !before[e.decl]:
+				c.Report(e.pos, "%s published before %s is written: //oak:publish-before requires the %s write to precede every publish of %s in this function",
+					e.decl.BClass, e.decl.Class, e.decl.Class, e.decl.BClass)
+			}
+		}
+	}
+}
+
+// transitive closes direct over calls: afterwards direct[f] also holds
+// everything direct[g] holds for every g that f reaches. It updates
+// direct in place and returns it.
+func transitive(direct, calls map[string]map[string]bool) map[string]map[string]bool {
+	for changed := true; changed; {
+		changed = false
+		for fn, callees := range calls {
+			for callee := range callees {
+				for x := range direct[callee] {
+					if !direct[fn][x] {
+						add(direct, fn, x)
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	return direct
 }

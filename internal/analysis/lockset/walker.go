@@ -2,362 +2,172 @@ package lockset
 
 import (
 	"go/ast"
-	"go/types"
+	"go/token"
 )
 
-// LockOp classifies one call as a mutex operation on a resolved
-// mutex object (a struct field, or a local/package variable).
-type LockOp struct {
-	Field  *types.Var // the mutex operated on
-	Method string     // Lock, RLock, Unlock, RUnlock, TryLock, TryRLock
-}
+// Walker is oak-vet's one walk over a function body's structured
+// control flow. It threads a client state S along every path: the
+// client supplies the lattice (Join) and the transfer hooks, the
+// walker supplies the control flow. States are values: a hook that
+// changes a map-shaped state returns a fresh map instead of mutating
+// the one it was given, so branches can share their entry state.
+//
+// The flow every client gets:
+//
+//   - if/else branches and switch/select cases meet in Join; a switch
+//     or select without a default also joins its entry state;
+//   - a loop body is walked once, and Loop combines the loop's entry
+//     state with the state at the end of the body (Join by default);
+//   - return, break, continue and goto end the path: an ended path
+//     contributes nothing to a join, and the rest of its block is not
+//     walked. A goto also sets SawGoto, because labels are not traced.
+type Walker[S any] struct {
+	// Join merges the states of two live paths.
+	Join func(a, b S) S
 
-// Acquires reports whether the op acquires (rather than releases).
-func (op *LockOp) Acquires() bool {
-	switch op.Method {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		return true
-	}
-	return false
-}
+	// Step is the transfer of one simple statement (expression,
+	// assignment, ++/--, send, declaration, go, defer, return), or of
+	// an expression evaluated on its own: an if or for condition, a
+	// switch tag or case value, a range operand.
+	Step func(n ast.Node, st S) S
 
-// Blocking reports whether the acquisition can block. TryLock forms
-// never block, so they cannot participate in a deadlock cycle.
-func (op *LockOp) Blocking() bool {
-	return op.Method == "Lock" || op.Method == "RLock"
-}
+	// Cond, if set, splits the state after an if condition into the
+	// states that enter the then and else branches.
+	Cond func(cond ast.Expr, st S) (then, els S)
 
-// AcquireMode is the mode the op grants.
-func (op *LockOp) AcquireMode() Mode {
-	switch op.Method {
-	case "Lock", "TryLock":
-		return ModeWrite
-	case "RLock", "TryRLock":
-		return ModeRead
-	}
-	return ModeNone
-}
+	// Return, if set, sees the state at each return statement, after
+	// Step has seen the statement.
+	Return func(ret *ast.ReturnStmt, st S)
 
-// AsLockOp classifies call, or returns nil.
-func AsLockOp(info *types.Info, call *ast.CallExpr) *LockOp {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
-	default:
-		return nil
-	}
-	// The callee must be sync's method, not a same-named local one.
-	fn, _ := info.Uses[sel.Sel].(*types.Func)
-	if s, ok := info.Selections[sel]; ok {
-		fn, _ = s.Obj().(*types.Func)
-	}
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil
-	}
-	v := resolveVar(info, sel.X)
-	if v == nil {
-		return nil
-	}
-	return &LockOp{Field: v, Method: sel.Sel.Name}
-}
+	// Loop, if set, replaces Join at the end of a loop: it combines the
+	// loop's entry state with the state at the end of the body.
+	Loop func(loop ast.Stmt, entry, exit S) S
 
-// resolveVar resolves the variable a receiver expression denotes: the
-// field for s.mu / a.classes[c].mu / cl.mu, or the variable for a
-// plain identifier.
-func resolveVar(info *types.Info, e ast.Expr) *types.Var {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[e].(*types.Var)
-		return v
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[e]; ok {
-			v, _ := s.Obj().(*types.Var)
-			return v
-		}
-		v, _ := info.Uses[e.Sel].(*types.Var)
-		return v
-	case *ast.StarExpr:
-		return resolveVar(info, e.X)
-	}
-	return nil
-}
-
-// Held maps each held mutex to the strongest mode held.
-type Held map[*types.Var]Mode
-
-func (h Held) clone() Held {
-	c := make(Held, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-// join intersects two path states: a mutex is held after a merge only
-// if both paths hold it, at the weaker of the two modes.
-func joinHeld(a, b Held) Held {
-	out := make(Held)
-	for k, ma := range a {
-		if mb, ok := b[k]; ok {
-			m := ma
-			if mb < m {
-				m = mb
-			}
-			out[k] = m
-		}
-	}
-	return out
-}
-
-// Walker drives a conservative lock-state walk over a function body's
-// structured control flow. Visit is called for every expression node
-// in roughly evaluation order with the held set current at that point;
-// analyzers hang their checks off it. The held set passed to Visit
-// must not be retained or mutated.
-type Walker struct {
-	Info  *types.Info
-	Visit func(n ast.Node, held Held)
-
-	// SawGoto is set when the walk meets goto: the held sets after it
-	// are unreliable and callers may want to soften reports.
+	// SawGoto is set once the walk meets a goto.
 	SawGoto bool
 }
 
-// terminated marks a path that returned (or branched out of the
-// walked region): it contributes nothing to joins.
-type pathState struct {
-	held Held
-	term bool
+// path is the state of one path; ended paths contribute nothing.
+type path[S any] struct {
+	st    S
+	ended bool
 }
 
-func (w *Walker) Walk(body *ast.BlockStmt, entry Held) {
-	if body == nil {
-		return
-	}
-	w.stmts(body.List, pathState{held: entry.clone()})
+// Walk walks body from entry. It returns the state where the body falls
+// off its end, and whether any path does.
+func (w *Walker[S]) Walk(body *ast.BlockStmt, entry S) (S, bool) {
+	p := w.stmts(body.List, path[S]{st: entry})
+	return p.st, !p.ended
 }
 
-func (w *Walker) stmts(list []ast.Stmt, st pathState) pathState {
+func (w *Walker[S]) stmts(list []ast.Stmt, p path[S]) path[S] {
 	for _, s := range list {
-		st = w.stmt(s, st)
-		if st.term {
-			return st
+		if p.ended {
+			break
 		}
+		p = w.stmt(s, p)
 	}
-	return st
+	return p
 }
 
-func joinPath(a, b pathState) pathState {
-	if a.term {
+func (w *Walker[S]) join(a, b path[S]) path[S] {
+	if a.ended {
 		return b
 	}
-	if b.term {
+	if b.ended {
 		return a
 	}
-	return pathState{held: joinHeld(a.held, b.held)}
+	return path[S]{st: w.Join(a.st, b.st)}
 }
 
-func (w *Walker) stmt(s ast.Stmt, st pathState) pathState {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.scan(s.X, st.held)
-		if c, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			st.held = w.applyLockOp(c, st.held)
-		}
-		return st
-	case *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
-		w.scan(s, st.held)
-		return st
-	case *ast.ReturnStmt:
-		w.scan(s, st.held)
-		return pathState{term: true}
-	case *ast.BranchStmt:
-		if s.Tok.String() == "goto" {
-			w.SawGoto = true
-		}
-		// break/continue leave the enclosing loop walk; treating the
-		// path as terminated keeps the after-loop join conservative.
-		return pathState{term: true}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st = w.stmt(s.Init, st)
-		}
-		w.scan(s.Cond, st.held)
-		// `if !mu.TryLock() { return }` — the fall-through holds mu.
-		// `if mu.TryLock() { ... }` — the then-branch holds mu.
-		thenEntry, elseEntry := st.held, st.held
-		if op, neg := tryLockCond(w.Info, s.Cond); op != nil {
-			got := st.held.clone()
-			if cur, ok := got[op.Field]; !ok || op.AcquireMode() > cur {
-				got[op.Field] = op.AcquireMode()
-			}
-			if neg {
-				elseEntry = got
-			} else {
-				thenEntry = got
-			}
-		}
-		then := w.stmts(s.Body.List, pathState{held: thenEntry.clone()})
-		els := pathState{held: elseEntry.clone()}
-		if s.Else != nil {
-			els = w.stmt(s.Else, els)
-		}
-		return joinPath(then, els)
-	case *ast.BlockStmt:
-		return w.stmts(s.List, st)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st = w.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			w.scan(s.Cond, st.held)
-		}
-		after := w.stmts(s.Body.List, pathState{held: st.held.clone()})
-		if s.Post != nil && !after.term {
-			after = w.stmt(s.Post, after)
-		}
-		// A loop body may not run at all: after the loop, only locks
-		// held both at entry and at body exit are certainly held.
-		return joinPath(pathState{held: st.held}, after)
-	case *ast.RangeStmt:
-		w.scan(s.X, st.held)
-		after := w.stmts(s.Body.List, pathState{held: st.held.clone()})
-		return joinPath(pathState{held: st.held}, after)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		var body *ast.BlockStmt
-		hasDefault := false
-		switch s := s.(type) {
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				st = w.stmt(s.Init, st)
-			}
-			if s.Tag != nil {
-				w.scan(s.Tag, st.held)
-			}
-			body = s.Body
-		case *ast.TypeSwitchStmt:
-			body = s.Body
-		case *ast.SelectStmt:
-			body = s.Body
-		}
-		out := pathState{term: true}
-		for _, cc := range body.List {
-			var stmts []ast.Stmt
-			switch cc := cc.(type) {
-			case *ast.CaseClause:
-				stmts = cc.Body
-				if cc.List == nil {
-					hasDefault = true
-				}
-			case *ast.CommClause:
-				stmts = cc.Body
-				if cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			out = joinPath(out, w.stmts(stmts, pathState{held: st.held.clone()}))
-		}
-		if !hasDefault {
-			out = joinPath(out, pathState{held: st.held})
-		}
-		return out
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps mu held to function end — no state
-		// change. Deferred closures run with an empty held set (scan's
-		// DeferStmt case handles the literal body).
-		w.scan(s, st.held)
-		return st
-	case *ast.GoStmt:
-		w.scan(s, st.held)
-		return st
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.EmptyStmt:
-		return st
-	default:
-		w.scan(s, st.held)
-		return st
-	}
-}
-
-// applyLockOp updates the held set for a top-level lock/unlock call
-// statement. TryLock as a bare statement (result ignored) grants the
-// lock unconditionally — matching how the code would behave if it
-// ignored the result, and how TryAdvance uses the if-form instead.
-func (w *Walker) applyLockOp(c *ast.CallExpr, held Held) Held {
-	op := AsLockOp(w.Info, c)
-	if op == nil {
-		return held
-	}
-	held = held.clone()
-	if op.Acquires() {
-		if cur, ok := held[op.Field]; !ok || op.AcquireMode() > cur {
-			held[op.Field] = op.AcquireMode()
-		}
-	} else {
-		delete(held, op.Field)
-	}
-	return held
-}
-
-// tryLockCond matches `mu.TryLock()` (neg=false) or `!mu.TryLock()`
-// (neg=true) as an if condition.
-func tryLockCond(info *types.Info, cond ast.Expr) (op *LockOp, neg bool) {
-	e := ast.Unparen(cond)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op.String() == "!" {
-		neg = true
-		e = ast.Unparen(u.X)
-	}
-	c, ok := e.(*ast.CallExpr)
-	if !ok {
-		return nil, false
-	}
-	op = AsLockOp(info, c)
-	if op == nil || op.Blocking() || !op.Acquires() {
-		return nil, false
-	}
-	return op, neg
-}
-
-// scan visits every expression node under n in source order with the
-// current held set. Function literals are walked with the full
-// statement walker (their own Lock/Unlock calls update their held
-// state): a literal launched by go or defer starts from an empty held
-// set, every other literal (immediately invoked, or passed to a
-// synchronous caller like sort.Search) inherits the current one.
-func (w *Walker) scan(n ast.Node, held Held) {
+// step applies Step to an optional expression or statement.
+func (w *Walker[S]) step(n ast.Node, st S) S {
 	if n == nil {
-		return
+		return st
 	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			w.stmts(m.Body.List, pathState{held: held.clone()})
-			return false
-		case *ast.GoStmt:
-			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-				w.stmts(lit.Body.List, pathState{held: Held{}})
-				for _, a := range m.Call.Args {
-					w.scan(a, held)
-				}
-				return false
-			}
-		case *ast.DeferStmt:
-			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-				w.stmts(lit.Body.List, pathState{held: Held{}})
-				for _, a := range m.Call.Args {
-					w.scan(a, held)
-				}
-				return false
-			}
-		default:
-			if w.Visit != nil && m != nil {
-				w.Visit(m, held)
-			}
+	return w.Step(n, st)
+}
+
+func (w *Walker[S]) stmt(s ast.Stmt, p path[S]) path[S] {
+	switch s := s.(type) {
+	case nil, *ast.EmptyStmt:
+		return p
+	case *ast.BlockStmt:
+		return w.stmts(s.List, p)
+	case *ast.LabeledStmt:
+		return w.stmt(s.Stmt, p)
+	case *ast.ReturnStmt:
+		st := w.Step(s, p.st)
+		if w.Return != nil {
+			w.Return(s, st)
 		}
-		return true
-	})
+		return path[S]{ended: true}
+	case *ast.BranchStmt:
+		w.SawGoto = w.SawGoto || s.Tok == token.GOTO
+		return path[S]{ended: true}
+	case *ast.IfStmt:
+		p = w.stmt(s.Init, p)
+		st := w.Step(s.Cond, p.st)
+		then, els := st, st
+		if w.Cond != nil {
+			then, els = w.Cond(s.Cond, st)
+		}
+		return w.join(w.stmts(s.Body.List, path[S]{st: then}), w.stmt(s.Else, path[S]{st: els}))
+	case *ast.ForStmt:
+		p = w.stmt(s.Init, p)
+		p.st = w.step(s.Cond, p.st)
+		return w.loop(s, p, s.Body, s.Post)
+	case *ast.RangeStmt:
+		p.st = w.Step(s.X, p.st)
+		return w.loop(s, p, s.Body, nil)
+	case *ast.SwitchStmt:
+		p = w.stmt(s.Init, p)
+		p.st = w.step(s.Tag, p.st)
+		return w.cases(s.Body, p)
+	case *ast.TypeSwitchStmt:
+		p = w.stmt(s.Init, p)
+		p = w.stmt(s.Assign, p)
+		return w.cases(s.Body, p)
+	case *ast.SelectStmt:
+		return w.cases(s.Body, p)
+	default:
+		p.st = w.Step(s, p.st)
+		return p
+	}
+}
+
+func (w *Walker[S]) loop(s ast.Stmt, entry path[S], body *ast.BlockStmt, post ast.Stmt) path[S] {
+	exit := w.stmts(body.List, entry)
+	if exit.ended {
+		return entry
+	}
+	exit = w.stmt(post, exit)
+	if w.Loop != nil {
+		return path[S]{st: w.Loop(s, entry.st, exit.st)}
+	}
+	return w.join(entry, exit)
+}
+
+func (w *Walker[S]) cases(body *ast.BlockStmt, entry path[S]) path[S] {
+	out, hasDefault := path[S]{ended: true}, false
+	for _, c := range body.List {
+		p, list := entry, []ast.Stmt(nil)
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			for _, e := range c.List {
+				p.st = w.Step(e, p.st)
+			}
+			hasDefault = hasDefault || c.List == nil
+			list = c.Body
+		case *ast.CommClause:
+			p = w.stmt(c.Comm, p)
+			hasDefault = hasDefault || c.Comm == nil
+			list = c.Body
+		}
+		out = w.join(out, w.stmts(list, p))
+	}
+	if !hasDefault {
+		out = w.join(out, entry)
+	}
+	return out
 }

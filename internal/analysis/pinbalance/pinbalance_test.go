@@ -9,5 +9,9 @@ import (
 )
 
 func TestPinBalance(t *testing.T) {
-	analysistest.Run(t, pinbalance.Analyzer, filepath.Join("testdata", "src", "a"))
+	analysistest.Run(t, pinbalance.Analyzer, filepath.Join("testdata", "src", "pin"))
+}
+
+func TestSnapshots(t *testing.T) {
+	analysistest.Run(t, pinbalance.Analyzer, filepath.Join("testdata", "src", "snapshot"))
 }

@@ -48,7 +48,7 @@ const (
 // together.
 type BatchDesc struct {
 	// The decision must be readable the instant a waiter wakes:
-	// Commit/Abort store state before closing done, and publishorder
+	// Commit/Abort store state before closing done, and lockset
 	// holds them to it — a close-first order would wake DecideWait
 	// callers to a still-pending state word.
 	state atomic.Uint32 //oak:publish-before done
@@ -109,7 +109,7 @@ func (bi *BatchInstall) lookup(h ValueHandle) *batchRec {
 		// Taking the address is not a mutation: records are immutable
 		// once added, and append never moves a record out from under an
 		// extant pointer (the old backing array stays put).
-		return &bi.recs[i] //oak:allow lockguard address-of under RLock, record immutable after add
+		return &bi.recs[i] //oak:allow lockset address-of under RLock, record immutable after add
 	}
 	return nil
 }
@@ -166,7 +166,7 @@ func (bi *BatchInstall) settle(committed bool) {
 	m := bi.m
 	// Install is over: the single installing goroutine owns recs, and
 	// bi.mu only guards reader lookups against appends (none remain).
-	for i := range bi.recs { //oak:allow lockguard installer-private after install phase
+	for i := range bi.recs { //oak:allow lockset installer-private after install phase
 		rec := &bi.recs[i]
 		switch {
 		case committed && rec.del:

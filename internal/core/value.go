@@ -227,9 +227,9 @@ func (m *Map) killValue(key []byte, h ValueHandle, c *chunk.Chunk, oldVer, super
 	m.headers.StoreData(uint64(h), 0)
 	m.retireOrRetain(key, ref, oldVer, super)
 	// The protecting lock is the header's word-level write lock — a
-	// vheader spinlock, not a sync.Mutex, so the lockguard walker cannot
+	// vheader spinlock, not a sync.Mutex, so the lockset walk cannot
 	// see it.
-	m.headers.DeleteLocked(uint64(h)) //oak:allow lockguard header write-lock held by the caller
+	m.headers.DeleteLocked(uint64(h)) //oak:allow lockset header write-lock held by the caller
 	fpDeletedBit.Fire()
 	if c != nil {
 		m.size.Add(-1)

@@ -112,7 +112,7 @@ type limbo struct {
 	// items must be drained (privatized) before an advance publishes the
 	// new epoch — publish-first would let a Retire at the new epoch slip
 	// into the draining bucket and be freed with zero grace (the exact
-	// ordering bug publishorder's drain-after-publish rule re-proves; see
+	// ordering bug lockset's publish-before rule re-proves; see
 	// advanceLocked).
 	items []Retired //oak:guarded-by mu //oak:publish-before Domain.global
 	bytes int64     //oak:guarded-by mu

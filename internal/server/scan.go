@@ -246,7 +246,7 @@ func (s *Server) execScanSnap(w *respWriter, id uint64, after []byte, hi *[]byte
 // at Shutdown — an abandoned client must not pin the map's reclaim
 // horizon forever.
 //
-// Lock-order contract, verified by oak-vet/lockorder: the registry lock
+// Lock-order contract, verified by oak-vet/lockset: the registry lock
 // is outermost — create() calls Snapshot() (shard ratchet, MVCC locks)
 // while holding mu, so no map-internal path may ever call back into the
 // registry.

@@ -74,7 +74,7 @@ func (h *Histogram) Record(d time.Duration) {
 
 // Merge folds other into h. It snapshots other under its own lock and
 // only then locks h: holding both at once would deadlock against a
-// concurrent Merge in the opposite direction (lockorder flagged the
+// concurrent Merge in the opposite direction (lockset flagged the
 // old nested form as unordered same-class nesting).
 func (h *Histogram) Merge(other *Histogram) {
 	other.mu.Lock()

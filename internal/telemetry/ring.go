@@ -88,7 +88,7 @@ func (r *Ring) Append(kind EventKind, a, b, c uint64) {
 	// Seqlock claim: the odd marker must go first — it is what tells a
 	// concurrent Dump the payload is mid-write. Only the closing even
 	// store is a publish in the //oak:publish-before sense.
-	cl.marker.Store(t<<1 | 1) //oak:allow publishorder seqlock claim store precedes payload by design
+	cl.marker.Store(t<<1 | 1) //oak:allow lockset seqlock claim store precedes payload by design
 	cl.timeNs.Store(time.Now().UnixNano())
 	cl.kind.Store(uint32(kind))
 	cl.a.Store(a)

@@ -54,7 +54,7 @@ type Map struct {
 	// batch). Only these short ratchet phases are serialized; installs,
 	// commits, and scans all run outside the lock.
 	//
-	// Lock-order contract, verified by oak-vet/lockorder: the ratchet
+	// Lock-order contract, verified by oak-vet/lockset: the ratchet
 	// lock is taken before any shard-local MVCC lock (BeginSnapshot's
 	// mvccState.mu, PrepareBatch's mvccState.pendMu), never inside one.
 	//

@@ -50,7 +50,7 @@ func (m *Map[K, V]) ApplyBatch(ops []Op[K, V]) error {
 // Snapshots are cheap to take — no data is copied up front; overwritten
 // and deleted values are retained copy-on-write only while a snapshot
 // that can see them stays open. Close every snapshot (defer is the
-// idiom; oak-vet's snaplife check enforces it), or the retained-version
+// idiom; oak-vet's pinbalance check enforces it), or the retained-version
 // store and the reclaim horizon grow without bound.
 //
 // A Snapshot is safe for concurrent use; its iterators are not (one per
