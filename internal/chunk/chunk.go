@@ -472,11 +472,11 @@ func (c *Chunk) Freeze() {
 func (c *Chunk) IsFrozen() bool { return c.frozen.Load() }
 
 // Gather walks the (frozen) entries list and returns the live pairs —
-// entries whose value handle is non-⊥ — in ascending key order. Per the
-// paper (§4.4), the rebalancer does not check the deleted bit: a deleted-
-// but-still-referenced value migrates and is filtered by readers.
-// It also returns the key references of dead linked entries (valRef ⊥)
-// so the map can recycle their key storage.
+// entries whose value handle is non-⊥ — in ascending key order. The chunk
+// cannot read the deleted bit (headers live in the map); the map's
+// rebalance drops deleted values itself (core's gather). It also returns
+// the key references of dead linked entries (valRef ⊥) so the map can
+// recycle their key storage.
 func (c *Chunk) Gather() (live []Pair, deadKeys []uint64) {
 	live = make([]Pair, 0, c.Allocated())
 	for cur := c.head.Load(); cur != none; cur = c.entries[cur].next.Load() {

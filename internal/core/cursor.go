@@ -12,15 +12,19 @@ import (
 // that walks the map in key order is a cursor:
 //
 //   - pull scans (NewCursor/Next — the engine behind the facade's
-//     iterator Sets, §2.2, merged cursors and SnapCursor) pin the epoch
-//     per Next call, so a parked cursor never stalls reclamation;
+//     iterator Sets, §2.2, and merged cursors) pin the epoch per Next
+//     call, so a parked cursor never stalls reclamation;
+//   - frozen scans (NewFrozenCursor) are pull scans over a snapshot's
+//     view: the same walk, resolving each entry at the snapshot's version;
 //   - push scans (Ascend/Descend) run a stack-resident cursor under one
 //     pin per chunk and hand out arena-aliased keys;
 //   - navigation queries (First … Higher) are a cursor's first step.
 //
-// All give the same non-atomic guarantees: keys present for the scan's
-// whole duration are yielded exactly once, in order (RB1/RB2);
-// concurrently mutated keys may or may not appear.
+// Live scans give the same non-atomic guarantees: keys present for the
+// scan's whole duration are yielded exactly once, in order (RB1/RB2);
+// concurrently mutated keys may or may not appear. A frozen scan yields
+// exactly the snapshot's content, because every key an open snapshot can
+// see stays linked with a non-⊥ handle (keepDeleted).
 //
 // The chunk position held while unpinned can go stale: if the chunk was
 // rebalanced meanwhile, revalidate re-enters the live chunk list at the
@@ -44,14 +48,25 @@ type Cursor struct {
 	c  *chunk.Chunk
 	ei int32           // ascending: the next entry to visit
 	it *chunk.DescIter // descending: c's stack iterator
+
+	snap uint64 // frozen view's snapshot version; 0 = live
+	val  []byte // frozen: the yielded key's value at snap (owned)
 }
 
 // NewCursor creates a cursor over lo ≤ key < hi (nil bounds are open).
 // When desc is true the cursor yields entries in descending order.
 func (m *Map) NewCursor(lo, hi []byte, desc bool) *Cursor {
+	return m.NewFrozenCursor(0, lo, hi, desc)
+}
+
+// NewFrozenCursor creates a cursor over the frozen view of snapshot s
+// (s = 0 is the live map): Next yields exactly the keys present at s, and
+// Val their values at s. The snapshot must be stabilized and stay open
+// for the cursor's lifetime.
+func (m *Map) NewFrozenCursor(s uint64, lo, hi []byte, desc bool) *Cursor {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
-	cur := &Cursor{m: m, lo: lo, hi: hi, desc: desc}
+	cur := &Cursor{m: m, lo: lo, hi: hi, desc: desc, snap: s}
 	cur.reposition()
 	return cur
 }
@@ -121,10 +136,17 @@ func (cur *Cursor) own() {
 // heads of several cursors without holding any epoch pin.
 func (cur *Cursor) Key() []byte { return cur.last }
 
+// Val returns a frozen cursor's owned copy of the value, at the
+// snapshot's version, of the last key Next yielded; like Key it is reused
+// by the following Next call.
+func (cur *Cursor) Val() []byte { return cur.val }
+
 // Next returns the next live entry, or ok=false when the range is
 // exhausted. The returned handle is live (non-⊥, not deleted) at yield
 // time; the keyRef is guaranteed valid only until the next Next call
 // unless the caller re-validates under its own pin (see Map.ReadKey).
+// A frozen cursor returns the entry's current references, which need not
+// be the snapshot's: its view is Key and Val.
 func (cur *Cursor) Next() (keyRef uint64, h ValueHandle, ok bool) {
 	if cur.done {
 		return 0, 0, false
@@ -134,16 +156,33 @@ func (cur *Cursor) Next() (keyRef uint64, h ValueHandle, ok bool) {
 	g := cur.m.reclaim.Pin()
 	defer g.Unpin()
 	cur.revalidate()
-	keyRef, h, ok = cur.step(false)
+	for {
+		keyRef, h, ok = cur.step(false)
+		if !ok || cur.snap == 0 || cur.resolve(h) {
+			break
+		}
+	}
 	cur.own()
 	return keyRef, h, ok
 }
 
-// step advances to the next live entry in range. It must run pinned, on
-// a cursor revalidated under that pin. ok=false with done set means the
-// range is exhausted. With perChunk set, ok=false with done unset is a
-// chunk boundary crossed after progress: the caller cycles its pin (own,
-// unpin, pin, revalidate) and calls step again.
+// resolve reads the value snapshot snap sees for the last visited key,
+// whose entry holds h, into val, and reports false if the key was absent
+// at snap. Must run pinned.
+func (cur *Cursor) resolve(h ValueHandle) bool {
+	v, found := cur.m.snapRead(cur.snap, h, cur.last, cur.val[:0])
+	if found {
+		cur.val = v
+	}
+	return found
+}
+
+// step advances to the next entry in range with a live value — or, for a
+// frozen cursor, with any non-⊥ value, deleted ones included. It must run
+// pinned, on a cursor revalidated under that pin. ok=false with done set
+// means the range is exhausted. With perChunk set, ok=false with done
+// unset is a chunk boundary crossed after progress: the caller cycles its
+// pin (own, unpin, pin, revalidate) and calls step again.
 func (cur *Cursor) step(perChunk bool) (keyRef uint64, h ValueHandle, ok bool) {
 	m := cur.m
 	for {
@@ -158,7 +197,7 @@ func (cur *Cursor) step(perChunk bool) (keyRef uint64, h ValueHandle, ok bool) {
 					return 0, 0, false
 				}
 				cur.last, cur.aliased = key, true
-				if h := ValueHandle(cur.c.ValHandle(ei)); h != 0 && !m.IsDeleted(h) {
+				if h := ValueHandle(cur.c.ValHandle(ei)); h != 0 && (cur.snap != 0 || !m.IsDeleted(h)) {
 					return cur.c.KeyRef(ei), h, true
 				}
 			}
@@ -172,7 +211,7 @@ func (cur *Cursor) step(perChunk bool) (keyRef uint64, h ValueHandle, ok bool) {
 				}
 				cur.last, cur.aliased = key, true
 				cur.ei = c.NextEntry(ei)
-				if h := ValueHandle(c.ValHandle(ei)); h != 0 && !m.IsDeleted(h) {
+				if h := ValueHandle(c.ValHandle(ei)); h != 0 && (cur.snap != 0 || !m.IsDeleted(h)) {
 					return c.KeyRef(ei), h, true
 				}
 			}

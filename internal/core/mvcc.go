@@ -99,10 +99,9 @@ type mvccState struct {
 	// Retained store: chains keyed by an owned copy of the serialized
 	// key. Chains are keyed by key bytes (not value handles) because a
 	// remove + re-insert swaps the entry's handle while the key's
-	// version history must stay one chain. keys mirrors byKey in sorted
-	// order for the snapshot scans' ceiling/floor queries.
+	// version history must stay one chain. Scans never enumerate it: a
+	// key with a chain stays linked in its chunk (keepDeleted).
 	byKey map[string]*retChain //oak:guarded-by mu
-	keys  [][]byte             //oak:guarded-by mu
 
 	// Pending-batch registry: base version → install record. Readers
 	// that hit a flagged version word resolve it here (cold path).
@@ -218,9 +217,7 @@ func (m *Map) EndSnapshot(s uint64) {
 func (m *Map) sweepRetainedLocked() {
 	st := &m.mvcc
 	fpMvccHorizon.Fire()
-	keptKeys := st.keys[:0]
-	for _, key := range st.keys {
-		chain := st.byKey[string(key)]
+	for key, chain := range st.byKey {
 		kept := chain.entries[:0]
 		for _, e := range chain.entries {
 			if st.visibleLocked(e.ver, e.super) {
@@ -233,12 +230,31 @@ func (m *Map) sweepRetainedLocked() {
 		}
 		chain.entries = kept
 		if len(kept) == 0 {
-			delete(st.byKey, string(key))
-			continue
+			delete(st.byKey, key)
 		}
-		keptKeys = append(keptKeys, key)
 	}
-	st.keys = keptKeys
+}
+
+// keepDeleted is the chain check that keeps snapshot-visible keys linked.
+// The caller has seen the key's handle read deleted; the entry must then
+// keep that handle (not be cleared to ⊥ or dropped by a rebalance) while
+// the key has a retained chain, so that a frozen scan — one walk of the
+// chunk list — still meets every key some open snapshot can see.
+//
+// The order of the three reads makes the check race-free: every retain
+// happens before the deleted bit it precedes is set (retain before
+// publish), so once the handle reads deleted, a chain it needed is either
+// in byKey or already swept because no open snapshot can see it. With no
+// snapshot open the check is the one floor load.
+func (m *Map) keepDeleted(key []byte) bool {
+	st := &m.mvcc
+	if st.retainFloor.Load() == 0 {
+		return false
+	}
+	st.mu.Lock()
+	_, ok := st.byKey[string(key)]
+	st.mu.Unlock()
+	return ok
 }
 
 // retireOrRetain disposes of a superseded value span: if some open
@@ -272,13 +288,8 @@ func (m *Map) retireOrRetain(key []byte, ref arena.Ref, oldVer, super uint64) {
 	}
 	chain := st.byKey[string(key)]
 	if chain == nil {
-		owned := append([]byte(nil), key...)
 		chain = &retChain{}
-		st.byKey[string(owned)] = chain
-		i := sort.Search(len(st.keys), func(i int) bool { return m.cmp(st.keys[i], owned) >= 0 })
-		st.keys = append(st.keys, nil)
-		copy(st.keys[i+1:], st.keys[i:])
-		st.keys[i] = owned
+		st.byKey[string(key)] = chain
 	}
 	// Entries stay ver-ascending: a later retain's ver is ≥ the earlier
 	// retain's super for the same key, but insert defensively.

@@ -64,14 +64,14 @@ func TestChaosSnapshotKilledMidScan(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		s := m.BeginSnapshot()
 		m.StabilizeSnapshot(s)
-		cur := m.NewSnapCursor(s, nil, nil, false)
+		cur := m.NewFrozenCursor(s, nil, nil, false)
 		steps := int(rng.Uint64N(keySpace/2)) + 1
 		var prev []byte
 		for i := 0; i < steps; i++ {
-			key, _, ok := cur.Next()
-			if !ok {
+			if _, _, ok := cur.Next(); !ok {
 				break
 			}
+			key := cur.Key()
 			if prev != nil && bytes.Compare(prev, key) >= 0 {
 				t.Fatalf("round %d: killed scan went out of order: %x after %x", round, key, prev)
 			}

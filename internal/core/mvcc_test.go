@@ -219,13 +219,10 @@ func TestSnapshotFrozenViewUnderChurn(t *testing.T) {
 	// Repeated full scans + point reads of the frozen view mid-churn.
 	for round := 0; round < 5; round++ {
 		got := make(map[string]string, n)
-		sc := m.NewSnapCursor(s, nil, nil, round%2 == 1)
+		sc := m.NewFrozenCursor(s, nil, nil, round%2 == 1)
 		prev := []byte(nil)
-		for {
-			k, v, ok := sc.Next()
-			if !ok {
-				break
-			}
+		for _, _, ok := sc.Next(); ok; _, _, ok = sc.Next() {
+			k, v := sc.Key(), sc.Val()
 			if prev != nil {
 				d := m.cmp(prev, k)
 				if round%2 == 1 {

@@ -361,7 +361,11 @@ func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertO
 		}
 	}
 	// Case 2: the value is deleted — ensure the entry is removed
-	// before reporting the key absent (lines 50–55).
+	// before reporting the key absent (lines 50–55), unless an open
+	// snapshot still needs the key linked.
+	if m.keepDeleted(key) {
+		return ifPresentOutcome{done: true}, nil
+	}
 	if !c.Publish() {
 		return ifPresentOutcome{}, nil
 	}
@@ -382,7 +386,9 @@ func (m *Map) unlinkRemoved(key []byte, prev ValueHandle, from *chunk.Chunk) {
 // remove — an optimization that lets other operations and the rebalancer
 // skip the deleted value (§4.4). prev guards against clobbering a
 // concurrent re-insertion; handles are never reused, so the check is
-// ABA-free. Each attempt pins the epoch around its chunk walk.
+// ABA-free. A key an open snapshot can still see keeps its deleted
+// handle (keepDeleted). Each attempt pins the epoch around its chunk
+// walk.
 func (m *Map) finalizeRemove(key []byte, prev ValueHandle) {
 	for attempt := 0; ; attempt++ {
 		retryPause(attempt)
@@ -402,6 +408,9 @@ func (m *Map) finalizeRemoveAttempt(key []byte, prev ValueHandle) bool {
 	}
 	if ValueHandle(c.ValHandle(ei)) != prev {
 		return true // key removed or replaced (line 65)
+	}
+	if m.keepDeleted(key) {
+		return true
 	}
 	if !c.Publish() {
 		return false

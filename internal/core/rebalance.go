@@ -173,7 +173,7 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 
 	c.Freeze()
 	fpRebalanceFreeze.Fire()
-	live, deadKeys := c.Gather()
+	live, deadKeys := m.gather(c)
 
 	// Merge policy: when c is under-utilized, absorb the successor.
 	// Holding c's lock keeps c.Next() stable (a successor's rebalance
@@ -185,7 +185,7 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 			n.RebalanceMu.Lock()
 			if n.ReplacedBy() == nil && c.Next() == n {
 				n.Freeze()
-				live2, dk2 := n.Gather()
+				live2, dk2 := m.gather(n)
 				live = append(live, live2...)
 				deadKeys = append(deadKeys, dk2...)
 				second = n
@@ -298,6 +298,24 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 		retired = 2
 	}
 	return retired, len(outs), len(live)
+}
+
+// gather collects the frozen chunk c's pairs for its replacements. A pair
+// whose value is deleted is dropped — its key joins deadKeys — unless an
+// open snapshot can still see the key (keepDeleted). The frozen chunk's
+// entries no longer change, and its keys stay mapped until this rebalance
+// retires them.
+func (m *Map) gather(c *chunk.Chunk) (live []chunk.Pair, deadKeys []uint64) {
+	pairs, deadKeys := c.Gather()
+	live = pairs[:0]
+	for _, p := range pairs {
+		if m.IsDeleted(ValueHandle(p.ValHandle)) && !m.keepDeleted(m.KeyBytes(p.KeyRef)) {
+			deadKeys = append(deadKeys, p.KeyRef)
+			continue
+		}
+		live = append(live, p)
+	}
+	return live, deadKeys
 }
 
 // freeKey returns a key's off-heap space to the allocator immediately

@@ -12,7 +12,7 @@ import (
 // routine, the single kill routine and retain-before-publish.
 
 // snapView reads snapshot s both ways — point reads of keys 1..n and a
-// full SnapCursor scan — and fails unless both return exactly want.
+// full frozen-cursor scan — and fails unless both return exactly want.
 func snapView(t *testing.T, m *Map, s uint64, when string, want map[int]string) {
 	t.Helper()
 	for i := 1; i <= 8; i++ {
@@ -21,20 +21,17 @@ func snapView(t *testing.T, m *Map, s uint64, when string, want map[int]string) 
 			t.Fatalf("%s: SnapGet(%d) = %q, %v; want %q, %v", when, i, v, ok, w, present)
 		}
 	}
-	cur := m.NewSnapCursor(s, nil, nil, false)
+	cur := m.NewFrozenCursor(s, nil, nil, false)
 	n := 0
-	for {
-		k, v, ok := cur.Next()
-		if !ok {
-			break
-		}
+	for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
 		n++
+		k, v := cur.Key(), cur.Val()
 		if w := want[int(binary.BigEndian.Uint64(k))]; w != string(v) {
-			t.Fatalf("%s: SnapCursor yielded %x = %q; want %q", when, k, v, w)
+			t.Fatalf("%s: frozen scan yielded %x = %q; want %q", when, k, v, w)
 		}
 	}
 	if n != len(want) {
-		t.Fatalf("%s: SnapCursor yielded %d entries; want %d", when, n, len(want))
+		t.Fatalf("%s: frozen scan yielded %d entries; want %d", when, n, len(want))
 	}
 }
 

@@ -1,17 +1,14 @@
 package core
 
-import (
-	"sort"
-
-	"oakmap/internal/arena"
-)
+import "oakmap/internal/arena"
 
 // Snapshot read path. A snapshot is a version S from BeginSnapshot
 // (stabilized via StabilizeSnapshot): reads resolve every key to the
 // newest version ≤ S. The current value answers when its stamp is ≤ S;
 // otherwise the key's retained chain (pre-images kept by copy-on-write
 // retention, mvcc.go) holds the version the snapshot sees — or nothing,
-// in which case the key was absent at S.
+// in which case the key was absent at S. Scans resolve the same way,
+// entry by entry, on a frozen Cursor (cursor.go).
 
 // snapReadCurrent outcomes.
 const (
@@ -28,16 +25,22 @@ func (m *Map) SnapGet(s uint64, key, dst []byte) ([]byte, bool) {
 	c := m.locateChunk(key)
 	if ei := c.LookUp(key); ei >= 0 {
 		if h := ValueHandle(c.ValHandle(ei)); h != 0 {
-			out, st := m.snapReadCurrent(s, h, dst)
-			switch st {
-			case snapFound:
-				return out, true
-			case snapAbsent:
-				return nil, false
-			}
+			return m.snapRead(s, h, key, dst)
 		}
 	}
 	return m.retainedAt(s, key, dst)
+}
+
+// snapRead resolves key, whose entry holds handle h, at snapshot s: the
+// current value if its stamp decides, else the key's retained chain. The
+// visible value is appended to dst; ok=false means absent at s. The
+// caller must hold an epoch pin (retainedAt).
+func (m *Map) snapRead(s uint64, h ValueHandle, key, dst []byte) ([]byte, bool) {
+	out, st := m.snapReadCurrent(s, h, dst)
+	if st == snapOlder {
+		return m.retainedAt(s, key, dst)
+	}
+	return out, st == snapFound
 }
 
 // snapReadCurrent resolves handle h against snapshot s using only the
@@ -133,170 +136,4 @@ func (m *Map) retainedAt(s uint64, key, dst []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return append(dst, m.alloc.Bytes(ref)...), true
-}
-
-// nextRetainedKey copies into dst the retained-store key adjacent to a
-// scan position: ascending, the smallest key after `last` (or ≥ lo when
-// last is nil) and below hi; descending, the largest key before `last`
-// (or below hi when last is nil) and ≥ lo. The result is a position
-// candidate only — whether the chain actually holds a version visible
-// to the snapshot is decided at resolve time.
-func (m *Map) nextRetainedKey(last []byte, desc bool, lo, hi, dst []byte) ([]byte, bool) {
-	st := &m.mvcc
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := len(st.keys)
-	if desc {
-		// Largest index with key < bound (last, else hi; nil = +inf).
-		i := n
-		if b := last; b == nil {
-			b = hi
-			if b != nil {
-				i = sort.Search(n, func(i int) bool { return m.cmp(st.keys[i], b) >= 0 })
-			}
-		} else {
-			i = sort.Search(n, func(i int) bool { return m.cmp(st.keys[i], b) >= 0 })
-		}
-		if i == 0 {
-			return nil, false
-		}
-		k := st.keys[i-1]
-		if lo != nil && m.cmp(k, lo) < 0 {
-			return nil, false
-		}
-		return append(dst, k...), true
-	}
-	// Ascending: smallest key > last (or ≥ lo when last is nil).
-	var i int
-	if last != nil {
-		i = sort.Search(n, func(i int) bool { return m.cmp(st.keys[i], last) > 0 })
-	} else if lo != nil {
-		i = sort.Search(n, func(i int) bool { return m.cmp(st.keys[i], lo) >= 0 })
-	}
-	if i >= n {
-		return nil, false
-	}
-	k := st.keys[i]
-	if hi != nil && m.cmp(k, hi) >= 0 {
-		return nil, false
-	}
-	return append(dst, k...), true
-}
-
-// SnapCursor iterates the frozen view of a snapshot in key order: a
-// two-way merge of the live structure (whose entries resolve through
-// snapReadCurrent) and the retained store (which alone knows keys that
-// were deleted after the snapshot was taken). Keys and values returned
-// by Next are cursor-owned copies, valid until the following Next.
-type SnapCursor struct {
-	m    *Map
-	s    uint64
-	desc bool
-	lo   []byte
-	hi   []byte
-	done bool
-
-	cur       *Cursor
-	structKey []byte // structure-side head (aliases keyBuf); nil = unloaded
-	structH   ValueHandle
-	structEOF bool
-
-	// last is the watermark: every key ≤ last (≥ for desc) has been
-	// fully processed. It advances per candidate examined — not per
-	// yield — so keys that resolve to "absent at S" cannot loop, and
-	// concurrent retains behind the watermark are correctly ignored
-	// (their versions are > S: invisible anyway).
-	last []byte
-
-	keyBuf, valBuf, chainBuf, lastBuf []byte
-}
-
-// NewSnapCursor creates a cursor over snapshot s for lo ≤ key < hi (nil
-// bounds are open); desc reverses the order. The snapshot must be
-// stabilized and stay open for the cursor's lifetime.
-func (m *Map) NewSnapCursor(s uint64, lo, hi []byte, desc bool) *SnapCursor {
-	return &SnapCursor{
-		m: m, s: s, desc: desc, lo: lo, hi: hi,
-		cur: m.NewCursor(lo, hi, desc),
-	}
-}
-
-// Next returns the snapshot view's next entry, or ok=false at the end.
-func (c *SnapCursor) Next() (key, val []byte, ok bool) {
-	m := c.m
-	for !c.done {
-		if c.structKey == nil && !c.structEOF {
-			if _, h, ok := c.cur.Next(); ok {
-				c.keyBuf = append(c.keyBuf[:0], c.cur.Key()...)
-				c.structKey = c.keyBuf
-				c.structH = h
-			} else {
-				c.structEOF = true
-			}
-		}
-		// The chain head is queried live each step: the retained store
-		// mutates under the scan, and a fixed iteration could miss keys
-		// retained (by concurrent deletes) ahead of the watermark.
-		chKey, chOK := m.nextRetainedKey(c.last, c.desc, c.lo, c.hi, c.chainBuf[:0])
-		if chOK {
-			c.chainBuf = chKey
-		}
-		var cand []byte
-		fromStruct := false
-		switch {
-		case c.structKey == nil && !chOK:
-			c.done = true
-			return nil, nil, false
-		case c.structKey == nil:
-			cand = chKey
-		case !chOK:
-			cand, fromStruct = c.structKey, true
-		default:
-			d := m.cmp(c.structKey, chKey)
-			if c.desc {
-				d = -d
-			}
-			// Ties consume the structure side; the chain key then falls
-			// behind the watermark and is skipped next round.
-			if d <= 0 {
-				cand, fromStruct = c.structKey, true
-			} else {
-				cand = chKey
-			}
-		}
-		c.lastBuf = append(c.lastBuf[:0], cand...)
-		c.last = c.lastBuf
-		var out []byte
-		found := false
-		if fromStruct {
-			h := c.structH
-			c.structKey = nil // consumed
-			var st int
-			out, st = m.snapReadCurrent(c.s, h, c.valBuf[:0])
-			switch st {
-			case snapFound:
-				c.valBuf, found = out, true
-			case snapOlder:
-				out, found = c.chainAt(c.last)
-			}
-		} else {
-			out, found = c.chainAt(cand)
-		}
-		if found {
-			return c.last, out, true
-		}
-	}
-	return nil, nil, false
-}
-
-// chainAt resolves the watermark key through the retained chain under a
-// pin of its own (Next holds none between steps).
-func (c *SnapCursor) chainAt(key []byte) ([]byte, bool) {
-	g := c.m.reclaim.Pin()
-	defer g.Unpin()
-	out, ok := c.m.retainedAt(c.s, key, c.valBuf[:0])
-	if ok {
-		c.valBuf = out
-	}
-	return out, ok
 }

@@ -74,7 +74,7 @@ func (s *Server) execScan(w *respWriter, args [][]byte) {
 		return
 	}
 	count := s.cfg.ScanDefaultCount
-	var hi *[]byte
+	var hi []byte // nil = open; END's argument is a non-nil slice
 	wantSnap := false
 	for i := 2; i < len(args); {
 		switch {
@@ -98,8 +98,7 @@ func (s *Server) execScan(w *respWriter, args [][]byte) {
 				w.writeError("syntax error")
 				return
 			}
-			end := args[i+1]
-			hi = &end
+			hi = args[i+1]
 			i += 2
 		case eqFold(args[i], "SNAP"):
 			wantSnap = true
@@ -121,86 +120,56 @@ func (s *Server) execScan(w *respWriter, args [][]byte) {
 		}
 		snapID, haveID = id, true
 	}
+	// One pager serves both kinds of scan; only the row source and the
+	// next cursor's prefix differ.
+	rows, prefix := s.liveKeys, []byte(nil)
 	if haveID {
-		s.execScanSnap(w, snapID, after, hi, count)
-		return
-	}
-
-	// Collect up to count keys into one owned buffer (offs marks the
-	// boundaries). The stream view's bytes are only valid inside the
-	// callback, so each key is copied out exactly once, here.
-	var (
-		buf      []byte
-		offs     = []int{0}
-		from     *[]byte
-		firstDup = false // first yielded key may equal the resume key
-	)
-	if after != nil {
-		a := after
-		from = &a
-		firstDup = true
-	}
-	n := 0
-	s.zc.KeysStream(from, hi, func(key *oakmap.OakRBuffer) bool {
-		if firstDup {
-			firstDup = false
-			eq := false
-			key.Read(func(b []byte) error { eq = bytes.Equal(b, after); return nil })
-			if eq {
-				return true // resume key itself: already delivered last batch
-			}
+		sn, ok := s.snaps.acquire(snapID)
+		if !ok {
+			w.writeError("snapshot cursor expired or unknown")
+			return
 		}
-		out, err := key.AppendTo(buf)
-		if err != nil {
-			return true // deleted mid-yield: skip
-		}
-		buf = out
-		offs = append(offs, len(buf))
-		n++
-		return n < count
-	})
-
-	exhausted := n < count
-	w.writeArrayHeader(2)
-	if exhausted || n == 0 {
-		w.writeBulkString("0")
-	} else {
-		last := buf[offs[n-1]:offs[n]]
-		w.writeBulkHeader(1 + len(last))
-		w.bw.WriteByte('k')
-		w.bw.Write(last)
-		w.bw.WriteString("\r\n")
+		rows, prefix = sn.AscendRaw, strconv.AppendUint([]byte{'s'}, snapID, 10)
 	}
-	w.writeArrayHeader(n)
-	for i := 0; i < n; i++ {
-		w.writeBulk(buf[offs[i]:offs[i+1]])
+	exhausted := writeScanPage(w, rows, prefix, after, hi, count, haveID)
+	if haveID {
+		s.snaps.release(snapID, exhausted)
 	}
 }
 
-// execScanSnap serves one batch of a snapshot-pinned scan from the
-// pinned frozen view, returning flat key/value pairs.
-func (s *Server) execScanSnap(w *respWriter, id uint64, after []byte, hi *[]byte, count int) {
-	sn, ok := s.snaps.acquire(id)
-	if !ok {
-		w.writeError("snapshot cursor expired or unknown")
-		return
-	}
-	var (
-		buf      []byte
-		offs     = []int{0} // interleaved key/value boundaries
-		lo       []byte
-		hiB      []byte
-		firstDup = false
-	)
-	if after != nil {
-		lo = after
-		firstDup = true // lo is inclusive; the resume key went out last batch
+// liveKeys is the live scan's row source: keys only, since a live page
+// leaves the values to MGET.
+func (s *Server) liveKeys(lo, hi []byte, yield func(key, val []byte) bool) {
+	var from, to *[]byte
+	if lo != nil {
+		from = &lo
 	}
 	if hi != nil {
-		hiB = *hi
+		to = &hi
 	}
-	n := 0
-	sn.AscendRaw(lo, hiB, func(key, val []byte) bool {
+	s.zc.KeysStream(from, to, func(key *oakmap.OakRBuffer) bool {
+		more := true // a stream key view reads the scan's own key: Read cannot fail
+		// The pager's yield copies the key out before it returns.
+		key.Read(func(b []byte) error { more = yield(b, nil); return nil }) //oak:allow zcescape yield copies b
+		return more
+	})
+}
+
+// writeScanPage collects up to count rows after the resume key from
+// rows(lo = after, hi) and writes one SCAN reply: the next cursor
+// (prefix + "k" + last key, or "0" once the range is exhausted), then the
+// keys — each followed by its value when withVals is set. The rows'
+// bytes are only valid inside the callback, so each is copied out
+// exactly once, into one owned buffer (offs marks the boundaries). It
+// reports whether the range is exhausted.
+func writeScanPage(w *respWriter, rows func(lo, hi []byte, yield func(key, val []byte) bool), prefix, after, hi []byte, count int, withVals bool) bool {
+	var (
+		buf      []byte
+		offs     = []int{0}
+		n        int
+		firstDup = after != nil // lo is inclusive; the resume key went out last page
+	)
+	rows(after, hi, func(key, val []byte) bool {
 		if firstDup {
 			firstDup = false
 			if bytes.Equal(key, after) {
@@ -209,33 +178,35 @@ func (s *Server) execScanSnap(w *respWriter, id uint64, after []byte, hi *[]byte
 		}
 		buf = append(buf, key...)
 		offs = append(offs, len(buf))
-		buf = append(buf, val...)
-		offs = append(offs, len(buf))
+		if withVals {
+			buf = append(buf, val...)
+			offs = append(offs, len(buf))
+		}
 		n++
 		return n < count
 	})
 	exhausted := n < count
-	s.snaps.release(id, exhausted)
-
 	w.writeArrayHeader(2)
+	items := len(offs) - 1
 	if exhausted {
 		w.writeBulkString("0")
 	} else {
-		// Next cursor: "s<id>k<lastkey>".
-		last := buf[offs[2*n-2] : offs[2*n-1]]
-		idb := strconv.AppendUint(w.scratch[:0], id, 10)
-		w.writeBulkHeader(1 + len(idb) + 1 + len(last))
-		w.bw.WriteByte('s')
-		w.bw.Write(idb)
+		lastKey := items - 1
+		if withVals {
+			lastKey--
+		}
+		last := buf[offs[lastKey]:offs[lastKey+1]]
+		w.writeBulkHeader(len(prefix) + 1 + len(last))
+		w.bw.Write(prefix)
 		w.bw.WriteByte('k')
 		w.bw.Write(last)
 		w.bw.WriteString("\r\n")
-		w.scratch = idb[:0]
 	}
-	w.writeArrayHeader(2 * n)
-	for i := 0; i < 2*n; i++ {
+	w.writeArrayHeader(items)
+	for i := 0; i < items; i++ {
 		w.writeBulk(buf[offs[i]:offs[i+1]])
 	}
+	return exhausted
 }
 
 // snapCursors is the server-side registry of snapshot-pinned scans.

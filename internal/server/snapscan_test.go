@@ -292,3 +292,81 @@ func TestScanSnapTTLReapWithoutTraffic(t *testing.T) {
 			st.OpenSnapshots, st.RetainedBytes)
 	}
 }
+
+// TestScanSnapPagesMatchLive: on a quiescent map a SNAP scan is the live
+// scan plus values — one pager serves both — so for every page size the
+// two must cut the same pages, at the same keys, with the snapshot
+// cursor carrying the live cursor after its "s<id>" prefix.
+func TestScanSnapPagesMatchLive(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, addr := newTestServer(t, shards, Config{})
+			cl := dialT(t, addr)
+			vals := map[string]string{}
+			for i := 0; i < 30; i++ {
+				k, v := fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i)
+				doOK(t, cl, "SET", k, v)
+				vals[k] = v
+			}
+			const hi = "k25" // keys k00..k24 are in range
+			type page struct {
+				cursor string
+				keys   []string
+			}
+			scan := func(count int, snap bool) []page {
+				var pages []page
+				args := []string{"SCAN", "0", "COUNT", fmt.Sprint(count), "END", hi}
+				if snap {
+					args = append(args, "SNAP")
+				}
+				for {
+					r := do(t, cl, args...)
+					if r.Kind != ReplyArray || len(r.Elems) != 2 || r.Elems[1].Kind != ReplyArray {
+						t.Fatalf("SCAN reply shape: %s", r)
+					}
+					p := page{cursor: string(r.Elems[0].Str)}
+					items := r.Elems[1].Elems
+					for i := 0; i < len(items); i++ {
+						k := string(items[i].Str)
+						p.keys = append(p.keys, k)
+						if snap {
+							i++
+							if i == len(items) {
+								t.Fatalf("SNAP page without a value for %q", k)
+							}
+							if v := string(items[i].Str); v != vals[k] {
+								t.Fatalf("SNAP value of %q = %q; want %q", k, v, vals[k])
+							}
+						}
+					}
+					pages = append(pages, p)
+					if p.cursor == "0" {
+						return pages
+					}
+					args = []string{"SCAN", p.cursor, "COUNT", fmt.Sprint(count), "END", hi}
+				}
+			}
+			for _, count := range []int{1, 7, 100} {
+				live, frozen := scan(count, false), scan(count, true)
+				if len(live) != len(frozen) {
+					t.Fatalf("COUNT %d: %d live pages, %d SNAP pages", count, len(live), len(frozen))
+				}
+				var all []string
+				for i := range live {
+					lp, fp := live[i], frozen[i]
+					if strings.Join(lp.keys, ",") != strings.Join(fp.keys, ",") {
+						t.Fatalf("COUNT %d page %d: live %v, SNAP %v", count, i, lp.keys, fp.keys)
+					}
+					if lp.cursor == "0" && fp.cursor != "0" ||
+						lp.cursor != "0" && !(strings.HasPrefix(fp.cursor, "s") && strings.HasSuffix(fp.cursor, lp.cursor)) {
+						t.Fatalf("COUNT %d page %d: live cursor %q, SNAP cursor %q", count, i, lp.cursor, fp.cursor)
+					}
+					all = append(all, lp.keys...)
+				}
+				if len(all) != 25 || all[0] != "k00" || all[24] != "k24" {
+					t.Fatalf("COUNT %d: pages cover %v; want k00..k24", count, all)
+				}
+			}
+		})
+	}
+}

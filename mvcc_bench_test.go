@@ -143,8 +143,10 @@ func BenchmarkMVCCApplyBatch(b *testing.B) {
 }
 
 // BenchmarkMVCCSnapshotScan: a 1000-entry ordered scan through a
-// snapshot iterator vs the live Range scan (the merge against the
-// retained-version store is the delta).
+// snapshot vs the live Range scan. Both walk the same cursor; the delta
+// is the frozen cursor's per-entry resolution at the snapshot's version
+// (a version check and a value copy under the header read lock) and the
+// one-leaf merge a snapshot scan runs through.
 func BenchmarkMVCCSnapshotScan(b *testing.B) {
 	const scanLen = 1000
 	b.Run("snapshot", func(b *testing.B) {

@@ -14,12 +14,13 @@ import (
 //
 // Key lifetime is the delicate part. core.Cursor.Next pins its shard's
 // epoch only for the call, and the key bytes it exposes via Cursor.Key
-// are the cursor's own on-heap resume copy, reused by that cursor's next
-// advance. The tree therefore compares leaf heads without any pin, and
-// the merged cursor advances lazily: the winning leaf is not advanced
-// until the *following* Next call, so the key slice handed to the caller
-// stays valid for the full step. Callers that retain a key must copy it
-// (the facade's iterators already do).
+// are the cursor's own on-heap resume copy (as is a frozen cursor's
+// Cursor.Val), reused by that cursor's next advance. The tree therefore
+// compares leaf heads without any pin, and the merged cursor advances
+// lazily: the winning leaf is not advanced until the *following* Next
+// call, so the key and value slices handed to the caller stay valid for
+// the full step. Callers that retain them must copy (the facade's
+// iterators already do).
 
 // EntryFunc visits one merged entry. key is an owned-by-the-iterator
 // copy valid for the duration of the call; keyRef and h are references
@@ -27,27 +28,19 @@ import (
 // time; re-validate under src's pin for later use).
 type EntryFunc func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool
 
-// leaf is one shard's stream head. The default stream is a core.Cursor
-// over the live map; snapshot scans plug in their own step function
-// (a core.SnapCursor yields materialized key/value pairs instead of
-// handles), reusing the tree unchanged — it only reads key/ok and calls
-// advance.
+// leaf is one shard's stream head: a core.Cursor over the live map or
+// over the shard's frozen view of a snapshot. The tree only reads key/ok
+// and calls advance.
 type leaf struct {
 	src    *core.Map
 	cur    *core.Cursor
 	key    []byte // current head key: alias of cur.Key(), nil iff !ok
-	val    []byte // snapshot streams: the head's value bytes
 	keyRef uint64
 	h      core.ValueHandle
 	ok     bool
-	step   func(l *leaf) // non-nil overrides the core.Cursor advance
 }
 
 func (l *leaf) advance() {
-	if l.step != nil {
-		l.step(l)
-		return
-	}
 	l.keyRef, l.h, l.ok = l.cur.Next()
 	if l.ok {
 		l.key = l.cur.Key()
@@ -151,30 +144,43 @@ func (t *loserTree) pop() {
 // Cursor is a pull-based merged scan across all shards — the sharded
 // analogue of core.Cursor, with the same non-atomic guarantees extended
 // globally: keys present in the map for the cursor's whole lifetime are
-// yielded exactly once, in global order. Between Next calls no shard's
-// epoch is pinned, so a parked merged cursor stalls no reclamation
-// anywhere.
+// yielded exactly once, in global order. Over a snapshot
+// (Snapshot.NewCursor) the leaves are frozen cursors and the merge yields
+// exactly the frozen view. Between Next calls no shard's epoch is pinned,
+// so a parked merged cursor stalls no reclamation anywhere.
 type Cursor struct {
 	t         *loserTree
 	started   bool
+	frozen    bool
 	lastShard int
 }
 
 // NewCursor opens a merged cursor over lo ≤ key < hi (nil bounds open),
 // descending when desc is set.
 func (m *Map) NewCursor(lo, hi []byte, desc bool) *Cursor {
+	return m.merge(lo, hi, desc, nil)
+}
+
+// merge builds a merged cursor with one leaf per shard: live when vers is
+// nil, else frozen at shard i's snapshot version vers[i].
+func (m *Map) merge(lo, hi []byte, desc bool, vers []uint64) *Cursor {
 	leaves := make([]*leaf, len(m.shards))
 	for i, s := range m.shards {
-		l := &leaf{src: s, cur: s.NewCursor(lo, hi, desc)}
+		var v uint64
+		if vers != nil {
+			v = vers[i]
+		}
+		l := &leaf{src: s, cur: s.NewFrozenCursor(v, lo, hi, desc)}
 		l.advance() // prime the head before building the tree
 		leaves[i] = l
 	}
-	return &Cursor{t: newLoserTree(m.cmp, desc, leaves), lastShard: -1}
+	return &Cursor{t: newLoserTree(m.cmp, desc, leaves), frozen: vers != nil, lastShard: -1}
 }
 
 // Next returns the next merged entry, or ok=false when every shard is
 // exhausted. key is valid until the following Next call; keyRef/h are
-// references into src (h live at yield time).
+// references into src (h live at yield time). On a frozen cursor read
+// the entry's value with Val, not through h.
 func (c *Cursor) Next() (src *core.Map, key []byte, keyRef uint64, h core.ValueHandle, ok bool) {
 	for {
 		if c.started {
@@ -191,7 +197,7 @@ func (c *Cursor) Next() (src *core.Map, key []byte, keyRef uint64, h core.ValueH
 			FpScanRotate.Fire()
 			c.lastShard = i
 		}
-		if w.src.IsDeleted(w.h) {
+		if !c.frozen && w.src.IsDeleted(w.h) {
 			// Deleted since the leaf advanced (the merge holds entries one
 			// step before yielding them): skip, as a pinned scan would.
 			continue
@@ -199,6 +205,10 @@ func (c *Cursor) Next() (src *core.Map, key []byte, keyRef uint64, h core.ValueH
 		return w.src, w.key, w.keyRef, w.h, true
 	}
 }
+
+// Val returns a frozen cursor's value for the entry Next last yielded, at
+// the snapshot's version; like key it is valid until the following Next.
+func (c *Cursor) Val() []byte { return c.t.leaves[c.t.node[0]].cur.Val() }
 
 // Ascend streams the merged entries in ascending order over
 // lo ≤ key < hi, stopping early if yield returns false. With one shard

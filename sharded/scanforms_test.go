@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"oakmap/internal/core"
@@ -11,10 +12,11 @@ import (
 
 // TestScanFormsAgreeUnderRebalance: every way of walking a map — the
 // push scans (core Ascend/Descend), the pull core.Cursor and a one-shard
-// merged Cursor — is the same core cursor underneath, so over any bounds
-// they must yield the identical sequence of the keys that stay put,
-// while a writer churns the keys in between hard enough to keep 16-entry
-// chunks splitting and merging under the scans.
+// merged Cursor, live or frozen over a snapshot opened per round — is the
+// same core cursor underneath, so over any bounds they must yield the
+// identical sequence of the keys that stay put (the frozen forms with
+// their values), while a writer churns the keys in between hard enough to
+// keep 16-entry chunks splitting and merging under the scans.
 func TestScanFormsAgreeUnderRebalance(t *testing.T) {
 	s := newTestSharded(t, 1, 16)
 	c := s.Shards()[0]
@@ -72,40 +74,58 @@ func TestScanFormsAgreeUnderRebalance(t *testing.T) {
 			}
 		}
 
-		forms := map[string]func(yield func(key []byte)){
-			"push": func(yield func([]byte)) {
+		sn := s.Snapshot()
+		forms := map[string]func(yield func(key, val []byte)){
+			"push": func(yield func(_, _ []byte)) {
 				scan := c.Ascend
 				if desc {
 					scan = c.Descend
 				}
 				scan(lo, hi, func(kr uint64, _ core.ValueHandle) bool {
-					yield(c.KeyBytes(kr))
+					yield(c.KeyBytes(kr), nil)
 					return true
 				})
 			},
-			"pull": func(yield func([]byte)) {
+			"pull": func(yield func(_, _ []byte)) {
 				cur := c.NewCursor(lo, hi, desc)
 				for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
-					yield(cur.Key())
+					yield(cur.Key(), nil)
 				}
 			},
-			"one-shard merged": func(yield func([]byte)) {
+			"one-shard merged": func(yield func(_, _ []byte)) {
 				cur := s.NewCursor(lo, hi, desc)
 				for _, k, _, _, ok := cur.Next(); ok; _, k, _, _, ok = cur.Next() {
-					yield(k)
+					yield(k, nil)
+				}
+			},
+			"frozen pull": func(yield func(_, _ []byte)) {
+				cur := c.NewFrozenCursor(sn.Versions()[0], lo, hi, desc)
+				for _, _, ok := cur.Next(); ok; _, _, ok = cur.Next() {
+					yield(cur.Key(), cur.Val())
+				}
+			},
+			"frozen one-shard merged": func(yield func(_, _ []byte)) {
+				cur := sn.NewCursor(lo, hi, desc)
+				for _, k, _, _, ok := cur.Next(); ok; _, k, _, _, ok = cur.Next() {
+					yield(k, cur.Val())
 				}
 			},
 		}
 		for name, form := range forms {
+			frozen := strings.HasPrefix(name, "frozen")
 			var got []int
 			var prev []byte
-			form(func(key []byte) {
+			form(func(key, val []byte) {
 				if d := bytes.Compare(prev, key); prev != nil && (d == 0 || (d < 0) == desc) {
 					t.Fatalf("round %d %s: %x after %x (desc=%v)", round, name, key, prev, desc)
 				}
 				prev = append(prev[:0], key...)
 				if len(key) == 8 {
-					got = append(got, int(binary.BigEndian.Uint64(key)))
+					i := int(binary.BigEndian.Uint64(key))
+					if frozen && !bytes.Equal(val, iv(i)) {
+						t.Fatalf("round %d %s: key %d = %q; want %q", round, name, i, val, iv(i))
+					}
+					got = append(got, i)
 				}
 			})
 			if len(got) != len(want) {
@@ -117,6 +137,7 @@ func TestScanFormsAgreeUnderRebalance(t *testing.T) {
 				}
 			}
 		}
+		sn.Close()
 	}
 	bg.halt()
 	if n := c.Rebalances() - loaded; n < 20 {

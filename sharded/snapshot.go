@@ -52,44 +52,13 @@ func (sn *Snapshot) Get(key, dst []byte) ([]byte, bool) {
 	return sn.m.shards[i].SnapGet(sn.vers[i], key, dst)
 }
 
-// SnapCursor is a pull-based merged scan over the frozen view — the
-// snapshot analogue of Cursor, built on the same loser tree with
-// per-shard core.SnapCursor streams plugged into the leaves.
-type SnapCursor struct {
-	t       *loserTree
-	started bool
-}
-
-// NewCursor opens a merged frozen-view cursor over lo ≤ key < hi (nil
-// bounds open), descending when desc is set. The snapshot must stay
-// open for the cursor's lifetime.
-func (sn *Snapshot) NewCursor(lo, hi []byte, desc bool) *SnapCursor {
-	leaves := make([]*leaf, len(sn.m.shards))
-	for i, s := range sn.m.shards {
-		sc := s.NewSnapCursor(sn.vers[i], lo, hi, desc)
-		l := &leaf{src: s}
-		l.step = func(l *leaf) {
-			l.key, l.val, l.ok = sc.Next()
-		}
-		l.advance() // prime the head before building the tree
-		leaves[i] = l
-	}
-	return &SnapCursor{t: newLoserTree(sn.m.cmp, desc, leaves)}
-}
-
-// Next returns the frozen view's next entry in global order, or
-// ok=false at the end. key and val are owned by the winning shard's
-// cursor and valid until the following Next call.
-func (c *SnapCursor) Next() (key, val []byte, ok bool) {
-	if c.started {
-		c.t.pop()
-	}
-	c.started = true
-	w := c.t.winner()
-	if w == nil {
-		return nil, nil, false
-	}
-	return w.key, w.val, true
+// NewCursor opens a merged cursor over the frozen view for lo ≤ key < hi
+// (nil bounds open), descending when desc is set: the same loser tree as
+// a live scan, over one frozen core.Cursor per shard at that shard's
+// version. Read values with Cursor.Val. The snapshot must stay open for
+// the cursor's lifetime.
+func (sn *Snapshot) NewCursor(lo, hi []byte, desc bool) *Cursor {
+	return sn.m.merge(lo, hi, desc, sn.vers)
 }
 
 // ApplyBatch applies ops atomically across shards: ops are deduped

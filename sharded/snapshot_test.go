@@ -97,11 +97,8 @@ func TestSnapshotMergedFrozenViewUnderChurn(t *testing.T) {
 		got := make(map[string]string, n)
 		var prev []byte
 		cur := sn.NewCursor(nil, nil, desc)
-		for {
-			k, v, ok := cur.Next()
-			if !ok {
-				break
-			}
+		for _, k, _, _, ok := cur.Next(); ok; _, k, _, _, ok = cur.Next() {
+			v := cur.Val()
 			if prev != nil {
 				d := m.cmp(prev, k)
 				if desc {
@@ -171,11 +168,8 @@ func TestShardedBatchAtomicAcrossShards(t *testing.T) {
 		// The merged scan must agree too.
 		cur := sn.NewCursor(nil, nil, false)
 		count := 0
-		for {
-			_, v, ok := cur.Next()
-			if !ok {
-				break
-			}
+		for _, _, _, _, ok := cur.Next(); ok; _, _, _, _, ok = cur.Next() {
+			v := cur.Val()
 			if string(v) != vals[0] {
 				t.Fatalf("round %d: scan saw %q, point reads saw %q", round, v, vals[0])
 			}

@@ -111,9 +111,8 @@ func (s *Snapshot[K, V]) scan(from, to *K, desc bool, f func(k K, v V) bool) {
 
 func (s *Snapshot[K, V]) scanRaw(lo, hi []byte, desc bool, yield func(key, val []byte) bool) {
 	cur := s.bs.NewCursor(lo, hi, desc)
-	for {
-		kb, vb, ok := cur.Next()
-		if !ok || !yield(kb, vb) {
+	for _, kb, _, _, ok := cur.Next(); ok; _, kb, _, _, ok = cur.Next() {
+		if !yield(kb, cur.Val()) {
 			return
 		}
 	}
@@ -123,7 +122,7 @@ func (s *Snapshot[K, V]) scanRaw(lo, hi []byte, desc bool, yield func(key, val [
 // Advance with Next; not safe for concurrent use.
 type SnapIterator[K, V any] struct {
 	m   *Map[K, V]
-	cur *sharded.SnapCursor
+	cur *sharded.Cursor
 }
 
 // Iterator creates a pull iterator over the frozen view with
@@ -139,11 +138,11 @@ func (s *Snapshot[K, V]) Iterator(from, to *K, descending bool) *SnapIterator[K,
 // Next returns the next frozen entry deserialized, or ok=false at the
 // end.
 func (it *SnapIterator[K, V]) Next() (k K, v V, ok bool) {
-	kb, vb, ok := it.cur.Next()
+	_, kb, _, _, ok := it.cur.Next()
 	if !ok {
 		return k, v, false
 	}
-	return it.m.keySer.Deserialize(kb), it.m.valSer.Deserialize(vb), true
+	return it.m.keySer.Deserialize(kb), it.m.valSer.Deserialize(it.cur.Val()), true
 }
 
 // GetRaw resolves a pre-serialized key in the frozen view, appending
