@@ -45,9 +45,10 @@ type Comparator func(a, b []byte) int
 
 var bytesComparePC = reflect.ValueOf(bytes.Compare).Pointer()
 
-// bytewise reports whether cmp is bytes.Compare itself — the one order
-// keyPrefix is known to be monotone under. Called once per NewSorted.
-func bytewise(cmp Comparator) bool {
+// Bytewise reports whether cmp is bytes.Compare itself — the one order
+// KeyPrefix is known to be monotone under. Called once per NewSorted and
+// once per chunk-index publish.
+func Bytewise(cmp Comparator) bool {
 	return reflect.ValueOf(cmp).Pointer() == bytesComparePC
 }
 
@@ -94,7 +95,7 @@ type Chunk struct {
 	sorted  int // length of the sorted prefix
 
 	// prefix is the search array of the sorted prefix: prefix[i] is
-	// keyPrefix(lcp, key of entry i), so a binary search reads this dense
+	// KeyPrefix(lcp, key of entry i), so a binary search reads this dense
 	// on-heap array and dereferences an off-heap key only where two
 	// prefixes tie. lcp is a heap copy of the bytes every sorted key
 	// starts with. Both are written once by NewSorted and immutable
@@ -170,38 +171,43 @@ func NewSorted(minKey []byte, capacity int, alloc *arena.Allocator, cmp Comparat
 	c.live.Store(int32(len(pairs)))
 	if len(pairs) > 0 {
 		c.head.Store(0)
-		if bytewise(c.cmp) {
+		if Bytewise(c.cmp) {
 			c.buildPrefix()
 		}
 	}
 	return c
 }
 
-// buildPrefix fills lcp and prefix from the sorted keys. Every sorted key
-// lies between the first and the last, so it starts with whatever those
-// two share (B-tree prefix truncation): keys with a long common head
-// still differ inside their 8 prefix bytes. If even the first and last
-// words are equal, all are, and an array that cannot decide a probe is
-// not built.
+// buildPrefix fills lcp and prefix from the sorted keys (see PrefixLCP).
 func (c *Chunk) buildPrefix() {
-	first, last := c.keyAt(0), c.keyAt(int32(c.sorted-1))
-	lcp := first[:commonPrefixLen(first, last)]
-	if keyPrefix(lcp, first) == keyPrefix(lcp, last) {
+	lcp, ok := PrefixLCP(c.keyAt(0), c.keyAt(int32(c.sorted-1)))
+	if !ok {
 		return
 	}
 	c.lcp = append([]byte(nil), lcp...)
 	c.prefix = make([]uint64, c.sorted)
 	for i := range c.prefix {
 		// Sorted keys all start with lcp, so a key long enough is read
-		// without the checks keyPrefix makes for a search key: this loop
+		// without the checks KeyPrefix makes for a search key: this loop
 		// is one cache miss per entry, and the fewer instructions between
 		// two of them, the more of them overlap.
 		if k := c.keyAt(int32(i)); len(k) >= len(lcp)+8 {
 			c.prefix[i] = binary.BigEndian.Uint64(k[len(lcp):])
 		} else {
-			c.prefix[i] = keyPrefix(lcp, k)
+			c.prefix[i] = KeyPrefix(lcp, k)
 		}
 	}
+}
+
+// PrefixLCP returns the lcp of a sorted run of keys from first to last,
+// and whether KeyPrefix words over it are worth an array. Every key of the
+// run lies between first and last, so it starts with whatever those two
+// share (B-tree prefix truncation): keys with a long common head still
+// differ inside their 8 prefix bytes. If even the first and last words are
+// equal, all are, and an array that cannot decide a probe is not built.
+func PrefixLCP(first, last []byte) (lcp []byte, useful bool) {
+	lcp = first[:commonPrefixLen(first, last)]
+	return lcp, KeyPrefix(lcp, first) != KeyPrefix(lcp, last)
 }
 
 // commonPrefixLen returns how many leading bytes a and b share.
@@ -213,14 +219,14 @@ func commonPrefixLen(a, b []byte) int {
 	return n
 }
 
-// keyPrefix maps key to the 8 bytes that follow lcp, big-endian and
+// KeyPrefix maps key to the 8 bytes that follow lcp, big-endian and
 // zero-padded. A key that does not start with lcp maps to 0 if it sorts
 // before lcp and to the maximum otherwise. The map is monotone under
-// bytes.Compare — a ≤ b implies keyPrefix(a) ≤ keyPrefix(b) — because
+// bytes.Compare — a ≤ b implies KeyPrefix(a) ≤ KeyPrefix(b) — because
 // the keys starting with lcp are contiguous in that order and big-endian
 // zero-padding preserves it among them. So unequal prefixes order their
 // keys, and only equal ones need the keys themselves.
-func keyPrefix(lcp, key []byte) uint64 {
+func KeyPrefix(lcp, key []byte) uint64 {
 	if !bytes.HasPrefix(key, lcp) {
 		if bytes.Compare(key, lcp) < 0 {
 			return 0
@@ -322,7 +328,7 @@ func (c *Chunk) prefixFloor(key []byte) int32 {
 	prefix := c.prefix
 	var kp uint64
 	if prefix != nil {
-		kp = keyPrefix(c.lcp, key)
+		kp = KeyPrefix(c.lcp, key)
 	}
 	lo, hi := 0, c.sorted // the answer is lo-1: keys below lo are < key, keys from hi on are ≥ key
 	for lo < hi {

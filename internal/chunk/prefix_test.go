@@ -77,7 +77,7 @@ func checkAgainstReference(t testing.TB, cmp Comparator, isBytesCompare bool, re
 	case c.prefix == nil:
 		if len(pairs) > 0 {
 			first, last := c.Key(0), c.Key(int32(len(pairs)-1))
-			if lcp := first[:commonPrefixLen(first, last)]; keyPrefix(lcp, first) != keyPrefix(lcp, last) {
+			if _, useful := PrefixLCP(first, last); useful {
 				t.Fatalf("no prefix array over sorted entries from %x to %x", first, last)
 			}
 		}
@@ -307,7 +307,7 @@ func TestNilComparatorIsBytewise(t *testing.T) {
 	}
 }
 
-// keyPrefix must be monotone under bytes.Compare for any lcp, including
+// KeyPrefix must be monotone under bytes.Compare for any lcp, including
 // keys below, inside and above the range of keys starting with lcp.
 func TestKeyPrefixMonotone(t *testing.T) {
 	r := rand.New(rand.NewPCG(11, 13))
@@ -331,7 +331,7 @@ func TestKeyPrefixMonotone(t *testing.T) {
 		if bytes.Compare(a, b) > 0 {
 			a, b = b, a
 		}
-		if pa, pb := keyPrefix(lcp, a), keyPrefix(lcp, b); pa > pb {
+		if pa, pb := KeyPrefix(lcp, a), KeyPrefix(lcp, b); pa > pb {
 			t.Fatalf("lcp %x: %x ≤ %x but prefixes %016x > %016x", lcp, a, b, pa, pb)
 		}
 	}

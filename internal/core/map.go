@@ -1,7 +1,7 @@
 // Package core implements the Oak algorithm (§4) over serialized []byte
-// keys and values: a linked list of chunks indexed by a skiplist of
-// minKeys, with keys and values allocated off-heap (in arena blocks) and
-// all metadata on-heap (§3.1).
+// keys and values: a linked list of chunks indexed by a copy-on-write
+// sorted array of their minKeys, with keys and values allocated off-heap
+// (in arena blocks) and all metadata on-heap (§3.1).
 //
 // The package operates below (de)serialization: the public generic API in
 // package oakmap wraps it. Values are identified by handles — indexes
@@ -13,12 +13,12 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"oakmap/internal/arena"
 	"oakmap/internal/chunk"
 	"oakmap/internal/epoch"
-	"oakmap/internal/skiplist"
 	"oakmap/internal/telemetry"
 	"oakmap/internal/vheader"
 )
@@ -83,9 +83,13 @@ type Map struct {
 	alloc   *arena.Allocator
 	headers *vheader.Table
 	reclaim *epoch.Domain
-	index   *skiplist.List[*chunk.Chunk]
 	head    atomic.Pointer[chunk.Chunk]
 	closed  atomic.Bool
+
+	// index is the chunk index (index.go); rebalances replace it whole,
+	// one publisher at a time, and lookups load it without the lock.
+	index   atomic.Pointer[chunkIndex] //oak:guarded-by indexMu
+	indexMu sync.Mutex
 
 	// tel is the optional telemetry recorder (nil = disabled); set once
 	// at construction, so instrumented paths read it without atomics.
@@ -111,9 +115,11 @@ func New(o *Options) *Map {
 		cmp:     opts.Comparator,
 		alloc:   arena.NewAllocator(opts.Pool),
 		headers: vheader.NewTable(),
-		index:   skiplist.New[*chunk.Chunk](skiplist.Comparator(opts.Comparator)),
 		tel:     opts.Telemetry,
 	}
+	m.indexMu.Lock() // uncontended: kept for the guarded-by proof
+	m.index.Store(&chunkIndex{})
+	m.indexMu.Unlock()
 	m.mvcc.init()
 	m.alloc.SetTelemetry(opts.Telemetry)
 	// The only retired resource is an arena span (key or value space).
@@ -198,10 +204,8 @@ func (m *Map) Close() {
 // queries the (possibly outdated) index and completes with a partial
 // traversal of the chunk linked list.
 func (m *Map) locateChunk(key []byte) *chunk.Chunk {
-	var c *chunk.Chunk
-	if e, ok := m.index.Floor(key); ok {
-		c = e.Value
-	} else {
+	c := m.index.Load().floor(key, m.cmp)
+	if c == nil {
 		c = m.head.Load()
 	}
 	c = chunk.Forward(c)
@@ -222,12 +226,11 @@ func (m *Map) locateChunk(key []byte) *chunk.Chunk {
 // lastChunk returns the final chunk in the list (for unbounded
 // descending scans).
 func (m *Map) lastChunk() *chunk.Chunk {
-	var c *chunk.Chunk
-	if e, ok := m.index.Last(); ok {
-		c = chunk.Forward(e.Value)
-	} else {
-		c = chunk.Forward(m.head.Load())
+	c := m.index.Load().last()
+	if c == nil {
+		c = m.head.Load()
 	}
+	c = chunk.Forward(c)
 	for {
 		n := c.Next()
 		if n == nil {
@@ -246,12 +249,11 @@ func (m *Map) prevChunk(minKey []byte) *chunk.Chunk {
 	if minKey == nil {
 		return nil
 	}
-	var c *chunk.Chunk
-	if e, ok := m.index.Lower(minKey); ok {
-		c = chunk.Forward(e.Value)
-	} else {
-		c = chunk.Forward(m.head.Load())
+	c := m.index.Load().lower(minKey, m.cmp)
+	if c == nil {
+		c = m.head.Load()
 	}
+	c = chunk.Forward(c)
 	for {
 		n := c.Next()
 		if n == nil {
@@ -285,14 +287,15 @@ type OccupancyStats struct {
 	MinLive        int
 	MaxLive        int
 	AvgUtilization float64 // live entries / total capacity
-	// MetaBytes is the chunks' on-heap cost: entries arrays, prefix search
-	// arrays, and the lcp and minKey copies.
+	// MetaBytes is the on-heap cost of the chunks — entries arrays, prefix
+	// search arrays, and the lcp and minKey copies — and of the chunk
+	// index's arrays.
 	MetaBytes int64
 }
 
 // Occupancy walks the chunk list and returns its population statistics.
 func (m *Map) Occupancy() OccupancyStats {
-	st := OccupancyStats{MinLive: int(^uint(0) >> 1)}
+	st := OccupancyStats{MinLive: int(^uint(0) >> 1), MetaBytes: m.index.Load().metaBytes()}
 	capTotal := 0
 	for c := m.head.Load(); c != nil; {
 		c = chunk.Forward(c)

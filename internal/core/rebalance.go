@@ -22,8 +22,9 @@ var (
 	// yet published — the retired chunk is still the visible one.
 	fpRebalanceSplit = faultpoint.New("core/rebalance-split")
 	// fpRebalanceIndex: the new chain is spliced and forwarding is up,
-	// but the minKey index still points at retired chunks — lookups must
-	// recover via ReplacedBy forwarding.
+	// but not yet in the index array, whose entries for the range still
+	// point at retired chunks — lookups must recover via ReplacedBy
+	// forwarding.
 	fpRebalanceIndex = faultpoint.New("core/rebalance-index")
 )
 
@@ -88,8 +89,9 @@ func (m *Map) shouldRebalance(c *chunk.Chunk) bool {
 //  4. builds replacement chunks of at most capacity/2 live entries each,
 //     links them, points the retired chunks' replacedBy at the new chain,
 //     and splices the chain in place of the retired chunks;
-//  5. updates the minKey index (lazily consistent: traversals forward
-//     through replacedBy until the index catches up).
+//  5. publishes a new index array for the rebalanced range (lazily
+//     consistent: traversals forward through replacedBy until the index
+//     catches up).
 //
 // The guarantees RB1–RB3 hold: frozen chunks retain their data for
 // concurrent readers, the new chain covers exactly the retired range, and
@@ -249,28 +251,16 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 
 	fpRebalanceIndex.Fire()
 
-	// Index maintenance (lazy, but done eagerly here): re-point c's
-	// minKey, add the new split keys, drop a merged successor's key.
-	if k := outs[0].MinKey(); k != nil {
-		m.index.Put(k, outs[0])
+	// The retired range is [c.MinKey(), tail.MinKey()). Holding pred's
+	// lock keeps its start in place while the publisher walks it: no merge
+	// can absorb outs[0] into pred. Rebalances of the new chunks, or of
+	// tail, may run meanwhile; each publishes its own range after it.
+	var hi []byte
+	if tail != nil {
+		hi = tail.MinKey()
 	}
-	for _, o := range outs[1:] {
-		m.index.Put(o.MinKey(), o)
-	}
+	m.publishIndex(outs[0], c.MinKey(), hi)
 	if second != nil {
-		if k := second.MinKey(); k != nil {
-			// Only remove if the merged key did not become a split key.
-			owned := false
-			for _, o := range outs {
-				if o.MinKey() != nil && m.cmp(o.MinKey(), k) == 0 {
-					owned = true
-					break
-				}
-			}
-			if !owned {
-				m.index.Remove(k)
-			}
-		}
 		second.RebalanceMu.Unlock()
 	}
 

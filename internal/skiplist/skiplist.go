@@ -1,16 +1,13 @@
 // Package skiplist provides a concurrent ordered map over []byte keys.
 //
-// It plays two roles in this repository, both mandated by the paper:
-//
-//  1. It is the "SkipList-OnHeap" baseline of §5 — the stand-in for the
-//     JDK ConcurrentSkipListMap. Like Java's map it keeps every key and
-//     value as an ordinary heap object, supports get/put/putIfAbsent/
-//     remove, a *non-atomic* merge/computeIfPresent, and implements
-//     descending iteration by issuing a fresh lookup per key (which is
-//     exactly the O(S·logN) behaviour Fig. 4f punishes).
-//
-//  2. It is Oak's on-heap chunk index (§3.1), mapping chunk minKeys to
-//     chunk objects with floor/lower queries and lazy updates.
+// It is the "SkipList-OnHeap" baseline of §5 — the stand-in for the JDK
+// ConcurrentSkipListMap — and the substrate of the SkipList-OffHeap
+// baseline and of the Druid legacy index. Like Java's map it keeps every
+// key and value as an ordinary heap object, supports get/put/putIfAbsent/
+// remove, a *non-atomic* merge/computeIfPresent, and implements
+// descending iteration by issuing a fresh lookup per key (which is
+// exactly the O(S·logN) behaviour Fig. 4f punishes). Oak's own chunk
+// index is not a skiplist here (see internal/core's chunkIndex).
 //
 // The algorithm is the optimistic lazy skiplist of Herlihy & Shavit
 // (ch. 14), with wait-free reads: traversals never lock; inserts and

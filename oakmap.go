@@ -5,8 +5,8 @@
 // Keys and values are serialized into large pointer-free memory blocks
 // that the Go garbage collector treats as single opaque objects, so the
 // GC cost is independent of the number of mappings. Metadata (a chunk
-// list plus a skiplist index) stays on-heap. Two API surfaces are
-// offered, mirroring the paper's Table 1:
+// list plus a sorted-array index over it) stays on-heap. Two API
+// surfaces are offered, mirroring the paper's Table 1:
 //
 //   - The legacy, ConcurrentNavigableMap-style API on Map[K, V]:
 //     object-in/object-out with (de)serialization per call.

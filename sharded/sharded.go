@@ -1,6 +1,6 @@
 // Package sharded hash-partitions an Oak map across N independent core
 // maps. Each shard is a complete Oak instance — its own arena allocator,
-// epoch-reclamation domain, chunk list and skiplist index — so point
+// epoch-reclamation domain, chunk list and chunk index — so point
 // operations on different shards never share a mutable cache line, and a
 // rebalance or reclamation stall in one shard cannot block the others.
 //
