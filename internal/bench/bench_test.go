@@ -9,6 +9,7 @@ import (
 
 	"oakmap"
 	"oakmap/internal/arena"
+	"oakmap/internal/telemetry"
 )
 
 func smallOak() *OakTarget {
@@ -259,41 +260,38 @@ func TestWritePlotData(t *testing.T) {
 	}
 }
 
+// TestHistogramBasics checks the histogram bench.Run records into: the
+// recorder's AtomicHist, read through a merged HistSnapshot.
 func TestHistogramBasics(t *testing.T) {
-	h := &Histogram{}
-	if h.Quantile(0.5) != 0 || h.Count() != 0 {
+	var h telemetry.AtomicHist
+	if s := h.Snapshot(); s.Quantile(0.5) != 0 || s.Count != 0 {
 		t.Fatal("empty histogram")
 	}
 	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
+		h.Observe(time.Duration(i) * time.Microsecond)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 1000 {
+		t.Fatalf("count = %d", s.Count)
 	}
-	p50 := h.Quantile(0.5)
+	p50 := s.Quantile(0.5)
 	if p50 < 300*time.Microsecond || p50 > 900*time.Microsecond {
 		t.Fatalf("p50 = %v; want ≈500µs within bucket error", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := s.Quantile(0.99)
 	if p99 < p50 {
 		t.Fatal("p99 < p50")
 	}
-	if h.Max() != 1000*time.Microsecond {
-		t.Fatalf("max = %v", h.Max())
+	if time.Duration(s.MaxNanos) != time.Millisecond || s.Quantile(1) != time.Millisecond {
+		t.Fatalf("max = %v, q1 = %v", time.Duration(s.MaxNanos), s.Quantile(1))
 	}
-	if h.Quantile(0) != time.Microsecond {
-		t.Fatalf("q0 = %v", h.Quantile(0))
-	}
-	if h.Quantile(1) != time.Millisecond {
-		t.Fatalf("q1 = %v", h.Quantile(1))
-	}
-	// Merge doubles the counts and keeps extremes.
-	h2 := &Histogram{}
-	h2.Record(time.Nanosecond)
-	h2.Record(10 * time.Second)
-	h.Merge(h2)
-	if h.Count() != 1002 || h.Quantile(0) != time.Nanosecond || h.Max() != 10*time.Second {
-		t.Fatalf("merge broke extremes: %d %v %v", h.Count(), h.Quantile(0), h.Max())
+	// Merge adds the counts and keeps the maximum.
+	var h2 telemetry.AtomicHist
+	h2.Observe(time.Nanosecond)
+	h2.Observe(10 * time.Second)
+	s.Merge(h2.Snapshot())
+	if s.Count != 1002 || time.Duration(s.MaxNanos) != 10*time.Second {
+		t.Fatalf("merge: count %d, max %v", s.Count, time.Duration(s.MaxNanos))
 	}
 }
 

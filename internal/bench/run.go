@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"oakmap/internal/telemetry"
 )
 
 // Config describes an experiment's data shape and execution envelope,
@@ -207,7 +209,8 @@ func Run(t Target, cfg Config, mix Mix) Result {
 	enc := NewKeyEncoder(cfg.KeySize)
 	stop := make(chan struct{})
 	var totalOps atomic.Int64
-	hist := &Histogram{}
+	// One histogram per goroutine, merged once every worker is done.
+	hists := make([]telemetry.AtomicHist, cfg.Threads)
 	var wg sync.WaitGroup
 
 	var msBefore runtime.MemStats
@@ -223,7 +226,7 @@ func Run(t Target, cfg Config, mix Mix) Result {
 			keyBuf := make([]byte, cfg.KeySize)
 			valBuf := MakeValue(cfg.ValueSize, uint64(g))
 			cpBuf := make([]byte, 0, cfg.ValueSize)
-			local := &Histogram{}
+			local := &hists[g]
 			ops := int64(0)
 			for {
 				if cfg.OpsPerThread > 0 {
@@ -234,7 +237,6 @@ func Run(t Target, cfg Config, mix Mix) Result {
 					select {
 					case <-stop:
 						totalOps.Add(ops)
-						hist.Merge(local)
 						return
 					default:
 					}
@@ -267,12 +269,11 @@ func Run(t Target, cfg Config, mix Mix) Result {
 					}
 				}
 				if sample {
-					local.Record(time.Since(opStart))
+					local.Observe(time.Since(opStart))
 				}
 				ops++
 			}
 			totalOps.Add(ops)
-			hist.Merge(local)
 		}(g)
 	}
 	if cfg.OpsPerThread <= 0 {
@@ -297,11 +298,15 @@ func Run(t Target, cfg Config, mix Mix) Result {
 		NumGC:        msAfter.NumGC - msBefore.NumGC,
 		AllocPerOp:   float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(max64(ops, 1)),
 	}
-	if cfg.SampleLatency && hist.Count() > 0 {
+	var hist telemetry.HistSnapshot
+	for i := range hists {
+		hist.Merge(hists[i].Snapshot())
+	}
+	if cfg.SampleLatency && hist.Count > 0 {
 		res.P50 = hist.Quantile(0.50)
 		res.P99 = hist.Quantile(0.99)
 		res.P999 = hist.Quantile(0.999)
-		res.PMax = hist.Max()
+		res.PMax = time.Duration(hist.MaxNanos)
 	}
 	return res
 }

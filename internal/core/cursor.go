@@ -89,7 +89,7 @@ func (cur *Cursor) reposition() {
 	case from != nil:
 		cur.c = m.locateChunk(from)
 	case cur.desc:
-		cur.c = m.lastChunk()
+		cur.c = m.walk(nil, false)
 	default:
 		cur.c = chunk.Forward(m.head.Load())
 	}

@@ -200,72 +200,60 @@ func (m *Map) Close() {
 	}
 }
 
-// locateChunk returns the chunk whose range includes key (§3.1): it
-// queries the (possibly outdated) index and completes with a partial
-// traversal of the chunk linked list.
-func (m *Map) locateChunk(key []byte) *chunk.Chunk {
-	c := m.index.Load().floor(key, m.cmp)
+// walk is the one chunk location procedure (§3.1, §4.2): it queries the
+// (possibly outdated) index and completes with a partial traversal of the
+// chunk list, following Next and ReplacedBy forwarding. It returns the
+// last chunk whose minKey is ≤ key — < key when strict — and the final
+// chunk when key is nil (+∞ here). A successor whose minKey is nil is the
+// head's replacement seen through forwarding: a strict walk steps onto
+// it, a non-strict one stops before it.
+func (m *Map) walk(key []byte, strict bool) *chunk.Chunk {
+	x := m.index.Load()
+	var c *chunk.Chunk
+	switch {
+	case key == nil:
+		c = x.last()
+	case strict:
+		c = x.lower(key, m.cmp)
+	default:
+		c = x.floor(key, m.cmp)
+	}
 	if c == nil {
 		c = m.head.Load()
 	}
-	c = chunk.Forward(c)
-	for {
-		n := c.Next()
-		if n == nil {
-			return c
-		}
-		n = chunk.Forward(n)
-		if nk := n.MinKey(); nk != nil && m.cmp(key, nk) >= 0 {
-			c = n
-			continue
-		}
-		return c
+	stop := 1 // a successor whose minKey compares ≥ stop to key ends the walk
+	if strict {
+		stop = 0
 	}
+	c = chunk.Forward(c)
+	for n := c.Next(); n != nil; n = c.Next() {
+		n = chunk.Forward(n)
+		if nk := n.MinKey(); key != nil && (nk == nil && !strict || nk != nil && m.cmp(nk, key) >= stop) {
+			break
+		}
+		c = n
+	}
+	return c
 }
 
-// lastChunk returns the final chunk in the list (for unbounded
-// descending scans).
-func (m *Map) lastChunk() *chunk.Chunk {
-	c := m.index.Load().last()
-	if c == nil {
-		c = m.head.Load()
+// locateChunk returns the chunk whose range includes key. A nil key is
+// the empty key here, not walk's +∞.
+func (m *Map) locateChunk(key []byte) *chunk.Chunk {
+	if key == nil {
+		key = []byte{}
 	}
-	c = chunk.Forward(c)
-	for {
-		n := c.Next()
-		if n == nil {
-			return c
-		}
-		c = chunk.Forward(n)
-	}
+	return m.walk(key, false)
 }
 
 // prevChunk returns the chunk preceding (in key order) a chunk whose
 // minKey is given, or nil when minKey is nil (the head chunk has no
-// predecessor). As in the paper's descending scan, it queries the index
-// for the greatest minKey strictly smaller than the current one and
-// walks forward as needed.
+// predecessor) — the descending scan's step back and a rebalance's
+// predecessor.
 func (m *Map) prevChunk(minKey []byte) *chunk.Chunk {
 	if minKey == nil {
 		return nil
 	}
-	c := m.index.Load().lower(minKey, m.cmp)
-	if c == nil {
-		c = m.head.Load()
-	}
-	c = chunk.Forward(c)
-	for {
-		n := c.Next()
-		if n == nil {
-			return c
-		}
-		n = chunk.Forward(n)
-		if nk := n.MinKey(); nk == nil || m.cmp(nk, minKey) < 0 {
-			c = n
-			continue
-		}
-		return c
-	}
+	return m.walk(minKey, true)
 }
 
 // retryPause yields the processor on long retry chains (e.g. while a

@@ -357,63 +357,52 @@ func (m *Map) lockStable(h ValueHandle) (uint64, bool) {
 	}
 }
 
-// pendingPresent decides key-presence for a batch-flagged handle: the
-// batch's pre-state before commit, its post-state after. v is a version
-// word previously loaded from h.
-func (m *Map) pendingPresent(h ValueHandle, v uint64) bool {
-	for {
-		bi := m.lookupBatch(v & verBaseMask)
-		if bi == nil {
-			// Finalized between the version load and the lookup.
-			v = m.headers.LoadVersion(uint64(h))
-			if v&verFlagMask == 0 {
-				return !m.IsDeleted(h)
-			}
-			continue
-		}
-		committed := bi.desc.state.Load() == batchCommitted
-		if v&verTombBit != 0 {
-			return !committed // a pending tombstone is still present
-		}
-		if committed {
-			return true
-		}
-		rec := bi.lookup(h)
-		return rec != nil && rec.hadOld
-	}
-}
+// liveView is the snapshot a live read resolves at: verBaseMask is at or
+// above every batch base, so a committed batch is always visible to it.
+const liveView = verBaseMask
 
-// readFlagged resolves a batch-flagged value under the read lock held by
-// the caller: pre-state before commit, post-state after. The read lock
-// excludes the finalizer (which needs the write lock), so the install
-// record and the pre-image span both outlive this call.
-func (m *Map) readFlagged(h ValueHandle, v uint64, f func([]byte) error) error {
-	for {
-		bi := m.lookupBatch(v & verBaseMask)
+// visible is the one batch-visibility rule: it resolves handle h, whose
+// version word the caller loaded as v, for a reader at snapshot s (live
+// reads pass liveView) to the data span the reader sees and that span's
+// version. A flag-free word gives the data word and v. A flagged word
+// gives the batch's post-state iff the batch committed with base ≤ s, and
+// otherwise its pre-state from the install record; a tombstone's
+// pre-state is the data left in place. ok=false means h holds nothing the
+// reader sees: a fresh insert it may not see, a tombstone it does see, or
+// a word that settled into a real delete after the caller's load.
+//
+// Under h's read lock the finalizer (which needs the write lock) cannot
+// run, so the install record and the pre-image span outlive the caller's
+// read; unlocked callers may use only ok.
+func (m *Map) visible(h ValueHandle, v, s uint64) (ref arena.Ref, ver uint64, ok bool) {
+	for v&verFlagMask != 0 {
+		base := v & verBaseMask
+		bi := m.lookupBatch(base)
 		if bi == nil {
-			v = m.headers.LoadVersion(uint64(h))
-			if v&verFlagMask == 0 {
-				ref := arena.Ref(m.headers.LoadData(uint64(h)))
-				return f(m.alloc.Bytes(ref))
+			// Settled between the load and the lookup. A committed
+			// tombstone or an aborted insert keeps its flagged word once
+			// deleted, so the deleted bit is checked before the reload.
+			if m.IsDeleted(h) {
+				return 0, 0, false
 			}
+			v = m.headers.LoadVersion(uint64(h))
 			continue
 		}
-		committed := bi.desc.state.Load() == batchCommitted
-		if v&verTombBit != 0 {
-			if committed {
-				return ErrConcurrentModification // deleted at commit
+		if bi.desc.state.Load() == batchCommitted && base <= s {
+			if v&verTombBit != 0 {
+				return 0, 0, false
 			}
-			ref := arena.Ref(m.headers.LoadData(uint64(h))) // pre-delete bytes
-			return f(m.alloc.Bytes(ref))
-		}
-		if committed {
-			ref := arena.Ref(m.headers.LoadData(uint64(h)))
-			return f(m.alloc.Bytes(ref))
+			return arena.Ref(m.headers.LoadData(uint64(h))), base, true
 		}
 		rec := bi.lookup(h)
-		if rec == nil || !rec.hadOld {
-			return ErrConcurrentModification // absent before the batch
+		switch {
+		case rec == nil || !rec.hadOld:
+			return 0, 0, false
+		case rec.del:
+			return arena.Ref(m.headers.LoadData(uint64(h))), rec.oldVer, true
+		default:
+			return rec.oldRef, rec.oldVer, true
 		}
-		return f(m.alloc.Bytes(rec.oldRef))
 	}
+	return arena.Ref(m.headers.LoadData(uint64(h))), v, true
 }

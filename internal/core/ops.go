@@ -52,8 +52,10 @@ func (m *Map) getPinned(key []byte) (uint64, ValueHandle, bool) {
 	// MVCC slow path: a batch-flagged version word means presence is
 	// decided by the owning batch's state (pre-state before commit,
 	// post-state after), keeping ApplyBatch all-or-nothing for readers.
-	if v := m.headers.LoadVersion(uint64(h)); v&verFlagMask != 0 && !m.pendingPresent(h, v) {
-		return 0, 0, false
+	if v := m.headers.LoadVersion(uint64(h)); v&verFlagMask != 0 {
+		if _, _, ok := m.visible(h, v, liveView); !ok {
+			return 0, 0, false
+		}
 	}
 	return c.KeyRef(ei), h, true
 }

@@ -104,15 +104,9 @@ func (m *Map) rebalance(c *chunk.Chunk) {
 			return
 		}
 
-		// Locate the predecessor (nil when c is the head chunk).
-		var pred *chunk.Chunk
-		if m.head.Load() != c {
-			p, ok := m.findPred(c)
-			if !ok {
-				continue // c was retired or moved; re-resolve
-			}
-			pred = p
-		}
+		// Locate the predecessor through the index (nil when c is the head
+		// chunk); the validation below catches a stale answer.
+		pred := m.prevChunk(c.MinKey())
 
 		// Lock in list order: pred, then c.
 		if pred != nil {
@@ -319,27 +313,3 @@ func (m *Map) freeKey(keyRef uint64) {
 // an invariant by the leak-gate tests; it only grows when
 // DisableKeyReclaim opts back into the paper's leaky baseline.
 func (m *Map) KeyLeakBytes() int64 { return m.keyLeak.Load() }
-
-// findPred walks the live chunk list to find the chunk whose next pointer
-// is exactly c. Returns false if c is no longer in the list.
-func (m *Map) findPred(c *chunk.Chunk) (*chunk.Chunk, bool) {
-	cur := m.head.Load()
-	for cur != nil {
-		cur = chunk.Forward(cur)
-		n := cur.Next()
-		if n == c {
-			return cur, true
-		}
-		if n == nil {
-			return nil, false
-		}
-		// Overshoot check: once the walk passes c's range, c is gone.
-		if ck := c.MinKey(); ck != nil {
-			if nk := chunk.Forward(n).MinKey(); nk != nil && m.cmp(nk, ck) > 0 {
-				return nil, false
-			}
-		}
-		cur = n
-	}
-	return nil, false
-}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -9,7 +11,8 @@ import (
 )
 
 // Deterministic (-cpu 1 friendly) regressions for the single install
-// routine, the single kill routine and retain-before-publish.
+// routine, the single kill routine, the single batch-visibility rule and
+// retain-before-publish.
 
 // snapView reads snapshot s both ways — point reads of keys 1..n and a
 // full frozen-cursor scan — and fails unless both return exactly want.
@@ -129,6 +132,121 @@ func TestRetainBeforeBatchSettle(t *testing.T) {
 	end()
 	if st := m.MVCCStats(); st.RetainedBytes != 0 || st.RetainedSpans != 0 {
 		t.Fatalf("retained store not drained after the snapshot closed: %+v", st)
+	}
+}
+
+// entryHandle returns the value handle in key's entry, 0 if there is no
+// entry or it holds ⊥.
+func entryHandle(m *Map, key []byte) ValueHandle {
+	g := m.reclaim.Pin()
+	defer g.Unpin()
+	c := m.locateChunk(key)
+	if ei := c.LookUp(key); ei >= 0 {
+		return ValueHandle(c.ValHandle(ei))
+	}
+	return 0
+}
+
+// liveReaders checks every live reader against want: Get presence and
+// ReadValue through the entry's handle for keys 1..8 — a handle the entry
+// holds but the live view cannot see must refuse the read — and a live
+// cursor scan whose yielded handles are read the same way.
+func liveReaders(t *testing.T, m *Map, when string, want map[int]string) {
+	t.Helper()
+	for i := 1; i <= 8; i++ {
+		w, present := want[i]
+		if _, ok := m.Get(ik(i)); ok != present {
+			t.Fatalf("%s: Get(%d) found = %v; want %v", when, i, ok, present)
+		}
+		h := entryHandle(m, ik(i))
+		if h == 0 {
+			if present {
+				t.Fatalf("%s: key %d has no entry; want %q", when, i, w)
+			}
+			continue
+		}
+		b, err := m.CopyValue(h, nil)
+		if (err == nil) != present || string(b) != w {
+			t.Fatalf("%s: ReadValue(%d) = %q, %v; want %q, present %v", when, i, b, err, w, present)
+		}
+	}
+	got := map[int]string{}
+	cur := m.NewCursor(nil, nil, false)
+	for _, h, ok := cur.Next(); ok; _, h, ok = cur.Next() {
+		if b, err := m.CopyValue(h, nil); err == nil {
+			got[int(binary.BigEndian.Uint64(cur.Key()))] = string(b)
+		}
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("%s: live cursor read %v; want %v", when, got, want)
+	}
+}
+
+// TestBatchVisibilityTable checks the batch-visibility rule as a table:
+// each kind of batch op (overwrite, fresh insert, tombstone) under each
+// decision (commit, abort), driven by hand through the three states a
+// reader can observe — installed, decided but unsettled, settled. At
+// each, every reader must agree: the live ones see the pre-state until a
+// commit and the post-state after; a snapshot taken before the batch
+// always sees the pre-state; one begun after the decision sees what the
+// decision chose. Closing both snapshots must drain the retained store.
+func TestBatchVisibilityTable(t *testing.T) {
+	put := func(m *Map, bi *BatchInstall) error {
+		_, err := m.doPut(ik(2), BytesValue([]byte("new")), nil, opPut, bi)
+		return err
+	}
+	del := func(m *Map, bi *BatchInstall) error {
+		_, err := m.doIfPresent(ik(2), nil, opRemove, bi)
+		return err
+	}
+	cases := []struct {
+		name      string
+		pre, post map[int]string
+		install   func(*Map, *BatchInstall) error
+	}{
+		{"overwrite", map[int]string{1: "a", 2: "old", 3: "c"}, map[int]string{1: "a", 2: "new", 3: "c"}, put},
+		{"fresh-insert", map[int]string{1: "a", 3: "c"}, map[int]string{1: "a", 2: "new", 3: "c"}, put},
+		{"tombstone", map[int]string{1: "a", 2: "old", 3: "c"}, map[int]string{1: "a", 3: "c"}, del},
+	}
+	for _, tc := range cases {
+		for _, commit := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/commit=%v", tc.name, commit), func(t *testing.T) {
+				m := newTestMap(t, 16)
+				for i, v := range tc.pre {
+					mustPut(t, m, ik(i), []byte(v))
+				}
+				before, endBefore := takeSnap(m)
+				desc := NewBatchDesc()
+				bi := m.PrepareBatch(desc)
+				if err := tc.install(m, bi); err != nil {
+					t.Fatal(err)
+				}
+				liveReaders(t, m, "pending", tc.pre)
+				snapView(t, m, before, "pending, snapshot before", tc.pre)
+
+				decided := tc.pre
+				if commit {
+					desc.Commit()
+					decided = tc.post
+				} else {
+					desc.Abort()
+				}
+				after, endAfter := takeSnap(m)
+				for _, when := range []string{"decided", "settled"} {
+					if when == "settled" {
+						bi.settle(commit)
+					}
+					liveReaders(t, m, when, decided)
+					snapView(t, m, before, when+", snapshot before", tc.pre)
+					snapView(t, m, after, when+", snapshot after the decision", decided)
+				}
+				endBefore()
+				endAfter()
+				if st := m.MVCCStats(); st.RetainedBytes != 0 || st.RetainedSpans != 0 {
+					t.Fatalf("retained store not drained after the snapshots closed: %+v", st)
+				}
+			})
+		}
 	}
 }
 

@@ -10,13 +10,6 @@ import "oakmap/internal/arena"
 // in which case the key was absent at S. Scans resolve the same way,
 // entry by entry, on a frozen Cursor (cursor.go).
 
-// snapReadCurrent outcomes.
-const (
-	snapFound  = iota // the current value is the snapshot's version
-	snapAbsent        // definitively absent at S (no chain consult needed)
-	snapOlder         // current version is newer than S: consult the chain
-)
-
 // SnapGet resolves key in the frozen view of snapshot s, appending the
 // visible value to dst. ok reports whether the key was present at s.
 func (m *Map) SnapGet(s uint64, key, dst []byte) ([]byte, bool) {
@@ -32,81 +25,29 @@ func (m *Map) SnapGet(s uint64, key, dst []byte) ([]byte, bool) {
 }
 
 // snapRead resolves key, whose entry holds handle h, at snapshot s: the
-// current value if its stamp decides, else the key's retained chain. The
-// visible value is appended to dst; ok=false means absent at s. The
-// caller must hold an epoch pin (retainedAt).
+// current value when visible gives a version ≤ s, else the key's retained
+// chain. The visible value is appended to dst; ok=false means absent at s.
+// The header's read lock covers the copy of the current value and blocks
+// the batch finalizer from handing off a pre-image span mid-read; the
+// caller's epoch pin covers retainedAt.
+//
+// A batch still pending when s was taken has base > s (StabilizeSnapshot
+// waited out those with base ≤ s), so visible gives s its pre-state. A
+// committed tombstone with base ≤ s falls through to the chain, which
+// holds nothing s sees: every entry there was superseded at or before
+// base.
 func (m *Map) snapRead(s uint64, h ValueHandle, key, dst []byte) ([]byte, bool) {
-	out, st := m.snapReadCurrent(s, h, dst)
-	if st == snapOlder {
-		return m.retainedAt(s, key, dst)
+	if m.headers.TryReadLock(uint64(h)) {
+		ref, ver, ok := m.visible(h, m.headers.LoadVersion(uint64(h)), s)
+		if ok = ok && ver <= s; ok {
+			dst = append(dst, m.alloc.Bytes(ref)...)
+		}
+		m.headers.ReadUnlock(uint64(h))
+		if ok {
+			return dst, true
+		}
 	}
-	return out, st == snapFound
-}
-
-// snapReadCurrent resolves handle h against snapshot s using only the
-// header's current state: the value's bytes are appended to dst when its
-// stamp decides the read. Batch-flagged versions resolve through the
-// pending registry — a flagged-but-undecided batch always has base > s
-// (StabilizeSnapshot waited out batches with base ≤ s), so its pre-state
-// is what s sees. The caller need not hold an epoch pin: every byte read
-// happens under the header's read lock, which also blocks the batch
-// finalizer from handing off the pre-image span mid-read.
-func (m *Map) snapReadCurrent(s uint64, h ValueHandle, dst []byte) ([]byte, int) {
-	if !m.headers.TryReadLock(uint64(h)) {
-		return nil, snapOlder // deleted now; the chain knows the past
-	}
-	defer m.headers.ReadUnlock(uint64(h))
-	v := m.headers.LoadVersion(uint64(h))
-	if v&verFlagMask == 0 {
-		if v <= s {
-			ref := arena.Ref(m.headers.LoadData(uint64(h)))
-			return append(dst, m.alloc.Bytes(ref)...), snapFound
-		}
-		return nil, snapOlder
-	}
-	base := v & verBaseMask
-	for {
-		bi := m.lookupBatch(base)
-		if bi == nil {
-			// Finalized between the version load and the lookup; the read
-			// lock pins further finalization, so this settles immediately.
-			v = m.headers.LoadVersion(uint64(h))
-			if v&verFlagMask != 0 {
-				continue
-			}
-			if v <= s {
-				ref := arena.Ref(m.headers.LoadData(uint64(h)))
-				return append(dst, m.alloc.Bytes(ref)...), snapFound
-			}
-			return nil, snapOlder
-		}
-		committed := bi.desc.state.Load() == batchCommitted
-		if v&verTombBit != 0 {
-			// Tombstone: the data in place is the pre-delete value.
-			if committed && base <= s {
-				return nil, snapAbsent
-			}
-			rec := bi.lookup(h)
-			if rec != nil && rec.oldVer <= s {
-				ref := arena.Ref(m.headers.LoadData(uint64(h)))
-				return append(dst, m.alloc.Bytes(ref)...), snapFound
-			}
-			return nil, snapOlder
-		}
-		if committed && base <= s {
-			ref := arena.Ref(m.headers.LoadData(uint64(h)))
-			return append(dst, m.alloc.Bytes(ref)...), snapFound
-		}
-		// Uncommitted, or committed after s: the pre-image decides.
-		rec := bi.lookup(h)
-		if rec == nil || !rec.hadOld {
-			return nil, snapOlder // fresh insert the snapshot cannot see
-		}
-		if rec.oldVer <= s {
-			return append(dst, m.alloc.Bytes(rec.oldRef)...), snapFound
-		}
-		return nil, snapOlder
-	}
+	return m.retainedAt(s, key, dst)
 }
 
 // retainedAt appends the retained pre-image visible to snapshot s for

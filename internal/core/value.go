@@ -79,18 +79,21 @@ func (m *Map) IsDeleted(h ValueHandle) bool {
 // the slice beyond the call.
 //
 // A batch-flagged version word (the MVCC slow path, one extra atomic
-// load on the fast path) routes through the pending-batch registry so
-// the caller observes the batch all-or-nothing: its pre-state before
-// commit, its post-state after.
+// load on the fast path) resolves through visible, so the caller
+// observes the batch all-or-nothing: its pre-state before commit, its
+// post-state after.
 func (m *Map) ReadValue(h ValueHandle, f func([]byte) error) error {
 	if !m.headers.TryReadLock(uint64(h)) {
 		return ErrConcurrentModification
 	}
 	defer m.headers.ReadUnlock(uint64(h))
-	if v := m.headers.LoadVersion(uint64(h)); v&verFlagMask != 0 {
-		return m.readFlagged(h, v, f)
-	}
 	ref := arena.Ref(m.headers.LoadData(uint64(h)))
+	if v := m.headers.LoadVersion(uint64(h)); v&verFlagMask != 0 {
+		var ok bool
+		if ref, _, ok = m.visible(h, v, liveView); !ok {
+			return ErrConcurrentModification
+		}
+	}
 	return f(m.alloc.Bytes(ref))
 }
 

@@ -2,29 +2,16 @@ package telemetry
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Histogram is a lock-cheap log-bucketed latency histogram used to
-// quantify the paper's §1 motivation — GC-induced "unpredictable
-// performance" — as tail percentiles. Buckets grow geometrically from
+// Latency histograms are log-bucketed: buckets grow geometrically from
 // 100ns to ~100s (2 buckets per octave), giving ≤~41% relative error at
-// the tails, plenty for GC-pause-sized effects.
-//
-// Promoted from internal/bench (which keeps a type alias) so the bench
-// harness and the always-on telemetry layer share one bucket layout:
-// a bench-side Histogram and a recorder-side AtomicHist can be compared
-// bucket for bucket.
-type Histogram struct {
-	mu      sync.Mutex
-	buckets [histBuckets]uint64 //oak:guarded-by mu
-	count   uint64              //oak:guarded-by mu
-	min     time.Duration       //oak:guarded-by mu
-	max     time.Duration       //oak:guarded-by mu
-}
-
+// the tails, plenty for GC-pause-sized effects — the paper's §1
+// motivation ("unpredictable performance") quantified as tail
+// percentiles. AtomicHist records; HistSnapshot merges and reads
+// quantiles, for the recorder and the bench harness alike.
 const (
 	histBase    = 100 * time.Nanosecond
 	histBuckets = 64
@@ -54,118 +41,14 @@ func bucketUpper(i int) time.Duration {
 // `le` labels match the internal layout exactly.
 func BucketUpper(i int) time.Duration { return bucketUpper(i) }
 
-// NumBuckets is the fixed bucket count shared by Histogram and
-// AtomicHist.
+// NumBuckets is the fixed bucket count of AtomicHist.
 const NumBuckets = histBuckets
 
-// Record adds one observation.
-func (h *Histogram) Record(d time.Duration) {
-	h.mu.Lock()
-	h.buckets[bucketOf(d)]++
-	h.count++
-	if h.count == 1 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-	h.mu.Unlock()
-}
-
-// Merge folds other into h. It snapshots other under its own lock and
-// only then locks h: holding both at once would deadlock against a
-// concurrent Merge in the opposite direction (lockset flagged the
-// old nested form as unordered same-class nesting).
-func (h *Histogram) Merge(other *Histogram) {
-	other.mu.Lock()
-	buckets := other.buckets
-	count, min, max := other.count, other.min, other.max
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range buckets {
-		h.buckets[i] += c
-	}
-	if count > 0 {
-		if h.count == 0 || min < h.min {
-			h.min = min
-		}
-		if max > h.max {
-			h.max = max
-		}
-	}
-	h.count += count
-}
-
-// MergeSnapshot folds a recorder-side snapshot into h — the bridge that
-// lets bench reports include latencies recorded by the telemetry layer.
-func (h *Histogram) MergeSnapshot(s HistSnapshot) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, c := range s.Buckets {
-		h.buckets[i] += c
-	}
-	if s.Count > 0 {
-		m := time.Duration(s.MaxNanos)
-		if m > h.max {
-			h.max = m
-		}
-		if h.count == 0 {
-			h.min = histBase // the snapshot carries no min; floor estimate
-		}
-	}
-	h.count += s.Count
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0,1]).
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := uint64(q * float64(h.count))
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			u := bucketUpper(i)
-			if u > h.max {
-				u = h.max
-			}
-			return u
-		}
-	}
-	return h.max
-}
-
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// AtomicHist is the recorder-side histogram: the same bucket layout as
-// Histogram, but every word atomic so concurrent Observe calls from map
-// operations never serialize on a mutex. Recording is either sampled
-// (hot ops, 1 in 2^sampleShift) or inherently rare (rebalance, epoch
-// advance), so unsharded atomics are contention-free in practice.
+// AtomicHist is the latency histogram: every word atomic, so concurrent
+// Observe calls from map operations never serialize on a mutex.
+// Recording is either sampled (hot ops, 1 in 2^sampleShift) or
+// inherently rare (rebalance, epoch advance), so unsharded atomics are
+// contention-free in practice.
 type AtomicHist struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64

@@ -72,39 +72,33 @@ func TestCounterHammer(t *testing.T) {
 }
 
 // TestHistogramMergeMatchesSequential checks that merging per-goroutine
-// histograms equals one histogram fed everything.
+// histograms' snapshots equals one histogram fed everything.
 func TestHistogramMergeMatchesSequential(t *testing.T) {
 	const parts = 8
-	var whole Histogram
-	shards := make([]*Histogram, parts)
-	for i := range shards {
-		shards[i] = &Histogram{}
-	}
+	var whole AtomicHist
+	shards := make([]AtomicHist, parts)
 	d := 50 * time.Nanosecond
 	for i := 0; i < 4096; i++ {
 		d += time.Duration(i) * time.Microsecond / 7
-		whole.Record(d)
-		shards[i%parts].Record(d)
+		whole.Observe(d)
+		shards[i%parts].Observe(d)
 	}
-	var merged Histogram
-	for _, s := range shards {
-		merged.Merge(s)
+	var merged HistSnapshot
+	for i := range shards {
+		merged.Merge(shards[i].Snapshot())
 	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("merged count %d != whole %d", merged.Count(), whole.Count())
+	if w := whole.Snapshot(); merged != w {
+		t.Fatalf("merged snapshot %+v != whole %+v", merged, w)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 1.0} {
-		if m, w := merged.Quantile(q), whole.Quantile(q); m != w {
+		if m, w := merged.Quantile(q), whole.Snapshot().Quantile(q); m != w {
 			t.Fatalf("q%.2f: merged %v != whole %v", q, m, w)
 		}
 	}
-	if merged.Max() != whole.Max() {
-		t.Fatalf("merged max %v != whole %v", merged.Max(), whole.Max())
-	}
 }
 
-// TestAtomicHistSnapshotMerge checks HistSnapshot.Merge and that
-// MergeSnapshot folds an atomic snapshot into a plain histogram.
+// TestAtomicHistSnapshotMerge checks HistSnapshot.Merge across two
+// histograms with disjoint ranges.
 func TestAtomicHistSnapshotMerge(t *testing.T) {
 	var a, b AtomicHist
 	for i := 1; i <= 1000; i++ {
@@ -117,14 +111,11 @@ func TestAtomicHistSnapshotMerge(t *testing.T) {
 	if merged.Count != sa.Count+sb.Count {
 		t.Fatalf("merged count %d", merged.Count)
 	}
+	if merged.SumNanos != sa.SumNanos+sb.SumNanos {
+		t.Fatalf("merged sum %d", merged.SumNanos)
+	}
 	if merged.MaxNanos != sb.MaxNanos {
 		t.Fatalf("merged max %d, want %d", merged.MaxNanos, sb.MaxNanos)
-	}
-	var h Histogram
-	h.MergeSnapshot(sa)
-	h.MergeSnapshot(sb)
-	if h.Count() != merged.Count {
-		t.Fatalf("MergeSnapshot count %d != %d", h.Count(), merged.Count)
 	}
 }
 

@@ -57,8 +57,6 @@ type Options struct {
 	// off-heap budget stays global while each shard allocates from it
 	// independently.
 	BlockSize int
-	// PoolMaxBytes bounds the private pool (requires BlockSize).
-	PoolMaxBytes int64
 	// Comparator overrides the default bytes.Compare key order. Setting it
 	// — even to a function with the same order — forgoes the chunks'
 	// on-heap key-prefix search: a lookup then dereferences an off-heap
@@ -111,7 +109,7 @@ func New[K, V any](keySer Serializer[K], valSer Serializer[V], opts *Options) *M
 	rec := o.Telemetry.recorder()
 	var pool *arena.Pool
 	if o.BlockSize > 0 {
-		pool = arena.NewPool(o.BlockSize, o.PoolMaxBytes)
+		pool = arena.NewPool(o.BlockSize, 0)
 		// The shared pool stays uninstrumented: its block events would
 		// interleave several maps' lifecycles into one recorder.
 		pool.SetTelemetry(rec)

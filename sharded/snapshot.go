@@ -90,9 +90,10 @@ func (m *Map) ApplyBatch(ops []core.BatchOp) error {
 	return core.RunBatch(desc, bis, perShard)
 }
 
-// MVCCStats aggregates the shards' MVCC counters. OpenSnapshots counts
-// per-shard registrations (a cross-shard Snapshot counts once per
-// shard divided back out); HorizonLag reports the worst shard.
+// MVCCStats aggregates the shards' MVCC counters: retained bytes and
+// spans sum, and OpenSnapshots and HorizonLag report the largest shard. A
+// cross-shard Snapshot registers on every shard, so the maximum counts it
+// once.
 func (m *Map) MVCCStats() core.MVCCStats {
 	var out core.MVCCStats
 	for _, s := range m.shards {
