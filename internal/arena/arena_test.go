@@ -529,57 +529,6 @@ func TestRescueExactFit(t *testing.T) {
 	}
 }
 
-func TestPoolRetentionCap(t *testing.T) {
-	p := NewPool(1024, 0)
-	p.SetMaxRetainedBlocks(2)
-	a := NewAllocator(p)
-	for i := 0; i < 5; i++ {
-		if _, err := a.Alloc(1024); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Close()
-	st := p.Stats()
-	if st.BlocksRetained != 2 {
-		t.Fatalf("BlocksRetained = %d, want 2", st.BlocksRetained)
-	}
-	if st.BytesRetained != 2048 {
-		t.Fatalf("BytesRetained = %d", st.BytesRetained)
-	}
-	if st.BlocksDropped != 3 {
-		t.Fatalf("BlocksDropped = %d, want 3", st.BlocksDropped)
-	}
-	if st.BytesCapacity != 2048 {
-		t.Fatalf("BytesCapacity = %d: dropped blocks must leave the budget", st.BytesCapacity)
-	}
-	// The freed budget is available again under a maxBytes cap.
-	p2 := NewPool(1024, 3072)
-	p2.SetMaxRetainedBlocks(1)
-	a2 := NewAllocator(p2)
-	a2.Alloc(1024)
-	a2.Alloc(1024)
-	a2.Alloc(1024)
-	a2.Close() // retains 1, drops 2
-	a3 := NewAllocator(p2)
-	defer a3.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := a3.Alloc(1024); err != nil {
-			t.Fatalf("alloc %d after drop: %v", i, err)
-		}
-	}
-	// Shrinking the cap trims the retained list immediately.
-	p3 := NewPool(1024, 0)
-	a4 := NewAllocator(p3)
-	for i := 0; i < 4; i++ {
-		a4.Alloc(1024)
-	}
-	a4.Close()
-	p3.SetMaxRetainedBlocks(1)
-	if st := p3.Stats(); st.BlocksRetained != 1 || st.BlocksDropped != 3 {
-		t.Fatalf("after trim: %+v", st)
-	}
-}
-
 // TestConcurrentClassChurn is the seeded alloc/free stress over every
 // size class (8B through large spans), with scheduling jitter on the
 // new coalesce/class-migrate fault points so the windows they guard are

@@ -30,20 +30,18 @@ type Pool struct {
 	blockSize int
 	maxBytes  int64 // 0 = unlimited
 
-	mu          sync.Mutex
-	free        []*block
-	maxRetained int // max free blocks kept for reuse; negative = unlimited
+	mu   sync.Mutex
+	free []*block
 
 	created  atomic.Int64 // blocks ever created
 	loaned   atomic.Int64 // blocks currently held by allocators
 	capacity atomic.Int64 // total bytes in existence (free + loaned)
-	dropped  atomic.Int64 // blocks released past the retention cap
 
-	// tel, when set, receives block retain/drop flight-recorder events.
+	// tel, when set, receives block retain flight-recorder events.
 	tel atomic.Pointer[telemetry.Recorder]
 }
 
-// SetTelemetry attaches a recorder for block retain/drop events. Safe
+// SetTelemetry attaches a recorder for block retain events. Safe
 // to call concurrently; nil detaches.
 func (p *Pool) SetTelemetry(r *telemetry.Recorder) {
 	p.tel.Store(r)
@@ -51,36 +49,12 @@ func (p *Pool) SetTelemetry(r *telemetry.Recorder) {
 
 // NewPool creates a pool producing blocks of blockSize bytes. maxBytes
 // bounds the total bytes the pool will ever create (0 means unbounded).
-// Released blocks are retained for reuse without limit by default; see
-// SetMaxRetainedBlocks.
+// Released blocks are retained for reuse.
 func NewPool(blockSize int, maxBytes int64) *Pool {
 	if blockSize <= 0 || blockSize > MaxBlockSize {
 		panic("arena: invalid block size")
 	}
-	return &Pool{blockSize: blockSize, maxBytes: maxBytes, maxRetained: -1}
-}
-
-// SetMaxRetainedBlocks caps how many released blocks the pool keeps for
-// reuse; blocks released past the cap are dropped for the GC to reclaim,
-// so a transient footprint spike does not pin peak RAM forever. Negative
-// n restores the default unlimited retention. If the pool currently
-// retains more than n blocks, the excess is dropped immediately.
-func (p *Pool) SetMaxRetainedBlocks(n int) {
-	p.mu.Lock()
-	p.maxRetained = n
-	var excess int
-	if n >= 0 && len(p.free) > n {
-		excess = len(p.free) - n
-		for i := n; i < len(p.free); i++ {
-			p.free[i] = nil
-		}
-		p.free = p.free[:n]
-	}
-	p.mu.Unlock()
-	if excess > 0 {
-		p.capacity.Add(-int64(excess) * int64(p.blockSize))
-		p.dropped.Add(int64(excess))
-	}
+	return &Pool{blockSize: blockSize, maxBytes: maxBytes}
 }
 
 // BlockSize returns the size in bytes of blocks this pool produces.
@@ -111,18 +85,9 @@ func (p *Pool) acquire() (*block, error) {
 }
 
 // release returns a block to the pool for reuse by other allocators.
-// Blocks past the retention cap are dropped instead of retained.
 func (p *Pool) release(b *block) {
 	p.loaned.Add(-1)
 	p.mu.Lock()
-	if p.maxRetained >= 0 && len(p.free) >= p.maxRetained {
-		retained := len(p.free)
-		p.mu.Unlock()
-		p.capacity.Add(-int64(p.blockSize))
-		p.dropped.Add(1)
-		p.tel.Load().Event(telemetry.EvBlockDrop, uint64(retained), 0, 0)
-		return
-	}
 	p.free = append(p.free, b)
 	retained := len(p.free)
 	p.mu.Unlock()
@@ -137,7 +102,6 @@ type PoolStats struct {
 	BytesCapacity  int64
 	BlocksRetained int   // free blocks currently held for reuse
 	BytesRetained  int64 // bytes of those free blocks
-	BlocksDropped  int64 // blocks released past the retention cap
 }
 
 // Stats returns a snapshot of the pool's accounting counters.
@@ -152,7 +116,6 @@ func (p *Pool) Stats() PoolStats {
 		BytesCapacity:  p.capacity.Load(),
 		BlocksRetained: retained,
 		BytesRetained:  int64(retained) * int64(p.blockSize),
-		BlocksDropped:  p.dropped.Load(),
 	}
 }
 

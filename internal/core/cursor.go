@@ -151,10 +151,10 @@ func (cur *Cursor) Next() (keyRef uint64, h ValueHandle, ok bool) {
 	if cur.done {
 		return 0, 0, false
 	}
-	tk := cur.m.tel.Op(telemetry.OpScanNext)
-	defer tk.Done()
 	g := cur.m.reclaim.Pin()
 	defer g.Unpin()
+	tk := g.Op(cur.m.tel, telemetry.OpScanNext)
+	defer tk.Done()
 	cur.revalidate()
 	for {
 		keyRef, h, ok = cur.step(false)

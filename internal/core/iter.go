@@ -1,46 +1,12 @@
 package core
 
-import (
-	"time"
-
-	"oakmap/internal/telemetry"
-)
+import "oakmap/internal/telemetry"
 
 // EntryFunc receives a scanned entry: the key's packed reference and the
 // value's handle. Returning false stops the scan. The value handle is
 // live (non-⊥, not deleted) at yield time; as with all Oak scans the view
 // is non-atomic (§1.1).
 type EntryFunc func(keyRef uint64, h ValueHandle) bool
-
-// wrapYield instruments a callback scan: every yielded entry counts as
-// one scan-Next op, and on the sampled subset the step latency — the
-// map's work between the previous yield returning and the next entry
-// being produced, excluding the user callback itself — is recorded.
-// With telemetry disabled the yield is returned untouched, so scans pay
-// nothing.
-func (m *Map) wrapYield(yield EntryFunc) EntryFunc {
-	r := m.tel
-	if r == nil {
-		return yield
-	}
-	var n uint64
-	var armed bool
-	var from time.Time
-	return func(kr uint64, h ValueHandle) bool {
-		if armed {
-			r.Observe(telemetry.OpScanNext, time.Since(from))
-			armed = false
-		}
-		r.Count(telemetry.OpScanNext)
-		n++
-		ok := yield(kr, h)
-		if r.Sampled(n) {
-			from = time.Now()
-			armed = true
-		}
-		return ok
-	}
-}
 
 // Ascend scans entries with lo ≤ key < hi in ascending order (nil bounds
 // are open): each chunk's entries linked list, then a hop to the next
@@ -60,15 +26,17 @@ func (m *Map) Descend(lo, hi []byte, yield EntryFunc) { m.scan(lo, hi, true, yie
 // scan — or a slow user callback — stalls reclamation by at most one
 // chunk's worth of yields instead of freezing the global epoch (and
 // growing the limbo lists without bound) for the entire traversal. The
-// pull-based Cursor.Next goes further and pins per call.
+// pull-based Cursor.Next goes further and pins per call. Each step is
+// one scan_next op for telemetry, timed without the user callback.
 func (m *Map) scan(lo, hi []byte, desc bool, yield EntryFunc) {
-	yield = m.wrapYield(yield)
 	g := m.reclaim.Pin()
 	defer func() { g.Unpin() }()
 	cur := Cursor{m: m, lo: lo, hi: hi, desc: desc}
 	cur.reposition()
 	for {
+		tk := g.Op(m.tel, telemetry.OpScanNext)
 		keyRef, h, ok := cur.step(true)
+		tk.Done()
 		switch {
 		case ok:
 			if !yield(keyRef, h) {

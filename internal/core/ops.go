@@ -28,10 +28,10 @@ var (
 // dereference off-heap key bytes that a concurrent rebalance may have
 // retired.
 func (m *Map) Get(key []byte) (ValueHandle, bool) {
-	tk := m.tel.Op(telemetry.OpGet)
-	defer tk.Done()
 	g := m.reclaim.Pin()
 	defer g.Unpin()
+	tk := g.Op(m.tel, telemetry.OpGet)
+	defer tk.Done()
 	_, h, ok := m.getPinned(key)
 	return h, ok
 }
@@ -121,20 +121,18 @@ func (m *Map) doPut(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKin
 	if m.closed.Load() {
 		return false, ErrClosed
 	}
-	top := telemetry.OpPut
-	if op == opPutIfAbsentComputeIfPresent {
-		top = telemetry.OpCompute
-	}
-	tk := m.tel.Op(top)
-	defer tk.Done()
 	var keyRef uint64 // allocated at most once across retries
 	// If the key allocation ends up unused on any exit path (the entry
 	// linking raced with another insert of the same key, or an error
 	// occurred), reclaim it: a never-linked key has no readers.
 	defer func() { m.releaseKeyRef(&keyRef) }()
+	var tk telemetry.Tick
+	defer tk.Done()
+	first := &tk // the first attempt starts the measurement under its pin
 	for attempt := 0; ; attempt++ {
 		retryPause(attempt)
-		out, err := m.putAttempt(key, vw, f, op, bi, &keyRef)
+		out, err := m.putAttempt(key, vw, f, op, bi, &keyRef, first)
+		first = nil
 		if err != nil {
 			return false, err
 		}
@@ -164,10 +162,18 @@ type putOutcome struct {
 // pin covers every off-heap key dereference (chunk location, lookup,
 // and list linking) so a concurrent rebalance cannot recycle key space
 // mid-walk. Anything that triggers a rebalance is reported via the
-// outcome and executed by the unpinned caller.
-func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKind, bi *BatchInstall, keyRef *uint64) (putOutcome, error) {
+// outcome and executed by the unpinned caller. A non-nil tk receives the
+// operation's telemetry tick, drawn from this attempt's pin.
+func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op opKind, bi *BatchInstall, keyRef *uint64, tk *telemetry.Tick) (putOutcome, error) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
+	if tk != nil {
+		top := telemetry.OpPut
+		if op == opPutIfAbsentComputeIfPresent {
+			top = telemetry.OpCompute
+		}
+		*tk = g.Op(m.tel, top)
+	}
 	c := m.locateChunk(key)
 	ei := c.LookUp(key)
 	var h ValueHandle
@@ -297,15 +303,13 @@ func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, op nonInsertOp, bi
 	if m.closed.Load() {
 		return false, ErrClosed
 	}
-	top := telemetry.OpRemove
-	if op == opCompute {
-		top = telemetry.OpCompute
-	}
-	tk := m.tel.Op(top)
+	var tk telemetry.Tick
 	defer tk.Done()
+	first := &tk // the first attempt starts the measurement under its pin
 	for attempt := 0; ; attempt++ {
 		retryPause(attempt)
-		out, err := m.ifPresentAttempt(key, f, op, bi)
+		out, err := m.ifPresentAttempt(key, f, op, bi, first)
+		first = nil
 		if err != nil {
 			return false, err
 		}
@@ -329,10 +333,18 @@ type ifPresentOutcome struct {
 
 // ifPresentAttempt runs one iteration of Algorithm 3 under an epoch
 // pin (same rationale as putAttempt). The remove success path defers
-// unlinkRemoved to the unpinned caller.
-func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertOp, bi *BatchInstall) (ifPresentOutcome, error) {
+// unlinkRemoved to the unpinned caller. A non-nil tk receives the
+// operation's telemetry tick, drawn from this attempt's pin.
+func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertOp, bi *BatchInstall, tk *telemetry.Tick) (ifPresentOutcome, error) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
+	if tk != nil {
+		top := telemetry.OpRemove
+		if op == opCompute {
+			top = telemetry.OpCompute
+		}
+		*tk = g.Op(m.tel, top)
+	}
 	c := m.locateChunk(key)
 	ei := c.LookUp(key)
 	if ei < 0 {

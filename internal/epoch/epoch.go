@@ -80,11 +80,16 @@ type Retired struct {
 }
 
 // slot is one reader announcement cell. word is 0 when free, else
-// epoch<<1|1. The padding keeps each slot on its own cache line so
-// concurrent pins never false-share.
+// epoch<<1|1. seq holds one telemetry sample sequence per hot op class
+// (Guard.Op). Only the slot's pinner touches it, and ownership passes
+// from one pinner to the next through word — the unpin's Store(0), then
+// the next pin's CAS — so its plain increments are race-free. The
+// padding keeps each slot on its own cache line so concurrent pins never
+// false-share.
 type slot struct {
 	word atomic.Uint64
-	_    [56]byte
+	seq  [telemetry.NumHotOps]uint64
+	_    [56 - 8*telemetry.NumHotOps]byte
 }
 
 // tryPin claims a free slot at the current global epoch. After
@@ -136,6 +141,9 @@ type Domain struct {
 	// the time a bucket index repeats (3 epochs) its old occupants are
 	// gone. The cold path tolerates the shared cache line.
 	overflow [buckets]atomic.Int64
+	// overflowSeq is the telemetry sample sequence, one per hot op
+	// class, of ops whose guard holds no slot.
+	overflowSeq [telemetry.NumHotOps]atomic.Uint64
 
 	// advanceMu serializes epoch advances; the slot scan and the CAS on
 	// global are only performed under it.
@@ -269,6 +277,31 @@ func (d *Domain) pinOverflow() Guard {
 		}
 		b.Add(-1)
 	}
+}
+
+// Op starts r's measurement of one hot op of class op running under g
+// (see telemetry.Recorder.Op). The sample is picked by the class's
+// sequence in g's slot, a plain increment on a line the pin has just
+// written; an overflow guard shares one atomic sequence per class. With
+// r nil it is a nil check and touches nothing.
+func (g Guard) Op(r *telemetry.Recorder, op telemetry.Op) telemetry.Tick {
+	if r == nil {
+		return telemetry.Tick{}
+	}
+	return g.sample(r, op)
+}
+
+// sample is Op with telemetry attached, out of line so that Op inlines
+// to its nil check.
+func (g Guard) sample(r *telemetry.Recorder, op telemetry.Op) telemetry.Tick {
+	var n uint64
+	if s := g.s; s != nil {
+		s.seq[op]++
+		n = s.seq[op]
+	} else {
+		n = g.d.overflowSeq[op].Add(1)
+	}
+	return r.Op(op, n)
 }
 
 // Unpin releases the registration.

@@ -8,10 +8,7 @@
 // HLL for unique counts and a P² estimator for quantiles.
 package sketch
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // HLL is a HyperLogLog unique-count sketch with 2^p registers of one
 // byte each. It estimates set cardinality with a standard error of
@@ -135,80 +132,4 @@ func HLLEstimateState(state []byte) float64 {
 	p := state[0]
 	h := HLL{p: p, regs: state[1 : 1+(1<<p)]}
 	return h.Estimate()
-}
-
-// KMV is a k-minimum-values sketch: an alternative distinct-count
-// estimator with a simple mergeable state, used in tests to cross-check
-// HLL behaviour.
-type KMV struct {
-	k    int
-	vals []uint64 // sorted ascending, at most k
-}
-
-// NewKMV creates a sketch keeping the k smallest hash values.
-func NewKMV(k int) *KMV {
-	if k < 8 {
-		panic("sketch: KMV k too small")
-	}
-	return &KMV{k: k}
-}
-
-// Add inserts a pre-hashed item.
-func (s *KMV) Add(hash uint64) {
-	// Binary search insert position.
-	lo, hi := 0, len(s.vals)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.vals[mid] < hash {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.vals) && s.vals[lo] == hash {
-		return // duplicate
-	}
-	if len(s.vals) == s.k {
-		if lo == s.k {
-			return // larger than all retained values
-		}
-		s.vals = s.vals[:s.k-1]
-	}
-	s.vals = append(s.vals, 0)
-	copy(s.vals[lo+1:], s.vals[lo:])
-	s.vals[lo] = hash
-}
-
-// Estimate returns the estimated distinct count.
-func (s *KMV) Estimate() float64 {
-	if len(s.vals) < s.k {
-		return float64(len(s.vals)) // exact below k
-	}
-	kth := float64(s.vals[s.k-1]) / float64(math.MaxUint64)
-	return float64(s.k-1) / kth
-}
-
-// AppendState serializes as [k u32][n u32][vals...].
-func (s *KMV) AppendState(dst []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(s.k))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(s.vals)))
-	dst = append(dst, hdr[:]...)
-	for _, v := range s.vals {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		dst = append(dst, b[:]...)
-	}
-	return dst
-}
-
-// KMVFromState deserializes a KMV sketch.
-func KMVFromState(state []byte) *KMV {
-	k := int(binary.LittleEndian.Uint32(state[0:]))
-	n := int(binary.LittleEndian.Uint32(state[4:]))
-	s := &KMV{k: k, vals: make([]uint64, n)}
-	for i := 0; i < n; i++ {
-		s.vals[i] = binary.LittleEndian.Uint64(state[8+8*i:])
-	}
-	return s
 }

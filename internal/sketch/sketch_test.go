@@ -103,40 +103,6 @@ func TestHashBytesSpread(t *testing.T) {
 	}
 }
 
-func TestKMVAccuracy(t *testing.T) {
-	s := NewKMV(256)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		s.Add(Hash64(uint64(i)))
-	}
-	est := s.Estimate()
-	if math.Abs(est-n)/n > 0.15 {
-		t.Fatalf("KMV estimate %.0f; want ≈%d", est, n)
-	}
-}
-
-func TestKMVExactBelowK(t *testing.T) {
-	s := NewKMV(64)
-	for i := 0; i < 40; i++ {
-		s.Add(Hash64(uint64(i)))
-		s.Add(Hash64(uint64(i))) // duplicates ignored
-	}
-	if s.Estimate() != 40 {
-		t.Fatalf("estimate %.0f; want exactly 40", s.Estimate())
-	}
-}
-
-func TestKMVStateRoundTrip(t *testing.T) {
-	s := NewKMV(32)
-	for i := 0; i < 100; i++ {
-		s.Add(Hash64(uint64(i)))
-	}
-	s2 := KMVFromState(s.AppendState(nil))
-	if s2.Estimate() != s.Estimate() {
-		t.Fatal("round trip changed estimate")
-	}
-}
-
 func TestP2Median(t *testing.T) {
 	p := NewP2(0.5)
 	rng := rand.New(rand.NewPCG(1, 2))

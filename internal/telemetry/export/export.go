@@ -18,8 +18,9 @@ import (
 
 // WriteMetrics renders the recorder's full state in the Prometheus text
 // exposition format (version 0.0.4): one histogram family for op
-// latencies, one counter family for exact op counts, the registered
-// gauges, and the flight-recorder sequence number.
+// latencies, one counter family for op counts (hot ops' scaled up from
+// their samples), the registered gauges, and the flight-recorder
+// sequence number.
 func WriteMetrics(w io.Writer, r *telemetry.Recorder) error {
 	if r == nil {
 		_, err := fmt.Fprint(w, "# oak telemetry disabled\n")
@@ -42,7 +43,7 @@ func WriteMetrics(w io.Writer, r *telemetry.Recorder) error {
 		bw.printf("oak_op_latency_seconds_count{op=%q} %d\n", op.String(), s.Hist.Count)
 	}
 
-	bw.printf("# HELP oak_ops_total Operations performed (exact count; latency above is a sampled subset).\n")
+	bw.printf("# HELP oak_ops_total Operations performed (hot ops: latency samples times 2^sample_shift; structural ops: exact).\n")
 	bw.printf("# TYPE oak_ops_total counter\n")
 	for op := telemetry.Op(0); op < telemetry.NumOps; op++ {
 		bw.printf("oak_ops_total{op=%q} %d\n", op.String(), r.OpSnapshot(op).Count)

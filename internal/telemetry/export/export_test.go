@@ -14,7 +14,7 @@ import (
 func populated() *telemetry.Recorder {
 	r := telemetry.New(telemetry.Config{SampleShift: -1, EventBuffer: 16})
 	for i := 0; i < 100; i++ {
-		tk := r.Op(telemetry.OpGet)
+		tk := r.Op(telemetry.OpGet, uint64(i))
 		tk.Done()
 	}
 	sp := r.Span(telemetry.OpRebalance)

@@ -15,14 +15,13 @@ const (
 	EvLimboDrain                      // a: items drained, b: bytes drained
 	EvBlockGrow                       // a: new block count, b: block size bytes
 	EvBlockRetain                     // a: pooled blocks after retain
-	EvBlockDrop                       // a: pooled blocks after drop
 	EvClassMigrate                    // a: migrated span length in bytes
 	numEventKinds
 )
 
 var eventNames = [numEventKinds]string{
 	"rebalance_begin", "rebalance_end", "epoch_advance", "limbo_drain",
-	"block_grow", "block_retain", "block_drop", "class_migrate",
+	"block_grow", "block_retain", "class_migrate",
 }
 
 // String returns the event kind's exporter-facing name.

@@ -1,10 +1,11 @@
 // Package telemetry is the map's unified observability layer: sharded
 // always-on counters (replacing the ad-hoc atomic.Int64s that used to
-// live in arena/epoch/core/vheader), sampled op-latency histograms, and
-// a lock-free flight recorder for structural events. Everything a
-// *Recorder exposes is nil-safe: a nil recorder turns every call into a
-// branch on a nil check, so the instrumented hot paths cost one
-// predictable compare when telemetry is disabled (the default).
+// live in arena/epoch/core/vheader), sampled op-latency histograms whose
+// sample counts also estimate the op totals, and a lock-free flight
+// recorder for structural events. Everything a *Recorder exposes is
+// nil-safe: a nil recorder turns every call into a branch on a nil
+// check, so the instrumented hot paths cost one predictable compare when
+// telemetry is disabled (the default).
 package telemetry
 
 import (
@@ -70,13 +71,14 @@ func (c *Counter) Load() int64 {
 type Op uint8
 
 const (
-	// Hot-path ops: counted always, latency-sampled 1 in 2^sampleShift.
+	// Hot-path ops: latency-sampled 1 in 2^sampleShift, and counted by
+	// scaling the samples back up.
 	OpGet Op = iota
 	OpPut
 	OpRemove
 	OpCompute
 	OpScanNext
-	// Rare structural ops: counted and always timed.
+	// Rare structural ops: timed on every occurrence, so counted exactly.
 	OpRebalance
 	OpEpochAdvance
 	OpEpochDrain
@@ -84,6 +86,10 @@ const (
 	OpArenaRescue
 	NumOps // sentinel
 )
+
+// NumHotOps is the number of hot-path op classes (OpGet … OpScanNext),
+// the ones whose caller supplies the sample sequence (see Op).
+const NumHotOps = OpScanNext + 1
 
 var opNames = [NumOps]string{
 	"get", "put", "remove", "compute", "scan_next",
@@ -101,7 +107,7 @@ func (o Op) String() string {
 // DefaultSampleShift makes hot ops time 1 in 64 calls: two time.Now()
 // reads (~50ns) amortize to <1ns per op against a few-hundred-ns Get,
 // which is what keeps the enabled-telemetry overhead under the 3%
-// budget (see bench_output_telemetry.txt).
+// budget (TestTelemetryOverheadGate; EXPERIMENTS.md "Telemetry overhead").
 const DefaultSampleShift = 6
 
 // DefaultEventBuffer is the flight-recorder capacity (events).
@@ -115,11 +121,6 @@ type Config struct {
 	// EventBuffer is the flight-recorder capacity, rounded up to a
 	// power of two. 0 means DefaultEventBuffer.
 	EventBuffer int
-}
-
-type opRec struct {
-	count Counter
-	hist  AtomicHist
 }
 
 // GaugeKind tells the exporter how to type a registered read-out.
@@ -144,9 +145,10 @@ type Gauge struct {
 // telemetry stays near-free: instrumentation sites call through
 // unconditionally.
 type Recorder struct {
-	sampleMask uint64
-	ops        [NumOps]opRec
-	ring       *Ring
+	sampleShift uint
+	sampleMask  uint64
+	ops         [NumOps]AtomicHist
+	ring        *Ring
 
 	mu     sync.Mutex
 	gauges map[string]Gauge //oak:guarded-by mu
@@ -166,61 +168,60 @@ func New(cfg Config) *Recorder {
 		buf = DefaultEventBuffer
 	}
 	return &Recorder{
-		sampleMask: 1<<uint(shift) - 1,
-		ring:       NewRing(buf),
-		gauges:     make(map[string]Gauge),
+		sampleShift: uint(shift),
+		sampleMask:  1<<uint(shift) - 1,
+		ring:        NewRing(buf),
+		gauges:      make(map[string]Gauge),
 	}
 }
 
-// Tick is an in-flight hot-op measurement; the zero Tick (unsampled or
-// nil recorder) makes Done a nil check.
+// Tick is an in-flight measurement; the zero Tick (unsampled or nil
+// recorder) makes Done a nil check.
 type Tick struct {
 	r     *Recorder
-	start time.Time
+	start time.Duration // since clockBase, monotonic
 	op    Op
 }
 
-// Op counts one hot-path operation and, on the sampled subset, starts a
-// latency measurement finished by Done. The unsampled path (63 of 64
-// calls) is fully inlinable: a nil check, one sharded atomic add, one
-// mask test — the time.Now read lives in the outlined sampledTick so it
-// doesn't count against this function's inline budget.
-func (r *Recorder) Op(op Op) Tick {
-	if r == nil {
-		return Tick{}
-	}
-	n := r.ops[op].count.Inc()
-	if uint64(n)&r.sampleMask != 0 {
+// clockBase anchors Tick starts: a Duration keeps Tick three words, so
+// it is passed and returned in registers.
+var clockBase = time.Now()
+
+// Op starts a latency measurement of one hot-path operation of class op
+// when n, the operation's number in a per-class sequence the caller
+// keeps, is a multiple of 2^SampleShift, and returns the zero Tick
+// otherwise. The recorder keeps no count of its own: OpSnapshot scales
+// the samples back up. In the map the sequence lives in the epoch slot
+// the operation has pinned (epoch.Guard.Op), so the unsampled path —
+// inlinable: a nil check and a mask test — writes nothing shared.
+func (r *Recorder) Op(op Op, n uint64) Tick {
+	if r == nil || n&r.sampleMask != 0 {
 		return Tick{}
 	}
 	return r.sampledTick(op)
 }
 
-// sampledTick is Op's cold path: start the clock on a sampled call.
+// sampledTick is Op's cold path: start the clock on a sampled call. It
+// stays out of line so that Op inlines.
+//
+//go:noinline
 func (r *Recorder) sampledTick(op Op) Tick {
-	return Tick{r: r, op: op, start: time.Now()}
+	return Tick{r: r, op: op, start: time.Since(clockBase)}
 }
 
-// Done finishes a sampled measurement. The zero-Tick path (unsampled or
+// Done finishes a measurement. The zero-Tick path (unsampled or
 // disabled) inlines to a nil check, which is what a deferred Done costs
-// on 63 of 64 hot ops.
-func (t Tick) Done() {
+// on 63 of 64 hot ops. The pointer receiver lets a caller defer Done on
+// a Tick it starts later.
+func (t *Tick) Done() {
 	if t.r != nil {
 		t.finish()
 	}
 }
 
 // finish is Done's cold path: record the sampled latency.
-func (t Tick) finish() {
-	t.r.ops[t.op].hist.Observe(time.Since(t.start))
-}
-
-// Count counts an operation without timing it (used by scan yields that
-// time themselves externally).
-func (r *Recorder) Count(op Op) {
-	if r != nil {
-		r.ops[op].count.Inc()
-	}
+func (t *Tick) finish() {
+	t.r.ops[t.op].Observe(time.Since(clockBase) - t.start)
 }
 
 // Span starts an always-timed measurement for a rare structural op
@@ -229,21 +230,7 @@ func (r *Recorder) Span(op Op) Tick {
 	if r == nil {
 		return Tick{}
 	}
-	r.ops[op].count.Inc()
-	return Tick{r: r, op: op, start: time.Now()}
-}
-
-// Observe records a latency measured by the caller.
-func (r *Recorder) Observe(op Op, d time.Duration) {
-	if r != nil {
-		r.ops[op].hist.Observe(d)
-	}
-}
-
-// Sampled reports whether the n-th call of a 1-in-2^SampleShift series
-// should be timed — for call sites that manage their own counters.
-func (r *Recorder) Sampled(n uint64) bool {
-	return r != nil && n&r.sampleMask == 0
+	return Tick{r: r, op: op, start: time.Since(clockBase)}
 }
 
 // Event appends a structural event to the flight recorder.
@@ -270,10 +257,14 @@ func (r *Recorder) EventSeq() uint64 {
 	return r.ring.Seq()
 }
 
-// OpStats is a read-side snapshot of one op's counter and histogram.
+// OpStats is a read-side snapshot of one op's histogram and count.
 type OpStats struct {
-	Op    Op
-	Count uint64 // total operations (exact, not sampled)
+	Op Op
+	// Count is the number of operations: exact for structural ops and
+	// with SampleShift < 0; for hot ops the samples times 2^SampleShift,
+	// off the true count by less than 2^SampleShift per sequence the
+	// samples were drawn from.
+	Count uint64
 	Hist  HistSnapshot
 }
 
@@ -282,11 +273,12 @@ func (r *Recorder) OpSnapshot(op Op) OpStats {
 	if r == nil || op >= NumOps {
 		return OpStats{Op: op}
 	}
-	return OpStats{
-		Op:    op,
-		Count: uint64(r.ops[op].count.Load()),
-		Hist:  r.ops[op].hist.Snapshot(),
+	h := r.ops[op].Snapshot()
+	n := h.Count
+	if op < NumHotOps {
+		n <<= r.sampleShift
 	}
+	return OpStats{Op: op, Count: n, Hist: h}
 }
 
 // Snapshot captures every op.

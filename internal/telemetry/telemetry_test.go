@@ -8,17 +8,17 @@ import (
 )
 
 // TestCounterHammer drives 64 goroutines through a shared Counter (and a
-// shared recorder's sampled histogram) while a reader merges stripes
-// concurrently. The final merged value must be exact; intermediate reads
-// must be monotone non-decreasing (a weak snapshot never goes backwards
-// when every write is an increment).
+// shared recorder's histogram, every op sampled so its count is exact)
+// while a reader merges stripes concurrently. The final merged value
+// must be exact; intermediate reads must be monotone non-decreasing (a
+// weak snapshot never goes backwards when every write is an increment).
 func TestCounterHammer(t *testing.T) {
 	const (
 		writers = 64
 		perG    = 10_000
 	)
 	var c Counter
-	r := New(Config{SampleShift: 3, EventBuffer: 64})
+	r := New(Config{SampleShift: -1, EventBuffer: 64})
 
 	var stop atomic.Bool
 	readerDone := make(chan struct{})
@@ -47,7 +47,7 @@ func TestCounterHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				tk := r.Op(OpGet)
+				tk := r.Op(OpGet, uint64(i))
 				tk.Done()
 			}
 		}()
@@ -60,14 +60,8 @@ func TestCounterHammer(t *testing.T) {
 		t.Fatalf("Counter.Load = %d, want %d", got, writers*perG)
 	}
 	s := r.OpSnapshot(OpGet)
-	if s.Count != writers*perG {
-		t.Fatalf("op count = %d, want %d", s.Count, writers*perG)
-	}
-	if s.Hist.Count == 0 {
-		t.Fatal("sampled histogram recorded nothing")
-	}
-	if s.Hist.Count > s.Count {
-		t.Fatalf("sampled %d > total %d", s.Hist.Count, s.Count)
+	if s.Count != writers*perG || s.Hist.Count != writers*perG {
+		t.Fatalf("op count = %d, samples = %d, want %d", s.Count, s.Hist.Count, writers*perG)
 	}
 }
 
@@ -123,15 +117,10 @@ func TestAtomicHistSnapshotMerge(t *testing.T) {
 // panic and the reads must return zero values.
 func TestRecorderNilSafety(t *testing.T) {
 	var r *Recorder
-	tk := r.Op(OpGet)
+	tk := r.Op(OpGet, 0)
 	tk.Done()
-	r.Count(OpPut)
 	sp := r.Span(OpRebalance)
 	sp.Done()
-	r.Observe(OpScanNext, time.Second)
-	if r.Sampled(0) {
-		t.Fatal("nil recorder sampled")
-	}
 	r.Event(EvEpochAdvance, 1, 2, 3)
 	if r.Events() != nil || r.EventSeq() != 0 {
 		t.Fatal("nil recorder has events")
@@ -145,32 +134,40 @@ func TestRecorderNilSafety(t *testing.T) {
 	r.RegisterGauge("x", KindGauge, func() float64 { return 1 })
 }
 
-// TestSampling checks the 1-in-2^shift contract per shard: with shift s,
-// a single-goroutine run of n ops must time ~n/2^s of them.
+// TestSampling checks the 1-in-2^shift contract: with shift s, a run of
+// n hot ops numbered 1..n times exactly n/2^s of them and reports n as
+// the count, while structural spans count every call; with a negative
+// shift every call is timed.
 func TestSampling(t *testing.T) {
 	r := New(Config{SampleShift: 4})
 	const n = 1 << 12
-	for i := 0; i < n; i++ {
-		tk := r.Op(OpPut)
+	for i := 1; i <= n; i++ {
+		tk := r.Op(OpPut, uint64(i))
 		tk.Done()
 	}
 	s := r.OpSnapshot(OpPut)
-	if s.Count != n {
-		t.Fatalf("count %d", s.Count)
+	if want := uint64(n >> 4); s.Hist.Count != want {
+		t.Fatalf("sampled %d, want %d", s.Hist.Count, want)
 	}
-	want := uint64(n >> 4)
-	if s.Hist.Count != want {
-		t.Fatalf("sampled %d, want %d (single goroutine, one stripe)", s.Hist.Count, want)
+	if s.Count != n {
+		t.Fatalf("count %d, want %d", s.Count, n)
+	}
+	for i := 0; i < 3; i++ {
+		sp := r.Span(OpRebalance)
+		sp.Done()
+	}
+	if s := r.OpSnapshot(OpRebalance); s.Count != 3 || s.Hist.Count != 3 {
+		t.Fatalf("span count %d, samples %d, want 3", s.Count, s.Hist.Count)
 	}
 
 	// Negative shift: every call timed.
 	r2 := New(Config{SampleShift: -1})
 	for i := 0; i < 100; i++ {
-		tk := r2.Op(OpGet)
+		tk := r2.Op(OpGet, uint64(i))
 		tk.Done()
 	}
-	if s2 := r2.OpSnapshot(OpGet); s2.Hist.Count != 100 {
-		t.Fatalf("shift<0 sampled %d, want 100", s2.Hist.Count)
+	if s2 := r2.OpSnapshot(OpGet); s2.Hist.Count != 100 || s2.Count != 100 {
+		t.Fatalf("shift<0 sampled %d, count %d, want 100", s2.Hist.Count, s2.Count)
 	}
 }
 

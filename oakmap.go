@@ -72,12 +72,13 @@ type Options struct {
 	// then retained forever and accounted in Stats.KeyLeakBytes.
 	DisableKeyReclaim bool
 	// Telemetry, when non-nil, attaches an observability scope to the
-	// map: sharded op counters, sampled op-latency histograms, structural
-	// gauges and a flight recorder of rebalance/epoch/arena events (see
-	// NewTelemetry). Nil — the default — disables telemetry entirely; the
-	// hot path then pays a single nil check per operation. With
-	// Shards > 1 every shard feeds the same scope and the gauges roll the
-	// shards up (plus per-shard breakdowns for imbalance debugging).
+	// map: sampled op-latency histograms and the op counts estimated
+	// from them, structural gauges and a flight recorder of
+	// rebalance/epoch/arena events (see NewTelemetry). Nil — the default
+	// — disables telemetry entirely; the hot path then pays a single nil
+	// check per operation. With Shards > 1 every shard feeds the same
+	// scope and the gauges roll the shards up (plus per-shard breakdowns
+	// for imbalance debugging).
 	Telemetry *Telemetry
 }
 
@@ -491,9 +492,8 @@ func statsOf(c *core.Map) Stats {
 // each other should use StatsConsistent instead.
 func (m *Map[K, V]) Stats() Stats {
 	var agg Stats
-	var fragWeighted float64
-	for _, c := range m.s.Shards() {
-		s := statsOf(c)
+	per := m.ShardStats()
+	for _, s := range per {
 		agg.Len += s.Len
 		agg.Footprint += s.Footprint
 		agg.LiveBytes += s.LiveBytes
@@ -504,7 +504,6 @@ func (m *Map[K, V]) Stats() Stats {
 		agg.HeaderCount += s.HeaderCount
 		agg.Shards++
 		agg.FreeSpans += s.FreeSpans
-		fragWeighted += s.Fragmentation * float64(s.Footprint)
 		if s.Epoch > agg.Epoch {
 			agg.Epoch = s.Epoch
 		}
@@ -520,10 +519,28 @@ func (m *Map[K, V]) Stats() Stats {
 			agg.HorizonLag = s.HorizonLag
 		}
 	}
-	if agg.Footprint > 0 {
-		agg.Fragmentation = fragWeighted / float64(agg.Footprint)
-	}
+	agg.Fragmentation = rollupFragmentation(len(per), func(i int) (float64, int64) {
+		return per[i].Fragmentation, per[i].Footprint
+	})
 	return agg
+}
+
+// rollupFragmentation is the one cross-shard rule for the arena
+// fragmentation ratio, shared by Stats and the
+// oak_arena_fragmentation_ratio gauge: free-list bytes over footprint,
+// summed over the shards, so each shard's ratio weighs by its footprint.
+// It is 0 while no shard holds a block.
+func rollupFragmentation(n int, shard func(i int) (frag float64, footprint int64)) float64 {
+	var free, footprint float64
+	for i := 0; i < n; i++ {
+		f, fp := shard(i)
+		free += f * float64(fp)
+		footprint += float64(fp)
+	}
+	if footprint == 0 {
+		return 0
+	}
+	return free / footprint
 }
 
 // ShardStats returns one Stats snapshot per shard, index-stable; a

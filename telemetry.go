@@ -13,19 +13,21 @@ import (
 	"oakmap/internal/telemetry/export"
 )
 
-// Telemetry is the map's observability scope: sharded op counters,
-// sampled op-latency histograms, structural gauges, and a bounded
-// flight recorder of structural events (rebalances, epoch advances,
-// limbo drains, block lifecycle, free-list migrations). Attach one via
-// Options.Telemetry; a single Telemetry may be shared by several maps
-// (their ops aggregate; per-map gauges are registered by the most
-// recently constructed map).
+// Telemetry is the map's observability scope: sampled op-latency
+// histograms (whose sample counts, scaled up, are the op counts),
+// structural gauges, and a bounded flight recorder of structural events
+// (rebalances, epoch advances, limbo drains, block lifecycle, free-list
+// migrations). Attach one via Options.Telemetry; a single Telemetry may
+// be shared by several maps (their ops aggregate; per-map gauges are
+// registered by the most recently constructed map).
 //
 // Telemetry is disabled by default. When attached, hot-path latency is
-// sampled (1 in 2^SampleShift operations), keeping the measured Get/Put
-// overhead under 3% (see bench_output_telemetry.txt); rare structural
-// operations — rebalance, epoch advance/drain, arena compaction and
-// rescue — are timed on every occurrence.
+// sampled (1 in 2^SampleShift operations, picked by a per-op sequence in
+// the epoch slot the operation already holds), keeping the measured Get
+// overhead under 3% (TestTelemetryOverheadGate; EXPERIMENTS.md
+// "Telemetry overhead"); rare structural operations — rebalance, epoch
+// advance/drain, arena compaction and rescue — are timed on every
+// occurrence.
 type Telemetry struct {
 	rec *telemetry.Recorder
 }
@@ -117,7 +119,6 @@ func (t *Telemetry) RegisterGauge(name string, counter bool, read func() float64
 //	limbo_drain      A: items drained   B: bytes drained
 //	block_grow       A: allocator block count  B: block size bytes
 //	block_retain     A: pooled free blocks after the retain
-//	block_drop       A: pooled free blocks at the drop
 //	class_migrate    A: migrated span length in bytes
 type TelemetryEvent struct {
 	Seq     uint64 // global sequence number (1-based, gap-free at append)
@@ -160,9 +161,11 @@ func (t *Telemetry) EventCount() uint64 {
 	return t.recorder().EventSeq()
 }
 
-// OpLatency is one operation class's latency snapshot. Count is exact;
-// the percentiles are computed over the recorded (for hot ops: sampled)
-// subset.
+// OpLatency is one operation class's latency snapshot. The percentiles
+// are computed over the recorded (for hot ops: sampled) subset. Count is
+// exact for structural ops; for hot ops it is Sampled × 2^SampleShift,
+// an estimate off by less than 2^SampleShift per epoch slot the ops ran
+// under (exact with a negative SampleShift).
 type OpLatency struct {
 	Op      string
 	Count   uint64
@@ -260,22 +263,11 @@ func registerGauges(r *telemetry.Recorder, shards []*core.Map) {
 			return out
 		})
 	}
-	// Fragmentation is a ratio, so the rollup weights each shard's ratio
-	// by its live bytes: a near-empty shard's (noisy) ratio must not
-	// swamp the signal from the shards actually holding data. Falls back
-	// to a plain mean while every shard is empty.
 	r.RegisterGauge("oak_arena_fragmentation_ratio", gauge, func() float64 {
-		var weighted, live, plain float64
-		for _, s := range snaps {
-			st := s.get()
-			weighted += st.Fragmentation * float64(st.LiveBytes)
-			live += float64(st.LiveBytes)
-			plain += st.Fragmentation
-		}
-		if live > 0 {
-			return weighted / live
-		}
-		return plain / float64(len(snaps))
+		return rollupFragmentation(len(snaps), func(i int) (float64, int64) {
+			st := snaps[i].get()
+			return st.Fragmentation, st.Footprint
+		})
 	})
 
 	if len(shards) == 1 {

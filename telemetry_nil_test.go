@@ -2,7 +2,9 @@ package oakmap
 
 import (
 	"io"
+	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -53,7 +55,9 @@ func TestTelemetryNilReceiver(t *testing.T) {
 // TestShardedFragmentationGauge pins the sharded gauge set's parity
 // with the plain map's: oak_arena_fragmentation_ratio must be exported
 // for a sharded map too (it was dropped from the sharded registration
-// once), as the live-bytes-weighted rollup across shards.
+// once), and it must report the same rollup as Stats().Fragmentation.
+// One shard is emptied while the others keep their data, so a rollup that
+// weighted shards by anything but footprint would read differently.
 func TestShardedFragmentationGauge(t *testing.T) {
 	tel := NewTelemetry(nil)
 	m := New[uint64, []byte](Uint64Serializer{}, BytesSerializer{},
@@ -65,28 +69,42 @@ func TestShardedFragmentationGauge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := uint64(0); i < 200; i += 2 {
-		if err := zc.Remove(i); err != nil {
-			t.Fatal(err)
+	for i := uint64(0); i < 200; i++ {
+		kb := m.serializeKey(i)
+		emptied := m.s.ShardIndex(*kb) == 0
+		m.releaseKey(kb)
+		if emptied || i%5 == 0 {
+			if err := zc.Remove(i); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	m.Quiesce()
 
 	var sb strings.Builder
 	if err := tel.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "oak_arena_fragmentation_ratio") {
+	var gauge string
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "oak_arena_fragmentation_ratio "); ok {
+			gauge = v
+		}
+	}
+	if gauge == "" {
 		t.Fatalf("sharded map exposition lacks oak_arena_fragmentation_ratio:\n%s", out)
 	}
-	// The rollup is a ratio: parse-free sanity that the value line is not
-	// NaN/Inf (weighting by live bytes must fall back cleanly).
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "oak_arena_fragmentation_ratio") {
-			if strings.Contains(line, "NaN") || strings.Contains(line, "Inf") {
-				t.Fatalf("fragmentation rollup not finite: %q", line)
-			}
-		}
+	got, err := strconv.ParseFloat(gauge, 64)
+	if err != nil || math.IsNaN(got) || math.IsInf(got, 0) {
+		t.Fatalf("fragmentation rollup not finite: %q", gauge)
+	}
+	want := m.Stats().Fragmentation
+	if want <= 0 {
+		t.Fatalf("Stats().Fragmentation = %v: the removes left no free-list bytes to weigh", want)
+	}
+	if got != want {
+		t.Fatalf("oak_arena_fragmentation_ratio = %v, Stats().Fragmentation = %v", got, want)
 	}
 }
 
