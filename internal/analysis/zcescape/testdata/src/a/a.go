@@ -83,6 +83,17 @@ func readSliceEscapes(m *oakmap.Map[uint64, uint64], h *holder) {
 	})
 }
 
+func mapReadSliceEscapes(m *oakmap.Map[uint64, uint64], h *holder) {
+	_, _ = m.ZC().Read(7, func(p []byte) error {
+		h.data = p // want `read slice p escapes its callback: stored into memory that may outlive it`
+		return nil
+	})
+	_, _ = m.ZC().Read(7, func(p []byte) error {
+		h.data = append(h.data[:0], p...) // copies out: safe
+		return nil
+	})
+}
+
 func dynamicCallEscapes(m *oakmap.Map[uint64, uint64], visit func([]byte)) {
 	m.ZC().ValuesStream(nil, nil, func(v *oakmap.OakRBuffer) bool {
 		_ = v.Read(func(p []byte) error {

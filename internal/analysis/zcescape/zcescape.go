@@ -14,9 +14,10 @@
 //     PutIfAbsentComputeIfPresent lambdas is backed by the value's
 //     write lock; after the lambda returns, writes through it race
 //     with (or corrupt) other writers.
-//   - Read slices: the []byte given to OakRBuffer.Read callbacks (and
-//     any slice obtained from OakWBuffer.Bytes) aliases off-heap
-//     memory that may be reused the moment the callback returns.
+//   - Read slices: the []byte given to OakRBuffer.Read and
+//     ZeroCopyMap.Read callbacks (and any slice obtained from
+//     OakWBuffer.Bytes) aliases off-heap memory that may be reused the
+//     moment the callback returns.
 //
 // A scoped value escapes when it is assigned to a variable declared
 // outside its callback, stored into a struct field / map / slice /
@@ -112,7 +113,7 @@ func run(pass *analysis.Pass) error {
 					}
 				})
 			case fn.Name() == "Read":
-				if analysis.Named(recvType(fn), oakPkg, "OakRBuffer") {
+				if recv := recvType(fn); analysis.Named(recv, oakPkg, "OakRBuffer") || analysis.Named(recv, oakPkg, "ZeroCopyMap") {
 					forCallback(pass, decls, call, func(cb ast.Node, params []*types.Var) {
 						for _, p := range params {
 							if isByteSlice(p.Type()) {

@@ -86,6 +86,7 @@ func (s *Server) execute(w *respWriter, args [][]byte) error {
 	kind := lookupCmd(verb)
 	start := s.metrics.observe(kind)
 	defer s.metrics.done(kind, start)
+	defer w.trim()
 
 	switch kind {
 	case cmdGet:
@@ -211,24 +212,29 @@ func (s *Server) execute(w *respWriter, args [][]byte) error {
 }
 
 // writeValue buffers the value mapped to k as a bulk reply (nil bulk
-// when absent). The read path is the zero-copy one: the value bytes are
-// copied exactly once, off-heap → reply buffer, under the view's
-// deletion check; a concurrent delete between lookup and read reports
-// absent, never torn bytes.
+// when absent, or deleted between lookup and read). The value is copied
+// once, off-heap → the writer's free space, under the value's read lock;
+// no view is made. A value larger than that free space is copied to the
+// reused scratch buffer instead and written after the lock is released:
+// writing it in place would flush, and no socket I/O may happen while a
+// value's writers wait.
 func (s *Server) writeValue(w *respWriter, k []byte) {
-	buf := s.zc.Get(k)
-	if buf == nil {
+	spilled := false
+	found, _ := s.zc.Read(k, func(v []byte) error {
+		if len(v)+bulkOverhead > w.bw.Available() {
+			w.scratch = append(w.scratch[:0], v...)
+			spilled = true
+			return nil
+		}
+		w.bw.Write(appendBulk(w.bw.AvailableBuffer(), v)) // fits: no flush
+		return nil
+	})
+	switch {
+	case !found:
 		w.writeNil()
-		return
+	case spilled:
+		w.writeBulk(w.scratch)
 	}
-	out, err := buf.AppendTo(w.scratch[:0])
-	if err != nil {
-		// Deleted between Get and read: absent.
-		w.writeNil()
-		return
-	}
-	w.scratch = out[:0] // keep the (possibly grown) backing array
-	w.writeBulk(out)
 }
 
 // arity checks len(args) against [min, max] (max < 0 = unbounded) and

@@ -32,6 +32,11 @@ const (
 	DefaultMaxBulk = 8 << 20
 	// maxInlineLine bounds an inline command line.
 	maxInlineLine = 64 << 10
+	// bufSize is each connection's bufio buffer size, and the most any
+	// reused per-connection buffer keeps between commands: one that an
+	// outsized frame or reply grew past it is dropped, so a single 8 MiB
+	// GET does not pin 8 MiB for the rest of the connection.
+	bufSize = 64 << 10
 )
 
 // errProtocol marks malformed frames. A handler that sees one reports
@@ -64,6 +69,7 @@ type respReader struct {
 
 	args   [][]byte // reused frame: args[i] aliases argBuf regions
 	argBuf []byte   // one backing buffer for all of a frame's arguments
+	offs   []int    // reused start/end offsets into argBuf (it may move while growing)
 }
 
 func newRespReader(r io.Reader, maxArgs, maxBulk int) *respReader {
@@ -74,7 +80,7 @@ func newRespReader(r io.Reader, maxArgs, maxBulk int) *respReader {
 		maxBulk = DefaultMaxBulk
 	}
 	return &respReader{
-		br:      bufio.NewReaderSize(r, 64<<10),
+		br:      bufio.NewReaderSize(r, bufSize),
 		maxArgs: maxArgs,
 		maxBulk: maxBulk,
 	}
@@ -111,6 +117,9 @@ func (r *respReader) readLine() ([]byte, error) {
 // an inline command line. The returned arguments are valid until the
 // next ReadCommand call.
 func (r *respReader) ReadCommand() ([][]byte, error) {
+	if cap(r.argBuf) > bufSize {
+		r.argBuf = nil // the last frame was outsized: do not keep its buffer
+	}
 	first, err := r.br.ReadByte()
 	if err != nil {
 		return nil, err
@@ -143,7 +152,7 @@ func (r *respReader) ReadCommand() ([][]byte, error) {
 	}
 	args := r.args[:n]
 	r.argBuf = r.argBuf[:0]
-	offs := make([]int, 0, 2*n) // start/end offsets into argBuf (it may move while growing)
+	offs := r.offs[:0]
 	for i := 0; i < n; i++ {
 		marker, err := r.br.ReadByte()
 		if err != nil {
@@ -178,6 +187,7 @@ func (r *respReader) ReadCommand() ([][]byte, error) {
 		}
 		offs = append(offs, start, start+blen)
 	}
+	r.offs = offs
 	for i := 0; i < n; i++ {
 		args[i] = r.argBuf[offs[2*i]:offs[2*i+1]]
 	}
@@ -272,16 +282,28 @@ func parseLen(b []byte) (int, error) {
 // command.
 type respWriter struct {
 	bw      *bufio.Writer
-	scratch []byte   // reused copy-out target for off-heap values
+	scratch []byte   // reused copy-out target for values larger than bw's free space
+	page    []byte   // reused SCAN page: its rows, already RESP-framed
 	ints    [24]byte // integer formatting; separate from scratch so a
 	// buffered value copy is never clobbered by its own length header
 }
 
 func newRespWriter(w io.Writer) *respWriter {
-	return &respWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	return &respWriter{bw: bufio.NewWriterSize(w, bufSize)}
 }
 
 func (w *respWriter) Flush() error { return w.bw.Flush() }
+
+// trim drops a reused buffer that one command grew past bufSize; the
+// next outsized reply allocates afresh.
+func (w *respWriter) trim() {
+	if cap(w.scratch) > bufSize {
+		w.scratch = nil
+	}
+	if cap(w.page) > bufSize {
+		w.page = nil
+	}
+}
 
 func (w *respWriter) writeSimple(s string) {
 	w.bw.WriteByte('+')
@@ -307,6 +329,19 @@ func (w *respWriter) writeBulk(b []byte) {
 	w.writeBulkHeader(len(b))
 	w.bw.Write(b)
 	w.bw.WriteString("\r\n")
+}
+
+// bulkOverhead bounds a bulk string's framing: '$', up to 20 length
+// digits and two CRLFs.
+const bulkOverhead = 1 + 20 + 2 + 2
+
+// appendBulk appends b to dst as a RESP bulk string.
+func appendBulk(dst, b []byte) []byte {
+	dst = append(dst, '$')
+	dst = strconv.AppendInt(dst, int64(len(b)), 10)
+	dst = append(dst, "\r\n"...)
+	dst = append(dst, b...)
+	return append(dst, "\r\n"...)
 }
 
 func (w *respWriter) writeBulkString(s string) {

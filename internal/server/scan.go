@@ -159,14 +159,16 @@ func (s *Server) liveKeys(lo, hi []byte, yield func(key, val []byte) bool) {
 // rows(lo = after, hi) and writes one SCAN reply: the next cursor
 // (prefix + "k" + last key, or "0" once the range is exhausted), then the
 // keys — each followed by its value when withVals is set. The rows'
-// bytes are only valid inside the callback, so each is copied out
-// exactly once, into one owned buffer (offs marks the boundaries). It
+// bytes are only valid inside the callback, and the reply's array
+// header needs the row count, so each row is RESP-framed once into the
+// writer's reused page buffer and the page follows the headers. It
 // reports whether the range is exhausted.
 func writeScanPage(w *respWriter, rows func(lo, hi []byte, yield func(key, val []byte) bool), prefix, after, hi []byte, count int, withVals bool) bool {
 	var (
-		buf      []byte
-		offs     = []int{0}
+		page     = w.page[:0]
 		n        int
+		lastEnd  int // end of the last key's payload in page
+		lastLen  int
 		firstDup = after != nil // lo is inclusive; the resume key went out last page
 	)
 	rows(after, hi, func(key, val []byte) bool {
@@ -176,36 +178,32 @@ func writeScanPage(w *respWriter, rows func(lo, hi []byte, yield func(key, val [
 				return true
 			}
 		}
-		buf = append(buf, key...)
-		offs = append(offs, len(buf))
+		page = appendBulk(page, key)
+		lastEnd, lastLen = len(page)-2, len(key)
 		if withVals {
-			buf = append(buf, val...)
-			offs = append(offs, len(buf))
+			page = appendBulk(page, val)
 		}
 		n++
 		return n < count
 	})
+	w.page = page
 	exhausted := n < count
 	w.writeArrayHeader(2)
-	items := len(offs) - 1
 	if exhausted {
 		w.writeBulkString("0")
 	} else {
-		lastKey := items - 1
-		if withVals {
-			lastKey--
-		}
-		last := buf[offs[lastKey]:offs[lastKey+1]]
+		last := page[lastEnd-lastLen : lastEnd]
 		w.writeBulkHeader(len(prefix) + 1 + len(last))
 		w.bw.Write(prefix)
 		w.bw.WriteByte('k')
 		w.bw.Write(last)
 		w.bw.WriteString("\r\n")
 	}
-	w.writeArrayHeader(items)
-	for i := 0; i < items; i++ {
-		w.writeBulk(buf[offs[i]:offs[i+1]])
+	if withVals {
+		n *= 2
 	}
+	w.writeArrayHeader(n)
+	w.bw.Write(page)
 	return exhausted
 }
 

@@ -151,15 +151,6 @@ func (m *Map[K, V]) serializeVal(v V) []byte {
 	return buf
 }
 
-// valueWriter serializes v lazily, directly into Oak's off-heap buffer —
-// the paper's zero-intermediate-copy insertion path (§2.1).
-func (m *Map[K, V]) valueWriter(v V) core.ValueWriter {
-	return core.ValueWriter{
-		N:     m.valSer.SizeOf(v),
-		Write: func(dst []byte) { m.valSer.Serialize(v, dst) },
-	}
-}
-
 // Len returns the number of mappings (summed across shards).
 func (m *Map[K, V]) Len() int { return m.s.Len() }
 

@@ -169,19 +169,48 @@ func (z ZeroCopyMap[K, V]) Get(k K) *OakRBuffer {
 	return &OakRBuffer{m: c, h: h}
 }
 
-// Put maps k to v, serializing v directly into off-heap memory. Unlike
-// the legacy put it does not return the old value (avoiding a copy).
+// Read runs f on the bytes of the value mapped to k, under the value's
+// read lock, and reports whether k is mapped: Get plus OakRBuffer.Read
+// without the view, so it creates no garbage. A mapping deleted between
+// the lookup and the read counts as absent, and f does not run; err is
+// f's. f must not retain the slice, and should be short: the value's
+// writers wait for it.
+func (z ZeroCopyMap[K, V]) Read(k K, f func([]byte) error) (found bool, err error) {
+	kb := z.m.serializeKey(k)
+	defer z.m.releaseKey(kb)
+	c := z.m.s.ShardFor(*kb)
+	h, ok := c.Get(*kb)
+	if !ok {
+		return false, nil
+	}
+	err = c.ReadValue(h, func(b []byte) error {
+		found = true
+		return f(b)
+	})
+	if !found {
+		return false, nil
+	}
+	return true, err
+}
+
+// Put maps k to v, serializing v directly into off-heap memory — the
+// paper's zero-intermediate-copy insertion path (§2.1). Unlike the
+// legacy put it does not return the old value (avoiding a copy). Each
+// zero-copy put builds its core.ValueWriter in its own frame: core does
+// not retain the writer, so the closure stays on the stack.
 func (z ZeroCopyMap[K, V]) Put(k K, v V) error {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.s.ShardFor(*kb).PutWriter(*kb, z.m.valueWriter(v))
+	vw := core.ValueWriter{N: z.m.valSer.SizeOf(v), Write: func(dst []byte) { z.m.valSer.Serialize(v, dst) }}
+	return z.m.s.ShardFor(*kb).PutWriter(*kb, vw)
 }
 
 // PutIfAbsent inserts k→v if absent, reporting whether it inserted.
 func (z ZeroCopyMap[K, V]) PutIfAbsent(k K, v V) (bool, error) {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.s.ShardFor(*kb).PutIfAbsentWriter(*kb, z.m.valueWriter(v))
+	vw := core.ValueWriter{N: z.m.valSer.SizeOf(v), Write: func(dst []byte) { z.m.valSer.Serialize(v, dst) }}
+	return z.m.s.ShardFor(*kb).PutIfAbsentWriter(*kb, vw)
 }
 
 // Remove deletes the mapping for k without returning the old value.
@@ -219,7 +248,8 @@ func (z ZeroCopyMap[K, V]) ComputeIfPresent(k K, f func(OakWBuffer) error) (bool
 func (z ZeroCopyMap[K, V]) PutIfAbsentComputeIfPresent(k K, v V, f func(OakWBuffer) error) error {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
-	return z.m.s.ShardFor(*kb).PutIfAbsentComputeIfPresentWriter(*kb, z.m.valueWriter(v), func(w *core.WBuffer) error {
+	vw := core.ValueWriter{N: z.m.valSer.SizeOf(v), Write: func(dst []byte) { z.m.valSer.Serialize(v, dst) }}
+	return z.m.s.ShardFor(*kb).PutIfAbsentComputeIfPresentWriter(*kb, vw, func(w *core.WBuffer) error {
 		return f(OakWBuffer{w})
 	})
 }

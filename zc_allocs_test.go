@@ -1,0 +1,81 @@
+package oakmap_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"oakmap"
+)
+
+// TestZCAllocs pins the zero-copy API's garbage-free contract: the
+// callback read and the zero-copy puts allocate nothing on the Go heap
+// in steady state, on one shard and through the shard router.
+func TestZCAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			m := oakmap.New[[]byte, []byte](oakmap.BytesSerializer{}, oakmap.BytesSerializer{},
+				&oakmap.Options{Shards: shards})
+			defer m.Close()
+			zc := m.ZC()
+			key, absent, val := []byte("key-0001"), []byte("key-0002"), bytes.Repeat([]byte{'v'}, 100)
+			if err := zc.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			read := func(b []byte) error { n += len(b); return nil }
+			for _, c := range []struct {
+				name string
+				op   func()
+			}{
+				{"Read", func() { zc.Read(key, read) }},
+				{"Read/absent", func() { zc.Read(absent, read) }},
+				{"Put", func() { zc.Put(key, val) }},
+				{"PutIfAbsent", func() { zc.PutIfAbsent(key, val) }},
+			} {
+				if a := testing.AllocsPerRun(1000, c.op); a != 0 {
+					t.Errorf("%s: %v allocs/op, want 0", c.name, a)
+				}
+			}
+			if n == 0 {
+				t.Fatal("Read never ran its callback")
+			}
+		})
+	}
+}
+
+// TestZCRead covers the callback read's three outcomes: a hit runs f on
+// the value, a miss reports absent without running f, and f's error
+// comes back with found set.
+func TestZCRead(t *testing.T) {
+	m := oakmap.New[[]byte, []byte](oakmap.BytesSerializer{}, oakmap.BytesSerializer{}, &oakmap.Options{Shards: 2})
+	defer m.Close()
+	zc := m.ZC()
+	if err := zc.Put([]byte("k"), []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	found, err := zc.Read([]byte("k"), func(b []byte) error { got = append(got[:0], b...); return nil })
+	if !found || err != nil || string(got) != "value" {
+		t.Fatalf("hit: found=%v err=%v got=%q", found, err, got)
+	}
+	ran := false
+	found, err = zc.Read([]byte("missing"), func([]byte) error { ran = true; return nil })
+	if found || err != nil || ran {
+		t.Fatalf("miss: found=%v err=%v ran=%v", found, err, ran)
+	}
+	errStop := fmt.Errorf("stop")
+	found, err = zc.Read([]byte("k"), func([]byte) error { return errStop })
+	if !found || err != errStop {
+		t.Fatalf("callback error: found=%v err=%v", found, err)
+	}
+	if err := zc.Remove([]byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	if found, _ := zc.Read([]byte("k"), func([]byte) error { return nil }); found {
+		t.Fatal("removed key still found")
+	}
+}
