@@ -313,12 +313,8 @@ func BenchmarkAblationDescend(b *testing.B) {
 			// descend; nil is the open bound the first query starts from.
 			var bound []byte
 			for n := 0; n < scanLen; n++ {
-				kr, h, ok := m.Lower(bound)
-				if !ok {
-					break
-				}
-				var err error
-				if bound, err = m.CopyKey(kr, h, bound[:0]); err != nil {
+				var ok bool
+				if bound, ok = m.Lower(bound); !ok {
 					break
 				}
 			}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -234,10 +235,10 @@ type BatchOp struct {
 	Delete bool
 }
 
-// NormalizeBatch dedupes ops by key (last one wins) and sorts them by
-// cmp — the install order that makes concurrent batches deadlock-free.
+// NormalizeBatch dedupes ops by key (last one wins) and sorts them in key
+// order — the install order that makes concurrent batches deadlock-free.
 // The returned slice is freshly allocated; ops is not modified.
-func NormalizeBatch(ops []BatchOp, cmp Comparator) []BatchOp {
+func NormalizeBatch(ops []BatchOp) []BatchOp {
 	last := make(map[string]int, len(ops))
 	for i := range ops {
 		last[string(ops[i].Key)] = i
@@ -248,7 +249,7 @@ func NormalizeBatch(ops []BatchOp, cmp Comparator) []BatchOp {
 			out = append(out, ops[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return cmp(out[i].Key, out[j].Key) < 0 })
+	slices.SortFunc(out, func(a, b BatchOp) int { return bytes.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -264,7 +265,7 @@ install:
 	for i, bi := range bis {
 		for _, op := range parts[i] {
 			if op.Delete {
-				_, err = bi.m.doIfPresent(op.Key, nil, opRemove, bi)
+				_, err = bi.m.doIfPresent(op.Key, nil, nil, opRemove, bi)
 			} else {
 				_, err = bi.m.doPut(op.Key, BytesValue(op.Val), nil, opPut, bi)
 			}
@@ -294,5 +295,5 @@ func (m *Map) ApplyBatch(ops []BatchOp) error {
 		return nil
 	}
 	desc := NewBatchDesc()
-	return RunBatch(desc, []*BatchInstall{m.PrepareBatch(desc)}, [][]BatchOp{NormalizeBatch(ops, m.cmp)})
+	return RunBatch(desc, []*BatchInstall{m.PrepareBatch(desc)}, [][]BatchOp{NormalizeBatch(ops)})
 }

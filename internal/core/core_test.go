@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
@@ -347,36 +348,36 @@ func TestNavigation(t *testing.T) {
 	for i := 0; i < 100; i += 2 { // even keys 0..98
 		mustPut(t, m, ik(i), iv(i))
 	}
-	keyOf := func(kr uint64) int { return int(binary.BigEndian.Uint64(m.KeyBytes(kr))) }
+	keyOf := func(k []byte) int { return int(binary.BigEndian.Uint64(k)) }
 
-	if kr, _, ok := m.First(); !ok || keyOf(kr) != 0 {
+	if kr, ok := m.First(); !ok || keyOf(kr) != 0 {
 		t.Fatalf("First = %v", ok)
 	}
-	if kr, _, ok := m.Last(); !ok || keyOf(kr) != 98 {
+	if kr, ok := m.Last(); !ok || keyOf(kr) != 98 {
 		t.Fatal("Last mismatch")
 	}
-	if kr, _, ok := m.Floor(ik(51)); !ok || keyOf(kr) != 50 {
+	if kr, ok := m.Floor(ik(51)); !ok || keyOf(kr) != 50 {
 		t.Fatal("Floor(51) != 50")
 	}
-	if kr, _, ok := m.Floor(ik(50)); !ok || keyOf(kr) != 50 {
+	if kr, ok := m.Floor(ik(50)); !ok || keyOf(kr) != 50 {
 		t.Fatal("Floor(50) != 50")
 	}
-	if kr, _, ok := m.Lower(ik(50)); !ok || keyOf(kr) != 48 {
+	if kr, ok := m.Lower(ik(50)); !ok || keyOf(kr) != 48 {
 		t.Fatal("Lower(50) != 48")
 	}
-	if kr, _, ok := m.Ceiling(ik(51)); !ok || keyOf(kr) != 52 {
+	if kr, ok := m.Ceiling(ik(51)); !ok || keyOf(kr) != 52 {
 		t.Fatal("Ceiling(51) != 52")
 	}
-	if kr, _, ok := m.Ceiling(ik(50)); !ok || keyOf(kr) != 50 {
+	if kr, ok := m.Ceiling(ik(50)); !ok || keyOf(kr) != 50 {
 		t.Fatal("Ceiling(50) != 50")
 	}
-	if kr, _, ok := m.Higher(ik(50)); !ok || keyOf(kr) != 52 {
+	if kr, ok := m.Higher(ik(50)); !ok || keyOf(kr) != 52 {
 		t.Fatal("Higher(50) != 52")
 	}
-	if _, _, ok := m.Lower(ik(0)); ok {
+	if _, ok := m.Lower(ik(0)); ok {
 		t.Fatal("Lower(0) should be absent")
 	}
-	if _, _, ok := m.Higher(ik(98)); ok {
+	if _, ok := m.Higher(ik(98)); ok {
 		t.Fatal("Higher(98) should be absent")
 	}
 }
@@ -528,7 +529,7 @@ func TestConcurrentMixedChurn(t *testing.T) {
 	count := 0
 	m.Ascend(nil, nil, func(kr uint64, h ValueHandle) bool {
 		key := m.KeyBytes(kr)
-		if prev != nil && m.cmp(prev, key) >= 0 {
+		if prev != nil && bytes.Compare(prev, key) >= 0 {
 			t.Fatalf("scan order violation: %x !< %x", prev, key)
 		}
 		prev = append(prev[:0], key...)

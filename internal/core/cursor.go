@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"oakmap/internal/chunk"
 	"oakmap/internal/telemetry"
 )
@@ -78,13 +80,7 @@ func (m *Map) NewFrozenCursor(s uint64, lo, hi []byte, desc bool) *Cursor {
 // merged away. Must run pinned.
 func (cur *Cursor) reposition() {
 	m := cur.m
-	from := cur.last
-	if from == nil {
-		from = cur.lo
-		if cur.desc {
-			from = cur.hi
-		}
-	}
+	from := cur.from()
 	switch {
 	case from != nil:
 		cur.c = m.locateChunk(from)
@@ -100,11 +96,24 @@ func (cur *Cursor) reposition() {
 	}
 }
 
+// from is where the cursor (re-)enters a chunk: at the last visited key,
+// or at its starting bound before any visit.
+func (cur *Cursor) from() []byte {
+	switch {
+	case cur.last != nil:
+		return cur.last
+	case cur.desc:
+		return cur.hi
+	default:
+		return cur.lo
+	}
+}
+
 // enter positions an ascending cursor at c's first key ≥ from, skipping
 // last itself (it was already visited).
 func (cur *Cursor) enter(from []byte) {
 	cur.ei = cur.c.FirstGE(from)
-	for cur.last != nil && cur.ei >= 0 && cur.m.cmp(cur.c.Key(cur.ei), cur.last) == 0 {
+	for cur.last != nil && cur.ei >= 0 && bytes.Equal(cur.c.Key(cur.ei), cur.last) {
 		cur.ei = cur.c.NextEntry(cur.ei)
 	}
 }
@@ -192,7 +201,7 @@ func (cur *Cursor) step(perChunk bool) (keyRef uint64, h ValueHandle, ok bool) {
 		if cur.desc {
 			for ei := cur.it.Next(); ei >= 0; ei = cur.it.Next() {
 				key := cur.c.Key(ei)
-				if cur.lo != nil && m.cmp(key, cur.lo) < 0 {
+				if cur.lo != nil && bytes.Compare(key, cur.lo) < 0 {
 					cur.done = true
 					return 0, 0, false
 				}
@@ -205,7 +214,7 @@ func (cur *Cursor) step(perChunk bool) (keyRef uint64, h ValueHandle, ok bool) {
 			c := cur.c
 			for ei := cur.ei; ei >= 0; ei = cur.ei {
 				key := c.Key(ei)
-				if cur.hi != nil && m.cmp(key, cur.hi) >= 0 {
+				if cur.hi != nil && bytes.Compare(key, cur.hi) >= 0 {
 					cur.done = true
 					return 0, 0, false
 				}
@@ -234,7 +243,7 @@ func (cur *Cursor) hop() bool {
 		// One index query per exhausted chunk rather than one per key
 		// (§4.2). The head chunk (nil minKey) has no predecessor.
 		mk := cur.c.MinKey()
-		if mk == nil || (cur.lo != nil && m.cmp(mk, cur.lo) <= 0) {
+		if mk == nil || (cur.lo != nil && bytes.Compare(mk, cur.lo) <= 0) {
 			return false
 		}
 		// All remaining keys are < c.minKey; that also bounds against
@@ -247,14 +256,12 @@ func (cur *Cursor) hop() bool {
 	if n == nil {
 		return false
 	}
+	// The successor need not start past the keys already visited, nor at
+	// lo: a replacement may cover ranges behind the cursor (a merge with
+	// c's replacement), and c itself may be a split's first half entered
+	// below lo. Enter it at the first key past last — at lo before any
+	// visit.
 	cur.c = chunk.Forward(n)
-	if cur.c != n {
-		// The successor was rebalanced: its replacement may cover ranges
-		// already visited (e.g. after a merge with c's replacement).
-		// Re-enter at the first key past last.
-		cur.enter(cur.last)
-	} else {
-		cur.ei = cur.c.Head()
-	}
+	cur.enter(cur.from())
 	return true
 }

@@ -16,8 +16,8 @@ import (
 // words[i] is chunk.KeyPrefix(lcp, chunks[i].MinKey()), so the search
 // reads this dense array and dereferences a chunk's minKey only where two
 // words tie — the chunk's own prefix search (chunk.PrefixLCP), one level
-// up. words is nil under a comparator other than bytes.Compare, and where
-// every word would be the same.
+// up. words is nil where every word would be the same (chunk.PrefixLCP
+// reports the lcp useless); every probe then compares minKeys.
 //
 // The index may lag the chunk list: a lookup lands on a chunk at or before
 // the one it wants and locateChunk finishes the walk through Next and
@@ -30,7 +30,7 @@ type chunkIndex struct {
 
 // rank returns how many indexed minKeys sort below key — or at or below
 // it, with orEqual.
-func (x *chunkIndex) rank(key []byte, orEqual bool, cmp Comparator) int {
+func (x *chunkIndex) rank(key []byte, orEqual bool) int {
 	words := x.words
 	var kw uint64
 	if words != nil {
@@ -43,7 +43,7 @@ func (x *chunkIndex) rank(key []byte, orEqual bool, cmp Comparator) int {
 		if mid < len(words) && words[mid] != kw {
 			below = words[mid] < kw
 		} else {
-			d := cmp(x.chunks[mid].MinKey(), key)
+			d := bytes.Compare(x.chunks[mid].MinKey(), key)
 			below = d < 0 || d == 0 && orEqual
 		}
 		if below {
@@ -56,16 +56,16 @@ func (x *chunkIndex) rank(key []byte, orEqual bool, cmp Comparator) int {
 }
 
 // floor returns the indexed chunk with the greatest minKey ≤ key, or nil.
-func (x *chunkIndex) floor(key []byte, cmp Comparator) *chunk.Chunk {
-	if i := x.rank(key, true, cmp); i > 0 {
+func (x *chunkIndex) floor(key []byte) *chunk.Chunk {
+	if i := x.rank(key, true); i > 0 {
 		return x.chunks[i-1]
 	}
 	return nil
 }
 
 // lower returns the indexed chunk with the greatest minKey < key, or nil.
-func (x *chunkIndex) lower(key []byte, cmp Comparator) *chunk.Chunk {
-	if i := x.rank(key, false, cmp); i > 0 {
+func (x *chunkIndex) lower(key []byte) *chunk.Chunk {
+	if i := x.rank(key, false); i > 0 {
 		return x.chunks[i-1]
 	}
 	return nil
@@ -89,11 +89,11 @@ func (x *chunkIndex) metaBytes() int64 {
 // words of the kept entries are copied while the lcp stays put, which it
 // does unless the first or the last minKey moves; otherwise every word is
 // recomputed.
-func (x *chunkIndex) splice(i, j int, mid []*chunk.Chunk, cmp Comparator) *chunkIndex {
+func (x *chunkIndex) splice(i, j int, mid []*chunk.Chunk) *chunkIndex {
 	n := i + len(mid) + len(x.chunks) - j
 	y := &chunkIndex{chunks: make([]*chunk.Chunk, 0, n)}
 	y.chunks = append(append(append(y.chunks, x.chunks[:i]...), mid...), x.chunks[j:]...)
-	if n == 0 || !chunk.Bytewise(cmp) {
+	if n == 0 {
 		return y
 	}
 	lcp, useful := chunk.PrefixLCP(y.chunks[0].MinKey(), y.chunks[n-1].MinKey())
@@ -136,12 +136,12 @@ func (m *Map) publishIndex(first *chunk.Chunk, lo, hi []byte) {
 		if k == nil {
 			continue // the head chunk
 		}
-		if hi != nil && m.cmp(k, hi) >= 0 {
+		if hi != nil && bytes.Compare(k, hi) >= 0 {
 			break
 		}
 		// A merge that finished during the walk forwards to a chunk
 		// starting at or before one already taken; it supersedes them.
-		for len(mid) > 0 && m.cmp(mid[len(mid)-1].MinKey(), k) >= 0 {
+		for len(mid) > 0 && bytes.Compare(mid[len(mid)-1].MinKey(), k) >= 0 {
 			mid = mid[:len(mid)-1]
 		}
 		mid = append(mid, c)
@@ -149,10 +149,10 @@ func (m *Map) publishIndex(first *chunk.Chunk, lo, hi []byte) {
 	old := m.index.Load()
 	i, j := 0, len(old.chunks)
 	if lo != nil {
-		i = old.rank(lo, false, m.cmp)
+		i = old.rank(lo, false)
 	}
 	if hi != nil {
-		j = old.rank(hi, false, m.cmp)
+		j = old.rank(hi, false)
 	}
-	m.index.Store(old.splice(i, j, mid, m.cmp))
+	m.index.Store(old.splice(i, j, mid))
 }

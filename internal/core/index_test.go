@@ -16,10 +16,6 @@ import (
 	"oakmap/internal/skiplist"
 )
 
-// sameOrder orders like bytes.Compare without being bytes.Compare, so an
-// index under it builds no words and every probe compares minKeys.
-func sameOrder(a, b []byte) int { return bytes.Compare(a, b) }
-
 // indexChunks wraps ascending minKeys in chunks that hold nothing.
 func indexChunks(keys [][]byte) []*chunk.Chunk {
 	out := make([]*chunk.Chunk, len(keys))
@@ -31,7 +27,7 @@ func indexChunks(keys [][]byte) []*chunk.Chunk {
 
 // checkIndex checks that x holds the chunks of want — ascending minKeys —
 // and that its words are what a fresh computation over them gives.
-func checkIndex(t testing.TB, x *chunkIndex, want [][]byte, cmp Comparator) {
+func checkIndex(t testing.TB, x *chunkIndex, want [][]byte) {
 	t.Helper()
 	if len(x.chunks) != len(want) {
 		t.Fatalf("index holds %d chunks; want %d", len(x.chunks), len(want))
@@ -42,7 +38,7 @@ func checkIndex(t testing.TB, x *chunkIndex, want [][]byte, cmp Comparator) {
 		}
 	}
 	n := len(want)
-	if n > 0 && chunk.Bytewise(cmp) {
+	if n > 0 {
 		if lcp, useful := chunk.PrefixLCP(want[0], want[n-1]); useful {
 			if !bytes.Equal(x.lcp, lcp) || len(x.words) != n {
 				t.Fatalf("lcp %x with %d words over %d minKeys; want lcp %x", x.lcp, len(x.words), n, lcp)
@@ -61,7 +57,7 @@ func checkIndex(t testing.TB, x *chunkIndex, want [][]byte, cmp Comparator) {
 }
 
 // checkQueries compares floor, lower and last with sort.Search.
-func checkQueries(t testing.TB, x *chunkIndex, want [][]byte, cmp Comparator, queries [][]byte) {
+func checkQueries(t testing.TB, x *chunkIndex, want [][]byte, queries [][]byte) {
 	t.Helper()
 	at := func(i int) []byte {
 		if i < 0 {
@@ -76,12 +72,12 @@ func checkQueries(t testing.TB, x *chunkIndex, want [][]byte, cmp Comparator, qu
 		return c.MinKey()
 	}
 	for _, q := range queries {
-		fl := sort.Search(len(want), func(i int) bool { return cmp(want[i], q) > 0 }) - 1
-		lw := sort.Search(len(want), func(i int) bool { return cmp(want[i], q) >= 0 }) - 1
-		if got := minKey(x.floor(q, cmp)); !bytes.Equal(got, at(fl)) || (got == nil) != (fl < 0) {
+		fl := sort.Search(len(want), func(i int) bool { return bytes.Compare(want[i], q) > 0 }) - 1
+		lw := sort.Search(len(want), func(i int) bool { return bytes.Compare(want[i], q) >= 0 }) - 1
+		if got := minKey(x.floor(q)); !bytes.Equal(got, at(fl)) || (got == nil) != (fl < 0) {
 			t.Fatalf("floor(%x) = %x; want %x", q, got, at(fl))
 		}
-		if got := minKey(x.lower(q, cmp)); !bytes.Equal(got, at(lw)) || (got == nil) != (lw < 0) {
+		if got := minKey(x.lower(q)); !bytes.Equal(got, at(lw)) || (got == nil) != (lw < 0) {
 			t.Fatalf("lower(%x) = %x; want %x", q, got, at(lw))
 		}
 	}
@@ -141,7 +137,9 @@ var indexShapes = []struct {
 		}
 		return out
 	}},
-	// Every word ties: no words are built.
+	// Every word ties, so chunk.PrefixLCP reports the lcp useless: no
+	// words are built and every probe compares minKeys — the index's
+	// no-words path.
 	{"all-words-tie", func(r *rand.Rand) (out [][]byte) {
 		out = append(out, []byte("base"))
 		for i := 0; i < 60; i++ {
@@ -188,54 +186,50 @@ var indexShapes = []struct {
 // as rebalance publishes do — so the first and last minKeys move, and the
 // words are reused under an unchanged lcp and rebuilt under a new one —
 // and after each splice compares floor, lower and last with sort.Search
-// over the minKeys it should hold, starting from the empty index.
+// over the minKeys it should hold, starting from the empty index. The
+// subtests keep the name of the order they check, bytes.Compare — the
+// only key order there is.
 func TestIndexMatchesReference(t *testing.T) {
-	orders := []struct {
-		name string
-		cmp  Comparator
-	}{{"bytes.Compare", bytes.Compare}, {"same-order-wrapper", sameOrder}}
 	for _, shape := range indexShapes {
-		for _, o := range orders {
-			t.Run(shape.name+"/"+o.name, func(t *testing.T) {
-				for seed := uint64(1); seed <= 4; seed++ {
-					r := rand.New(rand.NewPCG(seed, 29))
-					universe := sortedUniqueKeys(shape.keys(r))
-					chunks := indexChunks(universe)
-					queries := indexQueries(universe)
-					held := make([]bool, len(universe))
-					x := &chunkIndex{}
-					checkQueries(t, x, nil, o.cmp, queries)
-					for step := 0; step < 60; step++ {
-						a, b := r.IntN(len(universe)), r.IntN(len(universe)+1)
-						if a > b {
-							a, b = b, a
-						}
-						// Replace [universe[a], universe[b]): every step
-						// but the last few keeps about two thirds.
-						var mid []*chunk.Chunk
-						for u := a; u < b; u++ {
-							held[u] = step < 55 && r.IntN(3) > 0
-							if held[u] {
-								mid = append(mid, chunks[u])
-							}
-						}
-						i, j := x.rank(universe[a], false, o.cmp), len(x.chunks)
-						if b < len(universe) {
-							j = x.rank(universe[b], false, o.cmp)
-						}
-						x = x.splice(i, j, mid, o.cmp)
-						var want [][]byte
-						for u, h := range held {
-							if h {
-								want = append(want, universe[u])
-							}
-						}
-						checkIndex(t, x, want, o.cmp)
-						checkQueries(t, x, want, o.cmp, queries)
+		t.Run(shape.name+"/bytes.Compare", func(t *testing.T) {
+			for seed := uint64(1); seed <= 4; seed++ {
+				r := rand.New(rand.NewPCG(seed, 29))
+				universe := sortedUniqueKeys(shape.keys(r))
+				chunks := indexChunks(universe)
+				queries := indexQueries(universe)
+				held := make([]bool, len(universe))
+				x := &chunkIndex{}
+				checkQueries(t, x, nil, queries)
+				for step := 0; step < 60; step++ {
+					a, b := r.IntN(len(universe)), r.IntN(len(universe)+1)
+					if a > b {
+						a, b = b, a
 					}
+					// Replace [universe[a], universe[b]): every step but
+					// the last few keeps about two thirds.
+					var mid []*chunk.Chunk
+					for u := a; u < b; u++ {
+						held[u] = step < 55 && r.IntN(3) > 0
+						if held[u] {
+							mid = append(mid, chunks[u])
+						}
+					}
+					i, j := x.rank(universe[a], false), len(x.chunks)
+					if b < len(universe) {
+						j = x.rank(universe[b], false)
+					}
+					x = x.splice(i, j, mid)
+					var want [][]byte
+					for u, h := range held {
+						if h {
+							want = append(want, universe[u])
+						}
+					}
+					checkIndex(t, x, want)
+					checkQueries(t, x, want, queries)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -268,10 +262,10 @@ func FuzzIndexFloor(f *testing.F) {
 		// Two halves spliced one after the other, so the second splice
 		// either reuses the first's words or rebuilds them.
 		half := len(keys) / 2
-		x := (&chunkIndex{}).splice(0, 0, indexChunks(keys[:half]), bytes.Compare)
-		x = x.splice(len(x.chunks), len(x.chunks), indexChunks(keys[half:]), bytes.Compare)
-		checkIndex(t, x, keys, bytes.Compare)
-		checkQueries(t, x, keys, bytes.Compare, queries)
+		x := (&chunkIndex{}).splice(0, 0, indexChunks(keys[:half]))
+		x = x.splice(len(x.chunks), len(x.chunks), indexChunks(keys[half:]))
+		checkIndex(t, x, keys)
+		checkQueries(t, x, keys, queries)
 	})
 }
 
@@ -353,7 +347,7 @@ func checkIndexIsChain(t *testing.T, m *Map) {
 	if len(x.chunks) != len(chain) {
 		t.Fatalf("index holds %d chunks; the list %d", len(x.chunks), len(chain))
 	}
-	checkIndex(t, x, want, m.cmp)
+	checkIndex(t, x, want)
 }
 
 // The layer benchmarks of the chunk index, side by side. BenchmarkIndexFloor
@@ -395,7 +389,7 @@ func BenchmarkIndexFloor(b *testing.B) {
 				minKeys[i] = indexBenchKey(shape.key, uint64((i+1)*span))
 			}
 			chunks := indexChunks(minKeys)
-			flat := (&chunkIndex{}).splice(0, 0, chunks, bytes.Compare)
+			flat := (&chunkIndex{}).splice(0, 0, chunks)
 			list := skiplist.New[*chunk.Chunk](bytes.Compare)
 			for _, c := range chunks {
 				list.Put(c.MinKey(), c)
@@ -421,7 +415,7 @@ func BenchmarkIndexFloor(b *testing.B) {
 					e, _ := list.Floor(key)
 					return e.Value
 				}},
-				{"flat", func(key []byte) *chunk.Chunk { return flat.floor(key, bytes.Compare) }},
+				{"flat", func(key []byte) *chunk.Chunk { return flat.floor(key) }},
 			}
 			for _, arm := range arms {
 				b.Run(fmt.Sprintf("%s/%d/%s", shape.name, n, arm.name), func(b *testing.B) {
@@ -446,14 +440,14 @@ func BenchmarkIndexFloor(b *testing.B) {
 func BenchmarkIndexPublish(b *testing.B) {
 	for _, n := range []int{600, 6000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			m := &Map{cmp: bytes.Compare}
+			m := &Map{}
 			list := make([]*chunk.Chunk, n+1) // list[0] is the head
 			list[0] = chunk.New(nil, 1, nil, nil)
 			for i := 1; i <= n; i++ {
 				list[i] = chunk.New(indexBenchKey(indexBenchShapes[0].key, uint64(i)), 1, nil, nil)
 				list[i-1].SetNext(list[i])
 			}
-			m.index.Store((&chunkIndex{}).splice(0, 0, list[1:], m.cmp))
+			m.index.Store((&chunkIndex{}).splice(0, 0, list[1:]))
 			rng := rand.New(rand.NewPCG(7, 8))
 			b.ReportAllocs()
 			b.ResetTimer()

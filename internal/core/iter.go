@@ -53,45 +53,52 @@ func (m *Map) scan(lo, hi []byte, desc bool, yield EntryFunc) {
 	}
 }
 
-// seek returns the first live entry a cursor over lo ≤ key < hi visits,
-// starting past the key `past` when it is non-nil — the body of every
-// navigation query.
-func (m *Map) seek(lo, hi, past []byte, desc bool) (uint64, ValueHandle, bool) {
+// seek returns a copy of the first live key a cursor over lo ≤ key < hi
+// visits, starting past the key `past` when it is non-nil — the body of
+// every navigation query. The copy is taken under the pin that found the
+// entry live, so it holds the key's own bytes however soon the entry is
+// removed, and callers can hold and compare it freely.
+func (m *Map) seek(lo, hi, past []byte, desc bool) ([]byte, bool) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
 	return m.seekPinned(lo, hi, past, desc)
 }
 
-func (m *Map) seekPinned(lo, hi, past []byte, desc bool) (uint64, ValueHandle, bool) {
+func (m *Map) seekPinned(lo, hi, past []byte, desc bool) ([]byte, bool) {
 	cur := Cursor{m: m, lo: lo, hi: hi, last: past, desc: desc}
 	cur.reposition()
-	return cur.step(false)
+	keyRef, _, ok := cur.step(false)
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), m.KeyBytes(keyRef)...), true
 }
 
-// Navigation queries (the ConcurrentNavigableMap surface).
+// Navigation queries (the ConcurrentNavigableMap surface). Each returns
+// an owned copy of the key it found.
 
-// First returns the smallest live entry.
-func (m *Map) First() (uint64, ValueHandle, bool) { return m.seek(nil, nil, nil, false) }
+// First returns the smallest live key.
+func (m *Map) First() ([]byte, bool) { return m.seek(nil, nil, nil, false) }
 
-// Last returns the greatest live entry.
-func (m *Map) Last() (uint64, ValueHandle, bool) { return m.seek(nil, nil, nil, true) }
+// Last returns the greatest live key.
+func (m *Map) Last() ([]byte, bool) { return m.seek(nil, nil, nil, true) }
 
-// Lower returns the greatest live entry with key < k.
-func (m *Map) Lower(k []byte) (uint64, ValueHandle, bool) { return m.seek(nil, k, nil, true) }
+// Lower returns the greatest live key < k.
+func (m *Map) Lower(k []byte) ([]byte, bool) { return m.seek(nil, k, nil, true) }
 
-// Ceiling returns the smallest live entry with key ≥ k.
-func (m *Map) Ceiling(k []byte) (uint64, ValueHandle, bool) { return m.seek(k, nil, nil, false) }
+// Ceiling returns the smallest live key ≥ k.
+func (m *Map) Ceiling(k []byte) ([]byte, bool) { return m.seek(k, nil, nil, false) }
 
-// Higher returns the smallest live entry with key > k.
-func (m *Map) Higher(k []byte) (uint64, ValueHandle, bool) { return m.seek(nil, nil, k, false) }
+// Higher returns the smallest live key > k.
+func (m *Map) Higher(k []byte) ([]byte, bool) { return m.seek(nil, nil, k, false) }
 
-// Floor returns the greatest live entry with key ≤ k: the exact match
-// (a descending cursor's bound is exclusive), else Lower(k).
-func (m *Map) Floor(k []byte) (uint64, ValueHandle, bool) {
+// Floor returns the greatest live key ≤ k: k itself when it is mapped (a
+// descending cursor's bound is exclusive), else Lower(k).
+func (m *Map) Floor(k []byte) ([]byte, bool) {
 	g := m.reclaim.Pin() // one pin covers the exact lookup and the fallback
 	defer g.Unpin()
-	if keyRef, h, ok := m.getPinned(k); ok {
-		return keyRef, h, true
+	if _, ok := m.getPinned(k); ok {
+		return append([]byte(nil), k...), true
 	}
 	return m.seekPinned(nil, k, nil, true)
 }

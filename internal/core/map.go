@@ -4,9 +4,10 @@
 // (in arena blocks) and all metadata on-heap (§3.1).
 //
 // The package operates below (de)serialization: the public generic API in
-// package oakmap wraps it. Values are identified by handles — indexes
-// into a vheader.Table whose headers carry the concurrency-control word
-// and the value's current data reference (§3.3).
+// package oakmap wraps it. Keys are ordered by bytes.Compare; a key
+// type's order is its serializer's business. Values are identified by
+// handles — indexes into a vheader.Table whose headers carry the
+// concurrency-control word and the value's current data reference (§3.3).
 package core
 
 import (
@@ -22,9 +23,6 @@ import (
 	"oakmap/internal/telemetry"
 	"oakmap/internal/vheader"
 )
-
-// Comparator orders serialized keys; nil means bytes.Compare.
-type Comparator = chunk.Comparator
 
 // Errors returned by map operations.
 var (
@@ -42,10 +40,6 @@ type Options struct {
 	ChunkCapacity int
 	// Pool supplies off-heap blocks; nil uses arena.DefaultPool().
 	Pool *arena.Pool
-	// Comparator orders keys; nil means bytes.Compare. A custom comparator
-	// — even one with the same order — forgoes the chunks' on-heap prefix
-	// search: every binary-search probe then dereferences an off-heap key.
-	Comparator Comparator
 	// DisableKeyReclaim turns off the epoch-based reclamation of dead
 	// key space during rebalance (ablation / paper-faithful baseline).
 	// By default dead keys are retired through the epoch domain and
@@ -70,16 +64,12 @@ func (o *Options) withDefaults() Options {
 	if v.Pool == nil {
 		v.Pool = arena.DefaultPool()
 	}
-	if v.Comparator == nil {
-		v.Comparator = bytes.Compare
-	}
 	return v
 }
 
 // Map is the core Oak KV-map over serialized keys and values.
 type Map struct {
 	opts    Options
-	cmp     Comparator
 	alloc   *arena.Allocator
 	headers *vheader.Table
 	reclaim *epoch.Domain
@@ -112,7 +102,6 @@ func New(o *Options) *Map {
 	opts := o.withDefaults()
 	m := &Map{
 		opts:    opts,
-		cmp:     opts.Comparator,
 		alloc:   arena.NewAllocator(opts.Pool),
 		headers: vheader.NewTable(),
 		tel:     opts.Telemetry,
@@ -132,7 +121,7 @@ func New(o *Options) *Map {
 	m.alloc.SetReclaimer(spanRetirer{d: m.reclaim})
 	// The head sentinel chunk has minKey nil (-infinity) and is a real
 	// data chunk; it is replaced, never removed, by rebalances.
-	m.head.Store(chunk.New(nil, opts.ChunkCapacity, m.alloc, m.cmp))
+	m.head.Store(chunk.New(nil, opts.ChunkCapacity, m.alloc, nil))
 	return m
 }
 
@@ -214,9 +203,9 @@ func (m *Map) walk(key []byte, strict bool) *chunk.Chunk {
 	case key == nil:
 		c = x.last()
 	case strict:
-		c = x.lower(key, m.cmp)
+		c = x.lower(key)
 	default:
-		c = x.floor(key, m.cmp)
+		c = x.floor(key)
 	}
 	if c == nil {
 		c = m.head.Load()
@@ -228,7 +217,7 @@ func (m *Map) walk(key []byte, strict bool) *chunk.Chunk {
 	c = chunk.Forward(c)
 	for n := c.Next(); n != nil; n = c.Next() {
 		n = chunk.Forward(n)
-		if nk := n.MinKey(); key != nil && (nk == nil && !strict || nk != nil && m.cmp(nk, key) >= stop) {
+		if nk := n.MinKey(); key != nil && (nk == nil && !strict || nk != nil && bytes.Compare(nk, key) >= stop) {
 			break
 		}
 		c = n

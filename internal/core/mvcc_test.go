@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -224,7 +225,7 @@ func TestSnapshotFrozenViewUnderChurn(t *testing.T) {
 		for _, _, ok := sc.Next(); ok; _, _, ok = sc.Next() {
 			k, v := sc.Key(), sc.Val()
 			if prev != nil {
-				d := m.cmp(prev, k)
+				d := bytes.Compare(prev, k)
 				if round%2 == 1 {
 					d = -d
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"oakmap/internal/arena"
 	"oakmap/internal/chunk"
 	"oakmap/internal/faultpoint"
 	"oakmap/internal/telemetry"
@@ -32,32 +33,30 @@ func (m *Map) Get(key []byte) (ValueHandle, bool) {
 	defer g.Unpin()
 	tk := g.Op(m.tel, telemetry.OpGet)
 	defer tk.Done()
-	_, h, ok := m.getPinned(key)
-	return h, ok
+	return m.getPinned(key)
 }
 
 // getPinned is Get's body for internal callers that already hold an
-// epoch pin (Floor), so each public entry point pins exactly once. It
-// also returns the entry's key reference.
-func (m *Map) getPinned(key []byte) (uint64, ValueHandle, bool) {
+// epoch pin (Floor), so each public entry point pins exactly once.
+func (m *Map) getPinned(key []byte) (ValueHandle, bool) {
 	c := m.locateChunk(key)
 	ei := c.LookUp(key)
 	if ei < 0 {
-		return 0, 0, false
+		return 0, false
 	}
 	h := ValueHandle(c.ValHandle(ei))
 	if h == 0 || m.IsDeleted(h) {
-		return 0, 0, false
+		return 0, false
 	}
 	// MVCC slow path: a batch-flagged version word means presence is
 	// decided by the owning batch's state (pre-state before commit,
 	// post-state after), keeping ApplyBatch all-or-nothing for readers.
 	if v := m.headers.LoadVersion(uint64(h)); v&verFlagMask != 0 {
 		if _, _, ok := m.visible(h, v, liveView); !ok {
-			return 0, 0, false
+			return 0, false
 		}
 	}
-	return c.KeyRef(ei), h, true
+	return h, true
 }
 
 // opKind distinguishes the three insertion operations sharing doPut
@@ -280,13 +279,22 @@ func (m *Map) releaseKeyRef(keyRef *uint64) {
 // ComputeIfPresent atomically applies f to the value mapped to key, in
 // place. Returns false if the key is absent (Algorithm 3).
 func (m *Map) ComputeIfPresent(key []byte, f func(*WBuffer) error) (bool, error) {
-	return m.doIfPresent(key, f, opCompute, nil)
+	return m.doIfPresent(key, f, nil, opCompute, nil)
 }
 
 // Remove deletes the mapping for key, reporting whether a mapping was
 // removed (ZC remove: the old value is not returned).
 func (m *Map) Remove(key []byte) (bool, error) {
-	return m.doIfPresent(key, nil, opRemove, nil)
+	return m.RemoveWith(key, nil)
+}
+
+// RemoveWith is Remove that also hands the removed value's bytes to read
+// (when non-nil), under the value's write lock, just before the deleted
+// bit is set: the bytes read are exactly the value this remove took out
+// of the map, so an API that returns the old value needs no second
+// operation. read must not retain the slice, call into the map or panic.
+func (m *Map) RemoveWith(key []byte, read func([]byte)) (bool, error) {
+	return m.doIfPresent(key, nil, read, opRemove, nil)
 }
 
 type nonInsertOp int
@@ -296,10 +304,11 @@ const (
 	opRemove
 )
 
-// doIfPresent is Algorithm 3. With bi set (removes only) the value is
-// not deleted but stamped bi.base|pending|tomb — a batch delete, turned
-// into a real one when the batch settles.
-func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, op nonInsertOp, bi *BatchInstall) (bool, error) {
+// doIfPresent is Algorithm 3: f is a compute's update lambda, read a
+// remove's look at the removed bytes. With bi set (removes only) the
+// value is not deleted but stamped bi.base|pending|tomb — a batch
+// delete, turned into a real one when the batch settles.
+func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, read func([]byte), op nonInsertOp, bi *BatchInstall) (bool, error) {
 	if m.closed.Load() {
 		return false, ErrClosed
 	}
@@ -308,7 +317,7 @@ func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, op nonInsertOp, bi
 	first := &tk // the first attempt starts the measurement under its pin
 	for attempt := 0; ; attempt++ {
 		retryPause(attempt)
-		out, err := m.ifPresentAttempt(key, f, op, bi, first)
+		out, err := m.ifPresentAttempt(key, f, read, op, bi, first)
 		first = nil
 		if err != nil {
 			return false, err
@@ -335,7 +344,7 @@ type ifPresentOutcome struct {
 // pin (same rationale as putAttempt). The remove success path defers
 // unlinkRemoved to the unpinned caller. A non-nil tk receives the
 // operation's telemetry tick, drawn from this attempt's pin.
-func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertOp, bi *BatchInstall, tk *telemetry.Tick) (ifPresentOutcome, error) {
+func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, read func([]byte), op nonInsertOp, bi *BatchInstall, tk *telemetry.Tick) (ifPresentOutcome, error) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
 	if tk != nil {
@@ -368,6 +377,9 @@ func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, op nonInsertO
 			if bi != nil {
 				bi.stampTomb(key, h, oldVer)
 				return ifPresentOutcome{done: true, ok: true}, nil
+			}
+			if read != nil {
+				read(m.alloc.Bytes(arena.Ref(m.headers.LoadData(uint64(h)))))
 			}
 			// l.p.: v.remove sets the deleted bit (line 48).
 			m.killValue(key, h, c, oldVer, m.mvcc.clock.Load())

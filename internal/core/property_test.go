@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -218,25 +219,25 @@ func TestNavigationProperty(t *testing.T) {
 				higher = k
 			}
 		}
-		check := func(got uint64, ok bool, want int) bool {
+		check := func(got []byte, ok bool, want int) bool {
 			if (want >= 0) != ok {
 				return false
 			}
-			return !ok || kint(m, got) == want
+			return !ok || int(binary.BigEndian.Uint64(got)) == want
 		}
-		kr, _, ok := m.Floor(ik(p))
+		kr, ok := m.Floor(ik(p))
 		if !check(kr, ok, floor) {
 			return false
 		}
-		kr, _, ok = m.Ceiling(ik(p))
+		kr, ok = m.Ceiling(ik(p))
 		if !check(kr, ok, ceil) {
 			return false
 		}
-		kr, _, ok = m.Lower(ik(p))
+		kr, ok = m.Lower(ik(p))
 		if !check(kr, ok, lower) {
 			return false
 		}
-		kr, _, ok = m.Higher(ik(p))
+		kr, ok = m.Higher(ik(p))
 		return check(kr, ok, higher)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

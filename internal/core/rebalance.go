@@ -215,11 +215,11 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 			kb := m.alloc.Bytes(arena.Ref(part[0].KeyRef))
 			minKey = append([]byte(nil), kb...)
 		}
-		outs = append(outs, chunk.NewSorted(minKey, c.Capacity(), m.alloc, m.cmp, part))
+		outs = append(outs, chunk.NewSorted(minKey, c.Capacity(), m.alloc, nil, part))
 	}
 	if len(outs) == 0 {
 		// Everything is dead: the range still needs a (now empty) chunk.
-		outs = append(outs, chunk.New(c.MinKey(), c.Capacity(), m.alloc, m.cmp))
+		outs = append(outs, chunk.New(c.MinKey(), c.Capacity(), m.alloc, nil))
 	}
 
 	// Chain the replacements and attach the tail.

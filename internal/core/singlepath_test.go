@@ -93,7 +93,7 @@ func TestRetainBeforeBatchSettle(t *testing.T) {
 	if _, err := m.doPut(ik(1), BytesValue([]byte("new1")), nil, opPut, bi); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.doIfPresent(ik(2), nil, opRemove, bi); err != nil {
+	if _, err := m.doIfPresent(ik(2), nil, nil, opRemove, bi); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.doPut(ik(4), BytesValue([]byte("new4")), nil, opPut, bi); err != nil {
@@ -196,7 +196,7 @@ func TestBatchVisibilityTable(t *testing.T) {
 		return err
 	}
 	del := func(m *Map, bi *BatchInstall) error {
-		_, err := m.doIfPresent(ik(2), nil, opRemove, bi)
+		_, err := m.doIfPresent(ik(2), nil, nil, opRemove, bi)
 		return err
 	}
 	cases := []struct {

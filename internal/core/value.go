@@ -50,23 +50,6 @@ func (m *Map) ReadKey(keyRef uint64, h ValueHandle, f func([]byte) error) error 
 	return f(m.KeyBytes(keyRef))
 }
 
-// CopyKey appends the serialized key behind keyRef to dst under an
-// epoch pin, validated against the entry's value handle like ReadKey.
-// The returned slice is an owned on-heap copy, safe to hold and compare
-// after the call — the building block for cross-shard navigation
-// queries, which must order candidate keys from several maps outside
-// any single map's pin.
-func (m *Map) CopyKey(keyRef uint64, h ValueHandle, dst []byte) ([]byte, error) {
-	err := m.ReadKey(keyRef, h, func(b []byte) error {
-		dst = append(dst, b...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // IsDeleted reports whether the value behind h is deleted.
 func (m *Map) IsDeleted(h ValueHandle) bool {
 	return m.headers.IsDeleted(uint64(h))

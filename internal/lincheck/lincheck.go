@@ -9,7 +9,8 @@
 // logical clock — and Linearizable searches for a sequential witness: a
 // permutation of the operations that (a) respects real-time order and
 // (b) is legal for a register with put / putIfAbsent / remove / get /
-// compute / upsert semantics.
+// compute / upsert semantics, including the legacy put and remove that
+// return the value they replaced or removed.
 //
 // Histories may span multiple keys. Linearizability is compositional
 // (Herlihy & Wing's locality theorem): a history over a collection of
@@ -41,10 +42,12 @@ const (
 	Upsert                  // putIfAbsentComputeIfPresent: insert Arg, or append "|"+Arg
 	Compute                 // computeIfPresent: append "#"+Arg if present; RetBool = applied
 	BlindRemove             // delete with unobserved result (batch projection)
+	PutPrev                 // write returning the old value; RetBool = replaced, RetVal = old value
+	RemovePrev              // delete returning the old value; RetBool = removed, RetVal = old value
 )
 
 func (k Kind) String() string {
-	return [...]string{"put", "putIfAbsent", "remove", "get", "upsert", "compute", "blindRemove"}[k]
+	return [...]string{"put", "putIfAbsent", "remove", "get", "upsert", "compute", "blindRemove", "putPrev", "removePrev"}[k]
 }
 
 // Op is one recorded operation: what was asked, what came back, and the
@@ -55,7 +58,7 @@ type Op struct {
 	Arg  string // value written (put/putIfAbsent) or appended (upsert/compute)
 	// results
 	RetBool  bool   // putIfAbsent: inserted; remove: removed; get: found; compute: applied
-	RetVal   string // get: observed value
+	RetVal   string // get: observed value; putPrev, removePrev: the value replaced or removed
 	Inv, Ret uint64 // logical timestamps
 }
 
@@ -100,6 +103,16 @@ func regApply(v string, present bool, o Op) (string, bool, bool) {
 		// A batch delete: the caller never sees whether the key was
 		// present, so the op is legal from any state.
 		return "", false, true
+	case PutPrev:
+		if present {
+			return o.Arg, true, o.RetBool && o.RetVal == v
+		}
+		return o.Arg, true, !o.RetBool
+	case RemovePrev:
+		if present {
+			return "", false, o.RetBool && o.RetVal == v
+		}
+		return "", false, !o.RetBool
 	}
 	return v, present, false
 }

@@ -159,3 +159,63 @@ func TestLinearizabilityScanModel(t *testing.T) {
 		t.Fatalf("sorted descending scan flagged at %d", i)
 	}
 }
+
+// TestLinearizabilityOldValueModel checks the kinds that return the value
+// they replaced or removed: the returned value must be the register's
+// value at the op's linearization point, so a value cannot be handed out
+// twice, and a removal that found the key cannot report no value.
+func TestLinearizabilityOldValueModel(t *testing.T) {
+	cases := []struct {
+		name  string
+		legal bool
+		ops   []Op
+	}{
+		{"put-prev chain", true, []Op{
+			{Kind: PutPrev, Arg: "a", RetBool: false, Inv: 1, Ret: 2},
+			{Kind: PutPrev, Arg: "b", RetBool: true, RetVal: "a", Inv: 3, Ret: 4},
+			{Kind: RemovePrev, RetBool: true, RetVal: "b", Inv: 5, Ret: 6},
+			{Kind: RemovePrev, RetBool: false, Inv: 7, Ret: 8},
+		}},
+		{"put-prev claims a replace on an absent key", false, []Op{
+			{Kind: PutPrev, Arg: "a", RetBool: true, RetVal: "", Inv: 1, Ret: 2},
+		}},
+		{"put-prev misses a completed put", false, []Op{
+			{Kind: Put, Arg: "a", Inv: 1, Ret: 2},
+			{Kind: PutPrev, Arg: "b", RetBool: false, Inv: 3, Ret: 4},
+		}},
+		{"put-prev returns a stale value", false, []Op{
+			{Kind: Put, Arg: "a", Inv: 1, Ret: 2},
+			{Kind: Put, Arg: "b", Inv: 3, Ret: 4},
+			{Kind: PutPrev, Arg: "c", RetBool: true, RetVal: "a", Inv: 5, Ret: 6},
+		}},
+		{"remove-prev reports removed with the wrong value", false, []Op{
+			{Kind: Put, Arg: "a", Inv: 1, Ret: 2},
+			{Kind: RemovePrev, RetBool: true, RetVal: "", Inv: 3, Ret: 4},
+		}},
+		{"one value removed twice", false, []Op{
+			{Kind: Put, Arg: "a", Inv: 1, Ret: 2},
+			{Kind: RemovePrev, RetBool: true, RetVal: "a", Inv: 3, Ret: 6},
+			{Kind: RemovePrev, RetBool: true, RetVal: "a", Inv: 4, Ret: 5},
+		}},
+		{"one value replaced and removed", false, []Op{
+			{Kind: Put, Arg: "a", Inv: 1, Ret: 2},
+			{Kind: PutPrev, Arg: "b", RetBool: true, RetVal: "a", Inv: 3, Ret: 6},
+			{Kind: RemovePrev, RetBool: true, RetVal: "a", Inv: 4, Ret: 5},
+		}},
+		{"overlapping put-prev and remove-prev order either way", true, []Op{
+			{Kind: Put, Arg: "a", Inv: 1, Ret: 2},
+			{Kind: PutPrev, Arg: "b", RetBool: false, Inv: 3, Ret: 6},
+			{Kind: RemovePrev, RetBool: true, RetVal: "a", Inv: 4, Ret: 5},
+			{Kind: Get, RetBool: true, RetVal: "b", Inv: 7, Ret: 8},
+		}},
+		{"remove-prev misses a present key", false, []Op{
+			{Kind: PutIfAbsent, Arg: "a", RetBool: true, Inv: 1, Ret: 2},
+			{Kind: RemovePrev, RetBool: false, Inv: 3, Ret: 4},
+		}},
+	}
+	for _, c := range cases {
+		if got := Linearizable(c.ops); got != c.legal {
+			t.Errorf("%s: Linearizable = %v; want %v", c.name, got, c.legal)
+		}
+	}
+}

@@ -16,7 +16,13 @@
 //
 // All point operations — Get, Put, PutIfAbsent, Remove, ComputeIfPresent,
 // PutIfAbsentComputeIfPresent — are linearizable; update lambdas execute
-// atomically, exactly once. Scans are non-atomic, as in the paper.
+// atomically, exactly once. Each call is one core operation, so an old
+// value the legacy Put, Remove or PollFirst/PollLast returns is the one
+// that call replaced or removed. Scans are non-atomic, as in the paper.
+//
+// Keys are ordered by bytes.Compare over their serialized form: the key
+// serializer is the one place key order is decided, and every built-in
+// serializer preserves its type's natural order.
 //
 // Setting Options.Shards hash-partitions the map across that many
 // independent Oak instances (per-shard arena, epoch domain and chunk
@@ -27,7 +33,6 @@
 package oakmap
 
 import (
-	"bytes"
 	"runtime"
 	"sync"
 
@@ -35,10 +40,6 @@ import (
 	"oakmap/internal/core"
 	"oakmap/sharded"
 )
-
-// Comparator orders serialized keys. It must be consistent with the key
-// serializer: cmp(ser(a), ser(b)) must order a and b.
-type Comparator = func(a, b []byte) int
 
 // ErrConcurrentModification is returned by OakRBuffer accessors when the
 // underlying mapping was concurrently deleted — the analogue of the
@@ -57,11 +58,6 @@ type Options struct {
 	// off-heap budget stays global while each shard allocates from it
 	// independently.
 	BlockSize int
-	// Comparator overrides the default bytes.Compare key order. Setting it
-	// — even to a function with the same order — forgoes the chunks'
-	// on-heap key-prefix search: a lookup then dereferences an off-heap
-	// key per binary-search probe (DESIGN.md §4).
-	Comparator Comparator
 	// Shards, when > 1, hash-partitions the map across that many
 	// independent Oak instances. Keys route by a stable hash; ordered
 	// scans and navigation queries transparently merge the shards back
@@ -103,10 +99,6 @@ func New[K, V any](keySer Serializer[K], valSer Serializer[V], opts *Options) *M
 	if opts != nil {
 		o = *opts
 	}
-	cmp := o.Comparator
-	if cmp == nil {
-		cmp = bytes.Compare
-	}
 	rec := o.Telemetry.recorder()
 	var pool *arena.Pool
 	if o.BlockSize > 0 {
@@ -118,7 +110,6 @@ func New[K, V any](keySer Serializer[K], valSer Serializer[V], opts *Options) *M
 	copts := &core.Options{
 		ChunkCapacity:     o.ChunkCapacity,
 		Pool:              pool,
-		Comparator:        cmp,
 		DisableKeyReclaim: o.DisableKeyReclaim,
 		Telemetry:         rec,
 	}
@@ -208,36 +199,23 @@ func (m *Map[K, V]) readValue(c *core.Map, h core.ValueHandle) (v V, ok bool) {
 	return v, err == nil
 }
 
-// Put maps k to v and returns the previous value, if any. Unlike the
-// zero-copy put, this copies the old value out first (atomically).
+// Put maps k to v and returns the value it replaced, if any. Unlike the
+// zero-copy put, it copies the old value out: one insert-or-update, whose
+// update copies the old bytes and sets the new ones under the value's
+// write lock, so the value returned is the one this put replaced.
 func (m *Map[K, V]) Put(k K, v V) (prev V, replaced bool, err error) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
 	vb := m.serializeVal(v)
-	c := m.s.ShardFor(*kb) // one route for the whole swap loop
-	for {
-		var old V
-		got := false
-		ok, cerr := c.ComputeIfPresent(*kb, func(w *core.WBuffer) error {
-			old = m.valSer.Deserialize(w.Bytes())
-			got = true
-			return w.Set(vb)
-		})
-		if cerr != nil {
-			return prev, false, cerr
-		}
-		if ok && got {
-			return old, true, nil
-		}
-		ins, perr := c.PutIfAbsent(*kb, vb)
-		if perr != nil {
-			return prev, false, perr
-		}
-		if ins {
-			return prev, false, nil
-		}
-		// Lost a race with a concurrent insert; retry the swap.
+	err = m.s.ShardFor(*kb).PutIfAbsentComputeIfPresent(*kb, vb, func(w *core.WBuffer) error {
+		prev, replaced = m.valSer.Deserialize(w.Bytes()), true
+		return w.Set(vb)
+	})
+	if err != nil {
+		var zero V
+		return zero, false, err
 	}
+	return prev, replaced, nil
 }
 
 // PutIfAbsent inserts k→v if k is absent. When the key is present, the
@@ -264,34 +242,19 @@ func (m *Map[K, V]) PutIfAbsent(k K, v V) (existing V, inserted bool, err error)
 	}
 }
 
-// Remove deletes the mapping for k, returning the removed value.
+// Remove deletes the mapping for k, returning the removed value: the
+// bytes are copied out under the value's write lock, just before the
+// delete, so the value returned is the one this remove took out.
 func (m *Map[K, V]) Remove(k K) (prev V, removed bool, err error) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
-	c := m.s.ShardFor(*kb)
-	// Copy the value atomically at the removal point: computeIfPresent's
-	// lambda snapshots the value, then the remove races; to keep it
-	// one-shot we snapshot under the compute lock and remove after. If a
-	// concurrent writer replaces the value in between, the legacy API's
-	// "returned value was the mapped value at some point" contract holds.
-	var snap V
-	got := false
-	_, cerr := c.ComputeIfPresent(*kb, func(w *core.WBuffer) error {
-		snap = m.valSer.Deserialize(w.Bytes())
-		got = true
-		return nil
-	})
-	if cerr != nil {
-		return prev, false, cerr
-	}
-	ok, rerr := c.Remove(*kb)
-	if rerr != nil {
-		return prev, false, rerr
-	}
-	if ok && got {
-		return snap, true, nil
-	}
-	return prev, ok, nil
+	return m.removeKey(*kb)
+}
+
+// removeKey is Remove over a serialized key.
+func (m *Map[K, V]) removeKey(key []byte) (prev V, removed bool, err error) {
+	removed, err = m.s.ShardFor(key).RemoveWith(key, func(b []byte) { prev = m.valSer.Deserialize(b) })
+	return prev, removed, err
 }
 
 // ComputeIfPresent atomically replaces k's value with f(current value).
@@ -382,21 +345,21 @@ func (m *Map[K, V]) LowerKey(k K) (K, bool) { return m.navKey(m.s.Lower, k) }
 // HigherKey returns the smallest key > k.
 func (m *Map[K, V]) HigherKey(k K) (K, bool) { return m.navKey(m.s.Higher, k) }
 
-func (m *Map[K, V]) navKey(nav func([]byte) (sharded.Entry, bool), k K) (K, bool) {
+func (m *Map[K, V]) navKey(nav func([]byte) ([]byte, bool), k K) (K, bool) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
 	return m.keyOf(nav(*kb))
 }
 
-// keyOf deserializes a navigation result's key: an owned copy made while
-// the mapping was validated live, so a mapping deleted since is reported
-// from its own bytes, never from recycled ones.
-func (m *Map[K, V]) keyOf(e sharded.Entry, ok bool) (K, bool) {
+// keyOf deserializes a navigation result's key: an owned copy made under
+// the pin that found the mapping live, so a mapping deleted since is
+// reported from its own bytes, never from recycled ones.
+func (m *Map[K, V]) keyOf(key []byte, ok bool) (K, bool) {
 	if !ok {
 		var zero K
 		return zero, false
 	}
-	return m.keySer.Deserialize(e.Key), true
+	return m.keySer.Deserialize(key), true
 }
 
 // Stats exposes internal counters for observability and experiments.
@@ -589,30 +552,26 @@ func (m *Map[K, V]) ContainsKey(k K) bool {
 }
 
 // PollFirst atomically removes and returns the smallest entry — the
-// remaining ConcurrentNavigableMap surface. It loops over First/Remove
-// races, so concurrent pollers each receive distinct entries.
+// remaining ConcurrentNavigableMap surface. It removes the key First
+// found, as Remove does, and retries when another remover got there
+// first, so concurrent pollers each receive distinct entries.
 func (m *Map[K, V]) PollFirst() (k K, v V, ok bool, err error) { return m.poll(m.s.First) }
 
 // PollLast atomically removes and returns the greatest entry.
 func (m *Map[K, V]) PollLast() (k K, v V, ok bool, err error) { return m.poll(m.s.Last) }
 
-func (m *Map[K, V]) poll(end func() (sharded.Entry, bool)) (k K, v V, ok bool, err error) {
+func (m *Map[K, V]) poll(end func() ([]byte, bool)) (k K, v V, ok bool, err error) {
 	for {
-		e, found := end()
+		key, found := end()
 		if !found {
 			return k, v, false, nil
 		}
-		val, got := m.readValue(e.Src, e.Handle)
-		if !got {
-			continue // removed under us; retry
+		if v, ok, err = m.removeKey(key); err != nil {
+			return k, v, false, err
 		}
-		removed, rmErr := e.Src.Remove(e.Key)
-		if rmErr != nil {
-			return k, v, false, rmErr
+		if ok {
+			return m.keySer.Deserialize(key), v, true, nil
 		}
-		if removed {
-			return m.keySer.Deserialize(e.Key), val, true, nil
-		}
-		// Lost the race with another poller; retry on the next end entry.
+		// Another remover took the key first: retry at the new end.
 	}
 }

@@ -1,6 +1,8 @@
 package sharded
 
 import (
+	"bytes"
+
 	"oakmap/internal/core"
 )
 
@@ -54,14 +56,13 @@ func (l *leaf) advance() {
 // lose every match, so they sink and the tree drains cleanly without
 // sentinel keys.
 type loserTree struct {
-	cmp    core.Comparator
 	desc   bool
 	leaves []*leaf
 	node   []int
 }
 
-func newLoserTree(cmp core.Comparator, desc bool, leaves []*leaf) *loserTree {
-	t := &loserTree{cmp: cmp, desc: desc, leaves: leaves, node: make([]int, len(leaves))}
+func newLoserTree(desc bool, leaves []*leaf) *loserTree {
+	t := &loserTree{desc: desc, leaves: leaves, node: make([]int, len(leaves))}
 	t.init()
 	return t
 }
@@ -78,7 +79,7 @@ func (t *loserTree) beats(a, b int) bool {
 	if !lb.ok {
 		return true
 	}
-	c := t.cmp(la.key, lb.key)
+	c := bytes.Compare(la.key, lb.key)
 	if t.desc {
 		c = -c
 	}
@@ -174,7 +175,7 @@ func (m *Map) merge(lo, hi []byte, desc bool, vers []uint64) *Cursor {
 		l.advance() // prime the head before building the tree
 		leaves[i] = l
 	}
-	return &Cursor{t: newLoserTree(m.cmp, desc, leaves), frozen: vers != nil, lastShard: -1}
+	return &Cursor{t: newLoserTree(desc, leaves), frozen: vers != nil, lastShard: -1}
 }
 
 // Next returns the next merged entry, or ok=false when every shard is

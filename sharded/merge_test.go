@@ -35,7 +35,7 @@ func mkLeaf(t *testing.T, keys [][]byte, desc bool) *leaf {
 // drainTree pulls every key out of a fresh loser tree over the leaves.
 func drainTree(t *testing.T, leaves []*leaf, desc bool) [][]byte {
 	t.Helper()
-	tree := newLoserTree(bytes.Compare, desc, leaves)
+	tree := newLoserTree(desc, leaves)
 	var out [][]byte
 	for {
 		w := tree.winner()
@@ -134,7 +134,7 @@ func TestLoserTreeSingleLiveLeaf(t *testing.T) {
 func TestLoserTreeTieStability(t *testing.T) {
 	l0 := mkLeaf(t, [][]byte{ik(5)}, false)
 	l1 := mkLeaf(t, [][]byte{ik(5)}, false)
-	tree := newLoserTree(bytes.Compare, false, []*leaf{l0, l1})
+	tree := newLoserTree(false, []*leaf{l0, l1})
 	first := tree.winner()
 	if first == nil || first != l0 {
 		t.Fatal("tie did not go to the lower leaf")

@@ -43,7 +43,6 @@ var (
 // Map is a hash-sharded collection of core Oak maps.
 type Map struct {
 	shards []*core.Map
-	cmp    core.Comparator
 
 	// verMu serializes the clock-ratchet phase of cross-shard batches
 	// (PrepareBatch on every involved shard) against the begin phase of
@@ -67,17 +66,12 @@ type Map struct {
 // its own core.New call — and therefore its own allocator and epoch
 // domain — from the same options; a shared Options.Pool is safe (shards
 // draw blocks from it independently) and keeps the off-heap budget
-// global. The comparator must totally order keys across shards since
-// merged scans interleave them.
+// global.
 func New(n int, opts *core.Options) *Map {
 	if n < 1 {
 		n = 1
 	}
-	cmp := core.Comparator(bytes.Compare)
-	if opts != nil && opts.Comparator != nil {
-		cmp = opts.Comparator
-	}
-	m := &Map{shards: make([]*core.Map, n), cmp: cmp}
+	m := &Map{shards: make([]*core.Map, n)}
 	for i := range m.shards {
 		m.shards[i] = core.New(opts)
 	}
@@ -113,9 +107,7 @@ func (m *Map) ShardIndex(key []byte) int {
 	return int(routeHash(key) % uint64(len(m.shards)))
 }
 
-// ShardFor returns the shard owning key. Callers that perform several
-// dependent steps on one key (e.g. a compute-then-insert loop) should
-// resolve the shard once and reuse it.
+// ShardFor returns the shard owning key.
 func (m *Map) ShardFor(key []byte) *core.Map {
 	return m.shards[m.ShardIndex(key)]
 }
@@ -191,69 +183,39 @@ func (m *Map) Quiesce() bool {
 	return ok
 }
 
-// Entry is a cross-shard navigation result: the owning shard, an owned
-// on-heap copy of the key, and the entry's references into that shard.
-// Key is safe to hold; KeyRef/Handle follow the usual core validity
-// rules against Src.
-type Entry struct {
-	Src    *core.Map
-	Key    []byte
-	KeyRef uint64
-	Handle core.ValueHandle
-}
-
-// navRetries bounds the re-query loop when a candidate entry is removed
-// between a shard's navigation query and the key copy-out. Each retry
-// re-runs the query, so the loop only repeats while that specific shard
-// churns at its boundary; after the bound the shard is treated as empty
-// for this query (a legal linearization: the observed entries kept
-// disappearing).
-const navRetries = 8
-
-// reduceNav runs the navigation query q(shard, k) against every shard,
-// copies each candidate key out under validation, and keeps the minimum
-// (or maximum) by the map's comparator. Ties are impossible: shards
-// partition the key space.
-func (m *Map) reduceNav(q func(*core.Map, []byte) (uint64, core.ValueHandle, bool), k []byte, wantMax bool) (Entry, bool) {
-	var best Entry
-	found := false
+// reduceNav runs the navigation query q(shard, k) against every shard and
+// keeps the smallest (or, with wantMax, the greatest) key found. Each
+// shard's answer is a key copied under the pin that found it live, so the
+// reduction compares owned bytes and needs no re-query. Ties are
+// impossible: shards partition the key space.
+func (m *Map) reduceNav(q func(*core.Map, []byte) ([]byte, bool), k []byte, wantMax bool) (best []byte, found bool) {
 	for _, s := range m.shards {
-		for attempt := 0; attempt < navRetries; attempt++ {
-			kr, h, ok := q(s, k)
-			if !ok {
-				break
-			}
-			key, err := s.CopyKey(kr, h, nil)
-			if err != nil {
-				continue // removed between query and copy: re-query
-			}
-			if !found || (wantMax && m.cmp(key, best.Key) > 0) ||
-				(!wantMax && m.cmp(key, best.Key) < 0) {
-				best = Entry{Src: s, Key: key, KeyRef: kr, Handle: h}
-			}
-			found = true
-			break
+		key, ok := q(s, k)
+		if !ok {
+			continue
+		}
+		if c := bytes.Compare(key, best); !found || wantMax && c > 0 || !wantMax && c < 0 {
+			best, found = key, true
 		}
 	}
 	return best, found
 }
 
-// First returns the entry with the globally smallest key (the ceiling
-// of the open bound).
-func (m *Map) First() (Entry, bool) { return m.reduceNav((*core.Map).Ceiling, nil, false) }
+// First returns the globally smallest key (the ceiling of the open
+// bound).
+func (m *Map) First() ([]byte, bool) { return m.reduceNav((*core.Map).Ceiling, nil, false) }
 
-// Last returns the entry with the globally largest key (the entry below
-// the open bound).
-func (m *Map) Last() (Entry, bool) { return m.reduceNav((*core.Map).Lower, nil, true) }
+// Last returns the globally largest key (the key below the open bound).
+func (m *Map) Last() ([]byte, bool) { return m.reduceNav((*core.Map).Lower, nil, true) }
 
-// Floor returns the entry with the largest key ≤ k.
-func (m *Map) Floor(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Floor, k, true) }
+// Floor returns the largest key ≤ k.
+func (m *Map) Floor(k []byte) ([]byte, bool) { return m.reduceNav((*core.Map).Floor, k, true) }
 
-// Ceiling returns the entry with the smallest key ≥ k.
-func (m *Map) Ceiling(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Ceiling, k, false) }
+// Ceiling returns the smallest key ≥ k.
+func (m *Map) Ceiling(k []byte) ([]byte, bool) { return m.reduceNav((*core.Map).Ceiling, k, false) }
 
-// Lower returns the entry with the largest key < k.
-func (m *Map) Lower(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Lower, k, true) }
+// Lower returns the largest key < k.
+func (m *Map) Lower(k []byte) ([]byte, bool) { return m.reduceNav((*core.Map).Lower, k, true) }
 
-// Higher returns the entry with the smallest key > k.
-func (m *Map) Higher(k []byte) (Entry, bool) { return m.reduceNav((*core.Map).Higher, k, false) }
+// Higher returns the smallest key > k.
+func (m *Map) Higher(k []byte) ([]byte, bool) { return m.reduceNav((*core.Map).Higher, k, false) }

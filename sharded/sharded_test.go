@@ -118,25 +118,27 @@ func TestShardedNavigation(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 
-	wantKey := func(name string, e Entry, ok bool, want []byte) {
+	wantKey := func(name string, k []byte, ok bool, want []byte) {
 		t.Helper()
 		if want == nil {
 			if ok {
-				t.Fatalf("%s: got %x; want none", name, e.Key)
+				t.Fatalf("%s: got %x; want none", name, k)
 			}
 			return
 		}
 		if !ok {
 			t.Fatalf("%s: got none; want %x", name, want)
 		}
-		if !bytes.Equal(e.Key, want) {
-			t.Fatalf("%s: got %x; want %x", name, e.Key, want)
+		if !bytes.Equal(k, want) {
+			t.Fatalf("%s: got %x; want %x", name, k, want)
 		}
-		// The Entry's references must belong to the owning shard.
-		if e.Src != m.ShardFor(e.Key) {
-			t.Fatalf("%s: Src is not the routed shard", name)
+		// The key must be mapped on the shard it routes to.
+		s := m.ShardFor(k)
+		h, ok := s.Get(k)
+		if !ok {
+			t.Fatalf("%s: key not found on its routed shard", name)
 		}
-		if b, err := e.Src.CopyValue(e.Handle, nil); err != nil || len(b) == 0 {
+		if b, err := s.CopyValue(h, nil); err != nil || len(b) == 0 {
 			t.Fatalf("%s: value unreadable: %v", name, err)
 		}
 	}
@@ -180,6 +182,48 @@ func TestShardedQuiesceDrainsAllShards(t *testing.T) {
 		st := s.ReclaimStats()
 		if st.LimboBytes != 0 {
 			t.Fatalf("shard %d: %d limbo bytes after Quiesce", i, st.LimboBytes)
+		}
+	}
+}
+
+// TestShardedNavKeyOwned: a navigation answer is an owned copy of the
+// key, so its bytes stay the key's own after the entry is removed right
+// after the query and its key space is recycled by churn that rebalances
+// every shard.
+func TestShardedNavKeyOwned(t *testing.T) {
+	m := newTestSharded(t, 4, 16)
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := m.Put(ik(i), iv(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var held [][]byte
+	for i := 0; i < n; i++ {
+		k, ok := m.First()
+		if !ok || !bytes.Equal(k, ik(i)) {
+			t.Fatalf("First = %x, %v; want %x", k, ok, ik(i))
+		}
+		if ok, err := m.Remove(k); !ok || err != nil {
+			t.Fatalf("Remove(%x) = %v, %v", k, ok, err)
+		}
+		held = append(held, k)
+		// Churn other keys so rebalances retire the removed key's space
+		// and later writes reuse it.
+		for j := 0; j < 8; j++ {
+			c := ik(1_000_000 + i*8 + j)
+			if err := m.Put(c, iv(j)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Remove(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Quiesce()
+	}
+	for i, k := range held {
+		if !bytes.Equal(k, ik(i)) {
+			t.Fatalf("held key %d reads %x; want %x", i, k, ik(i))
 		}
 	}
 }

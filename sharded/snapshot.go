@@ -69,7 +69,7 @@ func (m *Map) ApplyBatch(ops []core.BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	norm := core.NormalizeBatch(ops, m.cmp)
+	norm := core.NormalizeBatch(ops)
 	perShard := make([][]core.BatchOp, len(m.shards))
 	for _, op := range norm {
 		i := m.ShardIndex(op.Key)

@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -100,7 +101,7 @@ func TestSnapshotMergedFrozenViewUnderChurn(t *testing.T) {
 		for _, k, _, _, ok := cur.Next(); ok; _, k, _, _, ok = cur.Next() {
 			v := cur.Val()
 			if prev != nil {
-				d := m.cmp(prev, k)
+				d := bytes.Compare(prev, k)
 				if desc {
 					d = -d
 				}
