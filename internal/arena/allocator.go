@@ -313,6 +313,20 @@ func (a *Allocator) Bytes(ref Ref) []byte {
 	return b.buf[ref.Offset():ref.End():ref.End()]
 }
 
+// Prefetch hints the first cache line behind ref into the CPU cache, so a
+// later Bytes read of it does not stall. It is a non-binding hint that
+// reads nothing: a stale ref — freed, reused, or taken from a header
+// word without its lock — only wastes the hint. NilRef, zero-length refs
+// and refs outside the block table are ignored.
+func (a *Allocator) Prefetch(ref Ref) {
+	if ref.Len() == 0 || uint(ref.Block()) >= MaxBlocks {
+		return
+	}
+	if b := a.blocks[ref.Block()].Load(); b != nil && ref.Offset() < len(b.buf) {
+		prefetch(&b.buf[ref.Offset()])
+	}
+}
+
 // Write copies data into a freshly allocated range and returns its ref.
 func (a *Allocator) Write(data []byte) (Ref, error) {
 	ref, err := a.Alloc(len(data))

@@ -636,3 +636,48 @@ func TestZeroLengthAllocation(t *testing.T) {
 		t.Fatal("interleaved zero alloc broke layout")
 	}
 }
+
+// TestPrefetchGuards: Prefetch is handed refs read from header words
+// without their lock, so any of them may be nil, empty, stale, or point
+// past the blocks the allocator owns.
+// None may panic — unguarded, a NilRef would index blocks[-1] — and a
+// hint never changes the bytes behind a live ref.
+func TestPrefetchGuards(t *testing.T) {
+	a := NewAllocator(NewPool(4096, 0))
+	defer a.Close()
+	a.Prefetch(NilRef) // before any block exists
+	live, err := a.Write([]byte("live bytes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed, err := a.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Free(freed)
+	reused, err := a.Write(make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != freed {
+		t.Fatalf("the freed span was not reused: freed %v, new %v", freed, reused)
+	}
+	for _, tc := range []struct {
+		name string
+		ref  Ref
+	}{
+		{"nil", NilRef},
+		{"zero-length", MakeRef(0, 0, 0)},
+		{"zero-length/unowned-block", MakeRef(MaxBlocks-1, 0, 0)},
+		{"unowned-block", MakeRef(MaxBlocks-1, 0, 8)},
+		{"block-field-zero", Ref(uint64(16)<<lengthBits | 8)},
+		{"offset-past-block", MakeRef(0, 4096, 8)},
+		{"freed-then-reused", freed},
+		{"live", live},
+	} {
+		t.Run(tc.name, func(t *testing.T) { a.Prefetch(tc.ref) })
+	}
+	if got := string(a.Bytes(live)); got != "live bytes" {
+		t.Fatalf("live bytes after prefetches = %q", got)
+	}
+}

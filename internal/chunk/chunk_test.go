@@ -338,6 +338,38 @@ func TestDescIterEmpty(t *testing.T) {
 	}
 }
 
+// TestDescIterReset: one iterator reset across chunks — a deep unsorted
+// run, then a short one, then a bounded deep one — yields what a fresh
+// iterator yields on each, whatever its reused stack held before.
+func TestDescIterReset(t *testing.T) {
+	f := newFixture(t)
+	deep := New(nil, 64, f.alloc, bytes.Compare)
+	for i := 0; i < 48; i++ {
+		insert(t, f, deep, i, uint64(i+1))
+	}
+	short := New(nil, 64, f.alloc, bytes.Compare)
+	for i := 0; i < 3; i++ {
+		insert(t, f, short, i, uint64(i+1))
+	}
+	walk := func(it *DescIter) (keys []int) {
+		for ei := it.Next(); ei != -1; ei = it.Next() {
+			keys = append(keys, keyOf(it.c, ei))
+		}
+		return keys
+	}
+	var it DescIter
+	for _, tc := range []struct {
+		c  *Chunk
+		hi []byte
+	}{{deep, nil}, {short, nil}, {deep, kb(33)}, {short, kb(1)}} {
+		it.Reset(tc.c, tc.hi)
+		got, want := walk(&it), walk(tc.c.NewDescIter(tc.hi))
+		if !reflect.DeepEqual(got, want) || len(want) == 0 {
+			t.Fatalf("reset iterator yields %v, a fresh one %v", got, want)
+		}
+	}
+}
+
 // Property: for any insertion set, DescIter yields exactly the reverse
 // of the ascending list.
 func TestDescIterReversesProperty(t *testing.T) {

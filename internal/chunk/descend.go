@@ -18,7 +18,16 @@ type DescIter struct {
 // (nil hi = no upper bound). The iterator yields raw entry indexes; the
 // caller filters ⊥/deleted values and applies the lower bound.
 func (c *Chunk) NewDescIter(hi []byte) *DescIter {
-	it := &DescIter{c: c, stopEntry: none}
+	it := &DescIter{}
+	it.Reset(c, hi)
+	return it
+}
+
+// Reset re-aims the iterator at c's entries with key < hi, as
+// NewDescIter does, keeping the stack's backing array: a scan that holds
+// one DescIter grows its stack once, not once per chunk.
+func (it *DescIter) Reset(c *Chunk, hi []byte) {
+	*it = DescIter{c: c, stack: it.stack[:0], stopEntry: none}
 	var p int
 	if hi == nil {
 		p = c.sorted - 1
@@ -40,7 +49,6 @@ func (c *Chunk) NewDescIter(hi []byte) *DescIter {
 		it.stack = append(it.stack, cur)
 	}
 	it.stopEntry = start
-	return it
 }
 
 // Next returns the next entry index in descending key order, or -1 when

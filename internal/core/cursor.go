@@ -2,25 +2,29 @@ package core
 
 import (
 	"bytes"
+	"sync"
 
 	"oakmap/internal/chunk"
 	"oakmap/internal/telemetry"
 )
 
 // Cursor is the map's one scan engine (§4.2): it owns the only loop that
-// steps through a chunk's entries — the linked list going up, the
+// steps through a chunk's entries (fill) — the linked list going up, the
 // chunk-local stack iterator (Fig. 2) going down — applies the range
-// bound, skips deleted values and hops to the adjacent chunk. Everything
-// that walks the map in key order is a cursor:
+// bound, skips deleted values and hops to the adjacent chunk. A cursor
+// advances one run of entries at a time. Everything that walks the map
+// in key order is a cursor:
 //
 //   - pull scans (NewCursor/Next — the engine behind the facade's
-//     iterator Sets, §2.2, and merged cursors) pin the epoch per Next
-//     call, so a parked cursor never stalls reclamation;
+//     iterator Sets, §2.2, and merged cursors) advance by a run of one
+//     and pin the epoch per Next call, so a parked cursor never stalls
+//     reclamation;
 //   - frozen scans (NewFrozenCursor) are pull scans over a snapshot's
 //     view: the same walk, resolving each entry at the snapshot's version;
-//   - push scans (Ascend/Descend) run a stack-resident cursor under one
-//     pin per chunk and hand out arena-aliased keys;
-//   - navigation queries (First … Higher) are a cursor's first step.
+//   - push scans (Ascend/Descend) advance a stack-resident cursor by runs
+//     of up to runLen entries under one pin per chunk, prefetch each
+//     run's keys and values, and hand out arena-aliased keys;
+//   - navigation queries (First … Higher) are a cursor's first run.
 //
 // Live scans give the same non-atomic guarantees: keys present for the
 // scan's whole duration are yielded exactly once, in order (RB1/RB2);
@@ -49,7 +53,7 @@ type Cursor struct {
 
 	c  *chunk.Chunk
 	ei int32           // ascending: the next entry to visit
-	it *chunk.DescIter // descending: c's stack iterator
+	it *chunk.DescIter // descending: c's stack iterator, reset per chunk
 
 	snap uint64 // frozen view's snapshot version; 0 = live
 	val  []byte // frozen: the yielded key's value at snap (owned)
@@ -90,9 +94,26 @@ func (cur *Cursor) reposition() {
 		cur.c = chunk.Forward(m.head.Load())
 	}
 	if cur.desc {
-		cur.it = cur.c.NewDescIter(from)
+		if cur.it == nil {
+			cur.it = descIters.Get().(*chunk.DescIter)
+		}
+		cur.it.Reset(cur.c, from)
 	} else {
 		cur.enter(from)
+	}
+}
+
+// descIters recycles descending cursors' stack iterators. A cursor takes
+// one at its first chunk and resets it at every later one; the scans that
+// end inside one call (push scans, navigation) hand it back, so in steady
+// state they allocate nothing for it. A pull cursor keeps its own.
+var descIters = sync.Pool{New: func() any { return new(chunk.DescIter) }}
+
+// release hands a finished cursor's stack iterator back to descIters.
+func (cur *Cursor) release() {
+	if cur.it != nil {
+		descIters.Put(cur.it)
+		cur.it = nil
 	}
 }
 
@@ -151,11 +172,12 @@ func (cur *Cursor) Key() []byte { return cur.last }
 func (cur *Cursor) Val() []byte { return cur.val }
 
 // Next returns the next live entry, or ok=false when the range is
-// exhausted. The returned handle is live (non-⊥, not deleted) at yield
-// time; the keyRef is guaranteed valid only until the next Next call
-// unless the caller re-validates under its own pin (see Map.ReadKey).
-// A frozen cursor returns the entry's current references, which need not
-// be the snapshot's: its view is Key and Val.
+// exhausted: a pull cursor advances by a run of one. The returned handle
+// is live (non-⊥, not deleted) when its run was gathered, under the pin
+// that covers its yield; the keyRef is guaranteed valid only until the
+// next Next call unless the caller re-validates under its own pin (see
+// Map.ReadKey). A frozen cursor returns the entry's current references,
+// which need not be the snapshot's: its view is Key and Val.
 func (cur *Cursor) Next() (keyRef uint64, h ValueHandle, ok bool) {
 	if cur.done {
 		return 0, 0, false
@@ -165,9 +187,10 @@ func (cur *Cursor) Next() (keyRef uint64, h ValueHandle, ok bool) {
 	tk := g.Op(cur.m.tel, telemetry.OpScanNext)
 	defer tk.Done()
 	cur.revalidate()
-	for {
-		keyRef, h, ok = cur.step(false)
-		if !ok || cur.snap == 0 || cur.resolve(h) {
+	var one [1]entry
+	for cur.fill(one[:], false) > 0 {
+		if e := one[0]; cur.snap == 0 || cur.resolve(e.h) {
+			keyRef, h, ok = e.keyRef, e.h, true
 			break
 		}
 	}
@@ -186,53 +209,85 @@ func (cur *Cursor) resolve(h ValueHandle) bool {
 	return found
 }
 
-// step advances to the next entry in range with a live value — or, for a
-// frozen cursor, with any non-⊥ value, deleted ones included. It must run
-// pinned, on a cursor revalidated under that pin. ok=false with done set
-// means the range is exhausted. With perChunk set, ok=false with done
-// unset is a chunk boundary crossed after progress: the caller cycles its
-// pin (own, unpin, pin, revalidate) and calls step again.
-func (cur *Cursor) step(perChunk bool) (keyRef uint64, h ValueHandle, ok bool) {
+// runLen is how many entries a push scan gathers per run: enough for the
+// header misses of one run to overlap, few enough that the run (512 B on
+// the scan's stack) stays in L1.
+const runLen = 32
+
+// entry is one gathered scan entry: its key's packed reference and its
+// value's handle.
+type entry struct {
+	keyRef uint64
+	h      ValueHandle
+}
+
+// fill gathers the next entries in range into run, in scan order, and
+// returns how many it gathered: entries with a live value — or, for a
+// frozen cursor, with any non-⊥ value, deleted ones included. It is the
+// map's one per-entry loop, in two passes over one chunk: the first
+// walks the entries and collects the non-⊥ ones, the second checks the
+// deleted bits of all of them in one tight loop, so their header misses
+// overlap instead of stalling the walk one entry at a time. A run never
+// spans chunks.
+//
+// fill must run pinned, on a cursor revalidated under that pin. 0 with
+// done set means the range is exhausted. With perChunk set, 0 with done
+// unset is a chunk boundary crossed after progress: the caller cycles
+// its pin (own, unpin, pin, revalidate) and calls fill again.
+func (cur *Cursor) fill(run []entry, perChunk bool) int {
 	m := cur.m
-	for {
-		// The one entry-stepping loop of each direction. Every visited
-		// key — live or not — becomes last, so a re-entry never goes back
-		// over a run of deleted entries.
-		if cur.desc {
-			for ei := cur.it.Next(); ei >= 0; ei = cur.it.Next() {
-				key := cur.c.Key(ei)
-				if cur.lo != nil && bytes.Compare(key, cur.lo) < 0 {
-					cur.done = true
-					return 0, 0, false
-				}
-				cur.last, cur.aliased = key, true
-				if h := ValueHandle(cur.c.ValHandle(ei)); h != 0 && (cur.snap != 0 || !m.IsDeleted(h)) {
-					return cur.c.KeyRef(ei), h, true
-				}
+	for !cur.done {
+		// First pass: the linked list going up, the stack iterator going
+		// down, until run is full, the chunk is exhausted or the bound is
+		// passed. Every visited key — live or not — becomes last, so a
+		// re-entry never goes back over a stretch of deleted entries.
+		c, n, exhausted := cur.c, 0, false
+		for n < len(run) {
+			ei := cur.ei
+			if cur.desc {
+				ei = cur.it.Next()
 			}
-		} else {
-			c := cur.c
-			for ei := cur.ei; ei >= 0; ei = cur.ei {
-				key := c.Key(ei)
-				if cur.hi != nil && bytes.Compare(key, cur.hi) >= 0 {
-					cur.done = true
-					return 0, 0, false
-				}
-				cur.last, cur.aliased = key, true
+			if ei < 0 {
+				exhausted = true
+				break
+			}
+			key := c.Key(ei)
+			if cur.desc && cur.lo != nil && bytes.Compare(key, cur.lo) < 0 ||
+				!cur.desc && cur.hi != nil && bytes.Compare(key, cur.hi) >= 0 {
+				cur.done = true
+				break
+			}
+			if !cur.desc {
 				cur.ei = c.NextEntry(ei)
-				if h := ValueHandle(c.ValHandle(ei)); h != 0 && (cur.snap != 0 || !m.IsDeleted(h)) {
-					return c.KeyRef(ei), h, true
-				}
+			}
+			cur.last, cur.aliased = key, true
+			if h := ValueHandle(c.ValHandle(ei)); h != 0 {
+				run[n] = entry{c.KeyRef(ei), h}
+				n++
 			}
 		}
-		if perChunk && cur.aliased {
-			return 0, 0, false
+		// Second pass: drop the entries whose values are deleted.
+		if cur.snap == 0 {
+			live := 0
+			for _, e := range run[:n] {
+				if !m.IsDeleted(e.h) {
+					run[live] = e
+					live++
+				}
+			}
+			n = live
 		}
-		if !cur.hop() {
+		switch {
+		case n > 0:
+			return n
+		case !exhausted: // the bound, or a full run of deleted entries
+		case perChunk && cur.aliased:
+			return 0
+		case !cur.hop():
 			cur.done = true
-			return 0, 0, false
 		}
 	}
+	return 0
 }
 
 // hop moves from an exhausted chunk to the adjacent one, reporting false
@@ -249,7 +304,7 @@ func (cur *Cursor) hop() bool {
 		// All remaining keys are < c.minKey; that also bounds against
 		// duplicates if the predecessor was rebalanced meanwhile.
 		cur.c = m.prevChunk(mk)
-		cur.it = cur.c.NewDescIter(mk)
+		cur.it.Reset(cur.c, mk)
 		return true
 	}
 	n := cur.c.Next()

@@ -1,11 +1,16 @@
 package core
 
-import "oakmap/internal/telemetry"
+import (
+	"oakmap/internal/arena"
+	"oakmap/internal/telemetry"
+)
 
 // EntryFunc receives a scanned entry: the key's packed reference and the
 // value's handle. Returning false stops the scan. The value handle is
-// live (non-⊥, not deleted) at yield time; as with all Oak scans the view
-// is non-atomic (§1.1).
+// live (non-⊥, not deleted) when its run was gathered, under the pin that
+// covers its yield: an earlier callback of the same run may have removed
+// it since, and a value read then fails with ErrConcurrentModification.
+// As with all Oak scans the view is non-atomic (§1.1).
 type EntryFunc func(keyRef uint64, h ValueHandle) bool
 
 // Ascend scans entries with lo ≤ key < hi in ascending order (nil bounds
@@ -19,29 +24,46 @@ func (m *Map) Ascend(lo, hi []byte, yield EntryFunc) { m.scan(lo, hi, false, yie
 // lookup per exhausted chunk rather than one per key.
 func (m *Map) Descend(lo, hi []byte, yield EntryFunc) { m.scan(lo, hi, true, yield) }
 
-// scan is the push form of the cursor: a stack-resident Cursor stepped
-// under a pin that is cycled per chunk, not held for the scan's whole
-// duration. Chunk pointers and keys stay valid while pinned, and at each
-// chunk boundary the pin is cycled and the cursor revalidated, so a long
-// scan — or a slow user callback — stalls reclamation by at most one
-// chunk's worth of yields instead of freezing the global epoch (and
-// growing the limbo lists without bound) for the entire traversal. The
-// pull-based Cursor.Next goes further and pins per call. Each step is
-// one scan_next op for telemetry, timed without the user callback.
+// scan is the push form of the cursor: a stack-resident Cursor advanced
+// one run of up to runLen entries at a time, under a pin that is cycled
+// per chunk, not held for the scan's whole duration. Chunk pointers and
+// keys stay valid while pinned, and at each chunk boundary the pin is
+// cycled and the cursor revalidated, so a long scan — or a slow user
+// callback — stalls reclamation by at most one chunk's worth of yields
+// instead of freezing the global epoch (and growing the limbo lists
+// without bound) for the entire traversal. The pull-based Cursor.Next
+// goes further and pins per call.
+//
+// Before a run's callbacks, every gathered key and value is prefetched:
+// entries sit in key order in the chunk, but their keys and values lie
+// wherever ingest put them, so without the hints each callback would
+// stall on two cache misses in turn. The value's data word is read
+// without its lock; a stale ref only wastes its hint.
+//
+// One scan_next op for telemetry is one cursor advance — one run here, as
+// one Next is for a pull cursor — timed without the user callbacks.
 func (m *Map) scan(lo, hi []byte, desc bool, yield EntryFunc) {
 	g := m.reclaim.Pin()
 	defer func() { g.Unpin() }()
 	cur := Cursor{m: m, lo: lo, hi: hi, desc: desc}
+	defer cur.release()
 	cur.reposition()
+	var run [runLen]entry
 	for {
 		tk := g.Op(m.tel, telemetry.OpScanNext)
-		keyRef, h, ok := cur.step(true)
+		n := cur.fill(run[:], true)
+		for _, e := range run[:n] {
+			m.alloc.Prefetch(arena.Ref(e.keyRef))
+			m.alloc.Prefetch(arena.Ref(m.headers.LoadData(uint64(e.h))))
+		}
 		tk.Done()
-		switch {
-		case ok:
-			if !yield(keyRef, h) {
+		for _, e := range run[:n] {
+			if !yield(e.keyRef, e.h) {
 				return
 			}
+		}
+		switch {
+		case n > 0:
 		case cur.done:
 			return
 		default: // chunk boundary
@@ -66,12 +88,13 @@ func (m *Map) seek(lo, hi, past []byte, desc bool) ([]byte, bool) {
 
 func (m *Map) seekPinned(lo, hi, past []byte, desc bool) ([]byte, bool) {
 	cur := Cursor{m: m, lo: lo, hi: hi, last: past, desc: desc}
+	defer cur.release()
 	cur.reposition()
-	keyRef, _, ok := cur.step(false)
-	if !ok {
+	var one [1]entry
+	if cur.fill(one[:], false) == 0 {
 		return nil, false
 	}
-	return append([]byte(nil), m.KeyBytes(keyRef)...), true
+	return append([]byte(nil), m.KeyBytes(one[0].keyRef)...), true
 }
 
 // Navigation queries (the ConcurrentNavigableMap surface). Each returns

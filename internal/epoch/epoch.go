@@ -218,7 +218,7 @@ type Guard struct {
 // overflow counters instead of waiting.
 func (d *Domain) Pin() Guard {
 	var anchor byte
-	h := uintptr(unsafe.Pointer(&anchor)) * 0x9e3779b97f4a7c15
+	h := uint64(uintptr(unsafe.Pointer(&anchor))) * 0x9e3779b97f4a7c15
 	s := &d.slots[(h>>57)&(slotCount-1)]
 	if s.tryPin(&d.global) {
 		return Guard{d: d, s: s}

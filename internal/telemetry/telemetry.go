@@ -42,7 +42,7 @@ type Counter struct {
 // shardIndex hashes the caller's stack address into a stripe index.
 func shardIndex() int {
 	var anchor byte
-	h := uintptr(unsafe.Pointer(&anchor)) * 0x9e3779b97f4a7c15
+	h := uint64(uintptr(unsafe.Pointer(&anchor))) * 0x9e3779b97f4a7c15
 	return int(h>>59) & (counterShards - 1)
 }
 
@@ -77,6 +77,8 @@ const (
 	OpPut
 	OpRemove
 	OpCompute
+	// OpScanNext ("scan_next") is one cursor advance, timed without the
+	// caller's callbacks: a pull cursor's Next, or one run of a push scan.
 	OpScanNext
 	// Rare structural ops: timed on every occurrence, so counted exactly.
 	OpRebalance

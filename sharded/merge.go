@@ -26,8 +26,9 @@ import (
 
 // EntryFunc visits one merged entry. key is an owned-by-the-iterator
 // copy valid for the duration of the call; keyRef and h are references
-// into src and follow the usual core validity rules (h is live at yield
-// time; re-validate under src's pin for later use).
+// into src and follow the usual core validity rules (h is live when its
+// run was gathered, under the pin that covers its yield; re-validate
+// under src's pin for later use).
 type EntryFunc func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool
 
 // leaf is one shard's stream head: a core.Cursor over the live map or

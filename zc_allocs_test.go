@@ -79,3 +79,35 @@ func TestZCRead(t *testing.T) {
 		t.Fatal("removed key still found")
 	}
 }
+
+// TestStreamScanAllocs pins the stream scans' allocation cost: a
+// descending scan holds one chunk stack iterator and reuses its stack
+// across chunks, so over a range spanning many chunks it allocates no
+// more than the ascending scan of the same range.
+func TestStreamScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	m := oakmap.New[uint64, []byte](oakmap.Uint64Serializer{}, oakmap.BytesSerializer{},
+		&oakmap.Options{ChunkCapacity: 64})
+	defer m.Close()
+	zc := m.ZC()
+	val := make([]byte, 16)
+	for k := uint64(0); k < 4000; k++ {
+		if err := zc.Put(k*7919%4000, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, hi := uint64(1000), uint64(2000)
+	n := 0
+	count := func(_, _ *oakmap.OakRBuffer) bool { n++; return true }
+	asc := testing.AllocsPerRun(200, func() { zc.AscendStream(&lo, &hi, count) })
+	desc := testing.AllocsPerRun(200, func() { zc.DescendStream(&lo, &hi, count) })
+	if n != 2*201*1000 {
+		t.Fatalf("scans yielded %d entries, want %d", n, 2*201*1000)
+	}
+	t.Logf("1000-entry stream scans: AscendStream %v allocs, DescendStream %v allocs", asc, desc)
+	if desc > asc {
+		t.Fatalf("DescendStream allocates %v per scan, AscendStream %v", desc, asc)
+	}
+}
