@@ -17,11 +17,11 @@ import (
 	"fmt"
 	"log"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
 
+	"oakmap/internal/bench"
 	"oakmap/internal/druid"
 )
 
@@ -132,13 +132,15 @@ type ingester interface {
 }
 
 func runOne(scenario, name string, n, perBucket int, memLimit int64, mk func() ingester) row {
-	prev := debug.SetMemoryLimit(memLimit)
-	defer debug.SetMemoryLimit(prev)
 	runtime.GC()
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 
 	idx := mk()
+	offHeap := func() int64 { return 0 }
+	if oak, ok := idx.(*druid.Index); ok {
+		offHeap = oak.OffHeapBytes
+	}
 	gen := druid.NewTupleGen(42, perBucket, []int{1000, 100000}, 2)
 	// The paper generates all input in advance to measure ingestion in
 	// isolation (§6).
@@ -146,13 +148,16 @@ func runOne(scenario, name string, n, perBucket int, memLimit int64, mk func() i
 	for i := range input {
 		input[i] = gen.Next()
 	}
-	start := time.Now()
-	for _, t := range input {
-		if err := idx.Ingest(t); err != nil {
-			log.Fatalf("%s ingest: %v", name, err)
+	var elapsed time.Duration
+	bench.WithMemoryLimit(memLimit, offHeap, func() {
+		start := time.Now()
+		for _, t := range input {
+			if err := idx.Ingest(t); err != nil {
+				log.Fatalf("%s ingest: %v", name, err)
+			}
 		}
-	}
-	elapsed := time.Since(start)
+		elapsed = time.Since(start)
+	})
 	input = nil
 	runtime.GC()
 	var msAfter runtime.MemStats
@@ -167,20 +172,16 @@ func runOne(scenario, name string, n, perBucket int, memLimit int64, mk func() i
 		// states); memory beyond it is overhead (Fig. 5c).
 		rawMB: float64(idx.StoredDataBytes()) / (1 << 20),
 	}
-	// Go's HeapAlloc already includes the arena blocks (they are plain
-	// pointer-free heap objects), so the heap delta IS the total RAM
-	// used by the index. The off-heap column is informational: the share
-	// of that RAM the GC treats as opaque.
-	heapUsed := float64(msAfter.HeapAlloc) - float64(msBefore.HeapAlloc)
-	if heapUsed < 0 {
-		heapUsed = 0
-	}
+	// The index's RAM is its Go heap delta plus the arena blocks that
+	// live outside the Go heap; blocks taken from the Go heap (non-Linux
+	// and race builds) are already in the delta. The off-heap column is
+	// the whole arena footprint, wherever its blocks live.
+	heapUsed := max(float64(msAfter.HeapAlloc)-float64(msBefore.HeapAlloc), 0)
 	r.heapMB = heapUsed / (1 << 20)
-	if oak, ok := idx.(*druid.Index); ok {
-		r.offMB = float64(oak.OffHeapBytes()) / (1 << 20)
-	}
+	r.offMB = float64(offHeap()) / (1 << 20)
 	if r.rawMB > 0 {
-		r.overhead = (r.heapMB - r.rawMB) / r.rawMB
+		total := heapUsed + float64(bench.OutsideHeap(offHeap()))
+		r.overhead = (total/(1<<20) - r.rawMB) / r.rawMB
 	}
 	log.Printf("%-14s %-11s %8d tuples %9.1f Kops/s  card=%d", scenario, name,
 		n, r.kops, idx.Cardinality())

@@ -202,7 +202,7 @@ func fig3a(opt options) []bench.Result {
 		cfg.WarmFraction = 1.0 // Fig. 3 ingests the whole dataset
 		for _, t := range newTargets(opt, false) {
 			var r bench.Result
-			bench.WithMemoryLimit(opt.memLimit, func() {
+			bench.WithMemoryLimit(opt.memLimit, t.OffHeapBytes, func() {
 				runtime.GC()
 				r = bench.Ingest(t, cfg)
 			})
@@ -225,7 +225,7 @@ func fig3b(opt options) []bench.Result {
 		cfg.WarmFraction = 1.0
 		for _, t := range newTargets(opt, false) {
 			var r bench.Result
-			bench.WithMemoryLimit(limit, func() {
+			bench.WithMemoryLimit(limit, t.OffHeapBytes, func() {
 				runtime.GC()
 				r = bench.Ingest(t, cfg)
 			})

@@ -21,7 +21,28 @@ var ErrPoolExhausted = errors.New("arena: block pool exhausted")
 // out).
 type block struct {
 	buf []byte
+	// src is the mapping buf was carved from, nil for a Go-heap block.
+	// Nothing else keeps the mapping alive: the garbage collector does
+	// not see references into it.
+	src *mapping
 }
+
+// mapping is one anonymous private mapping that blocks are carved from
+// (mmap_linux.go). It holds only the slice syscall.Munmap must be given
+// back, so a finalizer on it runs once the last block carved from it,
+// and the pool, no longer point to it.
+type mapping struct {
+	raw []byte
+}
+
+// mappedBytes is the total length of the live mappings in the process.
+var mappedBytes atomic.Int64
+
+// MappedBytes reports the length of the live anonymous mappings that
+// blocks are carved from, whether loaned, retained or not yet carved,
+// alignment slack included. It is 0 in builds that take blocks from the
+// Go heap.
+func MappedBytes() int64 { return mappedBytes.Load() }
 
 // Pool is a shared pool of off-heap blocks, the analogue of the paper's
 // shared pool of pre-allocated arenas (§3.2). Multiple Oak instances draw
@@ -32,6 +53,10 @@ type Pool struct {
 
 	mu   sync.Mutex
 	free []*block
+	// src is the mapping the pool is still carving blocks from, and
+	// srcFree its aligned bytes not carved yet.
+	src     *mapping //oak:guarded-by mu
+	srcFree []byte   //oak:guarded-by mu
 
 	created  atomic.Int64 // blocks ever created
 	loaned   atomic.Int64 // blocks currently held by allocators
@@ -77,11 +102,35 @@ func (p *Pool) acquire() (*block, error) {
 	}
 	p.capacity.Add(int64(p.blockSize))
 	p.created.Add(1)
+	b := p.carveLocked()
 	p.mu.Unlock()
-	// Allocate outside the lock: creating 100MB is the slow path.
-	b := &block{buf: make([]byte, p.blockSize)}
+	if b == nil {
+		// Allocate outside the lock: creating 100MB is the slow path.
+		b = &block{buf: make([]byte, p.blockSize)}
+	}
 	p.loaned.Add(1)
 	return b, nil
+}
+
+// carveLocked cuts the next block from the current mapping, mapping a
+// fresh one when the current one is used up. It returns nil when no
+// mapping can be made (other systems, race builds, a failed mmap); the
+// caller then takes the block from the Go heap. Caller holds p.mu.
+func (p *Pool) carveLocked() *block {
+	if len(p.srcFree) < p.blockSize {
+		p.src, p.srcFree = nil, nil
+		// A failed madvise still leaves a usable mapping; a failed mmap
+		// leaves none, which m == nil reports.
+		m, buf, _ := mapBlocks(p.blockSize)
+		if m == nil {
+			return nil
+		}
+		p.src, p.srcFree = m, buf
+	}
+	n := p.blockSize
+	b := &block{buf: p.srcFree[:n:n], src: p.src}
+	p.srcFree = p.srcFree[n:]
+	return b
 }
 
 // release returns a block to the pool for reuse by other allocators.

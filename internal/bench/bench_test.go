@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"os"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -175,10 +176,25 @@ func TestCSVOutput(t *testing.T) {
 }
 
 func TestWithMemoryLimit(t *testing.T) {
+	p := arena.NewPool(1<<20, 0)
+	a := arena.NewAllocator(p) // maps blocks where this build can
+	defer a.Close()
+	if _, err := a.Alloc(64); err != nil {
+		t.Fatal(err)
+	}
+	prev := debug.SetMemoryLimit(-1)
 	ran := false
-	WithMemoryLimit(1<<30, func() { ran = true })
+	WithMemoryLimit(1<<30, a.Footprint, func() {
+		ran = true
+		if got, want := debug.SetMemoryLimit(-1), int64(1<<30)-OutsideHeap(a.Footprint()); got != want {
+			t.Errorf("Go limit %d inside the budget, want %d", got, want)
+		}
+	})
 	if !ran {
 		t.Fatal("callback not run")
+	}
+	if got := debug.SetMemoryLimit(-1); got != prev {
+		t.Fatalf("Go limit %d after the run, want %d restored", got, prev)
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"text/tabwriter"
+	"time"
+
+	"oakmap/internal/arena"
 )
 
 // WriteCSV emits results in the artifact's summary.csv layout
@@ -55,13 +58,40 @@ func WriteTable(w io.Writer, results []Result) error {
 	return tw.Flush()
 }
 
-// WithMemoryLimit runs f under a soft Go heap limit (the stand-in for
-// the JVM's -Xmx budget in Figs. 3 and 5b) and restores the previous
-// limit afterwards.
-func WithMemoryLimit(limit int64, f func()) {
-	prev := debug.SetMemoryLimit(limit)
+// WithMemoryLimit runs f under a RAM budget of limit bytes (the
+// stand-in for the JVM's -Xmx budget in Figs. 3 and 5b) and restores the
+// previous Go memory limit afterwards. offHeap reports the off-heap
+// bytes of the target f fills. Those of them that sit outside the Go
+// heap (OutsideHeap) do not count against the Go limit, so while f runs
+// the Go limit follows the budget minus them as the arena grows.
+func WithMemoryLimit(limit int64, offHeap func() int64, f func()) {
+	goLimit := func() int64 { return max(limit-OutsideHeap(offHeap()), 0) }
+	prev := debug.SetMemoryLimit(goLimit())
 	defer debug.SetMemoryLimit(prev)
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-done }() // before prev is restored
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				debug.SetMemoryLimit(goLimit())
+			}
+		}
+	}()
 	f()
+}
+
+// OutsideHeap returns how many of offHeap arena bytes live outside the Go
+// heap: all of them where blocks are carved from anonymous mappings, none
+// where they come from the Go heap (non-Linux and race builds), whose
+// HeapAlloc already counts them.
+func OutsideHeap(offHeap int64) int64 {
+	return min(offHeap, arena.MappedBytes())
 }
 
 // WritePlotData writes per-scenario gnuplot-friendly data files to dir —

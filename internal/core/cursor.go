@@ -70,11 +70,19 @@ func (m *Map) NewCursor(lo, hi []byte, desc bool) *Cursor {
 // Val their values at s. The snapshot must be stabilized and stay open
 // for the cursor's lifetime.
 func (m *Map) NewFrozenCursor(s uint64, lo, hi []byte, desc bool) *Cursor {
+	cur := new(Cursor)
+	cur.Reopen(m, s, lo, hi, desc)
+	return cur
+}
+
+// Reopen re-initializes cur as m.NewFrozenCursor(s, lo, hi, desc) would,
+// keeping its key and value buffers and its stack iterator, so a merge
+// that reuses its leaves reopens their cursors without allocating.
+func (cur *Cursor) Reopen(m *Map, s uint64, lo, hi []byte, desc bool) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
-	cur := &Cursor{m: m, lo: lo, hi: hi, desc: desc, snap: s}
+	*cur = Cursor{m: m, lo: lo, hi: hi, desc: desc, snap: s, buf: cur.buf[:0], val: cur.val[:0], it: cur.it}
 	cur.reposition()
-	return cur
 }
 
 // reposition (re-)enters the live chunk list: ascending at the first key

@@ -1,13 +1,25 @@
 package faultpoint
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// runs numbers the points freshPoint declares.
+var runs atomic.Int64
+
+// freshPoint declares a point with fresh counters for one test run. With
+// -cpu or -count a test runs several times in one process, and a name
+// may be declared only once.
+func freshPoint(name string) *Point {
+	return New(fmt.Sprintf("%s/%d", name, runs.Add(1)))
+}
+
 func TestDisarmedFireIsNoop(t *testing.T) {
-	p := New("test/noop")
+	p := freshPoint("test/noop")
 	for i := 0; i < 100; i++ {
 		if p.Fire() {
 			t.Fatal("disarmed point fired")
@@ -19,7 +31,7 @@ func TestDisarmedFireIsNoop(t *testing.T) {
 }
 
 func TestCannedHooks(t *testing.T) {
-	p := New("test/canned")
+	p := freshPoint("test/canned")
 
 	p.Arm(Always())
 	if !p.Fire() || !p.Fire() {
@@ -99,7 +111,7 @@ func TestWithProbIsSeeded(t *testing.T) {
 }
 
 func TestGatePauseResume(t *testing.T) {
-	p := New("test/gate")
+	p := freshPoint("test/gate")
 	g := NewGate()
 	p.Arm(g.Hook(2)) // second hitter parks
 	defer p.Disarm()
@@ -132,13 +144,13 @@ func TestGatePauseResume(t *testing.T) {
 }
 
 func TestRegistryArmAndCounters(t *testing.T) {
-	p := New("test/registry")
-	if err := Arm("test/registry", Always()); err != nil {
+	p := freshPoint("test/registry")
+	if err := Arm(p.Name(), Always()); err != nil {
 		t.Fatal(err)
 	}
 	p.Fire()
 	cs := Counters()
-	c, ok := cs["test/registry"]
+	c, ok := cs[p.Name()]
 	if !ok || c.Hits != 1 || c.Fires != 1 || !c.Armed {
 		t.Fatalf("Counters() = %+v, %v", c, ok)
 	}
@@ -151,7 +163,7 @@ func TestRegistryArmAndCounters(t *testing.T) {
 	}
 	found := false
 	for _, n := range Names() {
-		if n == "test/registry" {
+		if n == p.Name() {
 			found = true
 		}
 	}
@@ -161,7 +173,7 @@ func TestRegistryArmAndCounters(t *testing.T) {
 }
 
 func TestConcurrentFire(t *testing.T) {
-	p := New("test/concurrent")
+	p := freshPoint("test/concurrent")
 	p.Arm(Every(3))
 	defer p.Disarm()
 	var wg sync.WaitGroup

@@ -1,6 +1,10 @@
 package oakmap
 
-import "oakmap/internal/core"
+import (
+	"sync"
+
+	"oakmap/internal/core"
+)
 
 // Zero-copy scans (§2.2). Two flavours are provided, as in the paper:
 //
@@ -84,12 +88,21 @@ func (p *viewPair) set(stream bool, src *core.Map, key []byte, keyRef uint64, h 
 	p.val.m, p.val.h = src, h
 }
 
+// streamPairs recycles the stream scans' reused view pairs: the views
+// are valid only inside the callback, so the pair is free once the scan
+// returns.
+var streamPairs = sync.Pool{New: func() any { return new(viewPair) }}
+
 // views is the one zero-copy scan body: a fresh view pair per entry, or
 // with stream one pair re-filled for every entry.
 func (z ZeroCopyMap[K, V]) views(from, to *K, desc, stream bool, f func(key, value *OakRBuffer) bool) {
 	var reused *viewPair
 	if stream {
-		reused = &viewPair{}
+		reused = streamPairs.Get().(*viewPair)
+		defer func() {
+			*reused = viewPair{}
+			streamPairs.Put(reused)
+		}()
 	}
 	z.m.scan(from, to, desc, func(src *core.Map, key []byte, keyRef uint64, h core.ValueHandle) bool {
 		p := reused

@@ -308,7 +308,19 @@ func (m *Map[K, V]) rangeScan(from, to *K, desc bool, f func(k K, v V) bool) {
 // several; retainable views must go through (src, keyRef, h), which
 // re-validate under src's pin on every read.
 func (m *Map[K, V]) scan(from, to *K, desc bool, yield sharded.EntryFunc) {
-	lo, hi := m.boundBytes(from), m.boundBytes(to)
+	// The bounds live only as long as the scan, so they take their bytes
+	// from the key pool.
+	var lo, hi []byte
+	if from != nil {
+		kb := m.serializeKey(*from)
+		defer m.releaseKey(kb)
+		lo = *kb
+	}
+	if to != nil {
+		kb := m.serializeKey(*to)
+		defer m.releaseKey(kb)
+		hi = *kb
+	}
 	if desc {
 		m.s.Descend(lo, hi, yield)
 	} else {

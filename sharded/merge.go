@@ -166,17 +166,41 @@ func (m *Map) NewCursor(lo, hi []byte, desc bool) *Cursor {
 // merge builds a merged cursor with one leaf per shard: live when vers is
 // nil, else frozen at shard i's snapshot version vers[i].
 func (m *Map) merge(lo, hi []byte, desc bool, vers []uint64) *Cursor {
-	leaves := make([]*leaf, len(m.shards))
+	c := new(Cursor)
+	m.open(c, lo, hi, desc, vers)
+	return c
+}
+
+// open (re)starts c as merge(lo, hi, desc, vers) would. A cursor opened
+// before keeps its tree, its leaves and their core cursors with their
+// buffers, so reopening it allocates nothing.
+func (m *Map) open(c *Cursor, lo, hi []byte, desc bool, vers []uint64) {
+	var leaves []*leaf
+	if c.t != nil {
+		leaves = c.t.leaves
+	} else {
+		leaves = make([]*leaf, len(m.shards))
+		for i := range leaves {
+			leaves[i] = &leaf{cur: new(core.Cursor)}
+		}
+	}
 	for i, s := range m.shards {
 		var v uint64
 		if vers != nil {
 			v = vers[i]
 		}
-		l := &leaf{src: s, cur: s.NewFrozenCursor(v, lo, hi, desc)}
+		l := leaves[i]
+		l.src = s
+		l.cur.Reopen(s, v, lo, hi, desc)
 		l.advance() // prime the head before building the tree
-		leaves[i] = l
 	}
-	return &Cursor{t: newLoserTree(desc, leaves), frozen: vers != nil, lastShard: -1}
+	if c.t == nil {
+		c.t = newLoserTree(desc, leaves)
+	} else {
+		c.t.desc = desc
+		c.t.init()
+	}
+	c.started, c.frozen, c.lastShard = false, vers != nil, -1
 }
 
 // Next returns the next merged entry, or ok=false when every shard is
@@ -240,7 +264,14 @@ func (m *Map) scan(lo, hi []byte, desc bool, yield EntryFunc) {
 		}
 		return
 	}
-	cur := m.NewCursor(lo, hi, desc)
+	// Push scans end inside this call, so their merge state goes back to
+	// the map for the next scan.
+	cur, _ := m.merges.Get().(*Cursor)
+	if cur == nil {
+		cur = new(Cursor)
+	}
+	defer m.merges.Put(cur)
+	m.open(cur, lo, hi, desc, nil)
 	for {
 		src, key, kr, h, ok := cur.Next()
 		if !ok {

@@ -44,6 +44,11 @@ var (
 type Map struct {
 	shards []*core.Map
 
+	// merges recycles the merged cursors of push scans (Ascend, Descend)
+	// between scans, so a scan over several shards allocates no merge
+	// state in steady state.
+	merges sync.Pool
+
 	// verMu serializes the clock-ratchet phase of cross-shard batches
 	// (PrepareBatch on every involved shard) against the begin phase of
 	// cross-shard snapshots (BeginSnapshot on every shard). With both

@@ -158,15 +158,24 @@ type ZeroCopyMap[K, V any] struct {
 // absent. The view reads through to the live value: concurrent in-place
 // updates are visible, and reads of a deleted value fail with
 // ErrConcurrentModification.
+//
+// Get is a shell small enough to inline around the out-of-line lookup,
+// so a caller that does not keep the view holds it in its own frame and
+// the call allocates nothing (TestZCAllocs pins this).
 func (z ZeroCopyMap[K, V]) Get(k K) *OakRBuffer {
-	kb := z.m.serializeKey(k)
-	defer z.m.releaseKey(kb)
-	c := z.m.s.ShardFor(*kb)
-	h, ok := c.Get(*kb)
-	if !ok {
-		return nil
+	if b, ok := z.m.lookup(k); ok {
+		return &b
 	}
-	return &OakRBuffer{m: c, h: h}
+	return nil
+}
+
+// lookup finds k and returns a value view of it.
+func (m *Map[K, V]) lookup(k K) (OakRBuffer, bool) {
+	kb := m.serializeKey(k)
+	defer m.releaseKey(kb)
+	c := m.s.ShardFor(*kb)
+	h, ok := c.Get(*kb)
+	return OakRBuffer{m: c, h: h}, ok
 }
 
 // Read runs f on the bytes of the value mapped to k, under the value's
@@ -176,14 +185,11 @@ func (z ZeroCopyMap[K, V]) Get(k K) *OakRBuffer {
 // f's. f must not retain the slice, and should be short: the value's
 // writers wait for it.
 func (z ZeroCopyMap[K, V]) Read(k K, f func([]byte) error) (found bool, err error) {
-	kb := z.m.serializeKey(k)
-	defer z.m.releaseKey(kb)
-	c := z.m.s.ShardFor(*kb)
-	h, ok := c.Get(*kb)
+	b, ok := z.m.lookup(k)
 	if !ok {
 		return false, nil
 	}
-	err = c.ReadValue(h, func(b []byte) error {
+	err = b.m.ReadValue(b.h, func(b []byte) error {
 		found = true
 		return f(b)
 	})

@@ -9,8 +9,9 @@ import (
 )
 
 // TestZCAllocs pins the zero-copy API's garbage-free contract: the
-// callback read and the zero-copy puts allocate nothing on the Go heap
-// in steady state, on one shard and through the shard router.
+// callback read, a Get whose view the caller does not keep, and the
+// zero-copy puts allocate nothing on the Go heap in steady state, on one
+// shard and through the shard router.
 func TestZCAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -33,6 +34,7 @@ func TestZCAllocs(t *testing.T) {
 			}{
 				{"Read", func() { zc.Read(key, read) }},
 				{"Read/absent", func() { zc.Read(absent, read) }},
+				{"Get+Read", func() { zc.Get(key).Read(read) }},
 				{"Put", func() { zc.Put(key, val) }},
 				{"PutIfAbsent", func() { zc.PutIfAbsent(key, val) }},
 			} {
@@ -109,5 +111,36 @@ func TestStreamScanAllocs(t *testing.T) {
 	t.Logf("1000-entry stream scans: AscendStream %v allocs, DescendStream %v allocs", asc, desc)
 	if desc > asc {
 		t.Fatalf("DescendStream allocates %v per scan, AscendStream %v", desc, asc)
+	}
+}
+
+// TestShardedPageAllocs pins the cost of one SCAN-sized page through the
+// shard merge: a 256-key KeysStream over 4 shards reuses the map's merge
+// state and serializes its bounds through the key pool, so it allocates
+// at most 2 objects however many keys it yields.
+func TestShardedPageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	m := oakmap.New[uint64, []byte](oakmap.Uint64Serializer{}, oakmap.BytesSerializer{},
+		&oakmap.Options{Shards: 4, ChunkCapacity: 64})
+	defer m.Close()
+	zc := m.ZC()
+	val := make([]byte, 16)
+	for k := uint64(0); k < 4000; k++ {
+		if err := zc.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, to := uint64(1000), uint64(3000)
+	n := 0
+	page := func(*oakmap.OakRBuffer) bool { n++; return n%256 != 0 }
+	a := testing.AllocsPerRun(200, func() { zc.KeysStream(&from, &to, page) })
+	if n != 201*256 {
+		t.Fatalf("pages yielded %d keys, want %d", n, 201*256)
+	}
+	t.Logf("256-key page over 4 shards: %v allocs", a)
+	if a > 2 {
+		t.Fatalf("a 256-key page over 4 shards makes %v allocs, want ≤ 2", a)
 	}
 }
