@@ -2,5 +2,10 @@
 
 package arena
 
+import "sync/atomic"
+
 // prefetch is a no-op where no prefetch instruction is wired up.
 func prefetch(*byte) {}
+
+// PrefetchWord is a no-op where no prefetch instruction is wired up.
+func PrefetchWord(*atomic.Uint64) {}

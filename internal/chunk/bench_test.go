@@ -166,6 +166,13 @@ var benchFills = []struct {
 
 var benchSink int32
 
+// BenchmarkLookUp times lookups of resident keys in two ways. In the
+// `independent` loop the next probe does not wait for the last, so the CPU
+// overlaps the misses of consecutive lookups and the figure is closer to
+// a throughput than to a latency. In the `chain` loop each probe's index
+// comes from the previous lookup's result (the value handle it found,
+// less what it should be), as a Get's caller waits for the Get: the
+// figure is the lookup's own chain of misses, the one a point read pays.
 func BenchmarkLookUp(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape.name, func(b *testing.B) {
@@ -189,17 +196,29 @@ func BenchmarkLookUp(b *testing.B) {
 							n := len(s.keys[j])
 							probeKeys[i], flat = flat[:n:n], flat[n:]
 						}
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							j := probes[i%len(probes)]
+						lookUp := func(b *testing.B, p int) uint64 {
+							j := probes[p]
 							c := chunks[j/benchSlots]
-							ei := c.LookUp(probeKeys[i%len(probes)])
+							ei := c.LookUp(probeKeys[p])
 							if ei < 0 || c.ValHandle(ei) != uint64(j)+1 {
 								b.Fatalf("LookUp(key %d) = %d", j, ei)
 							}
 							benchSink += ei
+							return c.ValHandle(ei) - uint64(j) - 1 // 0, once the lookup is done
 						}
+						b.Run("independent", func(b *testing.B) {
+							b.ReportAllocs()
+							for i := 0; i < b.N; i++ {
+								lookUp(b, i%len(probes))
+							}
+						})
+						b.Run("chain", func(b *testing.B) {
+							b.ReportAllocs()
+							var dep uint64
+							for i := 0; i < b.N; i++ {
+								dep = lookUp(b, (i+int(dep))%len(probes))
+							}
+						})
 					})
 				}
 			}

@@ -45,10 +45,9 @@ type Comparator func(a, b []byte) int
 
 var bytesComparePC = reflect.ValueOf(bytes.Compare).Pointer()
 
-// Bytewise reports whether cmp is bytes.Compare itself — the one order
-// KeyPrefix is known to be monotone under. Called once per NewSorted and
-// once per chunk-index publish.
-func Bytewise(cmp Comparator) bool {
+// bytewise reports whether cmp is bytes.Compare itself — the one order
+// KeyPrefix is known to be monotone under. Called once per NewSorted.
+func bytewise(cmp Comparator) bool {
 	return reflect.ValueOf(cmp).Pointer() == bytesComparePC
 }
 
@@ -95,14 +94,15 @@ type Chunk struct {
 	sorted  int // length of the sorted prefix
 
 	// prefix is the search array of the sorted prefix: prefix[i] is
-	// KeyPrefix(lcp, key of entry i), so a binary search reads this dense
-	// on-heap array and dereferences an off-heap key only where two
-	// prefixes tie. lcp is a heap copy of the bytes every sorted key
-	// starts with. Both are written once by NewSorted and immutable
-	// after; prefix is nil (and every probe compares full keys) under a
-	// comparator other than bytes.Compare, and where every word would be
-	// the same.
+	// KeyPrefix(lcp, key of entry i), so a search reads this dense
+	// on-heap array and dereferences an off-heap key only where two or
+	// more prefixes tie. top is its line summary (LineSummary). lcp is a
+	// heap copy of the bytes every sorted key starts with. All three are
+	// written once by NewSorted and immutable after; prefix and top are
+	// nil (and every probe compares full keys) under a comparator other
+	// than bytes.Compare, and where every word would be the same.
 	prefix []uint64
+	top    []uint64
 	lcp    []byte
 
 	nextFree atomic.Int32 // next unallocated entry slot
@@ -171,7 +171,7 @@ func NewSorted(minKey []byte, capacity int, alloc *arena.Allocator, cmp Comparat
 	c.live.Store(int32(len(pairs)))
 	if len(pairs) > 0 {
 		c.head.Store(0)
-		if Bytewise(c.cmp) {
+		if bytewise(c.cmp) {
 			c.buildPrefix()
 		}
 	}
@@ -197,6 +197,7 @@ func (c *Chunk) buildPrefix() {
 			c.prefix[i] = KeyPrefix(lcp, k)
 		}
 	}
+	c.top = LineSummary(c.prefix)
 }
 
 // PrefixLCP returns the lcp of a sorted run of keys from first to last,
@@ -238,6 +239,81 @@ func KeyPrefix(lcp, key []byte) uint64 {
 	return binary.BigEndian.Uint64(word[:])
 }
 
+// lineWords is how many 8-byte words share one 64-byte cache line.
+const lineWords = 8
+
+// LineSummary returns the line summary of an ascending word array: one
+// word per 64-byte line of it, top[j] = words[8j]. At 1/8 of the array it
+// stays cached where the arrays do not, so a search reads the summary and
+// then a single line of words (WordLine, WordRun).
+func LineSummary(words []uint64) []uint64 {
+	top := make([]uint64, (len(words)+lineWords-1)/lineWords)
+	for j := range top {
+		top[j] = words[j*lineWords]
+	}
+	return top
+}
+
+// WordLine returns where the first word ≥ kw of an ascending array lies,
+// decided on its summary top alone: at an index in [line, line+8], so in
+// the 8 words from line or at the first word of the next line.
+func WordLine(top []uint64, kw uint64) (line int) {
+	if j := lowerBound(top, kw); j > 0 {
+		return (j - 1) * lineWords
+	}
+	return 0
+}
+
+// WordRun returns the run [lo, hi) of words equal to kw in the ascending
+// words with summary top, line being WordLine(top, kw): words below lo are
+// < kw and words from hi on are > kw. Words decide every key outside the
+// run; only a run of two or more leaves keys for the caller to compare.
+// The run's start is found in the one line of words, and its end — read
+// only when two words tie — by binary search on the summary and then one
+// line, so a run that straddles line boundaries costs no linear scan.
+// The chunk's prefix search and the chunk index share it.
+func WordRun(words, top []uint64, kw uint64, line int) (lo, hi int) {
+	n := len(words)
+	lo = line + lowerBound(words[line:min(line+lineWords, n)], kw)
+	switch {
+	case lo == n || words[lo] != kw:
+		return lo, lo
+	case lo+1 == n || words[lo+1] != kw:
+		return lo, lo + 1
+	}
+	// top[j-1] ≤ kw < top[j], and j ≥ 1 because top[lo/8] ≤ words[lo].
+	end := (upperBound(top, kw) - 1) * lineWords
+	return lo, end + upperBound(words[end:min(end+lineWords, n)], kw)
+}
+
+// lowerBound returns the number of words < kw in ascending words.
+func lowerBound(words []uint64, kw uint64) int {
+	lo, hi := 0, len(words)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if words[mid] < kw {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// upperBound returns the number of words ≤ kw in ascending words.
+func upperBound(words []uint64, kw uint64) int {
+	lo, hi := 0, len(words)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if words[mid] <= kw {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // MinKey returns the chunk's minimal key (nil = -infinity).
 func (c *Chunk) MinKey() []byte { return c.minKey }
 
@@ -252,10 +328,10 @@ func (c *Chunk) SortedCount() int { return c.sorted }
 func (c *Chunk) Allocated() int { return min(int(c.nextFree.Load()), len(c.entries)) }
 
 // MetaBytes returns the on-heap bytes the chunk holds besides its fixed
-// header: the entries array, the prefix search array, and the lcp and
-// minKey copies.
+// header: the entries array, the prefix search array and its summary, and
+// the lcp and minKey copies.
 func (c *Chunk) MetaBytes() int {
-	return len(c.entries)*entryBytes + len(c.prefix)*8 + len(c.lcp) + len(c.minKey)
+	return len(c.entries)*entryBytes + (len(c.prefix)+len(c.top))*8 + len(c.lcp) + len(c.minKey)
 }
 
 // Next returns the successor chunk in the list (nil at the end).
@@ -320,26 +396,33 @@ func (c *Chunk) Head() int32 { return c.head.Load() }
 // NextEntry returns the list successor of ei, or -1.
 func (c *Chunk) NextEntry(ei int32) int32 { return c.entries[ei].next.Load() }
 
-// prefixFloor returns the largest sorted-prefix index whose key is < key,
-// or -1. The prefix is sorted, so this is a binary search (§4.1). A probe
-// whose prefix word differs from key's is decided on-heap; a tie, or a
-// chunk without a prefix array, compares the off-heap key.
+// prefixFloor returns the floor of key in the sorted prefix — the largest
+// index whose key is < key, or -1 — or the index just before it. Words
+// decide it (§4.1): the result is the last index whose prefix word is
+// below key's, and the one sorted key whose word may tie key's is left to
+// seek's list walk, which compares that successor anyway. Only a run of
+// two or more tying words is searched by key. A chunk without a prefix
+// array binary-searches keys.
+//
+// Once the summary has narrowed the search to a line of words, the
+// entries the walk starts from — the floor is one of that line's 8
+// indexes, its successor at most the next — are prefetched, so their
+// misses overlap the one on the line.
 func (c *Chunk) prefixFloor(key []byte) int32 {
-	prefix := c.prefix
-	var kp uint64
-	if prefix != nil {
-		kp = KeyPrefix(c.lcp, key)
+	lo, hi := 0, c.sorted // keys decide in [lo, hi): below lo are < key, from hi on > key
+	if c.prefix != nil {
+		kw := KeyPrefix(c.lcp, key)
+		line := WordLine(c.top, kw)
+		for i := line; i <= min(line+lineWords, c.sorted-1); i += 2 { // 24 B entries: one hint per line
+			arena.PrefetchWord(&c.entries[i].keyRef)
+		}
+		if lo, hi = WordRun(c.prefix, c.top, kw, line); hi-lo < 2 {
+			return int32(lo - 1)
+		}
 	}
-	lo, hi := 0, c.sorted // the answer is lo-1: keys below lo are < key, keys from hi on are ≥ key
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		var less bool
-		if mid < len(prefix) && prefix[mid] != kp {
-			less = prefix[mid] < kp
-		} else {
-			less = c.cmp(c.keyAt(int32(mid)), key) < 0
-		}
-		if less {
+		if c.cmp(c.keyAt(int32(mid)), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -348,19 +431,30 @@ func (c *Chunk) prefixFloor(key []byte) int32 {
 	return int32(lo - 1)
 }
 
-// seek locates key in the ascending entries list: binary search on the
-// sorted prefix, then a walk of the list from there (§4.1). pred is the
-// last linked entry with a smaller key (-1 when key sorts before the
-// head), cur its successor — the first entry with a key ≥ key, or -1 —
-// and found reports whether cur holds key itself. seek proceeds
-// concurrently with inserts and rebalances.
-func (c *Chunk) seek(key []byte) (pred, cur int32, found bool) {
+// start returns where a search for key enters the entries list: the
+// sorted-prefix floor pred (see prefixFloor; -1 before the head) and its
+// list successor cur, the first entry whose key the walk compares.
+func (c *Chunk) start(key []byte) (pred, cur int32) {
 	pred = c.prefixFloor(key)
 	if pred < 0 {
-		cur = c.head.Load()
-	} else {
-		cur = c.entries[pred].next.Load()
+		return pred, c.head.Load()
 	}
+	return pred, c.entries[pred].next.Load()
+}
+
+// seek locates key in the ascending entries list: a search of the sorted
+// prefix, then a walk of the list from there (§4.1). pred is the last
+// linked entry with a smaller key (-1 when key sorts before the head), cur
+// its successor — the first entry with a key ≥ key, or -1 — and found
+// reports whether cur holds key itself. seek proceeds concurrently with
+// inserts and rebalances.
+func (c *Chunk) seek(key []byte) (pred, cur int32, found bool) {
+	pred, cur = c.start(key)
+	return c.walk(key, pred, cur)
+}
+
+// walk is seek's list walk from pred and its successor cur.
+func (c *Chunk) walk(key []byte, pred, cur int32) (int32, int32, bool) {
 	for cur != none {
 		if cv := c.cmp(c.keyAt(cur), key); cv >= 0 {
 			return pred, cur, cv == 0
@@ -373,8 +467,20 @@ func (c *Chunk) seek(key []byte) (pred, cur int32, found bool) {
 
 // LookUp returns the index of the entry holding key, or -1. LookUp
 // proceeds concurrently with rebalances.
-func (c *Chunk) LookUp(key []byte) int32 {
-	if _, cur, found := c.seek(key); found {
+func (c *Chunk) LookUp(key []byte) int32 { return c.LookUpFrom(key, c.Candidate(key)) }
+
+// Candidate returns the first entry a lookup of key compares — the one
+// that holds key if the sorted prefix does — or -1. Finding it reads no
+// off-heap key unless two prefix words tie key's, so a caller can start
+// fetching what the entry refers to before LookUpFrom compares its key.
+func (c *Chunk) Candidate(key []byte) int32 {
+	_, cur := c.start(key)
+	return cur
+}
+
+// LookUpFrom is LookUp continued from Candidate(key).
+func (c *Chunk) LookUpFrom(key []byte, cand int32) int32 {
+	if _, cur, found := c.walk(key, none, cand); found {
 		return cur
 	}
 	return none

@@ -132,6 +132,12 @@ func checkAgainstReference(t testing.TB, cmp Comparator, isBytesCompare bool, re
 			w := sort.Search(len(ref), func(i int) bool { return cmp(ref[i], q) >= 0 })
 			present := w < len(ref) && cmp(ref[w], q) == 0
 
+			// The search's own contract: the floor of the sorted prefix
+			// or the index before it. An earlier index would still give
+			// right answers, through a longer list walk.
+			if p := c.prefixFloor(q); p >= 0 && cmp(c.Key(p), q) >= 0 || int(p)+2 < c.SortedCount() && cmp(c.Key(p+2), q) < 0 {
+				t.Fatalf("prefixFloor(%x) = %d: neither the floor of the sorted prefix nor the index before it", q, p)
+			}
 			if ei := c.LookUp(q); present != (ei != none) || (present && !bytes.Equal(c.Key(ei), q)) {
 				t.Fatalf("LookUp(%x) = %d, present %v", q, ei, present)
 			}
@@ -245,6 +251,26 @@ var prefixShapes = []struct {
 				k[j] = []byte{0x00, 0x01, 'a', 0xFE, 0xFF}[r.IntN(5)]
 			}
 			out = append(out, k)
+		}
+		return out
+	}},
+	// Runs of 1–20 keys share a prefix word each: the lcp stops before
+	// the run byte, and the tail that orders a run lies past the word.
+	// With dozens of runs the sorted prefix holds tie runs that cross its
+	// 8-word lines at every offset. Around each run sit keys it does not
+	// hold: the run's word with a tail below and above the run's tails,
+	// and the words just below and above it.
+	{"tie-runs", func(r *rand.Rand) (out [][]byte) {
+		key := func(run byte, tail uint16) []byte {
+			k := append([]byte("run/"), run, 0, 0, 0, 0, 0, 0, 0)
+			return binary.BigEndian.AppendUint16(k, tail)
+		}
+		for run := byte(2); run < 2+2*40; run += 2 {
+			n := 1 + r.IntN(20)
+			for t := 1; t <= n; t++ {
+				out = append(out, key(run, uint16(2*t)))
+			}
+			out = append(out, key(run, 0), key(run, 0xFFFF), key(run-1, 0), key(run+1, 0))
 		}
 		return out
 	}},

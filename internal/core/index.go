@@ -13,11 +13,12 @@ import (
 // The head chunk (nil minKey, -infinity) is not in it: a key below every
 // indexed minKey belongs to the head's range.
 //
-// words[i] is chunk.KeyPrefix(lcp, chunks[i].MinKey()), so the search
-// reads this dense array and dereferences a chunk's minKey only where two
-// words tie — the chunk's own prefix search (chunk.PrefixLCP), one level
-// up. words is nil where every word would be the same (chunk.PrefixLCP
-// reports the lcp useless); every probe then compares minKeys.
+// words[i] is chunk.KeyPrefix(lcp, chunks[i].MinKey()) and top its line
+// summary, so the search reads the summary, then one line of words, and
+// dereferences a chunk's minKey only where words tie — the chunk's own
+// prefix search (chunk.WordRun), one level up. words and top are nil where
+// every word would be the same (chunk.PrefixLCP reports the lcp useless);
+// every probe then compares minKeys.
 //
 // The index may lag the chunk list: a lookup lands on a chunk at or before
 // the one it wants and locateChunk finishes the walk through Next and
@@ -25,28 +26,21 @@ import (
 type chunkIndex struct {
 	lcp    []byte
 	words  []uint64
+	top    []uint64
 	chunks []*chunk.Chunk // ascending minKeys, none nil
 }
 
 // rank returns how many indexed minKeys sort below key — or at or below
-// it, with orEqual.
+// it, with orEqual. Words decide outside their tie run; minKeys inside it.
 func (x *chunkIndex) rank(key []byte, orEqual bool) int {
-	words := x.words
-	var kw uint64
-	if words != nil {
-		kw = chunk.KeyPrefix(x.lcp, key)
-	}
 	lo, hi := 0, len(x.chunks)
+	if x.words != nil {
+		kw := chunk.KeyPrefix(x.lcp, key)
+		lo, hi = chunk.WordRun(x.words, x.top, kw, chunk.WordLine(x.top, kw))
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		var below bool
-		if mid < len(words) && words[mid] != kw {
-			below = words[mid] < kw
-		} else {
-			d := bytes.Compare(x.chunks[mid].MinKey(), key)
-			below = d < 0 || d == 0 && orEqual
-		}
-		if below {
+		if d := bytes.Compare(x.chunks[mid].MinKey(), key); d < 0 || d == 0 && orEqual {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -80,9 +74,9 @@ func (x *chunkIndex) last() *chunk.Chunk {
 }
 
 // metaBytes is the index's on-heap cost: one word and one pointer per
-// indexed chunk (lcp aliases a minKey).
+// indexed chunk, and the words' summary (lcp aliases a minKey).
 func (x *chunkIndex) metaBytes() int64 {
-	return int64(len(x.words)+len(x.chunks)) * 8
+	return int64(len(x.words)+len(x.top)+len(x.chunks)) * 8
 }
 
 // splice returns a copy of x whose entries [i, j) are replaced by mid. The
@@ -111,6 +105,7 @@ func (x *chunkIndex) splice(i, j int, mid []*chunk.Chunk) *chunkIndex {
 	for k, c := range fresh {
 		y.words[at+k] = chunk.KeyPrefix(lcp, c.MinKey())
 	}
+	y.top = chunk.LineSummary(y.words)
 	return y
 }
 

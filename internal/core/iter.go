@@ -54,7 +54,7 @@ func (m *Map) scan(lo, hi []byte, desc bool, yield EntryFunc) {
 		n := cur.fill(run[:], true)
 		for _, e := range run[:n] {
 			m.alloc.Prefetch(arena.Ref(e.keyRef))
-			m.alloc.Prefetch(arena.Ref(m.headers.LoadData(uint64(e.h))))
+			m.prefetchValue(e.h)
 		}
 		tk.Done()
 		for _, e := range run[:n] {

@@ -265,8 +265,8 @@ type OccupancyStats struct {
 	MaxLive        int
 	AvgUtilization float64 // live entries / total capacity
 	// MetaBytes is the on-heap cost of the chunks — entries arrays, prefix
-	// search arrays, and the lcp and minKey copies — and of the chunk
-	// index's arrays.
+	// search arrays and their line summaries, and the lcp and minKey
+	// copies — and of the chunk index's arrays.
 	MetaBytes int64
 }
 

@@ -38,10 +38,19 @@ func (m *Map) Get(key []byte) (ValueHandle, bool) {
 
 // getPinned is Get's body for internal callers that already hold an
 // epoch pin (Floor), so each public entry point pins exactly once.
+//
+// The candidate entry's value is hinted into the cache before its key is
+// compared, so the header and value misses overlap the key's instead of
+// following it. Writes do not hint: their value is replaced, not read.
 func (m *Map) getPinned(key []byte) (ValueHandle, bool) {
 	c := m.locateChunk(key)
-	ei := c.LookUp(key)
-	if ei < 0 {
+	ei := c.Candidate(key)
+	if ei >= 0 {
+		if h := ValueHandle(c.ValHandle(ei)); h != 0 {
+			m.prefetchValue(h)
+		}
+	}
+	if ei = c.LookUpFrom(key, ei); ei < 0 {
 		return 0, false
 	}
 	h := ValueHandle(c.ValHandle(ei))

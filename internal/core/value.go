@@ -50,6 +50,15 @@ func (m *Map) ReadKey(keyRef uint64, h ValueHandle, f func([]byte) error) error 
 	return f(m.KeyBytes(keyRef))
 }
 
+// prefetchValue hints the first line of h's value (h non-⊥) into the
+// cache: it loads the header's data word without the header's lock and
+// prefetches the bytes it refers to. A stale word only wastes the hint.
+// Gets hint the entry they are about to compare, scans every entry of a
+// run before its callbacks.
+func (m *Map) prefetchValue(h ValueHandle) {
+	m.alloc.Prefetch(arena.Ref(m.headers.LoadData(uint64(h))))
+}
+
 // IsDeleted reports whether the value behind h is deleted.
 func (m *Map) IsDeleted(h ValueHandle) bool {
 	return m.headers.IsDeleted(uint64(h))

@@ -346,15 +346,19 @@ func TestStatsAndFootprint(t *testing.T) {
 	// The chunks' heap cost is 24 B per entry slot and 8 B per sorted
 	// entry, plus at most 16 B of lcp and minKey copies for 8-byte keys;
 	// the chunk index adds a prefix word and a pointer for every chunk but
-	// the head. The lower bound is also the check that a map built through
-	// the facade with no Comparator gets the prefix arrays and the index
-	// words at all: both recognise bytes.Compare by function identity, so
-	// wrapping the comparator anywhere on the way down would lose them
-	// silently.
+	// the head. Each word array (one per chunk, one in the index) carries
+	// a line summary of one word per 8, rounded up: at least n/8 words
+	// in all, and at most one more per array. The lower bound is also the
+	// check that a map built through the facade with no Comparator gets
+	// the prefix arrays and the index words at all: both recognise
+	// bytes.Compare by function identity, so wrapping the comparator
+	// anywhere on the way down would lose them silently.
 	sorted := m.s.Shards()[0].Occupancy().Sorted
 	arrays := int64(st.Chunks*64*24 + sorted*8 + (st.Chunks-1)*16)
-	if sorted == 0 || st.MetaBytes < arrays || st.MetaBytes > arrays+int64(st.Chunks*16) {
-		t.Fatalf("MetaBytes = %d with %d sorted entries; want %d plus at most %d", st.MetaBytes, sorted, arrays, st.Chunks*16)
+	summaries := int64(sorted/8+(st.Chunks-1)/8) * 8
+	slack := int64(st.Chunks*16 + (st.Chunks+1)*8)
+	if sorted == 0 || st.MetaBytes < arrays+summaries || st.MetaBytes > arrays+summaries+slack {
+		t.Fatalf("MetaBytes = %d with %d sorted entries; want %d plus at most %d", st.MetaBytes, sorted, arrays+summaries, slack)
 	}
 }
 
