@@ -38,7 +38,8 @@
 // fire with seeded probability: allocation failures surface as tolerated
 // errors, entry-link CAS and publish losses force the retry paths, and
 // the rebalance/value pause points jitter goroutine scheduling. The
-// per-point hit/fire counters are printed at shutdown.
+// hit/fire counters of every armed point, zeros included, are printed
+// at shutdown.
 package main
 
 import (
@@ -54,14 +55,17 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"oakmap"
 	"oakmap/internal/arena"
+	"oakmap/internal/chunk"
+	"oakmap/internal/core"
+	"oakmap/internal/epoch"
 	"oakmap/internal/faultpoint"
+	"oakmap/sharded"
 )
 
 type stats struct {
@@ -181,8 +185,9 @@ func main() {
 		}
 	}
 
+	var armed []*faultpoint.Point
 	if *faults {
-		armFaults(*faultProb, *seed)
+		armed = armFaults(*faultProb, *seed)
 		defer faultpoint.DisarmAll()
 	}
 
@@ -412,7 +417,7 @@ func main() {
 		fmt.Println()
 	}
 	if *faults {
-		printFaultCounters()
+		printFaultCounters(armed)
 	}
 	if tel != nil {
 		fmt.Printf("  op latency (sampled):\n%s", tel.Summary())
@@ -436,8 +441,9 @@ func main() {
 }
 
 // armFaults installs seeded probabilistic hooks on the branch faults and
-// scheduling-jitter hooks on the pause points.
-func armFaults(prob float64, seed uint64) {
+// scheduling-jitter hooks on the pause points, and returns every point
+// it armed.
+func armFaults(prob float64, seed uint64) []*faultpoint.Point {
 	// link-cas, publish-fail and the install lost-race points divert
 	// retry loops: at probability 1 a put would retry forever and the run
 	// could never drain. Clamp so the loops always converge.
@@ -446,20 +452,21 @@ func armFaults(prob float64, seed uint64) {
 		retryProb = 0.9
 		log.Printf("clamping -fault-prob to %.2f for retry-loop faults", retryProb)
 	}
-	branch := map[string]float64{
-		"arena/alloc-fail":   prob / 5, // errors surface to callers: keep rare
-		"chunk/link-cas":     retryProb,
-		"chunk/publish-fail": retryProb,
+	branch := []struct {
+		p    *faultpoint.Point
+		prob float64
+	}{
+		{arena.FpAllocFail, prob / 5}, // errors surface to callers: keep rare
+		{chunk.FpLinkCAS, retryProb},
+		{chunk.FpPublishFail, retryProb},
 		// Halved: both sit on one install attempt, after publish-fail.
-		"core/install-publish-lost": retryProb / 2,
-		"core/install-cas-lost":     retryProb / 2,
+		{core.FpInstallPublishLost, retryProb / 2},
+		{core.FpInstallCASLost, retryProb / 2},
 	}
-	i := uint64(0)
-	for name, p := range branch {
-		i++
-		if err := faultpoint.Arm(name, faultpoint.WithProb(p, seed+i)); err != nil {
-			log.Fatalf("arm %s: %v", name, err)
-		}
+	var armed []*faultpoint.Point
+	for i, b := range branch {
+		b.p.Arm(faultpoint.WithProb(b.prob, seed+uint64(i)+1))
+		armed = append(armed, b.p)
 	}
 	// Sparse scheduling jitter: every Gosched donates a scheduler quantum
 	// to whoever is runnable (on GOMAXPROCS=1, the whole quantum), so keep
@@ -470,33 +477,26 @@ func armFaults(prob float64, seed uint64) {
 		}
 		return false
 	}}
-	for _, name := range []string{
-		"arena/freelist-scan", "arena/coalesce", "arena/class-migrate",
-		"core/rebalance-freeze", "core/rebalance-split", "core/rebalance-index",
-		"core/header-lock", "core/deleted-bit", "core/put-race",
-		"epoch/advance", "epoch/drain",
-		"shard/route", "shard/scan-rotate",
-		"mvcc/retain", "mvcc/horizon",
+	for _, p := range []*faultpoint.Point{
+		arena.FpFreeListScan, arena.FpCoalesce, arena.FpClassMigrate,
+		core.FpRebalanceFreeze, core.FpRebalanceSplit, core.FpRebalanceIndex,
+		core.FpHeaderLock, core.FpDeletedBit, core.FpPutRace,
+		epoch.FpAdvance, epoch.FpDrain,
+		sharded.FpRoute, sharded.FpScanRotate,
+		core.FpMvccRetain, core.FpMvccHorizon,
 	} {
-		if err := faultpoint.Arm(name, jitter); err != nil {
-			log.Fatalf("arm %s: %v", name, err)
-		}
+		p.Arm(jitter)
+		armed = append(armed, p)
 	}
+	return armed
 }
 
-func printFaultCounters() {
-	cs := faultpoint.Counters()
-	names := make([]string, 0, len(cs))
-	for n := range cs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// printFaultCounters prints every armed point, zeros included: a window
+// the soak never reached shows as name=0/0.
+func printFaultCounters(armed []*faultpoint.Point) {
 	fmt.Printf("  fault points (hits/fires):")
-	for _, n := range names {
-		c := cs[n]
-		if c.Hits > 0 {
-			fmt.Printf(" %s=%d/%d", n, c.Hits, c.Fires)
-		}
+	for _, p := range armed {
+		fmt.Printf(" %s=%d/%d", p.Name(), p.Hits(), p.Fires())
 	}
 	fmt.Println()
 }

@@ -1,7 +1,10 @@
 // oak-vet runs Oak's static safety analyzers over a module — the
-// compile-time enforcement of the off-heap usage disciplines that
-// DESIGN.md §5.1/§9 state in prose and the race/arenadebug CI legs
-// check dynamically (DESIGN.md §10 catalogues the rules).
+// compile-time enforcement of the zero-copy, pin and snapshot balance,
+// and locking disciplines that DESIGN.md §5.1/§9 state in prose and the
+// race/arenadebug CI legs check dynamically. DESIGN.md §10 catalogues
+// the rules, and the two that need no analyzer: fault-point reach
+// (TestEveryFaultPointIsHit) and unsafe containment
+// (TestUnsafeIsContained plus go vet).
 //
 // Usage:
 //
@@ -17,9 +20,11 @@
 // Suppressions: a finding that reflects an intentional, reviewed
 // contract (e.g. a helper that re-exposes a zero-copy slice under the
 // same callback-scoped rule) is annotated at the site with
-// //oak:zc-view, //oak:unsafe-ok, or //oak:allow <analyzer> — see
-// internal/analysis for the grammar. Each annotation must carry a
-// rationale in the surrounding comment.
+// //oak:zc-view or //oak:allow <analyzer> — see internal/analysis for
+// the grammar. Each annotation must carry a rationale in the
+// surrounding comment. Under -strict-suppress, a suppression that drops
+// no diagnostic, or names an analyzer oak-vet does not have, is itself
+// reported.
 package main
 
 import (
@@ -31,19 +36,15 @@ import (
 	"strings"
 
 	"oakmap/internal/analysis"
-	"oakmap/internal/analysis/faultpointid"
 	"oakmap/internal/analysis/load"
 	"oakmap/internal/analysis/lockset"
 	"oakmap/internal/analysis/pinbalance"
-	"oakmap/internal/analysis/unsafespan"
 	"oakmap/internal/analysis/zcescape"
 )
 
 var all = []*analysis.Analyzer{
 	zcescape.Analyzer,
 	pinbalance.Analyzer,
-	unsafespan.Analyzer,
-	faultpointid.Analyzer,
 	lockset.Analyzer,
 }
 
@@ -106,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "oak-vet: %v\n", err)
 		return 1
 	}
-	diags, err := analysis.RunWithOptions(units, analyzers, analysis.Options{StrictSuppressions: *strict})
+	diags, err := analysis.RunWithOptions(units, analyzers, analysis.Options{StrictSuppressions: *strict, Suite: all})
 	if err != nil {
 		fmt.Fprintf(stderr, "oak-vet: %v\n", err)
 		return 1

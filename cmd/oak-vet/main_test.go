@@ -15,20 +15,22 @@ func TestListNamesTheAnalyzers(t *testing.T) {
 		name, _, _ := strings.Cut(line, ":")
 		names = append(names, name)
 	}
-	want := "zcescape pinbalance unsafespan faultpointid lockset"
+	want := "zcescape pinbalance lockset"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("-list names %q, want %q", got, want)
 	}
 }
 
-// A script still naming a folded analyzer must fail loudly rather than
-// check nothing.
+// A script still naming a folded or deleted analyzer must fail loudly
+// rather than check nothing.
 func TestRemovedAnalyzerNameFails(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run([]string{"-checks", "lockguard", "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("-checks lockguard exited %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "unknown analyzer") {
-		t.Fatalf("stderr %q does not say unknown analyzer", errb.String())
+	for _, name := range []string{"lockguard", "faultpointid", "unsafespan"} {
+		var out, errb strings.Builder
+		if code := run([]string{"-checks", name, "./..."}, &out, &errb); code != 1 {
+			t.Errorf("-checks %s exited %d, want 1", name, code)
+		}
+		if !strings.Contains(errb.String(), "unknown analyzer") {
+			t.Errorf("-checks %s: stderr %q does not say unknown analyzer", name, errb.String())
+		}
 	}
 }

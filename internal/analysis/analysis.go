@@ -3,21 +3,20 @@
 // library so the module stays dependency-free. It exists to host
 // oak-vet (cmd/oak-vet): a suite of analyzers that prove, at compile
 // time, the usage disciplines Oak's correctness rests on but Go's type
-// system cannot see — zero-copy view lifetimes, epoch pin/unpin
-// balance, unsafe.Pointer containment, and fault-point identity
-// (DESIGN.md §10).
+// system cannot see — zero-copy view lifetimes, epoch pin/unpin and
+// snapshot balance, and the lock and publish orders (DESIGN.md §10).
 //
 // The shape deliberately mirrors x/tools: an Analyzer owns a Run
 // function over a Pass (one type-checked package); diagnostics carry a
 // position and message. Two deviations, both forced by the stdlib-only
 // constraint and both smaller than they sound:
 //
-//   - There is no Facts serialization. Cross-package rules (faultpointid
-//     needs the module-wide set of declared point names) use an
-//     in-process Finish hook instead: the driver runs every package
-//     pass first, then calls Finish once with everything the passes
-//     exported. oak-vet always analyzes whole programs in one process,
-//     so in-memory facts lose nothing.
+//   - There is no Facts serialization. Cross-package rules (lockset's
+//     module-wide lock-order graph) use an in-process Finish hook
+//     instead: the driver runs every package pass first, then calls
+//     Finish once with everything the passes exported. oak-vet always
+//     analyzes whole programs in one process, so in-memory facts lose
+//     nothing.
 //
 //   - There is no SSA. The analyzers work on the typed AST, and the
 //     ones that need paths share one conservative walk of structured
@@ -53,8 +52,8 @@ type Analyzer struct {
 
 	// Finish, if non-nil, runs once per module after every package's
 	// Run has completed, receiving all exported facts. It reports
-	// cross-package diagnostics (e.g. a fault-point name armed in one
-	// package but declared nowhere).
+	// cross-package diagnostics (e.g. a lock-order cycle whose edges
+	// come from different packages).
 	Finish func(m *ModulePass) error
 }
 
@@ -119,6 +118,13 @@ type Options struct {
 	// underlying finding no longer exists, and keeping it would silently
 	// swallow the next, unrelated finding on that line.
 	StrictSuppressions bool
+
+	// Suite, when non-nil, is every analyzer the driver has; the run's
+	// analyzers may be a subset of it. Under StrictSuppressions a
+	// suppression naming an analyzer outside Suite is reported too: it
+	// can never suppress anything, so it is a leftover of a removed
+	// analyzer or a typo.
+	Suite []*Analyzer
 }
 
 // Run drives analyzers over units and returns the surviving
@@ -176,11 +182,7 @@ func RunWithOptions(units []*Unit, analyzers []*Analyzer, opts Options) ([]Diagn
 	if fset != nil {
 		diags = allow.filter(fset, diags)
 		if opts.StrictSuppressions {
-			ran := make(map[string]bool, len(analyzers))
-			for _, a := range analyzers {
-				ran[a.Name] = true
-			}
-			diags = append(diags, allow.unused(ran)...)
+			diags = append(diags, allow.unused(names(analyzers), names(opts.Suite))...)
 		}
 		// Dedupe: one site can be reported identically from two walks
 		// (e.g. a re-pin flagged from both acquisitions' balance checks).
@@ -210,16 +212,12 @@ func RunWithOptions(units []*Unit, analyzers []*Analyzer, opts Options) ([]Diagn
 
 // Suppression annotations. A comment of the form
 //
-//	//oak:allow zcescape[,unsafespan...]  [rationale]
+//	//oak:allow zcescape[,lockset...]  [rationale]
 //
 // on the flagged line, or alone on the line directly above it,
-// suppresses those analyzers' diagnostics for that line. Two sugared
-// spellings cover the common intents without naming analyzers:
-//
-//	//oak:zc-view    — this value intentionally holds/propagates a
-//	                   zero-copy view; equivalent to //oak:allow zcescape
-//	//oak:unsafe-ok  — this unsafe use is deliberate and reviewed;
-//	                   equivalent to //oak:allow unsafespan
+// suppresses those analyzers' diagnostics for that line. The sugared
+// spelling //oak:zc-view (this value intentionally holds or propagates
+// a zero-copy view) is equivalent to //oak:allow zcescape.
 //
 // Unlike //nolint, the annotations are part of the oak vocabulary:
 // DESIGN.md §10 requires each one to carry a rationale in the
@@ -282,8 +280,6 @@ func parseAllow(body string) []string {
 	switch {
 	case strings.HasPrefix(body, "zc-view"):
 		return []string{"zcescape"}
-	case strings.HasPrefix(body, "unsafe-ok"):
-		return []string{"unsafespan"}
 	case strings.HasPrefix(body, "allow"):
 		rest := strings.TrimSpace(strings.TrimPrefix(body, "allow"))
 		if rest == "" {
@@ -343,22 +339,34 @@ func (ai *allowIndex) filter(fset *token.FileSet, diags []Diagnostic) []Diagnost
 	return out
 }
 
-// unused reports, for analyzers in ran, suppression entries that never
-// dropped a diagnostic. Names outside ran are skipped: a partial
-// -checks run must not flag suppressions for analyzers it didn't run.
-func (ai *allowIndex) unused(ran map[string]bool) []Diagnostic {
+// unused reports suppression entries that name an analyzer outside
+// suite (when suite is non-nil), and, for analyzers in ran, entries that
+// never dropped a diagnostic. Other names are skipped: a partial -checks
+// run must not flag suppressions for analyzers it didn't run.
+func (ai *allowIndex) unused(ran, suite map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, e := range ai.entries {
 		for _, n := range e.names {
-			if !ran[n] || e.used[n] {
+			msg := fmt.Sprintf("unused suppression: no %s diagnostic on this line or the next; delete the stale //oak: annotation", n)
+			if suite != nil && !suite[n] {
+				msg = fmt.Sprintf("suppression names unknown analyzer %s; delete the stale //oak: annotation", n)
+			} else if !ran[n] || e.used[n] {
 				continue
 			}
-			out = append(out, Diagnostic{
-				Analyzer: "suppress",
-				Pos:      e.pos,
-				Message:  fmt.Sprintf("unused suppression: no %s diagnostic on this line or the next; delete the stale //oak: annotation", n),
-			})
+			out = append(out, Diagnostic{Analyzer: "suppress", Pos: e.pos, Message: msg})
 		}
 	}
 	return out
+}
+
+// names returns the set of the analyzers' names, nil for none.
+func names(as []*Analyzer) map[string]bool {
+	if as == nil {
+		return nil
+	}
+	set := make(map[string]bool, len(as))
+	for _, a := range as {
+		set[a.Name] = true
+	}
+	return set
 }

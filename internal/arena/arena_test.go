@@ -534,17 +534,14 @@ func TestRescueExactFit(t *testing.T) {
 // new coalesce/class-migrate fault points so the windows they guard are
 // exercised; region stamps verify no two live allocations ever overlap.
 func TestConcurrentClassChurn(t *testing.T) {
-	for _, name := range []string{"arena/coalesce", "arena/class-migrate"} {
-		jitter := faultpoint.Hook{Decide: func(hit int64) bool {
-			if hit%16 == 0 {
-				runtime.Gosched()
-			}
-			return false
-		}}
-		if err := faultpoint.Arm(name, jitter); err != nil {
-			t.Fatal(err)
+	jitter := faultpoint.Hook{Decide: func(hit int64) bool {
+		if hit%16 == 0 {
+			runtime.Gosched()
 		}
-	}
+		return false
+	}}
+	FpCoalesce.Arm(jitter)
+	FpClassMigrate.Arm(jitter)
 	defer faultpoint.DisarmAll()
 	a := NewAllocator(NewPool(1<<20, 0))
 	defer a.Close()

@@ -294,12 +294,12 @@ func TestChaosCASFailLinearizability(t *testing.T) {
 func TestChaosRebalanceWindows(t *testing.T) {
 	points := []struct {
 		name    string
-		point   string
+		point   *faultpoint.Point
 		mutable bool // updates can complete while parked in this window
 	}{
-		{"freeze", "core/rebalance-freeze", false},
-		{"split", "core/rebalance-split", false},
-		{"index", "core/rebalance-index", true},
+		{"freeze", FpRebalanceFreeze, false},
+		{"split", FpRebalanceSplit, false},
+		{"index", FpRebalanceIndex, true},
 	}
 	const n = 64
 	for _, tc := range points {
@@ -310,13 +310,9 @@ func TestChaosRebalanceWindows(t *testing.T) {
 				mustPut(t, m, ik(i), iv(i))
 			}
 
-			p, ok := faultpoint.Lookup(tc.point)
-			if !ok {
-				t.Fatalf("unknown point %s", tc.point)
-			}
 			g := faultpoint.NewGate()
 			defer g.Open()
-			p.Arm(g.Hook(1))
+			tc.point.Arm(g.Hook(1))
 
 			target := m.locateChunk(ik(n / 2))
 			done := make(chan struct{})
@@ -351,9 +347,9 @@ func TestChaosRebalanceWindows(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("rebalancer did not finish after gate opened")
 			}
-			p.Disarm()
-			if p.Hits() < 1 {
-				t.Fatalf("window %s never hit: not load-bearing", tc.point)
+			tc.point.Disarm()
+			if tc.point.Hits() < 1 {
+				t.Fatalf("window %s never hit: not load-bearing", tc.point.Name())
 			}
 
 			for i := 0; i < n; i++ {
@@ -413,7 +409,7 @@ func TestChaosPutRemoveRace(t *testing.T) {
 
 	g := faultpoint.NewGate()
 	defer g.Open()
-	fpPutRace.Arm(g.Hook(1))
+	FpPutRace.Arm(g.Hook(1))
 
 	done := make(chan error, 1)
 	go func() {
@@ -430,8 +426,8 @@ func TestChaosPutRemoveRace(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	fpPutRace.Disarm()
-	if fpPutRace.Hits() < 1 {
+	FpPutRace.Disarm()
+	if FpPutRace.Hits() < 1 {
 		t.Fatal("put-race window never hit: not load-bearing")
 	}
 
@@ -464,7 +460,7 @@ func TestChaosDeletedBitWindow(t *testing.T) {
 
 	g := faultpoint.NewGate()
 	defer g.Open()
-	fpDeletedBit.Arm(g.Hook(1))
+	FpDeletedBit.Arm(g.Hook(1))
 
 	done := make(chan bool, 1)
 	go func() {
@@ -500,8 +496,8 @@ func TestChaosDeletedBitWindow(t *testing.T) {
 	if removed := <-done; !removed {
 		t.Fatal("Remove reported false after setting the deleted bit")
 	}
-	fpDeletedBit.Disarm()
-	if fpDeletedBit.Hits() < 1 {
+	FpDeletedBit.Disarm()
+	if FpDeletedBit.Hits() < 1 {
 		t.Fatal("deleted-bit window never hit: not load-bearing")
 	}
 
@@ -526,7 +522,7 @@ func TestChaosHeaderLockContention(t *testing.T) {
 	var buf [8]byte
 	mustPut(t, m, k, buf[:])
 
-	fpHeaderLock.Arm(faultpoint.Hook{Decide: func(hit int64) bool {
+	FpHeaderLock.Arm(faultpoint.Hook{Decide: func(hit int64) bool {
 		if hit%3 == 0 {
 			runtime.Gosched() // widen the critical section
 		}
@@ -558,8 +554,8 @@ func TestChaosHeaderLockContention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	fpHeaderLock.Disarm()
-	if fpHeaderLock.Hits() == 0 {
+	FpHeaderLock.Disarm()
+	if FpHeaderLock.Hits() == 0 {
 		t.Fatal("header-lock point never hit")
 	}
 	h, ok := m.Get(k)
@@ -636,12 +632,12 @@ func TestChaosMixedStorm(t *testing.T) {
 	arena.FpFreeListScan.Arm(gosched(13))
 	chunk.FpLinkCAS.Arm(faultpoint.WithProb(0.01, 102))
 	chunk.FpPublishFail.Arm(faultpoint.WithProb(0.01, 103))
-	faultpoint.Arm("core/rebalance-freeze", gosched(2))
-	faultpoint.Arm("core/rebalance-split", gosched(2))
-	faultpoint.Arm("core/rebalance-index", gosched(2))
-	fpHeaderLock.Arm(gosched(7))
-	fpDeletedBit.Arm(gosched(5))
-	fpPutRace.Arm(gosched(11))
+	FpRebalanceFreeze.Arm(gosched(2))
+	FpRebalanceSplit.Arm(gosched(2))
+	FpRebalanceIndex.Arm(gosched(2))
+	FpHeaderLock.Arm(gosched(7))
+	FpDeletedBit.Arm(gosched(5))
+	FpPutRace.Arm(gosched(11))
 	epoch.FpAdvance.Arm(gosched(3))
 	epoch.FpDrain.Arm(gosched(2))
 
@@ -730,10 +726,9 @@ func TestChaosMixedStorm(t *testing.T) {
 	}
 
 	// Load-bearing check: the branch faults must actually have fired.
-	for _, name := range []string{"arena/alloc-fail", "chunk/link-cas", "chunk/publish-fail"} {
-		p, _ := faultpoint.Lookup(name)
+	for _, p := range []*faultpoint.Point{arena.FpAllocFail, chunk.FpLinkCAS, chunk.FpPublishFail} {
 		if p.Fires() == 0 {
-			t.Errorf("%s never fired during the storm", name)
+			t.Errorf("%s never fired during the storm", p.Name())
 		}
 	}
 
@@ -758,10 +753,9 @@ func TestChaosMixedStorm(t *testing.T) {
 		t.Fatalf("LOST UPDATES: counters sum to %d; %d computes succeeded",
 			sum, computeTotal.Load())
 	}
-	cs := faultpoint.Counters()
 	t.Logf("storm: %d computes, %d injected alloc errors; fires: link-cas=%d publish=%d alloc=%d",
 		computeTotal.Load(), injectedErrs.Load(),
-		cs["chunk/link-cas"].Fires, cs["chunk/publish-fail"].Fires, cs["arena/alloc-fail"].Fires)
+		chunk.FpLinkCAS.Fires(), chunk.FpPublishFail.Fires(), arena.FpAllocFail.Fires())
 }
 
 // validateFrontier runs one full scan in the given direction and checks

@@ -37,21 +37,17 @@ func insertInterleaved(t *testing.T, m *Map, n int) {
 // forwarded chunks alike.
 func TestDescendDuringRebalanceWindows(t *testing.T) {
 	const n = 48 // keys 0..95
-	for _, window := range []string{
-		"core/rebalance-freeze", "core/rebalance-split", "core/rebalance-index",
+	for _, window := range []*faultpoint.Point{
+		FpRebalanceFreeze, FpRebalanceSplit, FpRebalanceIndex,
 	} {
-		t.Run(window, func(t *testing.T) {
+		t.Run(window.Name(), func(t *testing.T) {
 			t.Cleanup(faultpoint.DisarmAll)
 			m := newTestMap(t, 16)
 			insertInterleaved(t, m, n)
 
-			p, ok := faultpoint.Lookup(window)
-			if !ok {
-				t.Fatalf("unknown point %s", window)
-			}
 			g := faultpoint.NewGate()
 			defer g.Open()
-			p.Arm(g.Hook(1))
+			window.Arm(g.Hook(1))
 
 			done := make(chan struct{})
 			go func() {
@@ -93,8 +89,8 @@ func TestDescendDuringRebalanceWindows(t *testing.T) {
 
 			g.Open()
 			<-done
-			if p.Hits() < 1 {
-				t.Fatalf("window %s never hit", window)
+			if window.Hits() < 1 {
+				t.Fatalf("window %s never hit", window.Name())
 			}
 		})
 	}

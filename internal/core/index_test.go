@@ -281,7 +281,7 @@ func FuzzIndexFloor(f *testing.F) {
 // the check.
 func TestIndexMatchesChainAfterChurn(t *testing.T) {
 	disarmOnExit(t)
-	fpRebalanceIndex.Arm(faultpoint.Hook{Decide: func(int64) bool {
+	FpRebalanceIndex.Arm(faultpoint.Hook{Decide: func(int64) bool {
 		time.Sleep(50 * time.Microsecond)
 		return false
 	}})

@@ -53,16 +53,16 @@ const (
 
 // Fault-injection points on the MVCC layer (no-ops unless armed).
 var (
-	// fpMvccRetain is hit when a superseded value span is about to enter
+	// FpMvccRetain is hit when a superseded value span is about to enter
 	// the retained store (instead of being retired): pausing here widens
 	// the window between the new version's install and the pre-image
 	// becoming findable by snapshot scans.
-	fpMvccRetain = faultpoint.New("mvcc/retain")
-	// fpMvccHorizon is hit at the start of a horizon sweep (snapshot
+	FpMvccRetain = faultpoint.New("mvcc/retain")
+	// FpMvccHorizon is hit at the start of a horizon sweep (snapshot
 	// close recomputing the reclaim horizon and releasing newly invisible
 	// retained spans): pausing here holds the horizon back while writers
 	// keep retaining against the old floor.
-	fpMvccHorizon = faultpoint.New("mvcc/horizon")
+	FpMvccHorizon = faultpoint.New("mvcc/horizon")
 )
 
 // retEntry is one retained pre-image: the value's bytes as of version
@@ -216,7 +216,7 @@ func (m *Map) EndSnapshot(s uint64) {
 // st.mu held (snapshot close — the horizon only advances there).
 func (m *Map) sweepRetainedLocked() {
 	st := &m.mvcc
-	fpMvccHorizon.Fire()
+	FpMvccHorizon.Fire()
 	for key, chain := range st.byKey {
 		kept := chain.entries[:0]
 		for _, e := range chain.entries {
@@ -275,7 +275,7 @@ func (m *Map) retireOrRetain(key []byte, ref arena.Ref, oldVer, super uint64) {
 		m.alloc.Retire(ref)
 		return
 	}
-	fpMvccRetain.Fire()
+	FpMvccRetain.Fire()
 	st := &m.mvcc
 	st.mu.Lock()
 	// Precise re-check under the registry lock: the floor is a racy gate

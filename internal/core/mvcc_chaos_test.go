@@ -34,8 +34,8 @@ func TestChaosSnapshotKilledMidScan(t *testing.T) {
 	// Pause inside the two windows, probabilistically: retain is hit on
 	// the writer side (superseded span entering the retained store),
 	// horizon on the closer side (sweep while writers race the floor).
-	fpMvccRetain.Arm(faultpoint.Delayed(100*time.Microsecond, faultpoint.WithProb(0.2, 0xA11CE)))
-	fpMvccHorizon.Arm(faultpoint.Delayed(200*time.Microsecond, faultpoint.WithProb(0.5, 0xB0B)))
+	FpMvccRetain.Arm(faultpoint.Delayed(100*time.Microsecond, faultpoint.WithProb(0.2, 0xA11CE)))
+	FpMvccHorizon.Arm(faultpoint.Delayed(200*time.Microsecond, faultpoint.WithProb(0.5, 0xB0B)))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -83,14 +83,14 @@ func TestChaosSnapshotKilledMidScan(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if fpMvccRetain.Fires() == 0 || fpMvccHorizon.Fires() == 0 {
+	if FpMvccRetain.Fires() == 0 || FpMvccHorizon.Fires() == 0 {
 		t.Fatalf("chaos not exercised: retain fired %d, horizon fired %d",
-			fpMvccRetain.Fires(), fpMvccHorizon.Fires())
+			FpMvccRetain.Fires(), FpMvccHorizon.Fires())
 	}
 	st := m.MVCCStats()
 	if st.OpenSnapshots != 0 || st.RetainedBytes != 0 || st.RetainedSpans != 0 || st.HorizonLag != 0 {
 		t.Fatalf("retained store did not drain after the last close: %+v", st)
 	}
 	t.Logf("killed 40 scans: retain fired %d, horizon fired %d",
-		fpMvccRetain.Fires(), fpMvccHorizon.Fires())
+		FpMvccRetain.Fires(), FpMvccHorizon.Fires())
 }

@@ -7,19 +7,19 @@ import (
 	"oakmap/internal/telemetry"
 )
 
-// fpPutRace is hit after doPut observes a live value and before it acts
+// FpPutRace is hit after doPut observes a live value and before it acts
 // on it (no-op unless a test arms it): a pausing hook holds the put in
 // the window where a concurrent remove can set the deleted bit, forcing
 // the "value was deleted concurrently: retry" path of Algorithm 2.
-var fpPutRace = faultpoint.New("core/put-race")
+var FpPutRace = faultpoint.New("core/put-race")
 
-// fpInstallPublishLost and fpInstallCASLost force putAttempt's lost-race
+// FpInstallPublishLost and FpInstallCASLost force putAttempt's lost-race
 // exit — a freshly allocated, already stamped value that never reaches
 // its entry and must be discarded — as if the chunk had frozen before
 // Publish, or a concurrent operation had won the entry CAS.
 var (
-	fpInstallPublishLost = faultpoint.New("core/install-publish-lost")
-	fpInstallCASLost     = faultpoint.New("core/install-cas-lost")
+	FpInstallPublishLost = faultpoint.New("core/install-publish-lost")
+	FpInstallCASLost     = faultpoint.New("core/install-cas-lost")
 )
 
 // Get implements Algorithm 1: locate the chunk, look the key up, and
@@ -191,7 +191,7 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 
 	if h != 0 && !m.IsDeleted(h) {
 		// Case 1: the key is present (lines 19–26).
-		fpPutRace.Fire()
+		FpPutRace.Fire()
 		var ok bool
 		var err error
 		switch op {
@@ -255,8 +255,8 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 		return putOutcome{}, err
 	}
 	won := false
-	if !fpInstallPublishLost.Fire() && c.Publish() {
-		won = !fpInstallCASLost.Fire() && c.CASValHandle(ei, uint64(h), uint64(newH))
+	if !FpInstallPublishLost.Fire() && c.Publish() {
+		won = !FpInstallCASLost.Fire() && c.CASValHandle(ei, uint64(h), uint64(newH))
 		c.Unpublish()
 	}
 	if !won {

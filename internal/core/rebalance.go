@@ -15,17 +15,17 @@ import (
 // locks held, so a gate hook parks the rebalancer mid-operation while
 // readers — which never block on rebalances — are let loose on it.
 var (
-	// fpRebalanceFreeze: the chunk is frozen (updates bounce) but still
+	// FpRebalanceFreeze: the chunk is frozen (updates bounce) but still
 	// the only copy of its range — readers must serve from frozen data.
-	fpRebalanceFreeze = faultpoint.New("core/rebalance-freeze")
-	// fpRebalanceSplit: replacement chunks are built and chained but not
+	FpRebalanceFreeze = faultpoint.New("core/rebalance-freeze")
+	// FpRebalanceSplit: replacement chunks are built and chained but not
 	// yet published — the retired chunk is still the visible one.
-	fpRebalanceSplit = faultpoint.New("core/rebalance-split")
-	// fpRebalanceIndex: the new chain is spliced and forwarding is up,
+	FpRebalanceSplit = faultpoint.New("core/rebalance-split")
+	// FpRebalanceIndex: the new chain is spliced and forwarding is up,
 	// but not yet in the index array, whose entries for the range still
 	// point at retired chunks — lookups must recover via ReplacedBy
 	// forwarding.
-	fpRebalanceIndex = faultpoint.New("core/rebalance-index")
+	FpRebalanceIndex = faultpoint.New("core/rebalance-index")
 )
 
 // maybeRebalance applies the paper's trigger policy after an insertion:
@@ -168,7 +168,7 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 	m.rebalances.Add(1)
 
 	c.Freeze()
-	fpRebalanceFreeze.Fire()
+	FpRebalanceFreeze.Fire()
 	live, deadKeys := m.gather(c)
 
 	// Merge policy: when c is under-utilized, absorb the successor.
@@ -229,7 +229,7 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 	}
 	outs[len(outs)-1].SetNext(tail)
 
-	fpRebalanceSplit.Fire()
+	FpRebalanceSplit.Fire()
 
 	// Publish forwarding, then splice. Readers holding retired chunks
 	// keep reading their frozen data; re-located operations forward.
@@ -243,7 +243,7 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 		pred.SetNext(outs[0])
 	}
 
-	fpRebalanceIndex.Fire()
+	FpRebalanceIndex.Fire()
 
 	// The retired range is [c.MinKey(), tail.MinKey()). Holding pred's
 	// lock keeps its start in place while the publisher walks it: no merge

@@ -54,7 +54,7 @@ func TestRetainBeforeDeletedBit(t *testing.T) {
 
 	g := faultpoint.NewGate()
 	defer g.Open()
-	fpDeletedBit.Arm(g.Hook(1))
+	FpDeletedBit.Arm(g.Hook(1))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -115,7 +115,7 @@ func TestRetainBeforeBatchSettle(t *testing.T) {
 
 	g := faultpoint.NewGate()
 	defer g.Open()
-	fpDeletedBit.Arm(g.Hook(1))
+	FpDeletedBit.Arm(g.Hook(1))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -256,7 +256,7 @@ func TestBatchVisibilityTable(t *testing.T) {
 // pending stamp in the batch case: discarding it through the batch-aware
 // lock would wait on the batch's own decision forever.
 func TestInstallLostRaceExits(t *testing.T) {
-	for _, fp := range []*faultpoint.Point{fpInstallPublishLost, fpInstallCASLost} {
+	for _, fp := range []*faultpoint.Point{FpInstallPublishLost, FpInstallCASLost} {
 		for _, batch := range []bool{false, true} {
 			name := fp.Name() + "/plain"
 			if batch {

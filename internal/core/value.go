@@ -9,15 +9,15 @@ import (
 // Fault-injection points on the value-header protocol (no-ops unless a
 // test arms them).
 var (
-	// fpHeaderLock is hit with the value's write lock held (valuePut /
+	// FpHeaderLock is hit with the value's write lock held (valuePut /
 	// valueCompute): a pausing hook stretches the critical section so
 	// concurrent readers and writers pile up on the header spinlock.
-	fpHeaderLock = faultpoint.New("core/header-lock")
-	// fpDeletedBit is hit right after a value's deleted bit is set: in
+	FpHeaderLock = faultpoint.New("core/header-lock")
+	// FpDeletedBit is hit right after a value's deleted bit is set: in
 	// this window the handle must read as deleted everywhere while the
 	// entry still references it, and the pre-image must already be
 	// findable in the retained store (retain-before-publish).
-	fpDeletedBit = faultpoint.New("core/deleted-bit")
+	FpDeletedBit = faultpoint.New("core/deleted-bit")
 )
 
 // ValueHandle identifies a value: an index into the map's header table.
@@ -136,7 +136,7 @@ func (m *Map) valuePut(key []byte, h ValueHandle, vw ValueWriter, bi *BatchInsta
 		return false, nil
 	}
 	defer m.headers.WriteUnlock(uint64(h))
-	fpHeaderLock.Fire()
+	FpHeaderLock.Fire()
 	newVer := m.mvcc.clock.Load()
 	retain := oldVer < m.mvcc.retainFloor.Load()
 	old := arena.Ref(m.headers.LoadData(uint64(h)))
@@ -180,7 +180,7 @@ func (m *Map) valueCompute(key []byte, h ValueHandle, f func(*WBuffer) error) (b
 		return false, nil
 	}
 	defer m.headers.WriteUnlock(uint64(h))
-	fpHeaderLock.Fire()
+	FpHeaderLock.Fire()
 	newVer := m.mvcc.clock.Load()
 	if oldVer < m.mvcc.retainFloor.Load() {
 		old := arena.Ref(m.headers.LoadData(uint64(h)))
@@ -225,7 +225,7 @@ func (m *Map) killValue(key []byte, h ValueHandle, c *chunk.Chunk, oldVer, super
 	// vheader spinlock, not a sync.Mutex, so the lockset walk cannot
 	// see it.
 	m.headers.DeleteLocked(uint64(h)) //oak:allow lockset header write-lock held by the caller
-	fpDeletedBit.Fire()
+	FpDeletedBit.Fire()
 	if c != nil {
 		m.size.Add(-1)
 		c.DecLive()

@@ -204,12 +204,10 @@ func TestDrainPrecedesPublish(t *testing.T) {
 	}
 	// global == 2; the next advance drains bucket 0 and publishes 3.
 	var epochAtDrain atomic.Uint64
-	if err := faultpoint.Arm("epoch/drain", faultpoint.Hook{Decide: func(int64) bool {
+	FpDrain.Arm(faultpoint.Hook{Decide: func(int64) bool {
 		epochAtDrain.Store(d.global.Load())
 		return false
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if !d.Advance() {
 		t.Fatal("draining advance failed")
 	}
@@ -233,9 +231,7 @@ func TestLateRetireNotFreedByInFlightAdvance(t *testing.T) {
 		t.Fatal("setup advances failed")
 	}
 	gate := faultpoint.NewGate()
-	if err := faultpoint.Arm("epoch/drain", gate.Hook(1)); err != nil {
-		t.Fatal(err)
-	}
+	FpDrain.Arm(gate.Hook(1))
 	done := make(chan bool)
 	go func() { done <- d.Advance() }()
 	if !gate.WaitArrival(5 * time.Second) {
@@ -339,20 +335,14 @@ func TestNestedPinsBeyondSlotCapacity(t *testing.T) {
 func TestFaultPointsFire(t *testing.T) {
 	t.Cleanup(faultpoint.DisarmAll)
 	d, _ := collectDomain()
-	if err := faultpoint.Arm("epoch/advance", faultpoint.Never()); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultpoint.Arm("epoch/drain", faultpoint.Never()); err != nil {
-		t.Fatal(err)
-	}
+	FpAdvance.Arm(faultpoint.Never())
+	FpDrain.Arm(faultpoint.Never())
 	d.Retire(Retired{Val: 1}, 8)
 	d.Quiesce()
-	cs := faultpoint.Counters()
-	if cs["epoch/advance"].Hits == 0 {
-		t.Fatal("epoch/advance never hit")
-	}
-	if cs["epoch/drain"].Hits == 0 {
-		t.Fatal("epoch/drain never hit")
+	for _, p := range []*faultpoint.Point{FpAdvance, FpDrain} {
+		if p.Hits() == 0 {
+			t.Fatalf("%s never hit", p.Name())
+		}
 	}
 }
 

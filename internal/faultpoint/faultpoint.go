@@ -3,7 +3,7 @@
 // places where the algorithm's hard cases live (allocation failure, CAS
 // retry, rebalance windows) and consults them inline:
 //
-//	if fpAllocFail.Fire() {
+//	if FpAllocFail.Fire() {
 //		return NilRef, ErrInjected
 //	}
 //
@@ -15,17 +15,18 @@
 // the primitive for scripting cross-goroutine interleavings (pause a
 // rebalancer mid-split, run a scan, resume).
 //
-// Points register themselves in a global registry by name, so harnesses
-// outside the declaring package (cmd/oak-stress, CI smoke jobs) can arm
-// them with faultpoint.Arm and read hit/fire counters with Counters.
-// The registry is global state: tests that arm points must not run in
-// parallel with each other and should disarm in a cleanup.
+// Points are exported package-level vars and are armed only through
+// them (core.FpRebalanceSplit.Arm(h)), so a misspelled point is a
+// compile error, not a hook that silently arms nothing. Each point also
+// registers its name in a global registry: a duplicate name panics at
+// init, Counters reads every point's hit/fire counters by name, and
+// ArmAll and DisarmAll arm and disarm them all. The registry is global state: tests that
+// arm points must not run in parallel with each other and should
+// disarm in a cleanup.
 package faultpoint
 
 import (
-	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,22 +127,13 @@ func (p *Point) Hits() int64 { return p.hits.Load() }
 // Fires returns the number of fired hits since the last Arm.
 func (p *Point) Fires() int64 { return p.fires.Load() }
 
-// Lookup returns the point registered under name.
-func Lookup(name string) (*Point, bool) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	p, ok := registry.points[name]
-	return p, ok
-}
-
-// Arm installs h on the point registered under name.
-func Arm(name string, h Hook) error {
-	p, ok := Lookup(name)
-	if !ok {
-		return fmt.Errorf("faultpoint: unknown point %q", name)
+// ArmAll installs h on every registered point. With Never it turns
+// Counters into a reach report: a point with zero hits after a workload
+// is a dead hook whose window no longer exists.
+func ArmAll(h Hook) {
+	for _, p := range all() {
+		p.Arm(h)
 	}
-	p.Arm(h)
-	return nil
 }
 
 // DisarmAll removes the hooks from every registered point.
@@ -165,17 +157,6 @@ func Counters() map[string]Counts {
 		out[p.name] = Counts{Hits: p.Hits(), Fires: p.Fires(), Armed: p.Enabled()}
 	}
 	return out
-}
-
-// Names returns the registered point names, sorted.
-func Names() []string {
-	ps := all()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.name
-	}
-	sort.Strings(names)
-	return names
 }
 
 func all() []*Point {

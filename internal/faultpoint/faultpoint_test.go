@@ -78,11 +78,8 @@ func TestCannedHooks(t *testing.T) {
 }
 
 func TestWithProbIsSeeded(t *testing.T) {
+	p := freshPoint("test/prob")
 	run := func(seed uint64) []bool {
-		p, _ := Lookup("test/prob")
-		if p == nil {
-			p = New("test/prob")
-		}
 		p.Arm(WithProb(0.5, seed))
 		defer p.Disarm()
 		out := make([]bool, 64)
@@ -145,31 +142,30 @@ func TestGatePauseResume(t *testing.T) {
 
 func TestRegistryArmAndCounters(t *testing.T) {
 	p := freshPoint("test/registry")
-	if err := Arm(p.Name(), Always()); err != nil {
-		t.Fatal(err)
-	}
+	p.Arm(Always())
 	p.Fire()
 	cs := Counters()
 	c, ok := cs[p.Name()]
 	if !ok || c.Hits != 1 || c.Fires != 1 || !c.Armed {
 		t.Fatalf("Counters() = %+v, %v", c, ok)
 	}
-	if err := Arm("test/nonexistent", Always()); err == nil {
-		t.Fatal("Arm of unknown point succeeded")
-	}
 	DisarmAll()
 	if p.Enabled() {
 		t.Fatal("DisarmAll left point armed")
 	}
-	found := false
-	for _, n := range Names() {
-		if n == p.Name() {
-			found = true
+	ArmAll(Never())
+	if p.Fire() || !p.Enabled() || p.Hits() != 1 {
+		t.Fatalf("ArmAll(Never()): enabled=%v hits=%d", p.Enabled(), p.Hits())
+	}
+	DisarmAll()
+	// A second declaration of a name would split its counters: New
+	// panics, so a binary linking both declarations fails at init.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate New did not panic")
 		}
-	}
-	if !found {
-		t.Fatal("Names() missing registered point")
-	}
+	}()
+	New(p.Name())
 }
 
 func TestConcurrentFire(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"oakmap/internal/core"
+	"oakmap/internal/epoch"
 	"oakmap/internal/faultpoint"
 )
 
@@ -27,19 +28,13 @@ func TestChaosShardedScan(t *testing.T) {
 
 	FpRoute.Arm(faultpoint.WithProb(0.05, 11))
 	FpScanRotate.Arm(faultpoint.Delayed(5*time.Microsecond, faultpoint.WithProb(0.2, 12)))
-	for i, name := range []string{
-		"core/rebalance-freeze", "core/rebalance-split", "core/rebalance-index",
+	for i, p := range []*faultpoint.Point{
+		core.FpRebalanceFreeze, core.FpRebalanceSplit, core.FpRebalanceIndex,
 	} {
-		if err := faultpoint.Arm(name,
-			faultpoint.Delayed(10*time.Microsecond, faultpoint.WithProb(0.3, uint64(20+i)))); err != nil {
-			t.Fatalf("arm %s: %v", name, err)
-		}
+		p.Arm(faultpoint.Delayed(10*time.Microsecond, faultpoint.WithProb(0.3, uint64(20+i))))
 	}
-	for i, name := range []string{"epoch/advance", "epoch/drain"} {
-		if err := faultpoint.Arm(name,
-			faultpoint.Delayed(5*time.Microsecond, faultpoint.WithProb(0.2, uint64(30+i)))); err != nil {
-			t.Fatalf("arm %s: %v", name, err)
-		}
+	for i, p := range []*faultpoint.Point{epoch.FpAdvance, epoch.FpDrain} {
+		p.Arm(faultpoint.Delayed(5*time.Microsecond, faultpoint.WithProb(0.2, uint64(30+i))))
 	}
 
 	m := newTestSharded(t, 4, 16)
@@ -143,14 +138,13 @@ func TestChaosShardedScan(t *testing.T) {
 	if FpScanRotate.Hits() == 0 {
 		t.Fatal("shard/scan-rotate never hit: merged scans never rotated shards")
 	}
-	cts := faultpoint.Counters()
-	if cts["core/rebalance-freeze"].Hits == 0 {
+	if core.FpRebalanceFreeze.Hits() == 0 {
 		t.Fatal("rebalance chaos never hit: churn not load-bearing")
 	}
-	if cts["epoch/advance"].Hits == 0 {
+	if epoch.FpAdvance.Hits() == 0 {
 		t.Fatal("epoch chaos never hit")
 	}
 	t.Logf("chaos: route=%d rotate=%d rebalance=%d epoch=%d",
 		FpRoute.Hits(), FpScanRotate.Hits(),
-		cts["core/rebalance-freeze"].Hits, cts["epoch/advance"].Hits)
+		core.FpRebalanceFreeze.Hits(), epoch.FpAdvance.Hits())
 }
