@@ -115,7 +115,8 @@ func main() {
 
 	log.Printf("drained: %d connections finished in-flight work, %d forced, %d commands served",
 		ds.ConnsDrained, ds.ConnsForced, ds.Commands)
-	log.Printf("leak gate: quiesced=%v", ds.Quiesced)
+	log.Printf("leak gate: quiesced=%v open-snapshots=%d retained=%dB/%d-spans",
+		ds.Quiesced, ds.OpenSnapshots, ds.RetainedBytes, ds.RetainedSpans)
 	for i, b := range ds.ShardKeyLeakBytes {
 		log.Printf("  shard %d: KeyLeakBytes=%d", i, b)
 	}
@@ -123,5 +124,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "oak-server: LEAK GATE FAILED")
 		os.Exit(1)
 	}
-	log.Printf("leak gate clean: KeyLeakBytes==0 on every shard")
+	log.Printf("leak gate clean: limbo drained, no open snapshot, nothing retained, KeyLeakBytes==0 on every shard")
 }

@@ -37,9 +37,10 @@
 // With -faults, the named fault-injection points (internal/faultpoint)
 // fire with seeded probability: allocation failures surface as tolerated
 // errors, entry-link CAS and publish losses force the retry paths, and
-// the rebalance/value pause points jitter goroutine scheduling. The
-// hit/fire counters of every armed point, zeros included, are printed
-// at shutdown.
+// the rebalance/value pause points jitter goroutine scheduling. One put
+// in 64 then writes a 9 KiB value, so freed spans reach the arena's
+// large-span list and its scan window. The hit/fire counters of every
+// armed point, zeros included, are printed at shutdown.
 package main
 
 import (
@@ -220,6 +221,13 @@ func main() {
 					*zipf, 1, uint64(*keys-1))
 			}
 			val := make([]byte, *valSize)
+			// With -faults, one put in 64 writes a 9 KiB value: freeing it
+			// parks a span of 8 KiB or more on the allocator's large-span
+			// list, the only list arena/freelist-scan guards.
+			var big []byte
+			if *faults {
+				big = make([]byte, 9<<10)
+			}
 			for {
 				select {
 				case <-stop:
@@ -237,7 +245,11 @@ func main() {
 				}
 				switch rng.Uint64() % 10 {
 				case 0, 1, 2:
-					if err := zc.Put(k, val); err != nil && !tolerate(err) {
+					v := val
+					if big != nil && rng.Uint64()%64 == 0 {
+						v = big
+					}
+					if err := zc.Put(k, v); err != nil && !tolerate(err) {
 						viol.reportf("put(%d): %v", k, err)
 					}
 					st.puts.Add(1)

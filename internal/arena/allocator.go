@@ -99,10 +99,6 @@ type Allocator struct {
 	// build tag.
 	dbg debugTracker
 
-	// reclaimer, when set, receives spans from Retire instead of their
-	// being freed immediately (epoch-based deferred reclamation).
-	reclaimer atomic.Pointer[reclaimerBox]
-
 	// Accounting counters are sharded (telemetry.Counter): every worker
 	// bumps them on every Alloc/Free, and the old single atomic words
 	// were the allocator's last all-threads shared cache lines. Reads
@@ -246,48 +242,11 @@ func (a *Allocator) growLocked() error {
 	return nil
 }
 
-// Reclaimer defers span frees until no concurrent reader can still
-// hold a reference (in Oak: the epoch domain's limbo lists). RetireSpan
-// takes ownership of the span and must eventually route it back to
-// Free on the same allocator.
-type Reclaimer interface {
-	RetireSpan(ref Ref)
-}
-
-// reclaimerBox wraps the interface so it fits an atomic.Pointer.
-type reclaimerBox struct{ r Reclaimer }
-
-// SetReclaimer installs the deferred-reclamation sink used by Retire.
-// Intended for map construction; may be reset to nil in tests.
-func (a *Allocator) SetReclaimer(r Reclaimer) {
-	if r == nil {
-		a.reclaimer.Store(nil)
-		return
-	}
-	a.reclaimer.Store(&reclaimerBox{r: r})
-}
-
-// Retire hands a span whose last reference was just unlinked to the
-// deferred-reclamation sink; the span returns to the free structures
-// only after the reclaimer's grace period elapses, so readers that
-// still hold the ref under an epoch pin remain safe. Without a
-// reclaimer installed, Retire degrades to an immediate Free (the caller
-// must then guarantee quiescence itself, as with Free).
-func (a *Allocator) Retire(ref Ref) {
-	if ref.IsNil() {
-		return
-	}
-	if box := a.reclaimer.Load(); box != nil {
-		box.r.RetireSpan(ref)
-		return
-	}
-	a.Free(ref)
-}
-
 // Free returns the range behind ref to the free structures. The caller
 // must guarantee no live reader can still dereference ref (in Oak this
-// is established by the value-header locking protocol, or by routing
-// the span through Retire and the epoch grace period first).
+// is established by the value-header locking protocol, or by the map
+// retiring the span through its epoch domain, which frees it here once
+// the grace period has elapsed).
 func (a *Allocator) Free(ref Ref) {
 	if ref.IsNil() {
 		return

@@ -32,8 +32,9 @@ var (
 	// scheduling hits only under heavy same-range contention.
 	FpLinkCAS = faultpoint.New("chunk/link-cas")
 	// FpPublishFail makes Publish fail as if the chunk had just frozen,
-	// driving callers through their relocate-and-retry (and value
-	// discard) paths without a real rebalance.
+	// without a real rebalance. A put then discards its value and
+	// relocates and retries; a remove does not retry, and leaves its
+	// deleted entry for a later operation or rebalance to clear.
 	FpPublishFail = faultpoint.New("chunk/publish-fail")
 )
 

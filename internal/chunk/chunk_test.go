@@ -224,7 +224,7 @@ func TestGather(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		insert(t, f, c, i, uint64(i+1))
 	}
-	// Kill entries 3 and 7 (valRef → ⊥), as finalizeRemove would.
+	// Kill entries 3 and 7 (valRef → ⊥), as a remove's unlinkDeleted does.
 	for _, k := range []int{3, 7} {
 		ei := c.LookUp(kb(k))
 		if !c.CASValHandle(ei, uint64(k+1), 0) {

@@ -204,14 +204,14 @@ func (m *Map) restamp(rec *batchRec, committed bool, base uint64) {
 	case rec.del:
 		m.headers.StoreVersion(h, rec.oldVer) // the value was never touched
 	default:
-		m.alloc.Retire(arena.Ref(m.headers.LoadData(h))) // the never-visible new span
+		m.retire(arena.Ref(m.headers.LoadData(h))) // the never-visible new span
 		m.headers.StoreData(h, uint64(rec.oldRef))
 		m.headers.StoreVersion(h, rec.oldVer)
 	}
 	m.headers.WriteUnlock(h)
 }
 
-// removeOwn deletes a value carrying the batch's own stamp and unlinks
+// removeOwn deletes a value carrying the batch's own stamp and clears
 // its entry: a committed tombstone (retKey is the key, deleted at
 // version super) or an aborted fresh insert (retKey nil).
 func (m *Map) removeOwn(rec *batchRec, retKey []byte, super uint64) {
@@ -222,9 +222,12 @@ func (m *Map) removeOwn(rec *batchRec, retKey []byte, super uint64) {
 		if m.headers.TryWriteLock(uint64(rec.h)) {
 			m.killValue(retKey, rec.h, c, rec.oldVer, super)
 		}
+		if ei := c.LookUp(rec.key); ei >= 0 {
+			m.unlinkDeleted(c, ei, rec.h, rec.key)
+		}
 		return c
 	}()
-	m.unlinkRemoved(rec.key, rec.h, c)
+	m.maybeMerge(c)
 }
 
 // BatchOp is one operation in an atomic batch.

@@ -118,20 +118,17 @@ func New(o *Options) *Map {
 		}
 	})
 	m.reclaim.SetTelemetry(opts.Telemetry)
-	m.alloc.SetReclaimer(spanRetirer{d: m.reclaim})
 	// The head sentinel chunk has minKey nil (-infinity) and is a real
 	// data chunk; it is replaced, never removed, by rebalances.
 	m.head.Store(chunk.New(nil, opts.ChunkCapacity, m.alloc, nil))
 	return m
 }
 
-// spanRetirer adapts the epoch domain to arena.Reclaimer: spans handed
-// to Allocator.Retire enter the limbo list and come back to
-// Allocator.Free once their grace period elapses.
-type spanRetirer struct{ d *epoch.Domain }
-
-func (s spanRetirer) RetireSpan(ref arena.Ref) {
-	s.d.Retire(epoch.Retired{Val: uint64(ref)}, int64(ref.Len()))
+// retire hands a span whose last reference was just unlinked to the
+// epoch domain: it returns to Allocator.Free once no reader pinned
+// before the unlink can still hold it.
+func (m *Map) retire(ref arena.Ref) {
+	m.reclaim.Retire(epoch.Retired{Val: uint64(ref)}, int64(ref.Len()))
 }
 
 // ReclaimStats exposes the epoch domain's snapshot: current epoch,

@@ -226,7 +226,7 @@ func (m *Map) sweepRetainedLocked() {
 			}
 			st.retBytes.Add(-int64(e.ref.Len()))
 			st.retSpans.Add(-1)
-			m.alloc.Retire(e.ref)
+			m.retire(e.ref)
 		}
 		chain.entries = kept
 		if len(kept) == 0 {
@@ -272,7 +272,7 @@ func (m *Map) retireOrRetain(key []byte, ref arena.Ref, oldVer, super uint64) {
 		return
 	}
 	if key == nil || oldVer >= m.mvcc.retainFloor.Load() {
-		m.alloc.Retire(ref)
+		m.retire(ref)
 		return
 	}
 	FpMvccRetain.Fire()
@@ -283,7 +283,7 @@ func (m *Map) retireOrRetain(key []byte, ref arena.Ref, oldVer, super uint64) {
 	// leak until the next sweep — or forever, if it was the last one.
 	if !st.visibleLocked(oldVer, super) {
 		st.mu.Unlock()
-		m.alloc.Retire(ref)
+		m.retire(ref)
 		return
 	}
 	chain := st.byKey[string(key)]

@@ -332,7 +332,7 @@ func (m *Map) doIfPresent(key []byte, f func(*WBuffer) error, read func([]byte),
 			return false, err
 		}
 		if out.removedFrom != nil {
-			m.unlinkRemoved(key, out.removedPrev, out.removedFrom)
+			m.maybeMerge(out.removedFrom)
 		}
 		if out.done {
 			return out.ok, nil
@@ -346,13 +346,13 @@ type ifPresentOutcome struct {
 	done        bool
 	ok          bool
 	removedFrom *chunk.Chunk // a remove linearized in this chunk
-	removedPrev ValueHandle  // the removed value's handle
 }
 
 // ifPresentAttempt runs one iteration of Algorithm 3 under an epoch
-// pin (same rationale as putAttempt). The remove success path defers
-// unlinkRemoved to the unpinned caller. A non-nil tk receives the
-// operation's telemetry tick, drawn from this attempt's pin.
+// pin (same rationale as putAttempt). A successful remove clears its
+// entry under this pin and leaves maybeMerge to the unpinned caller. A
+// non-nil tk receives the operation's telemetry tick, drawn from this
+// attempt's pin.
 func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, read func([]byte), op nonInsertOp, bi *BatchInstall, tk *telemetry.Tick) (ifPresentOutcome, error) {
 	g := m.reclaim.Pin()
 	defer g.Unpin()
@@ -392,65 +392,29 @@ func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, read func([]b
 			}
 			// l.p.: v.remove sets the deleted bit (line 48).
 			m.killValue(key, h, c, oldVer, m.mvcc.clock.Load())
-			return ifPresentOutcome{done: true, ok: true, removedFrom: c, removedPrev: h}, nil
+			m.unlinkDeleted(c, ei, h, key)
+			return ifPresentOutcome{done: true, ok: true, removedFrom: c}, nil
 		}
 	}
-	// Case 2: the value is deleted — ensure the entry is removed
-	// before reporting the key absent (lines 50–55), unless an open
-	// snapshot still needs the key linked.
-	if m.keepDeleted(key) {
-		return ifPresentOutcome{done: true}, nil
+	// Case 2: the value is deleted, so the key is absent (lines 50–55).
+	m.unlinkDeleted(c, ei, h, key)
+	return ifPresentOutcome{done: true}, nil
+}
+
+// unlinkDeleted clears entry ei of c from the deleted handle h to ⊥, the
+// last step of the paper's remove (Algorithm 3, §4.4). It only lets later
+// operations and the rebalancer skip the deleted value, so it is tried
+// once, under the caller's pin, and never retried. It does nothing while
+// an open snapshot still needs the key linked (keepDeleted) or when c is
+// frozen. Then c's rebalance drops the entry, or, if it gathered the
+// entry before the delete, leaves the deleted handle in the replacement
+// chunk: every reader skips it, and the key's next operation or that
+// chunk's next rebalance clears it. A lost CAS means a put already reused
+// the entry; handles are never reused, so h cannot come back (no ABA).
+func (m *Map) unlinkDeleted(c *chunk.Chunk, ei int32, h ValueHandle, key []byte) {
+	if m.keepDeleted(key) || !c.Publish() {
+		return
 	}
-	if !c.Publish() {
-		return ifPresentOutcome{}, nil
-	}
-	ok := c.CASValHandle(ei, uint64(h), 0)
+	c.CASValHandle(ei, uint64(h), 0)
 	c.Unpublish()
-	return ifPresentOutcome{done: ok}, nil // CAS lost: retry
-}
-
-// unlinkRemoved is a remove's post-linearization tail, run unpinned:
-// finalizeRemove re-pins per attempt, and maybeMerge may rebalance —
-// which retires keys the caller must not be holding alive.
-func (m *Map) unlinkRemoved(key []byte, prev ValueHandle, from *chunk.Chunk) {
-	m.finalizeRemove(key, prev)
-	m.maybeMerge(from)
-}
-
-// finalizeRemove clears the entry's value reference after a successful
-// remove — an optimization that lets other operations and the rebalancer
-// skip the deleted value (§4.4). prev guards against clobbering a
-// concurrent re-insertion; handles are never reused, so the check is
-// ABA-free. A key an open snapshot can still see keeps its deleted
-// handle (keepDeleted). Each attempt pins the epoch around its chunk
-// walk.
-func (m *Map) finalizeRemove(key []byte, prev ValueHandle) {
-	for attempt := 0; ; attempt++ {
-		retryPause(attempt)
-		if m.finalizeRemoveAttempt(key, prev) {
-			return
-		}
-	}
-}
-
-func (m *Map) finalizeRemoveAttempt(key []byte, prev ValueHandle) bool {
-	g := m.reclaim.Pin()
-	defer g.Unpin()
-	c := m.locateChunk(key)
-	ei := c.LookUp(key)
-	if ei < 0 {
-		return true
-	}
-	if ValueHandle(c.ValHandle(ei)) != prev {
-		return true // key removed or replaced (line 65)
-	}
-	if m.keepDeleted(key) {
-		return true
-	}
-	if !c.Publish() {
-		return false
-	}
-	c.CASValHandle(ei, uint64(prev), 0)
-	c.Unpublish()
-	return true // CAS failure means someone else advanced the entry
 }

@@ -273,7 +273,7 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 		m.keyLeak.Add(leaked)
 	} else {
 		for _, kr := range deadKeys {
-			m.alloc.Retire(arena.Ref(kr))
+			m.retire(arena.Ref(kr))
 		}
 	}
 	m.alloc.Compact()

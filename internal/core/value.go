@@ -312,7 +312,7 @@ func (w *WBuffer) Resize(n int) error {
 		nb[i] = 0
 	}
 	w.m.headers.StoreData(uint64(w.h), uint64(nref))
-	w.m.alloc.Retire(old)
+	w.m.retire(old)
 	return nil
 }
 

@@ -73,7 +73,7 @@ const (
 )
 
 // Retired is one deferred resource: an opaque caller-defined kind and
-// value (in Oak: an arena span ref, or a value-header handle).
+// value (in Oak: an arena span ref).
 type Retired struct {
 	Kind uint8
 	Val  uint64

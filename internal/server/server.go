@@ -322,8 +322,10 @@ func isTimeout(err error) bool {
 }
 
 // DrainStats reports what Shutdown observed. The leak-gate fields are
-// the server's parting invariant check: after a full drain and
-// reclamation quiesce, no shard may retain dead key space.
+// the server's parting invariant check: after a full drain, with the
+// server's own snapshots closed and reclamation quiesced, no shard may
+// retain dead key space and the map may hold no open snapshot and no
+// retained pre-image.
 type DrainStats struct {
 	// ConnsDrained is how many connections finished their in-flight
 	// pipelines during the drain; ConnsForced were still open when the
@@ -335,14 +337,22 @@ type DrainStats struct {
 	// ShardKeyLeakBytes is KeyLeakBytes per shard after the quiesce;
 	// all-zero on a clean drain.
 	ShardKeyLeakBytes []int64
+	// RetainedBytes, RetainedSpans and OpenSnapshots are the map's MVCC
+	// state after the quiesce: pre-images kept for snapshots and the
+	// snapshots still open (an embedder's, since the server closed its
+	// own). All zero on a clean drain.
+	RetainedBytes int64
+	RetainedSpans int64
+	OpenSnapshots int64
 	// Commands is the total commands served over the server's lifetime.
 	Commands int64
 }
 
-// Clean reports whether the drain left nothing behind: limbo drained
-// and zero leaked key bytes on every shard.
+// Clean reports whether the drain left nothing behind: limbo drained,
+// no snapshot open, nothing retained, and zero leaked key bytes on every
+// shard.
 func (d DrainStats) Clean() bool {
-	if !d.Quiesced {
+	if !d.Quiesced || d.RetainedBytes != 0 || d.RetainedSpans != 0 || d.OpenSnapshots != 0 {
 		return false
 	}
 	for _, b := range d.ShardKeyLeakBytes {
@@ -403,6 +413,8 @@ func (s *Server) Shutdown(ctx context.Context) DrainStats {
 	for _, ss := range s.m.ShardStats() {
 		stats.ShardKeyLeakBytes = append(stats.ShardKeyLeakBytes, ss.KeyLeakBytes)
 	}
+	ms := s.m.Stats()
+	stats.RetainedBytes, stats.RetainedSpans, stats.OpenSnapshots = ms.RetainedBytes, ms.RetainedSpans, ms.OpenSnapshots
 	for c := cmdKind(0); c < numCmds; c++ {
 		stats.Commands += s.metrics.cmds[c].Load()
 	}

@@ -473,6 +473,42 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestServerDrainLeakGateSeesSnapshot: an embedder holds a snapshot of
+// the map while the server overwrites the keys it sees, so the drain
+// finds pre-images retained and a snapshot open that the server does not
+// own. The leak gate must report the drain dirty.
+func TestServerDrainLeakGateSeesSnapshot(t *testing.T) {
+	s, addr := newTestServer(t, 2, Config{})
+	m := s.m
+	cl := dialT(t, addr)
+	for i := 0; i < 8; i++ {
+		doOK(t, cl, "SET", fmt.Sprintf("k%d", i), "before")
+	}
+	snap := m.Snapshot()
+	for i := 0; i < 8; i++ {
+		doOK(t, cl, "SET", fmt.Sprintf("k%d", i), "after")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	stats := s.Shutdown(ctx)
+	if stats.Clean() {
+		t.Fatalf("drain reported clean with a snapshot open and pre-images retained: %+v", stats)
+	}
+	if stats.RetainedBytes <= 0 || stats.RetainedSpans <= 0 || stats.OpenSnapshots != 1 {
+		t.Fatalf("drain stats miss the snapshot's state: %+v", stats)
+	}
+	if v, ok := snap.Get([]byte("k3")); !ok || string(v) != "before" {
+		t.Fatalf("snapshot read k3 = %q, %v; want before", v, ok)
+	}
+
+	// What the gate saw was the snapshot's: closing it clears all of it.
+	snap.Close()
+	if st := m.Stats(); st.RetainedBytes != 0 || st.RetainedSpans != 0 || st.OpenSnapshots != 0 {
+		t.Fatalf("MVCC state after the snapshot closed: %+v", st)
+	}
+}
+
 // TestServerDrainMidFrame: a client stuck mid-frame cannot block the
 // drain — the deadline poke wakes its read, the handler exits, and the
 // leak gate stays clean either way the accounting falls.

@@ -9,9 +9,9 @@
 // out ABA on the remove path (§4.4). Here headers live in an append-only
 // segmented table of uint64 words: the same lifetime discipline (a header
 // index is never reused), the same one-word state machine, but with
-// naturally aligned atomics and no unsafe. Each value buffer records its
-// header index in its first 8 bytes, preserving the paper's "header at
-// the start of the value" addressing through one extra hop.
+// naturally aligned atomics and no unsafe. The addressing is inverted: a
+// value span holds the value's bytes only, a chunk entry holds the header
+// index, and the header's data word points to the span.
 //
 // Each header consists of three words, two of them (16 bytes) in the
 // table's segments. The first is the lock word:
@@ -33,7 +33,7 @@
 // resizing (§2.2: compute "extends the value's memory allocation if its
 // code so requires") linearizable: a resize moves the bytes and swaps the
 // data word without changing the value's identity (its header index), so
-// chunk entries, rebalancers, and finalizeRemove's ABA argument all keep
+// chunk entries, rebalancers, and the remove's ABA-free entry clear all keep
 // working unchanged.
 package vheader
 

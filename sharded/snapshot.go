@@ -89,23 +89,3 @@ func (m *Map) ApplyBatch(ops []core.BatchOp) error {
 	// its commit is the batch's cross-shard linearization point.
 	return core.RunBatch(desc, bis, perShard)
 }
-
-// MVCCStats aggregates the shards' MVCC counters: retained bytes and
-// spans sum, and OpenSnapshots and HorizonLag report the largest shard. A
-// cross-shard Snapshot registers on every shard, so the maximum counts it
-// once.
-func (m *Map) MVCCStats() core.MVCCStats {
-	var out core.MVCCStats
-	for _, s := range m.shards {
-		st := s.MVCCStats()
-		out.RetainedBytes += st.RetainedBytes
-		out.RetainedSpans += st.RetainedSpans
-		if st.OpenSnapshots > out.OpenSnapshots {
-			out.OpenSnapshots = st.OpenSnapshots
-		}
-		if st.HorizonLag > out.HorizonLag {
-			out.HorizonLag = st.HorizonLag
-		}
-	}
-	return out
-}

@@ -188,8 +188,10 @@ func TestShardedBatchAtomicAcrossShards(t *testing.T) {
 	}
 	bg.halt()
 
-	if st := m.MVCCStats(); st.RetainedBytes != 0 || st.OpenSnapshots != 0 {
-		t.Fatalf("retained state after snapshots closed: %+v", st)
+	for i, s := range m.Shards() {
+		if st := s.MVCCStats(); st.RetainedBytes != 0 || st.OpenSnapshots != 0 {
+			t.Fatalf("shard %d: retained state after snapshots closed: %+v", i, st)
+		}
 	}
 }
 
@@ -229,7 +231,9 @@ func TestShardedBatchConcurrent(t *testing.T) {
 			}
 		}
 	}
-	if st := m.MVCCStats(); st.RetainedBytes != 0 {
-		t.Fatalf("retained bytes with no snapshots: %+v", st)
+	for i, s := range m.Shards() {
+		if st := s.MVCCStats(); st.RetainedBytes != 0 {
+			t.Fatalf("shard %d: retained bytes with no snapshots: %+v", i, st)
+		}
 	}
 }
