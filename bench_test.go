@@ -358,40 +358,6 @@ func BenchmarkZCvsLegacyPut(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationKeyReclaim measures what the epoch-based key/value
-// reclamation layer costs and saves: a delete-heavy churn mix (put +
-// remove over a bounded key range) at 1–32 goroutines, with the default
-// epoch reclamation against the DisableKeyReclaim leaky baseline.
-// Reported per run: churn ns/op, the final off-heap footprint, and the
-// retained dead-key bytes (zero by definition under reclaim).
-func BenchmarkAblationKeyReclaim(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "epoch-reclaim"
-		if disable {
-			name = "leaky-baseline"
-		}
-		for _, g := range []int{1, 2, 4, 8, 16, 32} {
-			b.Run(fmt.Sprintf("%s/g=%d", name, g), func(b *testing.B) {
-				t := bench.NewOak(&oakmap.Options{
-					BlockSize:         8 << 20,
-					DisableKeyReclaim: disable,
-				}, false)
-				defer t.Close()
-				cfg := benchConfig(g)
-				bench.Warm(t, cfg)
-				cfg.OpsPerThread = int64(b.N/g + 1)
-				b.ResetTimer()
-				r := bench.Run(t, cfg, bench.Mix{Name: "churn", PutPct: 45, RemovePct: 45})
-				b.StopTimer()
-				s := t.Map().Stats()
-				b.ReportMetric(r.KopsPerSec, "Kops/s")
-				b.ReportMetric(float64(s.Footprint)/(1<<20), "footprintMB")
-				b.ReportMetric(float64(s.KeyLeakBytes)/(1<<20), "keyLeakMB")
-			})
-		}
-	}
-}
-
 // BenchmarkMapDBComparison reruns the comparison §5 omits data for: the
 // off-heap B+ tree (MapDB stand-in) against Oak under puts and gets.
 func BenchmarkMapDBComparison(b *testing.B) {

@@ -194,9 +194,9 @@ func TestConcurrentViewReadsDuringWrites(t *testing.T) {
 	wg.Wait()
 }
 
-func TestKeyReclaimDefaultAndOptOut(t *testing.T) {
-	// Default policy: dead keys are reclaimed through the epoch domain
-	// and KeyLeakBytes stays zero.
+func TestKeyReclaimDefault(t *testing.T) {
+	// Dead keys are reclaimed through the epoch domain and KeyLeakBytes
+	// stays zero.
 	m := New[uint64, []byte](Uint64Serializer{}, BytesSerializer{},
 		&Options{ChunkCapacity: 32, BlockSize: 1 << 20})
 	defer m.Close()
@@ -218,28 +218,6 @@ func TestKeyReclaimDefaultAndOptOut(t *testing.T) {
 	}
 	if leak := m.Stats().KeyLeakBytes; leak != 0 {
 		t.Fatalf("KeyLeakBytes = %d with default key reclamation", leak)
-	}
-	// The ablation opt-out retains dead keys and accounts them instead.
-	d := New[uint64, []byte](Uint64Serializer{}, BytesSerializer{},
-		&Options{ChunkCapacity: 32, BlockSize: 1 << 20, DisableKeyReclaim: true})
-	defer d.Close()
-	dz := d.ZC()
-	for i := uint64(0); i < 2000; i++ {
-		dz.Put(i, make([]byte, 32))
-	}
-	for i := uint64(0); i < 2000; i++ {
-		dz.Remove(i)
-	}
-	for round := 0; round < 100; round++ {
-		for i := uint64(0); i < 50; i++ {
-			dz.Put(i, make([]byte, 32))
-		}
-		for i := uint64(0); i < 50; i++ {
-			dz.Remove(i)
-		}
-	}
-	if leak := d.Stats().KeyLeakBytes; leak == 0 {
-		t.Fatal("expected key-leak accounting with DisableKeyReclaim")
 	}
 }
 

@@ -13,10 +13,11 @@
 //
 // On SIGTERM/SIGINT (or a SHUTDOWN command) the server drains
 // gracefully: it stops accepting, finishes every in-flight pipeline,
-// quiesces epoch reclamation, and prints the leak gate — KeyLeakBytes
-// per shard, which a clean drain leaves at zero on every shard. The
-// process exits non-zero if the gate fails, so deployment scripts and
-// CI smokes can assert a leak-free lifecycle with the exit code alone.
+// quiesces epoch reclamation, and prints the leak gate: whether every
+// shard's limbo drained, and the open snapshots and retained pre-images
+// left behind. The process exits non-zero if the gate fails, so
+// deployment scripts and CI smokes can assert a leak-free lifecycle with
+// the exit code alone.
 package main
 
 import (
@@ -117,12 +118,9 @@ func main() {
 		ds.ConnsDrained, ds.ConnsForced, ds.Commands)
 	log.Printf("leak gate: quiesced=%v open-snapshots=%d retained=%dB/%d-spans",
 		ds.Quiesced, ds.OpenSnapshots, ds.RetainedBytes, ds.RetainedSpans)
-	for i, b := range ds.ShardKeyLeakBytes {
-		log.Printf("  shard %d: KeyLeakBytes=%d", i, b)
-	}
 	if !ds.Clean() {
 		fmt.Fprintln(os.Stderr, "oak-server: LEAK GATE FAILED")
 		os.Exit(1)
 	}
-	log.Printf("leak gate clean: limbo drained, no open snapshot, nothing retained, KeyLeakBytes==0 on every shard")
+	log.Printf("leak gate clean: limbo drained, no open snapshot, nothing retained")
 }

@@ -110,7 +110,6 @@ func main() {
 		keys      = flag.Int("keys", 50000, "key range")
 		valSize   = flag.Int("valsize", 128, "value size in bytes")
 		chunkCap  = flag.Int("chunk", 512, "chunk capacity (small values stress rebalance)")
-		noRecK    = flag.Bool("no-reclaim-keys", false, "disable the default epoch-based key reclamation (leaky baseline)")
 		faults    = flag.Bool("faults", false, "arm the fault-injection points")
 		faultProb = flag.Float64("fault-prob", 0.005, "per-hit firing probability for branch faults")
 		seed      = flag.Uint64("seed", 1, "PRNG seed for fault firing (reproducibility)")
@@ -144,11 +143,10 @@ func main() {
 
 	m := oakmap.New[uint64, []byte](oakmap.Uint64Serializer{}, oakmap.BytesSerializer{},
 		&oakmap.Options{
-			ChunkCapacity:     *chunkCap,
-			BlockSize:         16 << 20,
-			DisableKeyReclaim: *noRecK,
-			Telemetry:         tel,
-			Shards:            *shards,
+			ChunkCapacity: *chunkCap,
+			BlockSize:     16 << 20,
+			Telemetry:     tel,
+			Shards:        *shards,
 		})
 	defer m.Close()
 	zc := m.ZC()
@@ -419,12 +417,12 @@ func main() {
 	fmt.Printf("  len=%d chunks=%d rebalances=%d headers=%d footprint=%.1fMB free-spans=%d frag=%.3f\n",
 		s.Len, s.Chunks, s.Rebalances, s.HeaderCount, float64(s.Footprint)/(1<<20),
 		s.FreeSpans, s.Fragmentation)
-	fmt.Printf("  epoch=%d pinned=%d limbo-items=%d limbo-bytes=%d key-leak=%d\n",
-		s.Epoch, s.PinnedReaders, s.LimboItems, s.LimboBytes, s.KeyLeakBytes)
+	fmt.Printf("  epoch=%d pinned=%d limbo-items=%d limbo-bytes=%d\n",
+		s.Epoch, s.PinnedReaders, s.LimboItems, s.LimboBytes)
 	if s.Shards > 1 {
-		fmt.Printf("  per-shard (len/key-leak/limbo-bytes/rebalances):")
+		fmt.Printf("  per-shard (len/limbo-bytes/rebalances):")
 		for i, ss := range m.ShardStats() {
-			fmt.Printf(" %d=%d/%d/%d/%d", i, ss.Len, ss.KeyLeakBytes, ss.LimboBytes, ss.Rebalances)
+			fmt.Printf(" %d=%d/%d/%d", i, ss.Len, ss.LimboBytes, ss.Rebalances)
 		}
 		fmt.Println()
 	}

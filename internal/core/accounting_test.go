@@ -1,0 +1,93 @@
+package core
+
+import (
+	"math/rand/v2"
+	"sync"
+	"testing"
+
+	"oakmap/internal/arena"
+)
+
+// TestOffHeapAccountedAtQuiesce checks that every off-heap byte is owned
+// by the map's structure once reclamation quiesces: the arena's live
+// bytes equal the keys of the linked entries plus the spans of their
+// live values, exactly. A rebalance that drops a dead key without
+// retiring it, or a resize, batch or remove that loses a value span,
+// leaves bytes no entry accounts for.
+func TestOffHeapAccountedAtQuiesce(t *testing.T) {
+	const (
+		workers = 4
+		ops     = 40_000
+	)
+	m := newTestMap(t, 32)
+	// Keys are 1–3 bytes over a 16-letter alphabet (4,368 keys), so the
+	// workers collide and tiny chunks split and merge all the time.
+	key := func(rng *rand.Rand) []byte {
+		k := make([]byte, 1+rng.IntN(3))
+		for i := range k {
+			k[i] = byte(rng.IntN(16))
+		}
+		return k
+	}
+	val := func(rng *rand.Rand) []byte { return make([]byte, rng.IntN(301)) }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, 0xacc7))
+			for i := 0; i < ops; i++ {
+				k := key(rng)
+				var err error
+				switch rng.IntN(6) {
+				case 0:
+					err = m.Put(k, val(rng))
+				case 1:
+					_, err = m.PutIfAbsent(k, val(rng))
+				case 2:
+					_, err = m.Remove(k)
+				case 3:
+					n := rng.IntN(301)
+					err = m.PutIfAbsentComputeIfPresent(k, val(rng), func(b *WBuffer) error { return b.Resize(n) })
+				case 4:
+					err = m.ApplyBatch([]BatchOp{{Key: k, Val: val(rng)}, {Key: key(rng), Delete: rng.IntN(2) == 0, Val: val(rng)}})
+				case 5:
+					if h, ok := m.Get(k); ok {
+						_, _ = m.CopyValue(h, nil) // a concurrent remove may win
+					}
+				}
+				if err != nil {
+					t.Errorf("op on %x: %v", k, err)
+					return
+				}
+			}
+		}(uint64(w + 1))
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if !m.QuiesceReclaim() {
+		t.Fatal("limbo did not drain with no reader pinned")
+	}
+	round := func(n int) int64 { return int64(n+7) &^ 7 }
+	var accounted int64
+	entries := 0
+	for c := m.head.Load(); c != nil; c = c.Next() {
+		for ei := c.Head(); ei >= 0; ei = c.NextEntry(ei) {
+			entries++
+			accounted += round(arena.Ref(c.KeyRef(ei)).Len())
+			if h := ValueHandle(c.ValHandle(ei)); h != 0 && !m.IsDeleted(h) {
+				accounted += round(arena.Ref(m.headers.LoadData(uint64(h))).Len())
+			}
+		}
+	}
+	t.Logf("%d rebalances, %d linked entries, %d live keys, %d B accounted",
+		m.Rebalances(), entries, m.Len(), accounted)
+	if m.Rebalances() == 0 {
+		t.Fatal("no rebalance ran: dead keys were never collected")
+	}
+	if got := m.LiveBytes(); got != accounted {
+		t.Fatalf("LiveBytes = %d after quiesce; entries account for %d (%+d B unowned)", got, accounted, got-accounted)
+	}
+}

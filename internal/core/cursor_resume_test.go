@@ -44,9 +44,6 @@ func churnRebalance(t *testing.T, m *Map, lo, hi int) {
 	if !m.QuiesceReclaim() {
 		t.Fatal("limbo failed to drain (unexpected pinned reader)")
 	}
-	if leak := m.KeyLeakBytes(); leak != 0 {
-		t.Fatalf("KeyLeakBytes = %d with default reclamation", leak)
-	}
 }
 
 // TestCursorResumeDescAfterRemoveAndRebalance pauses a descending cursor

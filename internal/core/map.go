@@ -40,12 +40,6 @@ type Options struct {
 	ChunkCapacity int
 	// Pool supplies off-heap blocks; nil uses arena.DefaultPool().
 	Pool *arena.Pool
-	// DisableKeyReclaim turns off the epoch-based reclamation of dead
-	// key space during rebalance (ablation / paper-faithful baseline).
-	// By default dead keys are retired through the epoch domain and
-	// their space is reused after the grace period; with this option
-	// set they are retained forever and accounted in KeyLeakBytes.
-	DisableKeyReclaim bool
 	// Telemetry, when non-nil, receives op-latency samples, structural
 	// events, and span timings from the map and its allocator/epoch
 	// domain. Nil (the default) disables all recording; the residual
@@ -89,12 +83,11 @@ type Map struct {
 	// version store (see mvcc.go).
 	mvcc mvccState
 
-	// size/rebalances/keyLeak are sharded counters: size moves on every
+	// size/rebalances are sharded counters: size moves on every
 	// put/remove from every worker, and a single atomic word was the
 	// map's hottest shared cache line after the chunk metadata itself.
 	size       telemetry.Counter
 	rebalances telemetry.Counter // total rebalance operations performed
-	keyLeak    telemetry.Counter // bytes of dead keys not reclaimed
 }
 
 // New creates an empty map.

@@ -263,18 +263,9 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 	// this point can reach them, and scans pinned before it keep the
 	// key bytes alive until they unpin. The dropped chunks' entry
 	// arrays themselves are on-heap and go to the GC with the chunk
-	// objects. With DisableKeyReclaim the dead space is retained and
-	// accounted instead (ablation baseline).
-	if m.opts.DisableKeyReclaim {
-		var leaked int64
-		for _, kr := range deadKeys {
-			leaked += int64(arena.Ref(kr).Len())
-		}
-		m.keyLeak.Add(leaked)
-	} else {
-		for _, kr := range deadKeys {
-			m.retire(arena.Ref(kr))
-		}
+	// objects.
+	for _, kr := range deadKeys {
+		m.retire(arena.Ref(kr))
 	}
 	m.alloc.Compact()
 	retired = 1
@@ -307,9 +298,3 @@ func (m *Map) gather(c *chunk.Chunk) (live []chunk.Pair, deadKeys []uint64) {
 func (m *Map) freeKey(keyRef uint64) {
 	m.alloc.Free(arena.Ref(keyRef))
 }
-
-// KeyLeakBytes reports the cumulative bytes of dead keys retained. With
-// the default epoch reclamation this must stay zero — it is asserted as
-// an invariant by the leak-gate tests; it only grows when
-// DisableKeyReclaim opts back into the paper's leaky baseline.
-func (m *Map) KeyLeakBytes() int64 { return m.keyLeak.Load() }

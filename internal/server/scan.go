@@ -11,6 +11,12 @@ import (
 	"oakmap"
 )
 
+// SCAN batch sizes without and with the largest COUNT (Redis-compatible).
+const (
+	scanDefaultCount = 10
+	scanMaxCount     = 4096
+)
+
 // execScan implements the ordered range scan:
 //
 //	SCAN cursor [COUNT n] [END hi] [SNAP]
@@ -73,7 +79,7 @@ func (s *Server) execScan(w *respWriter, args [][]byte) {
 		w.writeError("invalid cursor")
 		return
 	}
-	count := s.cfg.ScanDefaultCount
+	count := scanDefaultCount
 	var hi []byte // nil = open; END's argument is a non-nil slice
 	wantSnap := false
 	for i := 2; i < len(args); {
@@ -88,8 +94,8 @@ func (s *Server) execScan(w *respWriter, args [][]byte) {
 				w.writeError("value is not an integer or out of range")
 				return
 			}
-			if n > s.cfg.ScanMaxCount {
-				n = s.cfg.ScanMaxCount
+			if n > scanMaxCount {
+				n = scanMaxCount
 			}
 			count = n
 			i += 2
@@ -398,7 +404,6 @@ func (s *Server) execInfo(w *respWriter) {
 	fmt.Fprintf(&b, "rebalances:%d\r\n", st.Rebalances)
 	fmt.Fprintf(&b, "epoch:%d\r\n", st.Epoch)
 	fmt.Fprintf(&b, "limbo_bytes:%d\r\n", st.LimboBytes)
-	fmt.Fprintf(&b, "key_leak_bytes:%d\r\n", st.KeyLeakBytes)
 	fmt.Fprintf(&b, "# MVCC\r\n")
 	fmt.Fprintf(&b, "open_snapshots:%d\r\n", st.OpenSnapshots)
 	fmt.Fprintf(&b, "snap_scan_cursors:%d\r\n", s.snaps.count())
@@ -406,8 +411,7 @@ func (s *Server) execInfo(w *respWriter) {
 	fmt.Fprintf(&b, "retained_spans:%d\r\n", st.RetainedSpans)
 	fmt.Fprintf(&b, "horizon_lag:%d\r\n", st.HorizonLag)
 	for i, ss := range s.m.ShardStats() {
-		fmt.Fprintf(&b, "shard%d:keys=%d,key_leak_bytes=%d,rebalances=%d\r\n",
-			i, ss.Len, ss.KeyLeakBytes, ss.Rebalances)
+		fmt.Fprintf(&b, "shard%d:keys=%d,rebalances=%d\r\n", i, ss.Len, ss.Rebalances)
 	}
 	w.writeBulk(b.Bytes())
 }

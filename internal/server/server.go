@@ -40,14 +40,6 @@ type Config struct {
 	// WriteTimeout bounds each reply flush; a slow client that cannot
 	// drain its replies within it is closed. Default 10s.
 	WriteTimeout time.Duration
-	// MaxArgs and MaxBulkBytes bound command frames (defaults
-	// DefaultMaxArgs / DefaultMaxBulk).
-	MaxArgs      int
-	MaxBulkBytes int
-	// ScanDefaultCount and ScanMaxCount bound SCAN batch sizes
-	// (defaults 10 and 4096, Redis-compatible).
-	ScanDefaultCount int
-	ScanMaxCount     int
 	// SnapScanMax bounds concurrently open snapshot-pinned scans
 	// (SCAN ... SNAP); each pins the map's reclaim horizon until it
 	// exhausts or expires. Default 64.
@@ -77,12 +69,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.WriteTimeout <= 0 {
 		out.WriteTimeout = 10 * time.Second
-	}
-	if out.ScanDefaultCount <= 0 {
-		out.ScanDefaultCount = 10
-	}
-	if out.ScanMaxCount <= 0 {
-		out.ScanMaxCount = 4096
 	}
 	if out.SnapScanMax <= 0 {
 		out.SnapScanMax = 64
@@ -247,7 +233,7 @@ func (s *Server) handle(c net.Conn) {
 		<-s.sem
 	}()
 
-	r := newRespReader(c, s.cfg.MaxArgs, s.cfg.MaxBulkBytes)
+	r := newRespReader(c, 0, 0)
 	w := newRespWriter(c)
 	depth := 0 // replies buffered since the last flush
 
@@ -323,8 +309,8 @@ func isTimeout(err error) bool {
 
 // DrainStats reports what Shutdown observed. The leak-gate fields are
 // the server's parting invariant check: after a full drain, with the
-// server's own snapshots closed and reclamation quiesced, no shard may
-// retain dead key space and the map may hold no open snapshot and no
+// server's own snapshots closed and reclamation quiesced, every shard's
+// limbo must be empty and the map may hold no open snapshot and no
 // retained pre-image.
 type DrainStats struct {
 	// ConnsDrained is how many connections finished their in-flight
@@ -334,9 +320,6 @@ type DrainStats struct {
 	ConnsForced  int
 	// Quiesced reports whether every shard's reclamation limbo drained.
 	Quiesced bool
-	// ShardKeyLeakBytes is KeyLeakBytes per shard after the quiesce;
-	// all-zero on a clean drain.
-	ShardKeyLeakBytes []int64
 	// RetainedBytes, RetainedSpans and OpenSnapshots are the map's MVCC
 	// state after the quiesce: pre-images kept for snapshots and the
 	// snapshots still open (an embedder's, since the server closed its
@@ -349,18 +332,9 @@ type DrainStats struct {
 }
 
 // Clean reports whether the drain left nothing behind: limbo drained,
-// no snapshot open, nothing retained, and zero leaked key bytes on every
-// shard.
+// no snapshot open and nothing retained.
 func (d DrainStats) Clean() bool {
-	if !d.Quiesced || d.RetainedBytes != 0 || d.RetainedSpans != 0 || d.OpenSnapshots != 0 {
-		return false
-	}
-	for _, b := range d.ShardKeyLeakBytes {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
+	return d.Quiesced && d.RetainedBytes == 0 && d.RetainedSpans == 0 && d.OpenSnapshots == 0
 }
 
 // Shutdown drains the server: stop accepting, interrupt parked readers,
@@ -410,9 +384,6 @@ func (s *Server) Shutdown(ctx context.Context) DrainStats {
 	s.snaps.closeAll()
 
 	stats.Quiesced = s.m.Quiesce()
-	for _, ss := range s.m.ShardStats() {
-		stats.ShardKeyLeakBytes = append(stats.ShardKeyLeakBytes, ss.KeyLeakBytes)
-	}
 	ms := s.m.Stats()
 	stats.RetainedBytes, stats.RetainedSpans, stats.OpenSnapshots = ms.RetainedBytes, ms.RetainedSpans, ms.OpenSnapshots
 	for c := cmdKind(0); c < numCmds; c++ {

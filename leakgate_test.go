@@ -61,7 +61,7 @@ func TestLeakGateChurnDrains(t *testing.T) {
 	if !ok {
 		t.Fatal("StatsConsistent failed: limbo did not drain with no readers pinned")
 	}
-	t.Logf("after drain: len=%d live=%d keyLeak=%d limboItems=%d limboBytes=%d chunks=%d footprint=%d",
+	t.Logf("after drain: len=%d live=%d KeyLeakBytes=%d limboItems=%d limboBytes=%d chunks=%d footprint=%d",
 		s.Len, s.LiveBytes, s.KeyLeakBytes, s.LimboItems, s.LimboBytes, s.Chunks, s.Footprint)
 	if s.Len != 0 {
 		t.Fatalf("Len = %d after removing every key", s.Len)
@@ -208,7 +208,7 @@ func TestLeakGateShardedChurnDrains(t *testing.T) {
 		t.Fatalf("ShardStats returned %d entries, want %d", len(per), shards)
 	}
 	for i, ss := range per {
-		t.Logf("shard %d: len=%d live=%d keyLeak=%d limboItems=%d limboBytes=%d chunks=%d",
+		t.Logf("shard %d: len=%d live=%d KeyLeakBytes=%d limboItems=%d limboBytes=%d chunks=%d",
 			i, ss.Len, ss.LiveBytes, ss.KeyLeakBytes, ss.LimboItems, ss.LimboBytes, ss.Chunks)
 		if ss.KeyLeakBytes != 0 {
 			t.Fatalf("shard %d: KeyLeakBytes = %d with default key reclamation", i, ss.KeyLeakBytes)

@@ -63,10 +63,6 @@ type Options struct {
 	// scans and navigation queries transparently merge the shards back
 	// into one globally sorted view. 0 and 1 mean a single instance.
 	Shards int
-	// DisableKeyReclaim turns off the default epoch-based reclamation of
-	// dead key space (ablation / paper-faithful baseline): dead keys are
-	// then retained forever and accounted in Stats.KeyLeakBytes.
-	DisableKeyReclaim bool
 	// Telemetry, when non-nil, attaches an observability scope to the
 	// map: sampled op-latency histograms and the op counts estimated
 	// from them, structural gauges and a flight recorder of
@@ -108,10 +104,9 @@ func New[K, V any](keySer Serializer[K], valSer Serializer[V], opts *Options) *M
 		pool.SetTelemetry(rec)
 	}
 	copts := &core.Options{
-		ChunkCapacity:     o.ChunkCapacity,
-		Pool:              pool,
-		DisableKeyReclaim: o.DisableKeyReclaim,
-		Telemetry:         rec,
+		ChunkCapacity: o.ChunkCapacity,
+		Pool:          pool,
+		Telemetry:     rec,
 	}
 	m := &Map[K, V]{s: sharded.New(o.Shards, copts), keySer: keySer, valSer: valSer}
 	if rec != nil {
@@ -380,13 +375,15 @@ func (m *Map[K, V]) keyOf(key []byte, ok bool) (K, bool) {
 // footprint-weighted mean for Fragmentation. ShardStats exposes the
 // per-shard breakdown.
 type Stats struct {
-	Len          int
-	Footprint    int64
-	LiveBytes    int64
-	Rebalances   int64
-	Chunks       int
+	Len         int
+	Footprint   int64
+	LiveBytes   int64
+	Rebalances  int64
+	Chunks      int
+	HeaderCount uint64
+	// KeyLeakBytes is always 0: a rebalance retires dead keys through
+	// the epoch domain. It is kept for readers that gate on it.
 	KeyLeakBytes int64
-	HeaderCount  uint64
 	// MetaBytes is the chunks' on-heap cost: entries arrays, the sorted
 	// prefixes' key-prefix search arrays, and the lcp and minKey copies.
 	MetaBytes int64
@@ -430,7 +427,6 @@ func statsOf(c *core.Map) Stats {
 		Rebalances:    c.Rebalances(),
 		Chunks:        occ.Chunks,
 		MetaBytes:     occ.MetaBytes,
-		KeyLeakBytes:  c.KeyLeakBytes(),
 		HeaderCount:   c.HeaderCount(),
 		Shards:        1,
 		FreeSpans:     as.FreeSpans,
@@ -466,7 +462,6 @@ func (m *Map[K, V]) Stats() Stats {
 		agg.Rebalances += s.Rebalances
 		agg.Chunks += s.Chunks
 		agg.MetaBytes += s.MetaBytes
-		agg.KeyLeakBytes += s.KeyLeakBytes
 		agg.HeaderCount += s.HeaderCount
 		agg.Shards++
 		agg.FreeSpans += s.FreeSpans

@@ -171,7 +171,7 @@ func TestScanRunWindow(t *testing.T) {
 		t.Fatal("StatsConsistent failed: limbo did not drain with no readers pinned")
 	}
 	if s.Len != 0 || s.KeyLeakBytes != 0 || s.LimboItems != 0 || s.LimboBytes != 0 {
-		t.Fatalf("after drain: len=%d keyLeak=%d limboItems=%d limboBytes=%d",
+		t.Fatalf("after drain: len=%d KeyLeakBytes=%d limboItems=%d limboBytes=%d",
 			s.Len, s.KeyLeakBytes, s.LimboItems, s.LimboBytes)
 	}
 	if s.Rebalances == 0 {

@@ -65,6 +65,13 @@ type Snapshot[K, V any] struct {
 // acquisition stabilizes first: every write that the snapshot's version
 // admits is complete before Snapshot returns, so the view never shifts
 // underneath its reader.
+//
+// The stabilization waits for every epoch pin held when it starts to be
+// released. On a one-shard map a callback scan (Range, ZC().Ascend,
+// Descend and the stream scans) holds its pin across the callbacks, so
+// Snapshot called from inside one never returns. Take the snapshot
+// before the scan, or walk with an Iterator, which holds no pin between
+// steps; merged scans of a sharded map call back unpinned.
 func (m *Map[K, V]) Snapshot() *Snapshot[K, V] {
 	return &Snapshot[K, V]{m: m, bs: m.s.Snapshot()}
 }

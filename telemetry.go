@@ -161,42 +161,6 @@ func (t *Telemetry) EventCount() uint64 {
 	return t.recorder().EventSeq()
 }
 
-// OpLatency is one operation class's latency snapshot. The percentiles
-// are computed over the recorded (for hot ops: sampled) subset. Count is
-// exact for structural ops; for hot ops it is Sampled × 2^SampleShift,
-// an estimate off by less than 2^SampleShift per epoch slot the ops ran
-// under (exact with a negative SampleShift).
-type OpLatency struct {
-	Op      string
-	Count   uint64
-	Sampled uint64
-	P50     time.Duration
-	P99     time.Duration
-	P999    time.Duration
-	Max     time.Duration
-}
-
-// OpLatencies snapshots every operation class, in a fixed order.
-func (t *Telemetry) OpLatencies() []OpLatency {
-	r := t.recorder()
-	if r == nil {
-		return nil
-	}
-	out := make([]OpLatency, 0, int(telemetry.NumOps))
-	for _, s := range r.Snapshot() {
-		out = append(out, OpLatency{
-			Op:      s.Op.String(),
-			Count:   s.Count,
-			Sampled: s.Hist.Count,
-			P50:     s.Hist.Quantile(0.50),
-			P99:     s.Hist.Quantile(0.99),
-			P999:    s.Hist.Quantile(0.999),
-			Max:     time.Duration(s.Hist.MaxNanos),
-		})
-	}
-	return out
-}
-
 // registerGauges wires a map's structural read-outs into the recorder so
 // the exporter can enumerate them at scrape time. Names follow Prometheus
 // conventions. Every oak_* family is a rollup over the shards — a sum,
@@ -208,7 +172,7 @@ func (t *Telemetry) OpLatencies() []OpLatency {
 // one shard exports per-class arena occupancy (a class label carrying
 // the class's span size in bytes); several export oak_shards and
 // per-shard labeled gauges for the signals that matter per partition —
-// occupancy, live bytes, key-leak accounting and rebalance pressure —
+// occupancy, live bytes and rebalance pressure —
 // and no per-class series: shards × classes would drown scrapes for no
 // diagnostic gain.
 func registerGauges(r *telemetry.Recorder, shards []*core.Map) {
@@ -230,7 +194,6 @@ func registerGauges(r *telemetry.Recorder, shards []*core.Map) {
 		{"oak_live_bytes", gauge, false, func(i int) float64 { return float64(shards[i].LiveBytes()) }},
 		{"oak_chunks", gauge, false, func(i int) float64 { return float64(shards[i].NumChunks()) }},
 		{"oak_rebalances_total", counter, false, func(i int) float64 { return float64(shards[i].Rebalances()) }},
-		{"oak_key_leak_bytes", gauge, false, func(i int) float64 { return float64(shards[i].KeyLeakBytes()) }},
 		{"oak_header_count", gauge, false, func(i int) float64 { return float64(shards[i].HeaderCount()) }},
 
 		{"oak_epoch", counter, true, func(i int) float64 { return float64(shards[i].ReclaimStats().Epoch) }},
@@ -290,7 +253,6 @@ func registerGauges(r *telemetry.Recorder, shards []*core.Map) {
 		lbl := fmt.Sprintf("{shard=%q}", fmt.Sprint(i))
 		r.RegisterGauge("oak_shard_len"+lbl, gauge, func() float64 { return float64(c.Len()) })
 		r.RegisterGauge("oak_shard_live_bytes"+lbl, gauge, func() float64 { return float64(c.LiveBytes()) })
-		r.RegisterGauge("oak_shard_key_leak_bytes"+lbl, gauge, func() float64 { return float64(c.KeyLeakBytes()) })
 		r.RegisterGauge("oak_shard_rebalances_total"+lbl, counter, func() float64 { return float64(c.Rebalances()) })
 	}
 }

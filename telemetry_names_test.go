@@ -14,7 +14,7 @@ var rollupGauges = []string{
 	"oak_arena_alloc_calls_total", "oak_arena_blocks", "oak_arena_fragmentation_ratio",
 	"oak_arena_free_spans", "oak_chunks", "oak_epoch", "oak_epoch_advances_total",
 	"oak_epoch_drains_total", "oak_epoch_slot_overflows_total", "oak_footprint_bytes",
-	"oak_header_count", "oak_key_leak_bytes", "oak_len", "oak_limbo_bytes",
+	"oak_header_count", "oak_len", "oak_limbo_bytes",
 	"oak_limbo_items", "oak_live_bytes", "oak_mvcc_horizon_lag",
 	"oak_mvcc_open_snapshots", "oak_mvcc_retained_bytes", "oak_mvcc_retained_spans",
 	"oak_pinned_readers", "oak_rebalances_total",
@@ -67,7 +67,7 @@ func TestMetricsGoldenNames(t *testing.T) {
 				want["oak_arena_class_bytes{class=}"] = classes
 			} else {
 				want["oak_shards"] = 1
-				for _, family := range []string{"len", "live_bytes", "key_leak_bytes", "rebalances_total"} {
+				for _, family := range []string{"len", "live_bytes", "rebalances_total"} {
 					want["oak_shard_"+family+"{shard=}"] = shards
 				}
 			}

@@ -27,9 +27,6 @@ func TestTelemetryNilReceiver(t *testing.T) {
 	if s := tel.Summary(); s != "" {
 		t.Errorf("Summary on nil scope: got %q, want empty", s)
 	}
-	if ops := tel.OpLatencies(); ops != nil {
-		t.Errorf("OpLatencies on nil scope: got %d rows, want nil", len(ops))
-	}
 
 	var sb strings.Builder
 	if err := tel.WriteMetrics(&sb); err != nil {
