@@ -181,8 +181,8 @@ func TestChaosAllocFailOracle(t *testing.T) {
 // --- Category: CAS failure (chunk/link-cas, chunk/publish-fail) ---
 
 // TestChaosPublishFailDiscard forces Publish to fail exactly once during
-// an insert, driving doPut through the discardValue path (allocate a
-// value, fail to publish, reclaim it, retry) that plain stress reaches
+// an insert, driving putAttempt through its lost-race killValue (allocate
+// a value, fail to publish, reclaim it, retry) that plain stress reaches
 // only when a rebalance wins a photo-finish race.
 func TestChaosPublishFailDiscard(t *testing.T) {
 	disarmOnExit(t)
@@ -213,7 +213,7 @@ func assertOneDiscard(t *testing.T, m *Map, key, val []byte) {
 		t.Fatalf("HeaderCount = %d; want 2 (one discarded, one published)", n)
 	}
 	if !m.IsDeleted(1) {
-		t.Fatal("first-allocated handle reads live: discardValue path not taken")
+		t.Fatal("first-allocated handle reads live: the lost-race killValue was not taken")
 	}
 	if !m.QuiesceReclaim() {
 		t.Fatal("limbo did not drain")

@@ -234,9 +234,10 @@ type entry struct {
 // frozen cursor, with any non-⊥ value, deleted ones included. It is the
 // map's one per-entry loop, in two passes over one chunk: the first
 // walks the entries and collects the non-⊥ ones, the second checks the
-// deleted bits of all of them in one tight loop, so their header misses
-// overlap instead of stalling the walk one entry at a time. A run never
-// spans chunks.
+// deleted bits of all of them in one tight loop (IsLive, which also
+// waits out a fresh insert's stamp), so their header misses overlap
+// instead of stalling the walk one entry at a time. A run never spans
+// chunks.
 //
 // fill must run pinned, on a cursor revalidated under that pin. 0 with
 // done set means the range is exhausted. With perChunk set, 0 with done
@@ -278,7 +279,7 @@ func (cur *Cursor) fill(run []entry, perChunk bool) int {
 		if cur.snap == 0 {
 			live := 0
 			for _, e := range run[:n] {
-				if !m.IsDeleted(e.h) {
+				if m.headers.IsLive(uint64(e.h)) {
 					run[live] = e
 					live++
 				}

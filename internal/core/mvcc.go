@@ -24,11 +24,16 @@ import (
 //     stamp ≤ S (inside the snapshot), writers after stamp > S
 //     (outside) — and, because the floor is raised before the ratchet
 //     is observable, an outside writer is guaranteed to see the raised
-//     floor and retain the pre-image the snapshot still needs. A write
-//     stamped ≤ S may still be mid-install when Snapshot returns, so
-//     snapshot creation waits one epoch grace period (every stamp
-//     happens under an epoch pin): after the grace, all ≤ S installs
-//     are complete and the view is frozen.
+//     floor and retain the pre-image the snapshot still needs. Every
+//     stamp is loaded under its value's write lock, after the value is
+//     reachable, so the view is frozen without waiting on any writer:
+//     an in-place write that loaded ≤ S held the lock at the ratchet,
+//     and S's readers wait for it; a fresh value is published locked
+//     and stamped after its entry CAS, so it stamps ≤ S only if the CAS
+//     preceded the ratchet, and no reader of S saw the key absent.
+//     Reads that report a key without its lock (getPinned, live scans)
+//     wait while the value is fresh, so a snapshot opened after such a
+//     read ratchets above the insert's stamp.
 //   - Batch: base = clock.Add(2)-1, under pendMu together with the
 //     registry insert (PrepareBatch). The skipped value means no normal
 //     write ever stamps a batch's base version — base uniquely
@@ -168,9 +173,8 @@ func (m *Map) BeginSnapshot() uint64 {
 
 // StabilizeSnapshot makes snapshot S's view immutable: it waits out any
 // batch whose base version is ≤ S and still undecided (its commit would
-// otherwise flip inside the view), then waits one epoch grace period so
-// every writer that stamped a version ≤ S has finished its install.
-// Must not be called while holding an epoch pin on this map.
+// otherwise flip inside the view). Plain writes need no wait: each
+// stamps under its value's write lock, which S's readers wait on.
 func (m *Map) StabilizeSnapshot(s uint64) {
 	st := &m.mvcc
 	for {
@@ -188,7 +192,6 @@ func (m *Map) StabilizeSnapshot(s uint64) {
 		}
 		<-wait.desc.done
 	}
-	m.reclaim.Grace()
 }
 
 // EndSnapshot closes snapshot S: it leaves the open set, the reclaim
@@ -337,9 +340,10 @@ func (m *Map) MVCCStats() MVCCStats {
 // batch's other keys). Returns the current committed version; ok=false
 // iff the value is deleted. May block on the owning batch's decision, so
 // a batch must never call it on a value carrying its own stamp (it would
-// wait on itself): its finalize, rollback and lost-race discard take the
-// plain write lock instead. Batches do wait on other batches here, and
-// the global install order (key, then shard) keeps those waits acyclic.
+// wait on itself): its finalize and rollback take the plain write lock
+// instead, and a lost-race discard still holds allocValue's. Batches do
+// wait on other batches here, and the global install order (key, then
+// shard) keeps those waits acyclic.
 func (m *Map) lockStable(h ValueHandle) (uint64, bool) {
 	for spins := 0; ; spins++ {
 		if !m.headers.TryWriteLock(uint64(h)) {

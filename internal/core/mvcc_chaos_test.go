@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -63,6 +64,7 @@ func TestChaosSnapshotKilledMidScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0xFEED))
 	for round := 0; round < 40; round++ {
 		s := m.BeginSnapshot()
+		hits := FpMvccRetain.Hits()
 		m.StabilizeSnapshot(s)
 		cur := m.NewFrozenCursor(s, nil, nil, false)
 		steps := int(rng.Uint64N(keySpace/2)) + 1
@@ -76,6 +78,12 @@ func TestChaosSnapshotKilledMidScan(t *testing.T) {
 				t.Fatalf("round %d: killed scan went out of order: %x after %x", round, key, prev)
 			}
 			prev = append(prev[:0], key...)
+		}
+		// Keep the snapshot open until some writer has reached the retain
+		// window under it: on one or two CPUs the scan alone can finish
+		// before the writers are scheduled at all.
+		for FpMvccRetain.Hits() == hits {
+			runtime.Gosched()
 		}
 		// The kill: the snapshot dies with the cursor mid-flight.
 		m.EndSnapshot(s)

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"oakmap/internal/faultpoint"
 	"oakmap/internal/vheader"
 )
 
@@ -707,5 +709,142 @@ func TestPlainWritesStampInitialVersion(t *testing.T) {
 	})
 	if n != 500 {
 		t.Fatalf("scanned %d values", n)
+	}
+}
+
+// TestSnapshotFreshInsertWindow parks a plain insert of an absent key in
+// the two windows of its stamping rule (a fresh value is published
+// write-locked and stamped after its entry CAS) and reads a snapshot
+// through each, then checks that a presence probe meeting the unstamped
+// value orders before any snapshot opened after it. Nothing times the
+// snapshot: one that waited for the parked put would hang the test, not
+// pass it.
+func TestSnapshotFreshInsertWindow(t *testing.T) {
+	key := ik(1)
+	// putParkedAt starts Put(key) and returns once it is parked at p;
+	// open releases it and done is closed when the put has returned.
+	putParkedAt := func(t *testing.T, m *Map, p *faultpoint.Point) (open func(), done <-chan struct{}) {
+		t.Helper()
+		g := faultpoint.NewGate()
+		p.Arm(g.Hook(1))
+		ch := make(chan struct{})
+		go func() {
+			defer close(ch)
+			if err := m.Put(key, []byte("fresh")); err != nil {
+				t.Errorf("Put: %v", err)
+			}
+		}()
+		t.Cleanup(func() { g.Open(); <-ch })
+		if !g.WaitArrival(time.Minute) {
+			t.Fatalf("the put never reached %s", p.Name())
+		}
+		return g.Open, ch
+	}
+
+	// Case A: the fresh value exists, locked, but its CAS has not run.
+	// The snapshot opens without waiting for the put, and the insert,
+	// stamped after the ratchet, stays outside it.
+	t.Run("before-cas", func(t *testing.T) {
+		disarmOnExit(t)
+		m := newTestMap(t, 16)
+		open, done := putParkedAt(t, m, FpInstallPublishLost)
+		s := m.BeginSnapshot()
+		defer m.EndSnapshot(s)
+		m.StabilizeSnapshot(s)
+		_, before := m.SnapGet(s, key, nil)
+		open()
+		<-done
+		_, after := m.SnapGet(s, key, nil)
+		if before || after {
+			t.Fatalf("snapshot read key %v before the insert finished and %v after; want false both times", before, after)
+		}
+		if _, ok := m.Get(key); !ok {
+			t.Fatal("live Get misses the finished insert")
+		}
+	})
+
+	// Case B: the CAS has won and the stamp is not stored yet. A snapshot
+	// read that meets the value now must wait for the stamp and answer as
+	// a read after the put does.
+	t.Run("before-stamp", func(t *testing.T) {
+		disarmOnExit(t)
+		m := newTestMap(t, 16)
+		s := m.BeginSnapshot()
+		defer m.EndSnapshot(s)
+		m.StabilizeSnapshot(s)
+		open, done := putParkedAt(t, m, FpHeaderLock)
+		started, read := make(chan struct{}), make(chan struct{})
+		var during bool
+		go func() {
+			defer close(read)
+			close(started)
+			_, during = m.SnapGet(s, key, nil)
+		}()
+		<-started
+		// Give the read time to reach the value's lock. The sleep orders
+		// the interleaving; it decides no outcome.
+		time.Sleep(10 * time.Millisecond)
+		open()
+		<-done
+		<-read
+		_, after := m.SnapGet(s, key, nil)
+		if during != after {
+			t.Fatalf("snapshot read key %v while the insert was unstamped and %v after it finished", during, after)
+		}
+		if after {
+			t.Fatal("a snapshot opened before the insert sees it")
+		}
+	})
+
+	// Case C: the CAS has won and the stamp is not stored yet. A probe
+	// that reports the key without locking its value must wait for the
+	// stamp, so a snapshot opened after the probe contains the key.
+	probes := []struct {
+		name string
+		seen func(m *Map) bool
+	}{
+		{"get", func(m *Map) bool { _, ok := m.Get(key); return ok }},
+		{"put-if-absent", func(m *Map) bool {
+			ok, err := m.PutIfAbsent(key, []byte("other"))
+			if err != nil {
+				t.Errorf("PutIfAbsent: %v", err)
+			}
+			return !ok
+		}},
+		{"scan", func(m *Map) bool {
+			seen := false
+			m.Ascend(nil, nil, func(uint64, ValueHandle) bool { seen = true; return false })
+			return seen
+		}},
+		{"first", func(m *Map) bool { _, ok := m.First(); return ok }},
+	}
+	for _, p := range probes {
+		t.Run("probe-then-snapshot/"+p.name, func(t *testing.T) {
+			disarmOnExit(t)
+			m := newTestMap(t, 16)
+			open, done := putParkedAt(t, m, FpHeaderLock)
+			var seen, in bool
+			read := make(chan struct{})
+			go func() {
+				defer close(read)
+				seen = p.seen(m)
+				s := m.BeginSnapshot()
+				defer m.EndSnapshot(s)
+				m.StabilizeSnapshot(s)
+				_, in = m.SnapGet(s, key, nil)
+			}()
+			// Give the probe time to meet the parked value. The sleep
+			// orders the interleaving; it decides no outcome.
+			time.Sleep(10 * time.Millisecond)
+			open()
+			<-done
+			<-read
+			if !seen {
+				t.Fatal("the probe misses a key whose entry CAS had landed")
+			}
+			if !in {
+				t.Fatal("the probe saw the key, and a snapshot opened after it misses the key")
+			}
+		})
 	}
 }

@@ -14,8 +14,8 @@ import (
 var FpPutRace = faultpoint.New("core/put-race")
 
 // FpInstallPublishLost and FpInstallCASLost force putAttempt's lost-race
-// exit — a freshly allocated, already stamped value that never reaches
-// its entry and must be discarded — as if the chunk had frozen before
+// exit — a freshly allocated, write-locked value that never reaches its
+// entry and must be discarded — as if the chunk had frozen before
 // Publish, or a concurrent operation had won the entry CAS.
 var (
 	FpInstallPublishLost = faultpoint.New("core/install-publish-lost")
@@ -39,6 +39,12 @@ func (m *Map) Get(key []byte) (ValueHandle, bool) {
 // getPinned is Get's body for internal callers that already hold an
 // epoch pin (Floor), so each public entry point pins exactly once.
 //
+// Like every read that reports a key without locking its value
+// (PutIfAbsent's refusal, live scans), it probes with IsLive, which waits
+// out a fresh insert between its entry CAS and its stamp: a probe that
+// reported the key before the stamp could be followed by a snapshot that
+// ratchets below the stamp and misses the key.
+//
 // The candidate entry's value is hinted into the cache before its key is
 // compared, so the header and value misses overlap the key's instead of
 // following it. Writes do not hint: their value is replaced, not read.
@@ -54,7 +60,7 @@ func (m *Map) getPinned(key []byte) (ValueHandle, bool) {
 		return 0, false
 	}
 	h := ValueHandle(c.ValHandle(ei))
-	if h == 0 || m.IsDeleted(h) {
+	if h == 0 || !m.headers.IsLive(uint64(h)) {
 		return 0, false
 	}
 	// MVCC slow path: a batch-flagged version word means presence is
@@ -189,7 +195,7 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 		h = ValueHandle(c.ValHandle(ei))
 	}
 
-	if h != 0 && !m.IsDeleted(h) {
+	if h != 0 && m.headers.IsLive(uint64(h)) {
 		// Case 1: the key is present (lines 19–26).
 		FpPutRace.Fire()
 		var ok bool
@@ -235,22 +241,21 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 		// allocated entry stays unlinked and the key allocation is
 		// kept for a possible retry (freed on return below).
 		h = ValueHandle(c.ValHandle(ei))
-		if h != 0 && !m.IsDeleted(h) {
+		if h != 0 && m.headers.IsLive(uint64(h)) {
 			// The racing insert beat us; loop back into case 1.
 			return putOutcome{}, nil
 		}
 	}
 
-	// Fresh inserts are stamped before the entry CAS publishes them, so a
-	// snapshot taken before this write (version ≤ S fails ⇒ resolves
-	// older ⇒ absent) never sees it. A batch's stamp is flagged: readers
-	// that find no install record for a flagged handle treat it as a fresh
-	// insert, which is why the record is added only once the CAS has won.
-	stamp := m.mvcc.clock.Load()
-	if bi != nil {
-		stamp = bi.base | verPendingBit
-	}
-	newH, err := m.allocValue(vw, stamp)
+	// Like every other write, a fresh value is stamped under its write
+	// lock: it is published locked and stamped once its entry CAS has won.
+	// A snapshot reader that meets it waits for the stamp, which is ≤ S
+	// only if the CAS came before S's ratchet, so no reader of S saw the
+	// key absent. A presence probe waits for the stamp too (IsLive), so
+	// a snapshot opened after a probe that saw the key ratchets above the
+	// insert's stamp. A batch install's flagged stamp and its record land
+	// under the same lock, so no reader meets one without the other.
+	newH, err := m.allocValue(vw)
 	if err != nil {
 		return putOutcome{}, err
 	}
@@ -263,12 +268,17 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 		// The chunk froze, or a concurrent operation changed the value
 		// reference and we cannot linearize before it (§4.3): drop the
 		// never-published value and retry.
-		m.discardValue(newH)
+		m.killValue(nil, newH, nil, 0, 0)
 		return putOutcome{}, nil
 	}
+	FpHeaderLock.Fire()
+	stamp := m.mvcc.clock.Load()
 	if bi != nil {
+		stamp = bi.base | verPendingBit
 		bi.add(batchRec{key: append([]byte(nil), key...), h: newH})
 	}
+	m.headers.StoreVersion(uint64(newH), stamp)
+	m.headers.WriteUnlock(uint64(newH))
 	m.size.Add(1)
 	c.IncLive()
 	return putOutcome{done: true, ok: true, grew: c}, nil

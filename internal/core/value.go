@@ -9,8 +9,9 @@ import (
 // Fault-injection points on the value-header protocol (no-ops unless a
 // test arms them).
 var (
-	// FpHeaderLock is hit with the value's write lock held (valuePut /
-	// valueCompute): a pausing hook stretches the critical section so
+	// FpHeaderLock is hit with the value's write lock held (valuePut,
+	// valueCompute, and putAttempt between a fresh insert's entry CAS and
+	// its version stamp): a pausing hook stretches the critical section so
 	// concurrent readers and writers pile up on the header spinlock.
 	FpHeaderLock = faultpoint.New("core/header-lock")
 	// FpDeletedBit is hit right after a value's deleted bit is set: in
@@ -232,17 +233,6 @@ func (m *Map) killValue(key []byte, h ValueHandle, c *chunk.Chunk, oldVer, super
 	}
 }
 
-// discardValue reclaims the data space of a value that lost its install
-// race and was never published; its header stays allocated and reads
-// deleted. Nobody else can hold the handle, so the lock is taken
-// directly — never through lockStable, which would see a batch install's
-// pending stamp and wait on the caller's own batch.
-func (m *Map) discardValue(h ValueHandle) {
-	if m.headers.TryWriteLock(uint64(h)) {
-		m.killValue(nil, h, nil, 0, 0)
-	}
-}
-
 // ValueWriter produces a value's serialized form directly inside Oak's
 // off-heap memory, realizing the paper's "create the binary
 // representation of the object directly into Oak's internal memory"
@@ -259,17 +249,20 @@ func BytesValue(val []byte) ValueWriter {
 }
 
 // allocValue allocates a fresh value (header + off-heap data), fills it
-// via vw, stamps the version word with ver, and returns its handle. The
-// header is unpublished, so the stores need no lock.
-func (m *Map) allocValue(vw ValueWriter, ver uint64) (ValueHandle, error) {
+// via vw and returns its handle write-locked and marked fresh: the caller
+// stamps its version and unlocks it once its entry CAS has won, so a
+// reader that meets the value waits for the stamp, and so does a
+// presence probe (IsLive). The header is unpublished, so the stores need
+// no other guard.
+func (m *Map) allocValue(vw ValueWriter) (ValueHandle, error) {
 	ref, err := m.alloc.Alloc(vw.N)
 	if err != nil {
 		return 0, err
 	}
 	vw.Write(m.alloc.Bytes(ref))
 	h := m.headers.Alloc()
+	m.headers.LockFresh(h)
 	m.headers.StoreData(h, uint64(ref))
-	m.headers.StoreVersion(h, ver)
 	return ValueHandle(h), nil
 }
 

@@ -414,29 +414,6 @@ func (d *Domain) drainBucket(i int) {
 	r.Event(telemetry.EvLimboDrain, uint64(len(items)), uint64(bytes), 0)
 }
 
-// Grace blocks until every reader that was pinned when Grace was called
-// has unpinned: it drives the global epoch at least two advances past
-// the entry value. An advance from e to e+1 succeeds only when every
-// pinned reader announces exactly e, so after two successful advances no
-// reader pinned at (or before) the entry epoch can remain. The MVCC
-// layer uses this as its snapshot barrier — a writer that read the
-// version clock before a snapshot ratcheted it did so under a pin, so
-// once that pin is gone the writer's stamped install is complete and the
-// snapshot's view is stable.
-//
-// The caller must NOT hold a pin on this domain (it would wait for
-// itself). Like Quiesce, Grace can block for as long as some reader
-// stays pinned; Oak pins are per-operation/per-step, so the wait is
-// bounded by one map operation.
-func (d *Domain) Grace() {
-	target := d.global.Load() + 2
-	for spins := 0; d.global.Load() < target; spins++ {
-		if !d.Advance() && spins > 4 {
-			runtime.Gosched()
-		}
-	}
-}
-
 // Quiesce drains every limbo bucket by advancing through a full epoch
 // cycle. It reports whether the limbo emptied; false means some reader
 // stayed pinned at an old epoch throughout.

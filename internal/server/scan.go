@@ -275,7 +275,8 @@ func (r *snapCursors) create(m *oakmap.Map[[]byte, []byte], max int, ttl time.Du
 	r.next++
 	id := r.next
 	// Snapshot() stabilizes under the registry lock; acquisition is
-	// short (it never waits on other snapshots, only in-flight writes).
+	// short (it waits only for undecided batches, never for plain writes
+	// or other snapshots).
 	r.open[id] = &snapCursor{sn: m.Snapshot(), used: time.Now()}
 	return id, nil
 }

@@ -18,7 +18,8 @@
 //
 //	bit 63    deleted
 //	bit 62    writer locked
-//	bits 0-61 reader count
+//	bit 61    fresh: write-locked since allocation, not yet stamped
+//	bits 0-60 reader count
 //
 // The second is the value's current data reference (a packed arena.Ref).
 // The third is the MVCC version word — the write version stamped by the
@@ -45,7 +46,8 @@ import (
 const (
 	deletedBit = uint64(1) << 63
 	writerBit  = uint64(1) << 62
-	readerMask = writerBit - 1
+	freshBit   = uint64(1) << 61
+	readerMask = freshBit - 1
 )
 
 const (
@@ -157,6 +159,38 @@ func (t *Table) StoreVersion(idx uint64, v uint64) {
 // IsDeleted reports whether the header's deleted bit is set.
 func (t *Table) IsDeleted(idx uint64) bool {
 	return t.word(idx).Load()&deletedBit != 0
+}
+
+// LockFresh write-locks a freshly allocated, unpublished header and marks
+// it fresh: its writer has yet to stamp it. IsLive waits while the mark
+// is on; WriteUnlock and DeleteLocked clear it with the lock.
+func (t *Table) LockFresh(idx uint64) {
+	t.word(idx).Store(writerBit | freshBit)
+}
+
+// IsLive reports whether the header is not deleted, as a presence probe
+// that takes no lock. Unlike IsDeleted it first waits out a fresh header
+// (LockFresh until its unlock), so no probe reports a value present
+// before its writer has stamped it. Only a fresh header waits, and its
+// writer only stamps it (and records a batch install) before unlocking.
+func (t *Table) IsLive(idx uint64) bool {
+	h := t.word(idx).Load()
+	if h&freshBit != 0 {
+		h = t.waitStamped(idx)
+	}
+	return h&deletedBit == 0
+}
+
+// waitStamped is IsLive's slow path, out of line so the fast path
+// inlines: it spins until idx is no longer fresh and returns its word.
+func (t *Table) waitStamped(idx uint64) uint64 {
+	w := t.word(idx)
+	for spins := 0; ; spins++ {
+		if h := w.Load(); h&freshBit == 0 {
+			return h
+		}
+		backoff(spins)
+	}
 }
 
 // TryReadLock acquires the header's read lock. It returns false iff the

@@ -297,3 +297,29 @@ func TestVersionWordsMaterialiseUnderRace(t *testing.T) {
 		}
 	}
 }
+
+func TestFreshHeader(t *testing.T) {
+	tb := NewTable()
+	h := tb.Alloc()
+	tb.LockFresh(h)
+	if tb.IsDeleted(h) {
+		t.Fatal("fresh header reads deleted")
+	}
+	live := make(chan bool)
+	go func() { live <- tb.IsLive(h) }()
+	tb.WriteUnlock(h)
+	if !<-live {
+		t.Fatal("IsLive after the fresh header's unlock = false")
+	}
+	if !tb.TryReadLock(h) {
+		t.Fatal("TryReadLock on an unlocked header failed")
+	}
+	tb.ReadUnlock(h)
+
+	d := tb.Alloc()
+	tb.LockFresh(d)
+	tb.DeleteLocked(d)
+	if tb.IsLive(d) || tb.TryWriteLock(d) {
+		t.Fatal("a fresh header deleted under its lock reads live")
+	}
+}

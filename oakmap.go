@@ -254,7 +254,8 @@ func (m *Map[K, V]) removeKey(key []byte) (prev V, removed bool, err error) {
 
 // ComputeIfPresent atomically replaces k's value with f(current value).
 // Unlike Java's non-atomic computeIfPresent, the update is atomic: f is
-// applied exactly once, under the value's write lock.
+// applied exactly once, under the value's write lock. f must not call
+// into the map: an operation on the same key would wait on f itself.
 func (m *Map[K, V]) ComputeIfPresent(k K, f func(V) V) (bool, error) {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)
@@ -265,7 +266,9 @@ func (m *Map[K, V]) ComputeIfPresent(k K, f func(V) V) (bool, error) {
 }
 
 // Merge inserts v if k is absent, else atomically replaces the value
-// with f(current) — Java's merge, with Oak's stronger atomicity.
+// with f(current) — Java's merge, with Oak's stronger atomicity. f runs
+// under the value's write lock and must not call into the map: an
+// operation on the same key would wait on f itself.
 func (m *Map[K, V]) Merge(k K, v V, f func(V) V) error {
 	kb := m.serializeKey(k)
 	defer m.releaseKey(kb)

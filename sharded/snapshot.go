@@ -24,10 +24,10 @@ func (m *Map) Snapshot() *Snapshot {
 		vers[i] = s.BeginSnapshot()
 	}
 	m.verMu.Unlock()
-	// Stabilization (waiting out in-flight writes ≤ S per shard) runs
-	// outside verMu: it can block on batch decisions, and batches never
-	// wait on snapshots, so holding the ratchet lock here would stall
-	// unrelated batches for no correctness gain.
+	// Stabilization (waiting out each shard's undecided batches with base
+	// ≤ S) runs outside verMu: it blocks on batch decisions, and batches
+	// never wait on snapshots, so holding the ratchet lock here would
+	// stall unrelated batches for no correctness gain.
 	for i, s := range m.shards {
 		s.StabilizeSnapshot(vers[i])
 	}

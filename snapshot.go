@@ -61,17 +61,14 @@ type Snapshot[K, V any] struct {
 	closed atomic.Bool
 }
 
-// Snapshot acquires a frozen view of the map's current state. The
-// acquisition stabilizes first: every write that the snapshot's version
-// admits is complete before Snapshot returns, so the view never shifts
-// underneath its reader.
-//
-// The stabilization waits for every epoch pin held when it starts to be
-// released. On a one-shard map a callback scan (Range, ZC().Ascend,
-// Descend and the stream scans) holds its pin across the callbacks, so
-// Snapshot called from inside one never returns. Take the snapshot
-// before the scan, or walk with an Iterator, which holds no pin between
-// steps; merged scans of a sharded map call back unpinned.
+// Snapshot acquires a frozen view of the map's current state; the view
+// never shifts underneath its reader. A write still in flight when
+// Snapshot returns is either outside the view or in it, and then a read
+// of its key waits for the write to finish. A key that any read
+// (ContainsKey, a scan, PutIfAbsent's refusal) reported present before
+// Snapshot was called is in the view. Snapshot waits only for
+// atomic batches still undecided, never for plain writes or scans, so it
+// may be called from inside any callback.
 func (m *Map[K, V]) Snapshot() *Snapshot[K, V] {
 	return &Snapshot[K, V]{m: m, bs: m.s.Snapshot()}
 }

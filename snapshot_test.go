@@ -261,3 +261,88 @@ func TestSnapshotFacadeRaw(t *testing.T) {
 		t.Fatalf("AscendRaw saw %d entries, want 20", n)
 	}
 }
+
+// TestSnapshotFromCallbacks takes a snapshot from inside every callback
+// the facade runs: each push scan's, one Iterator step, and the value
+// reads. Snapshot waits only for undecided batches, so none of them may
+// block it, not even a one-shard push scan that holds its epoch pin
+// across the callbacks.
+func TestSnapshotFromCallbacks(t *testing.T) {
+	const n = 32
+	for _, shards := range []int{1, 4} {
+		m := snapTestMap(t, shards)
+		for i := uint64(0); i < n; i++ {
+			if _, _, err := m.Put(i, fmt.Sprintf("v%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// snapRead opens a snapshot, reads one key through it and closes it.
+		snapRead := func(t *testing.T) {
+			t.Helper()
+			sn := m.Snapshot()
+			defer sn.Close()
+			if v, ok := sn.Get(7); !ok || v != "v7" {
+				t.Fatalf("snapshot Get(7) = %q, %v; want v7", v, ok)
+			}
+		}
+		z := m.ZC()
+		views := func(scan func(func(key, value *OakRBuffer) bool)) func(*testing.T) {
+			return func(t *testing.T) {
+				scan(func(_, _ *OakRBuffer) bool { snapRead(t); return false })
+			}
+		}
+		one := func(scan func(func(*OakRBuffer) bool)) func(*testing.T) {
+			return func(t *testing.T) {
+				scan(func(*OakRBuffer) bool { snapRead(t); return false })
+			}
+		}
+		var lo, hi uint64 = 2, 20
+		forms := []struct {
+			name string
+			run  func(*testing.T)
+		}{
+			{"Range", func(t *testing.T) {
+				m.Range(nil, nil, func(uint64, string) bool { snapRead(t); return false })
+			}},
+			{"RangeDescending", func(t *testing.T) {
+				m.RangeDescending(nil, nil, func(uint64, string) bool { snapRead(t); return false })
+			}},
+			{"ZC.Ascend", views(func(f func(key, value *OakRBuffer) bool) { z.Ascend(nil, nil, f) })},
+			{"ZC.Descend", views(func(f func(key, value *OakRBuffer) bool) { z.Descend(nil, nil, f) })},
+			{"ZC.AscendStream", views(func(f func(key, value *OakRBuffer) bool) { z.AscendStream(nil, nil, f) })},
+			{"ZC.DescendStream", views(func(f func(key, value *OakRBuffer) bool) { z.DescendStream(nil, nil, f) })},
+			{"ZC.KeysStream", one(func(f func(*OakRBuffer) bool) { z.KeysStream(nil, nil, f) })},
+			{"ZC.ValuesStream", one(func(f func(*OakRBuffer) bool) { z.ValuesStream(nil, nil, f) })},
+			{"SubMap.ZC.Ascend", views(m.SubMap(&lo, &hi).ZC().Ascend)},
+			{"Iterator", func(t *testing.T) {
+				it := z.Iterator(nil, nil, false, false)
+				if _, _, ok := it.Next(); !ok {
+					t.Fatal("iterator is empty")
+				}
+				snapRead(t)
+			}},
+			{"ZC.Read", func(t *testing.T) {
+				found, err := z.Read(3, func([]byte) error { snapRead(t); return nil })
+				if !found || err != nil {
+					t.Fatalf("ZC().Read(3) = %v, %v", found, err)
+				}
+			}},
+			{"OakRBuffer.Read", func(t *testing.T) {
+				// A key view reads under an epoch pin, a value view under
+				// the value's read lock.
+				key, val, ok := z.Iterator(nil, nil, false, false).Next()
+				if !ok {
+					t.Fatal("iterator is empty")
+				}
+				for _, b := range []*OakRBuffer{key, val} {
+					if err := b.Read(func([]byte) error { snapRead(t); return nil }); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}},
+		}
+		for _, f := range forms {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, f.name), f.run)
+		}
+	}
+}

@@ -238,7 +238,8 @@ func (z ZeroCopyMap[K, V]) Delete(k K) (bool, error) {
 
 // ComputeIfPresent atomically applies f to k's value in place. The
 // lambda runs exactly once, under the value's write lock, and may resize
-// the value. Returns false if k is absent.
+// the value. It must not call into the map: an operation on the same key
+// would wait on f itself. Returns false if k is absent.
 func (z ZeroCopyMap[K, V]) ComputeIfPresent(k K, f func(OakWBuffer) error) (bool, error) {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
@@ -250,7 +251,8 @@ func (z ZeroCopyMap[K, V]) ComputeIfPresent(k K, f func(OakWBuffer) error) (bool
 // PutIfAbsentComputeIfPresent inserts v if k is absent, otherwise
 // atomically applies f to the present value in place — the paper's
 // replacement for Java's non-atomic merge, used by Druid-style in-situ
-// aggregation (§6).
+// aggregation (§6). f runs under the value's write lock and must not call
+// into the map: an operation on the same key would wait on f itself.
 func (z ZeroCopyMap[K, V]) PutIfAbsentComputeIfPresent(k K, v V, f func(OakWBuffer) error) error {
 	kb := z.m.serializeKey(k)
 	defer z.m.releaseKey(kb)
