@@ -132,9 +132,3 @@ func Launch(parents map[ast.Node]ast.Node, lit *ast.FuncLit) ast.Stmt {
 	}
 	return nil
 }
-
-// Within reports whether inner is lexically contained in outer's
-// position range.
-func Within(inner, outer ast.Node) bool {
-	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
-}

@@ -31,7 +31,7 @@ var (
 	// to force free-list contention.
 	FpFreeListScan = faultpoint.New("arena/freelist-scan")
 	// FpCoalesce is hit each time two adjacent free spans merge (large-
-	// list insert and Compact), under the owning lock: pausing here
+	// list insert and compact), under the owning lock: pausing here
 	// stretches the coalescing window against concurrent alloc/free.
 	FpCoalesce = faultpoint.New("arena/coalesce")
 	// FpClassMigrate is hit when a span changes lists: a split remainder
@@ -91,7 +91,7 @@ type Allocator struct {
 	large      []span //oak:guarded-by largeMu
 	largeBytes int64  //oak:guarded-by largeMu
 
-	// migrateMu serializes whole-structure reshuffles (Compact, Close)
+	// migrateMu serializes whole-structure reshuffles (compact, Close)
 	// against each other; Alloc/Free never take it.
 	migrateMu sync.Mutex
 
@@ -109,7 +109,7 @@ type Allocator struct {
 	requests  telemetry.Counter // number of Alloc calls
 
 	// tel, when set, receives block-grow/class-migrate events and
-	// Compact/rescue durations.
+	// compact/rescue durations.
 	tel atomic.Pointer[telemetry.Recorder]
 }
 
@@ -119,8 +119,8 @@ func NewAllocator(pool *Pool) *Allocator {
 }
 
 // SetTelemetry attaches a recorder: block growth and free-list class
-// migrations become flight-recorder events, Compact and the rescue path
-// are timed. Safe to call concurrently with live operations; nil
+// migrations become flight-recorder events, the rescue path and its
+// compaction are timed. Safe to call concurrently with live operations; nil
 // detaches.
 func (a *Allocator) SetTelemetry(r *telemetry.Recorder) {
 	a.tel.Store(r)
@@ -368,12 +368,11 @@ func (a *Allocator) Footprint() int64 {
 // LiveBytes returns the number of live allocated bytes.
 func (a *Allocator) LiveBytes() int64 { return a.allocated.Load() }
 
-// Compact drains every free structure, coalesces adjacent spans in
-// address order, and re-parks the result. Oak calls this
-// opportunistically after rebalances (which free many adjacent keys and
-// values); it is also exercised directly by tests. Returns the number of
-// spans after coalescing.
-func (a *Allocator) Compact() int {
+// compact drains every free structure, coalesces adjacent spans in
+// address order, and re-parks the result. Its only caller is
+// rescueAlloc, just before the allocator would grow a block. Returns the
+// number of spans after coalescing.
+func (a *Allocator) compact() int {
 	a.migrateMu.Lock()
 	defer a.migrateMu.Unlock()
 	if a.closed.Load() {

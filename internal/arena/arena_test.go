@@ -182,8 +182,8 @@ func TestCompactCoalesces(t *testing.T) {
 	for _, r := range refs {
 		a.Free(r)
 	}
-	if spans := a.Compact(); spans != 1 {
-		t.Fatalf("Compact left %d spans; want 1 contiguous span", spans)
+	if spans := a.compact(); spans != 1 {
+		t.Fatalf("compact left %d spans; want 1 contiguous span", spans)
 	}
 }
 
@@ -377,7 +377,7 @@ func TestClassMath(t *testing.T) {
 
 // TestFragmentationReuse: interleaved small frees followed by a larger
 // allocation must reuse the coalesced space instead of growing a new
-// block. The rescue path (Compact-and-retry before growth) makes this
+// block. The rescue path (compact-and-retry before growth) makes this
 // automatic — Footprint stays flat.
 func TestFragmentationReuse(t *testing.T) {
 	a := NewAllocator(NewPool(4096, 0))
@@ -601,10 +601,10 @@ func TestConcurrentClassChurn(t *testing.T) {
 		t.Fatalf("LiveBytes = %d after freeing everything", a.LiveBytes())
 	}
 	// And the freed space coalesces back down.
-	spans := a.Compact()
+	spans := a.compact()
 	st := a.Stats()
 	if spans != st.FreeSpans {
-		t.Fatalf("Compact reported %d spans, stats say %d", spans, st.FreeSpans)
+		t.Fatalf("compact reported %d spans, stats say %d", spans, st.FreeSpans)
 	}
 }
 

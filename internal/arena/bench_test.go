@@ -106,7 +106,7 @@ func BenchmarkChurnParallel(b *testing.B) {
 }
 
 // BenchmarkFootprintChurn measures footprint-over-time: sustained churn
-// with periodic Compact (as rebalances do), reporting final footprint
+// that compacts only through the rescue path, reporting final footprint
 // and fragmentation so regressions in reuse show up as metric drift,
 // not just ns/op.
 func BenchmarkFootprintChurn(b *testing.B) {
@@ -126,9 +126,6 @@ func BenchmarkFootprintChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 		live = append(live, r)
-		if i%8192 == 8191 {
-			a.Compact()
-		}
 	}
 	st := a.Stats()
 	b.ReportMetric(float64(st.Footprint)/(1<<20), "footprintMB")

@@ -80,7 +80,7 @@ func TestDebugCompactKeepsTracking(t *testing.T) {
 	a.Alloc(64)
 	a.Free(r1)
 	a.Free(r2)
-	a.Compact() // merges the two spans; tracking must survive
+	a.compact() // merges the two spans; tracking must survive
 	mustPanicWith(t, "double/overlapping free", func() { a.Free(r1) })
 	// Popping the merged span clears both fragments.
 	r3, err := a.Alloc(128)

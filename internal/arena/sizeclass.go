@@ -165,7 +165,7 @@ func spanBefore(x, y span) bool {
 // largeInsert adds s (length ≥ largeMin) to the sorted large list,
 // merging with an adjacent predecessor and/or successor — address-
 // ordered coalescing, so fragmentation among large spans heals on free
-// rather than waiting for Compact.
+// rather than waiting for compact.
 func (a *Allocator) largeInsert(s span) {
 	a.largeMu.Lock()
 	defer a.largeMu.Unlock()
@@ -281,12 +281,12 @@ func (a *Allocator) classScan(n, rounded int) (Ref, bool) {
 // rescueAlloc is the can't-bump slow path: scan the floor class for an
 // exact fit, then coalesce everything and retry the classes — adjacent
 // small fragments may assemble into a fitting span.
-// Caller must not hold bumpMu (Compact takes migrateMu).
+// Caller must not hold bumpMu (compact takes migrateMu).
 func (a *Allocator) rescueAlloc(n, rounded int) (Ref, bool) {
 	if ref, ok := a.classScan(n, rounded); ok {
 		return ref, true
 	}
-	a.Compact()
+	a.compact()
 	if rounded <= maxClassSize {
 		if ref, ok := a.classAlloc(n, rounded); ok {
 			return ref, true
@@ -300,7 +300,7 @@ func (a *Allocator) rescueAlloc(n, rounded int) (Ref, bool) {
 
 // drainAll removes and returns every parked span from every structure.
 // The debug tracker is deliberately untouched: drained spans are still
-// free, just privately held by the caller (Compact, Close).
+// free, just privately held by the caller (compact, Close).
 func (a *Allocator) drainAll() []span {
 	var out []span
 	for c := range a.classes {

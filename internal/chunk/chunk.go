@@ -581,9 +581,6 @@ func (c *Chunk) Freeze() {
 	}
 }
 
-// IsFrozen reports whether the chunk is frozen.
-func (c *Chunk) IsFrozen() bool { return c.frozen.Load() }
-
 // Gather walks the (frozen) entries list and returns the live pairs —
 // entries whose value handle is non-⊥ — in ascending key order. The chunk
 // cannot read the deleted bit (headers live in the map); the map's
@@ -601,16 +598,4 @@ func (c *Chunk) Gather() (live []Pair, deadKeys []uint64) {
 		}
 	}
 	return live, deadKeys
-}
-
-// InRange reports whether key belongs to this chunk's range given the
-// successor's minKey (key ≥ c.minKey, and key < next.minKey).
-func (c *Chunk) InRange(key []byte) bool {
-	if c.minKey != nil && c.cmp(key, c.minKey) < 0 {
-		return false
-	}
-	if n := c.next.Load(); n != nil && n.minKey != nil && c.cmp(key, n.minKey) >= 0 {
-		return false
-	}
-	return true
 }

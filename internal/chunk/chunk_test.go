@@ -151,8 +151,8 @@ func TestFrozenRejectsUpdates(t *testing.T) {
 	c := New(nil, 16, f.alloc, bytes.Compare)
 	ei, _ := c.AllocateEntry(f.keyRef(t, 1))
 	c.Freeze()
-	if !c.IsFrozen() {
-		t.Fatal("IsFrozen")
+	if !c.frozen.Load() {
+		t.Fatal("Freeze left the chunk unfrozen")
 	}
 	if _, st := c.AllocateEntry(f.keyRef(t, 2)); st != Frozen {
 		t.Fatal("AllocateEntry on frozen chunk")
@@ -246,24 +246,6 @@ func TestGather(t *testing.T) {
 		if bytes.Compare(a, b) >= 0 {
 			t.Fatal("gather not sorted")
 		}
-	}
-}
-
-func TestInRange(t *testing.T) {
-	f := newFixture(t)
-	c1 := New(kb(10), 16, f.alloc, bytes.Compare)
-	c2 := New(kb(20), 16, f.alloc, bytes.Compare)
-	c1.SetNext(c2)
-	if !c1.InRange(kb(10)) || !c1.InRange(kb(19)) {
-		t.Fatal("InRange false negative")
-	}
-	if c1.InRange(kb(9)) || c1.InRange(kb(20)) {
-		t.Fatal("InRange false positive")
-	}
-	head := New(nil, 16, f.alloc, bytes.Compare)
-	head.SetNext(c1)
-	if !head.InRange(kb(0)) || head.InRange(kb(10)) {
-		t.Fatal("head InRange")
 	}
 }
 

@@ -133,10 +133,6 @@ func (m *Map) rebalance(c *chunk.Chunk) {
 		if pred != nil {
 			pred.RebalanceMu.Unlock()
 		}
-		// Rebalances retire keys in bulk; attempt a drain now that the
-		// chunk locks are dropped (rebalance runs unpinned, so only
-		// other readers can hold the epoch back).
-		m.reclaim.TryAdvance()
 		return
 	}
 }
@@ -267,7 +263,6 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 	for _, kr := range deadKeys {
 		m.retire(arena.Ref(kr))
 	}
-	m.alloc.Compact()
 	retired = 1
 	if second != nil {
 		retired = 2

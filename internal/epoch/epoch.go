@@ -67,8 +67,9 @@ const (
 	// buckets is the limbo-list ring size; three epochs of separation
 	// give the grace guarantee above.
 	buckets = 3
-	// DefaultLimboThreshold is the retired-item count that triggers an
-	// opportunistic advance attempt from Retire.
+	// DefaultLimboThreshold is the retired-item count past which every
+	// 16th Retire attempts an advance. Apart from Quiesce, that backlog
+	// is the domain's only advance trigger.
 	DefaultLimboThreshold = 512
 )
 
@@ -149,10 +150,9 @@ type Domain struct {
 	// global are only performed under it.
 	advanceMu sync.Mutex
 
-	free      func([]Retired)
-	threshold atomic.Int64
+	free func([]Retired)
 
-	// advances/drains are sharded: Retire-triggered TryAdvance calls
+	// advances/drains are sharded: Retire-triggered tryAdvance calls
 	// bump them from many goroutines, and the read side (Stats) is cold.
 	advances telemetry.Counter
 	drains   telemetry.Counter
@@ -171,9 +171,7 @@ type Domain struct {
 // NewDomain creates a domain whose drained resources are handed to
 // free in retirement order.
 func NewDomain(free func([]Retired)) *Domain {
-	d := &Domain{free: free}
-	d.threshold.Store(DefaultLimboThreshold)
-	return d
+	return &Domain{free: free}
 }
 
 // SetTelemetry attaches a recorder: epoch advances and limbo drains are
@@ -182,15 +180,6 @@ func NewDomain(free func([]Retired)) *Domain {
 // nil recorder detaches.
 func (d *Domain) SetTelemetry(r *telemetry.Recorder) {
 	d.tel.Store(r)
-}
-
-// SetLimboThreshold overrides the retired-item count at which Retire
-// attempts an advance (tests use small values to force drains).
-func (d *Domain) SetLimboThreshold(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.threshold.Store(int64(n))
 }
 
 // Guard is an active reader registration. It must be released with
@@ -329,16 +318,16 @@ func (d *Domain) Retire(r Retired, size int64) {
 	// Opportunistic advance once the backlog is large. The attempt is
 	// amortized (1 in 16 retires) because a reader pinned at an old
 	// epoch makes every attempt fail with a full slot scan.
-	if c := d.count.Add(1); c >= d.threshold.Load() && c%16 == 0 {
-		d.TryAdvance()
+	if c := d.count.Add(1); c >= DefaultLimboThreshold && c%16 == 0 {
+		d.tryAdvance()
 	}
 }
 
-// TryAdvance attempts one epoch advance without blocking: it fails if
+// tryAdvance attempts one epoch advance without blocking: it fails if
 // another advance is in flight or some reader is pinned at an older
 // epoch. On success the limbo bucket whose grace period just elapsed is
 // drained into the free callback.
-func (d *Domain) TryAdvance() bool {
+func (d *Domain) tryAdvance() bool {
 	if !d.advanceMu.TryLock() {
 		return false
 	}
@@ -346,7 +335,7 @@ func (d *Domain) TryAdvance() bool {
 	return d.advanceLocked()
 }
 
-// Advance is the blocking-lock variant of TryAdvance, for quiesce paths
+// Advance is the blocking-lock variant of tryAdvance, for quiesce paths
 // that must not be starved by concurrent opportunistic attempts.
 func (d *Domain) Advance() bool {
 	d.advanceMu.Lock()

@@ -53,9 +53,9 @@ func TestPinBlocksReclamation(t *testing.T) {
 	d.Retire(Retired{Val: 7}, 8)
 	// The pinned reader blocks the second advance (it stays at epoch 0),
 	// so the item retired at epoch 0 can never drain.
-	d.TryAdvance() // 0→1 may succeed: the reader is at the current epoch
+	d.tryAdvance() // 0→1 may succeed: the reader is at the current epoch
 	for i := 0; i < 5; i++ {
-		if d.TryAdvance() {
+		if d.tryAdvance() {
 			t.Fatalf("advance %d succeeded past a reader pinned at epoch 0", i)
 		}
 	}
@@ -92,14 +92,14 @@ func TestQuiesceEmptiesLimbo(t *testing.T) {
 
 func TestThresholdTriggersAdvance(t *testing.T) {
 	d, freed := collectDomain()
-	d.SetLimboThreshold(16)
 	// Without any explicit Advance call, sheer retire volume must cycle
 	// the epoch and start draining.
-	for i := uint64(0); i < 1000; i++ {
+	const n = 2 * DefaultLimboThreshold
+	for i := uint64(0); i < n; i++ {
 		d.Retire(Retired{Val: i}, 8)
 	}
 	if got := len(freed()); got == 0 {
-		t.Fatal("no drains after 1000 retires with threshold 16")
+		t.Fatalf("no drains after %d retires", n)
 	}
 	if st := d.Stats(); st.Advances == 0 {
 		t.Fatal("no advances recorded")
@@ -137,7 +137,6 @@ func TestNeverFreeWhileReachable(t *testing.T) {
 			freedAt[r.Val].Store(true)
 		}
 	})
-	d.SetLimboThreshold(32)
 
 	var table [items]atomic.Bool // true = linked (reachable)
 	for i := range table {
@@ -278,9 +277,9 @@ func TestPinOverflowWhenSlotsExhausted(t *testing.T) {
 		t.Fatalf("Pinned = %d; want %d", st.Pinned, slotCount+extra)
 	}
 	d.Retire(Retired{Val: 9}, 8)
-	d.TryAdvance() // 0→1 may succeed: every reader is at the current epoch
+	d.tryAdvance() // 0→1 may succeed: every reader is at the current epoch
 	for i := 0; i < 3; i++ {
-		if d.TryAdvance() {
+		if d.tryAdvance() {
 			t.Fatalf("advance %d succeeded past overflow readers pinned at epoch 0", i)
 		}
 	}

@@ -22,36 +22,23 @@ import (
 // registered by the most recently constructed map).
 //
 // Telemetry is disabled by default. When attached, hot-path latency is
-// sampled (1 in 2^SampleShift operations, picked by a per-op sequence in
-// the epoch slot the operation already holds), keeping the measured Get
-// overhead under 3% (TestTelemetryOverheadGate; EXPERIMENTS.md
-// "Telemetry overhead"); rare structural operations — rebalance, epoch
+// sampled (1 in 64 operations, picked by a per-op sequence in the epoch
+// slot the operation already holds), keeping the measured Get overhead
+// under 3% (TestTelemetryOverheadGate; EXPERIMENTS.md "Telemetry
+// overhead"); rare structural operations — rebalance, epoch
 // advance/drain, arena compaction and rescue — are timed on every
-// occurrence.
+// occurrence. The flight recorder keeps the last 1024 events.
 type Telemetry struct {
 	rec *telemetry.Recorder
 }
 
-// TelemetryOptions sizes a Telemetry. The zero value (or nil) gives the
-// defaults: sample 1 in 64 hot ops, retain the last 1024 events.
-type TelemetryOptions struct {
-	// SampleShift: hot-op latencies are recorded for 1 in 2^SampleShift
-	// operations. 0 means the default (6); negative samples every call
-	// (expect measurable overhead).
-	SampleShift int
-	// EventBuffer is the flight-recorder capacity in events, rounded up
-	// to a power of two. 0 means the default (1024).
-	EventBuffer int
-}
+// TelemetryOptions is reserved for future settings; it has no fields
+// and NewTelemetry accepts nil.
+type TelemetryOptions struct{}
 
 // NewTelemetry creates a telemetry scope to pass in Options.Telemetry.
-func NewTelemetry(o *TelemetryOptions) *Telemetry {
-	var cfg telemetry.Config
-	if o != nil {
-		cfg.SampleShift = o.SampleShift
-		cfg.EventBuffer = o.EventBuffer
-	}
-	return &Telemetry{rec: telemetry.New(cfg)}
+func NewTelemetry(*TelemetryOptions) *Telemetry {
+	return &Telemetry{rec: telemetry.New(telemetry.Config{})}
 }
 
 // recorder returns the internal recorder (nil for nil t), for wiring
