@@ -1,10 +1,10 @@
 // Shard-scaling benchmarks for the hash-partitioned front-end: the same
 // zipfian point-op mix run against 1, 4, and 16 shards at 1–32
-// goroutines, plus the merged full scan. Results are recorded in
-// bench_output_sharded.txt and discussed in EXPERIMENTS.md — note that
-// on a single-CPU host the contention relief sharding buys cannot turn
-// into wall-clock speedup; the interesting single-core signals are the
-// routing overhead (1 shard vs plain) and the merge overhead per shard.
+// goroutines, plus the merged full scan. Results are discussed in
+// EXPERIMENTS.md "Shard scaling" — note that on a single-CPU host the
+// contention relief sharding buys cannot turn into wall-clock speedup;
+// the interesting single-core signals are the routing overhead (1 shard
+// vs plain) and the merge overhead per shard.
 package oakmap_test
 
 import (

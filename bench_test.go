@@ -1,35 +1,18 @@
-// Benchmarks regenerating the paper's evaluation (one per figure panel)
-// plus ablations of Oak's design choices. These use testing.B with
-// scaled-down data shapes so `go test -bench=.` completes quickly; the
-// cmd/oak-bench and cmd/druid-bench binaries run the full sweeps with
-// the paper's 100B keys / 1KB values and longer sustained stages.
-//
-// The mapping to the paper:
-//
-//	BenchmarkFig3aIngest            — Fig. 3a ingestion throughput
-//	BenchmarkFig3bIngestTightRAM    — Fig. 3b ingestion under RAM budget
-//	BenchmarkFig4aPut               — Fig. 4a put-only
-//	BenchmarkFig4bComputeIfPresent  — Fig. 4b in-place updates
-//	BenchmarkFig4cGet               — Fig. 4c get-only (ZC and Copy)
-//	BenchmarkFig4d95Get5Put         — Fig. 4d mixed workload
-//	BenchmarkFig4eAscendScan        — Fig. 4e ascending scans (Set/Stream)
-//	BenchmarkFig4fDescendScan       — Fig. 4f descending scans
-//	BenchmarkFig5aDruidIngest       — Fig. 5a I² ingestion
-//	BenchmarkFig5bDruidIngestTightRAM — Fig. 5b ingestion under RAM budget
-//	BenchmarkFig5cDruidMemory       — Fig. 5c RAM overhead (bytes/row metric)
-//	BenchmarkAblation*              — design-choice ablations (DESIGN.md §7)
+// Benchmarks that no figure driver runs: ablations of Oak's design
+// choices (DESIGN.md §7), the zero-copy versus legacy put, a Zipfian
+// contention mix and the pull iterator against the callback scan. They
+// use testing.B with scaled-down data shapes so `go test -bench=.`
+// completes quickly; cmd/oak-bench regenerates the paper's figures.
 package oakmap_test
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"oakmap"
 	"oakmap/internal/arena"
 	"oakmap/internal/bench"
 	"oakmap/internal/core"
-	"oakmap/internal/druid"
 )
 
 const (
@@ -54,214 +37,6 @@ func benchConfig(threads int) bench.Config {
 		ValueSize: benchValueSize,
 		Seed:      42,
 	}
-}
-
-// runMix benchmarks one op of the mix per b.N iteration across targets.
-func runMix(b *testing.B, mix bench.Mix, targets []bench.Target) {
-	for _, t := range targets {
-		t := t
-		b.Run(t.Name(), func(b *testing.B) {
-			cfg := benchConfig(1)
-			bench.Warm(t, cfg)
-			cfg.OpsPerThread = int64(b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			r := bench.Run(t, cfg, mix)
-			b.StopTimer()
-			b.ReportMetric(r.KopsPerSec, "Kops/s")
-		})
-		t.Close()
-	}
-}
-
-func BenchmarkFig3aIngest(b *testing.B) {
-	for _, t := range benchTargets() {
-		t := t
-		b.Run(t.Name(), func(b *testing.B) {
-			enc := bench.NewKeyEncoder(benchKeySize)
-			kb := make([]byte, benchKeySize)
-			val := bench.MakeValue(benchValueSize, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.PutIfAbsent(enc.Encode(kb, uint64(i)), val)
-			}
-		})
-		t.Close()
-	}
-}
-
-func BenchmarkFig3bIngestTightRAM(b *testing.B) {
-	for _, t := range benchTargets() {
-		t := t
-		b.Run(t.Name(), func(b *testing.B) {
-			prev := debug.SetMemoryLimit(256 << 20)
-			defer debug.SetMemoryLimit(prev)
-			enc := bench.NewKeyEncoder(benchKeySize)
-			kb := make([]byte, benchKeySize)
-			val := bench.MakeValue(benchValueSize, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.PutIfAbsent(enc.Encode(kb, uint64(i)), val)
-			}
-		})
-		t.Close()
-	}
-}
-
-func BenchmarkFig4aPut(b *testing.B)              { runMix(b, bench.MixPut, benchTargets()) }
-func BenchmarkFig4bComputeIfPresent(b *testing.B) { runMix(b, bench.MixCompute, benchTargets()) }
-
-func BenchmarkFig4cGet(b *testing.B) {
-	targets := []bench.Target{
-		bench.NewOak(&oakmap.Options{BlockSize: 8 << 20}, false),
-		bench.NewOak(&oakmap.Options{BlockSize: 8 << 20}, true), // Oak-Copy
-		bench.NewOnHeap(),
-		bench.NewOffHeap(arena.NewPool(8<<20, 0)),
-	}
-	runMix(b, bench.MixGet, targets)
-}
-
-func BenchmarkFig4d95Get5Put(b *testing.B) { runMix(b, bench.Mix95Get5Put, benchTargets()) }
-
-// scanBench runs one scan of scanLen entries per iteration.
-func scanBench(b *testing.B, descending, stream bool, scanLen int) {
-	targets := benchTargets()
-	for _, t := range targets {
-		t := t
-		names := []string{t.Name()}
-		if t.Name() == "Oak" {
-			names = []string{"Oak-Set", "Oak-Stream"}
-		}
-		for _, name := range names {
-			useStream := name == "Oak-Stream" || (stream && t.Name() != "Oak")
-			b.Run(name, func(b *testing.B) {
-				cfg := benchConfig(1)
-				bench.Warm(t, cfg)
-				enc := bench.NewKeyEncoder(benchKeySize)
-				kb := make([]byte, benchKeySize)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					from := enc.Encode(kb, uint64(i*7919%benchKeyRange))
-					if descending {
-						t.ScanDesc(from, scanLen, useStream)
-					} else {
-						t.Scan(from, scanLen, useStream)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(scanLen), "entries/scan")
-			})
-		}
-		t.Close()
-	}
-}
-
-func BenchmarkFig4eAscendScan(b *testing.B)  { scanBench(b, false, false, 1000) }
-func BenchmarkFig4fDescendScan(b *testing.B) { scanBench(b, true, false, 1000) }
-
-func BenchmarkFig5aDruidIngest(b *testing.B) {
-	schema := druid.DefaultSchema(true)
-	b.Run("I2-Oak", func(b *testing.B) {
-		idx, err := druid.NewIndex(schema, &druid.IndexOptions{BlockSize: 8 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer idx.Close()
-		gen := druid.NewTupleGen(42, 4, []int{1000, 100000}, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := idx.Ingest(gen.Next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("I2-legacy", func(b *testing.B) {
-		idx, err := druid.NewLegacyIndex(schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen := druid.NewTupleGen(42, 4, []int{1000, 100000}, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := idx.Ingest(gen.Next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig5bDruidIngestTightRAM is Fig. 5b's panel: I² ingestion
-// under a constrained RAM budget, where the GC burden separates the
-// implementations.
-func BenchmarkFig5bDruidIngestTightRAM(b *testing.B) {
-	schema := druid.DefaultSchema(true)
-	run := func(b *testing.B, ingest func(druid.Tuple) error) {
-		prev := debug.SetMemoryLimit(256 << 20)
-		defer debug.SetMemoryLimit(prev)
-		gen := druid.NewTupleGen(42, 4, []int{1000, 100000}, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ingest(gen.Next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("I2-Oak", func(b *testing.B) {
-		idx, err := druid.NewIndex(schema, &druid.IndexOptions{BlockSize: 8 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer idx.Close()
-		run(b, idx.Ingest)
-	})
-	b.Run("I2-legacy", func(b *testing.B) {
-		idx, err := druid.NewLegacyIndex(schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, idx.Ingest)
-	})
-}
-
-// BenchmarkFig5cDruidMemory reports bytes of RAM per indexed row for the
-// two I² implementations (the Fig. 5c overhead comparison), using the
-// allocation metric as the proxy: allocations per ingested tuple.
-func BenchmarkFig5cDruidMemory(b *testing.B) {
-	schema := druid.DefaultSchema(true)
-	b.Run("I2-Oak", func(b *testing.B) {
-		idx, _ := druid.NewIndex(schema, &druid.IndexOptions{BlockSize: 8 << 20})
-		defer idx.Close()
-		gen := druid.NewTupleGen(7, 1, []int{1000, 100000}, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			idx.Ingest(gen.Next())
-		}
-		b.StopTimer()
-		if idx.Cardinality() > 0 {
-			b.ReportMetric(float64(idx.OffHeapBytes())/float64(idx.Cardinality()), "offheapB/row")
-			b.ReportMetric(float64(idx.StoredDataBytes())/float64(idx.Cardinality()), "dataB/row")
-		}
-	})
-	b.Run("I2-legacy", func(b *testing.B) {
-		idx, _ := druid.NewLegacyIndex(schema)
-		gen := druid.NewTupleGen(7, 1, []int{1000, 100000}, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			idx.Ingest(gen.Next())
-		}
-		b.StopTimer()
-		if idx.Cardinality() > 0 {
-			b.ReportMetric(float64(idx.StoredDataBytes())/float64(idx.Cardinality()), "dataB/row")
-		}
-	})
 }
 
 // --- Ablations (DESIGN.md §7) ---
@@ -356,31 +131,6 @@ func BenchmarkZCvsLegacyPut(b *testing.B) {
 			m.Put(uint64(i%benchKeyRange), val)
 		}
 	})
-}
-
-// BenchmarkMapDBComparison reruns the comparison §5 omits data for: the
-// off-heap B+ tree (MapDB stand-in) against Oak under puts and gets.
-func BenchmarkMapDBComparison(b *testing.B) {
-	targets := []bench.Target{
-		bench.NewOak(&oakmap.Options{BlockSize: 8 << 20}, false),
-		bench.NewBTree(arena.NewPool(8<<20, 0)),
-	}
-	for _, mix := range []bench.Mix{bench.MixPut, bench.MixGet} {
-		for _, t := range targets {
-			b.Run(mix.Name+"/"+t.Name(), func(b *testing.B) {
-				cfg := benchConfig(4) // contention exposes the global lock
-				bench.Warm(t, cfg)
-				cfg.OpsPerThread = int64(b.N/4 + 1)
-				b.ResetTimer()
-				r := bench.Run(t, cfg, mix)
-				b.StopTimer()
-				b.ReportMetric(r.KopsPerSec, "Kops/s")
-			})
-		}
-	}
-	for _, t := range targets {
-		t.Close()
-	}
 }
 
 // BenchmarkZipfContention measures the solutions under a skewed key

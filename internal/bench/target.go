@@ -2,8 +2,8 @@
 // generates the paper's uniform-key workloads, runs an ingestion stage
 // followed by a timed sustained stage over 1..N worker threads, and
 // reports throughput together with GC and memory statistics. The
-// cmd/oak-bench and cmd/druid-bench binaries drive it to regenerate the
-// paper's figures; bench_test.go wires it into testing.B.
+// cmd/oak-bench binary drives it to regenerate the paper's figures;
+// bench_test.go wires it into testing.B for the ablations.
 package bench
 
 import (

@@ -1,7 +1,7 @@
 package oakmap_test
 
-// MVCC overhead grid (bench_output_mvcc.txt): what Snapshot support
-// costs the hot paths. The contract is that the zero-open-snapshot
+// MVCC overhead grid (EXPERIMENTS.md "MVCC overhead"): what Snapshot
+// support costs the hot paths. The contract is that the zero-open-snapshot
 // case is (near) free — a Put adds one clock load and one
 // retain-floor load, a Get adds nothing — and that cost appears only
 // when a snapshot is actually open, proportional to the churn it
