@@ -160,8 +160,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer fd.Close()
-		if err := bench.WriteCSV(fd, results,
-			fmt.Sprintf("%dm", opt.memLimit>>20), "shared-pool"); err != nil {
+		if err := bench.WriteCSV(fd, results, "shared-pool"); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s", opt.out)
@@ -225,7 +224,7 @@ func fig3a(opt options) []bench.Result {
 				runtime.GC()
 				r = bench.Ingest(t, cfg)
 			})
-			r.Scenario = fmt.Sprintf("3a-ingest-%dk", size/1000)
+			r.Scenario, r.MemLimit = fmt.Sprintf("3a-ingest-%dk", size/1000), opt.memLimit
 			log.Printf("%-22s %-18s %8.1f Kops/s (heap %.0fMB, offheap %.0fMB, %d GCs)",
 				r.Scenario, r.Target, r.KopsPerSec,
 				float64(r.HeapBytes)/(1<<20), float64(r.OffHeapBytes)/(1<<20), r.NumGC)
@@ -248,7 +247,7 @@ func fig3b(opt options) []bench.Result {
 				runtime.GC()
 				r = bench.Ingest(t, cfg)
 			})
-			r.Scenario = fmt.Sprintf("3b-ingest-%dMiB", limit>>20)
+			r.Scenario, r.MemLimit = fmt.Sprintf("3b-ingest-%dMiB", limit>>20), limit
 			log.Printf("%-22s %-18s %8.1f Kops/s (%d GCs)",
 				r.Scenario, r.Target, r.KopsPerSec, r.NumGC)
 			out = append(out, r)
@@ -349,7 +348,7 @@ type ingester interface {
 // ingestOne ingests n tuples into a fresh I²-Oak (oak) or I²-legacy
 // index under memLimit.
 func ingestOne(opt options, scenario string, oak bool, n int, memLimit int64) druidRow {
-	runtime.GC()
+	settleHeap()
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 
@@ -387,7 +386,7 @@ func ingestOne(opt options, scenario string, oak bool, n int, memLimit int64) dr
 		elapsed = time.Since(start)
 	})
 	input = nil
-	runtime.GC()
+	settleHeap()
 	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 
@@ -415,6 +414,15 @@ func ingestOne(opt options, scenario string, oak bool, n int, memLimit int64) dr
 		n, r.kops, idx.Cardinality())
 	idx.Close()
 	return r
+}
+
+// settleHeap collects until the heap holds only reachable objects. One
+// GC is not enough: it moves sync.Pool contents to the pools' victim
+// caches, which the next GC frees, so garbage pooled by earlier figures
+// would be freed during an ingest and subtracted from its heap delta.
+func settleHeap() {
+	runtime.GC()
+	runtime.GC()
 }
 
 func writeDruidTable(rows []druidRow) {

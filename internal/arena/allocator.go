@@ -2,7 +2,7 @@ package arena
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -94,6 +94,9 @@ type Allocator struct {
 	// migrateMu serializes whole-structure reshuffles (compact, Close)
 	// against each other; Alloc/Free never take it.
 	migrateMu sync.Mutex
+	// drained is compact's private copy of the parked spans, reused by
+	// every compact.
+	drained []span //oak:guarded-by migrateMu
 
 	// dbg is the arenadebug double-free detector; a no-op without the
 	// build tag.
@@ -380,11 +383,20 @@ func (a *Allocator) compact() int {
 	}
 	tick := a.tel.Load().Span(telemetry.OpArenaCompact)
 	defer tick.Done()
-	spans := a.drainAll()
+	spans := a.drainAll(a.drained[:0])
+	a.drained = spans[:0]
 	if len(spans) == 0 {
 		return 0
 	}
-	sort.Slice(spans, func(i, j int) bool { return spanBefore(spans[i], spans[j]) })
+	slices.SortFunc(spans, func(x, y span) int {
+		switch {
+		case spanBefore(x, y):
+			return -1
+		case spanBefore(y, x):
+			return 1
+		}
+		return 0
+	})
 	out := spans[:1]
 	for _, s := range spans[1:] {
 		last := &out[len(out)-1]
@@ -409,7 +421,7 @@ func (a *Allocator) Close() {
 		a.migrateMu.Unlock()
 		return
 	}
-	a.drainAll()
+	a.drainAll(nil)
 	a.dbg.reset()
 	a.bumpMu.Lock()
 	a.cur = -1

@@ -678,3 +678,37 @@ func TestPrefetchGuards(t *testing.T) {
 		t.Fatalf("live bytes after prefetches = %q", got)
 	}
 }
+
+// compact re-parks the spans it drained into the lists' own arrays, and
+// reuses its own copy of them: once the arrays have grown, a
+// churn-and-compact cycle allocates nothing.
+func TestCompactKeepsListArrays(t *testing.T) {
+	if DebugChecks {
+		t.Skip("the arenadebug tracker allocates on every Alloc and Free")
+	}
+	a := NewAllocator(NewPool(1<<16, 0))
+	defer a.Close()
+	refs := make([]Ref, 0, 64)
+	cycle := func() {
+		refs = refs[:0]
+		for i := 0; i < 64; i++ {
+			r, err := a.Alloc(16 << (i % 10)) // 16 B … 8 KiB: every class and the large list
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs = append(refs, r)
+		}
+		for i := 0; i < len(refs); i += 2 { // every other span: nothing coalesces
+			a.Free(refs[i])
+		}
+		a.compact()
+		for i := 1; i < len(refs); i += 2 {
+			a.Free(refs[i])
+		}
+		a.compact()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("a churn-and-compact cycle allocates %.1f times; want 0", n)
+	}
+}

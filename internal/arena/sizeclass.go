@@ -298,23 +298,24 @@ func (a *Allocator) rescueAlloc(n, rounded int) (Ref, bool) {
 	return a.classScan(n, rounded)
 }
 
-// drainAll removes and returns every parked span from every structure.
-// The debug tracker is deliberately untouched: drained spans are still
-// free, just privately held by the caller (compact, Close).
-func (a *Allocator) drainAll() []span {
-	var out []span
+// drainAll removes every parked span from every structure and returns
+// them appended to out. The spans are copied out and each list keeps its
+// backing array, so the re-parking that follows a compact does not regrow
+// them. The debug tracker is deliberately untouched: drained spans are
+// still free, just privately held by the caller (compact, Close).
+func (a *Allocator) drainAll(out []span) []span {
 	for c := range a.classes {
 		cl := &a.classes[c]
 		cl.mu.Lock()
 		out = append(out, cl.spans...)
-		cl.spans = nil
+		cl.spans = cl.spans[:0]
 		cl.bytes = 0
 		a.clearClassBit(c)
 		cl.mu.Unlock()
 	}
 	a.largeMu.Lock()
 	out = append(out, a.large...)
-	a.large = nil
+	a.large = a.large[:0]
 	a.largeBytes = 0
 	a.largeMu.Unlock()
 	return out

@@ -154,17 +154,27 @@ func TestDurationMode(t *testing.T) {
 
 func TestCSVOutput(t *testing.T) {
 	var buf bytes.Buffer
-	res := []Result{{Scenario: "4a-put", Target: "Oak", Threads: 4,
-		FinalSize: 100, KopsPerSec: 1234.5}}
-	if err := WriteCSV(&buf, res, "12g", "20g"); err != nil {
+	res := []Result{
+		{Scenario: "3b-ingest-64MiB", Target: "Oak", Threads: 1, FinalSize: 100, KopsPerSec: 1234.5, MemLimit: 64 << 20},
+		{Scenario: "3b-ingest-96MiB", Target: "Oak", Threads: 1, FinalSize: 100, KopsPerSec: 1234.5, MemLimit: 96 << 20},
+		{Scenario: "4a-put", Target: "Oak", Threads: 4, FinalSize: 100, KopsPerSec: 1234.5},
+	}
+	if err := WriteCSV(&buf, res, "20g"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.HasPrefix(out, "Scenario,Bench,") {
 		t.Fatalf("missing header: %q", out)
 	}
-	if !strings.Contains(out, "4a-put,Oak,12g,20g,4,100,1.234500") {
-		t.Fatalf("bad row: %q", out)
+	// Each row carries its own budget; a row run under none leaves it empty.
+	for _, row := range []string{
+		"3b-ingest-64MiB,Oak,64m,20g,1,100,1.234500",
+		"3b-ingest-96MiB,Oak,96m,20g,1,100,1.234500",
+		"4a-put,Oak,,20g,4,100,1.234500",
+	} {
+		if !strings.Contains(out, row+"\n") {
+			t.Fatalf("missing row %q in %q", row, out)
+		}
 	}
 	buf.Reset()
 	if err := WriteTable(&buf, res); err != nil {

@@ -15,11 +15,17 @@ import (
 // WriteCSV emits results in the artifact's summary.csv layout
 // (Appendix A.6): Scenario, Bench, Heap size, Direct Mem, #Threads,
 // Final Size, Throughput (Mops/sec, matching the artifact's convention).
-func WriteCSV(w io.Writer, results []Result, heapLimit, directLimit string) error {
+// Each row's Heap size is its own MemLimit in MiB ("512m"), empty for a
+// row run under no budget.
+func WriteCSV(w io.Writer, results []Result, directLimit string) error {
 	if _, err := fmt.Fprintln(w, "Scenario,Bench,Heap size,Direct Mem,#Threads,Final Size,Throughput"); err != nil {
 		return err
 	}
 	for _, r := range results {
+		heapLimit := ""
+		if r.MemLimit > 0 {
+			heapLimit = fmt.Sprintf("%dm", r.MemLimit>>20)
+		}
 		if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%d,%d,%.6f\n",
 			r.Scenario, r.Target, heapLimit, directLimit, r.Threads,
 			r.FinalSize, r.KopsPerSec/1000); err != nil {

@@ -116,6 +116,7 @@ type Result struct {
 	HeapBytes    uint64 // HeapAlloc after the run
 	NumGC        uint32 // GC cycles during the run
 	AllocPerOp   float64
+	MemLimit     int64 // RAM budget the run was held to; 0 = none
 	// Latency percentiles (only when Config.SampleLatency is set).
 	P50, P99, P999, PMax time.Duration
 }

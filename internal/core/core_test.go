@@ -131,7 +131,7 @@ func TestRemove(t *testing.T) {
 		t.Fatalf("value after reinsert = %q; want y", got)
 	}
 	// A view of the removed value stays dead after its key is re-inserted:
-	// the new value gets a fresh handle, so the stale one never reads it.
+	// the new value gets another handle, so the stale one never reads it.
 	err := m.ReadValue(stale, func(b []byte) error {
 		t.Fatalf("stale handle read %q", b)
 		return nil
@@ -141,30 +141,62 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-// TestReclaimHeadersStaleView: an OakRBuffer-style view of a removed
-// value stays dead after its key is re-inserted and other values are
-// written. The new value gets a fresh handle, so the stale one fails
-// with ErrConcurrentModification and never reads the new bytes. (The
-// name predates the deletion of the reclaiming header table; it now
-// runs on the only table.)
+// headerSlot is the slot index of a handle (vheader's handle layout: the
+// index in the low 32 bits, the slot's generation above them).
+func headerSlot(h ValueHandle) uint64 { return uint64(h) & (1<<32 - 1) }
+
+// TestReclaimHeadersStaleView: a value view and a key view of a removed
+// value stay dead after the value's header slot is recycled. Once the
+// limbo drains, the slot goes back to the table under a new generation;
+// inserts then take it for another key's value. Both views must fail
+// with ErrConcurrentModification, and neither may read the new
+// occupant's bytes.
 func TestReclaimHeadersStaleView(t *testing.T) {
 	m := newTestMap(t, 64)
 	mustPut(t, m, ik(1), []byte("AAAA"))
-	stale, ok := m.Get(ik(1))
+	cur := m.NewCursor(nil, nil, false)
+	keyRef, stale, ok := cur.Next()
 	if !ok {
-		t.Fatal("Get after Put returned nothing")
+		t.Fatal("cursor over a one-key map yielded nothing")
 	}
 	if ok, _ := m.Remove(ik(1)); !ok {
 		t.Fatal("Remove existing returned false")
 	}
-	mustPut(t, m, ik(1), []byte("BBBB"))
-	mustPut(t, m, ik(2), []byte("CCCC"))
+	if !m.QuiesceReclaim() {
+		t.Fatal("limbo did not drain")
+	}
+	var fresh ValueHandle
+	for i := 2; i < 1000 && fresh == 0; i++ {
+		mustPut(t, m, ik(i), []byte("BBBB"))
+		if h, _ := m.Get(ik(i)); headerSlot(h) == headerSlot(stale) {
+			fresh = h
+		}
+	}
+	if fresh == 0 {
+		t.Fatalf("slot %d never came back from the free lists", headerSlot(stale))
+	}
+	if fresh == stale {
+		t.Fatalf("recycled slot kept its generation: handle %#x", fresh)
+	}
 	err := m.ReadValue(stale, func(b []byte) error {
-		t.Fatalf("stale handle read %q", b)
+		t.Fatalf("stale value view read %q", b)
 		return nil
 	})
 	if err != ErrConcurrentModification {
-		t.Fatalf("stale handle read err = %v; want ErrConcurrentModification", err)
+		t.Fatalf("stale value view err = %v; want ErrConcurrentModification", err)
+	}
+	err = m.ReadKey(keyRef, stale, func(b []byte) error {
+		t.Fatalf("stale key view read %x", b)
+		return nil
+	})
+	if err != ErrConcurrentModification {
+		t.Fatalf("stale key view err = %v; want ErrConcurrentModification", err)
+	}
+	if !m.IsDeleted(stale) {
+		t.Fatal("stale handle reads live")
+	}
+	if got, err := m.CopyValue(fresh, nil); err != nil || string(got) != "BBBB" {
+		t.Fatalf("new occupant reads %q, %v; want BBBB", got, err)
 	}
 }
 

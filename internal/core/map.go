@@ -6,8 +6,9 @@
 // The package operates below (de)serialization: the public generic API in
 // package oakmap wraps it. Keys are ordered by bytes.Compare; a key
 // type's order is its serializer's business. Values are identified by
-// handles — indexes into a vheader.Table whose headers carry the
-// concurrency-control word and the value's current data reference (§3.3).
+// handles — generation-tagged slots of a vheader.Table whose headers
+// carry the concurrency-control word and the value's current data
+// reference (§3.3).
 package core
 
 import (
@@ -104,11 +105,19 @@ func New(o *Options) *Map {
 	m.indexMu.Unlock()
 	m.mvcc.init()
 	m.alloc.SetTelemetry(opts.Telemetry)
-	// The only retired resource is an arena span (key or value space).
+	// A retired resource is an arena span (key or value space) or a value
+	// header. Drains are serialized, so the header batch is reused.
+	var hs []uint64
 	m.reclaim = epoch.NewDomain(func(items []epoch.Retired) {
 		for _, r := range items {
+			if r.Kind == retiredHeader {
+				hs = append(hs, r.Val)
+				continue
+			}
 			m.alloc.Free(arena.Ref(r.Val))
 		}
+		m.headers.Free(hs)
+		hs = hs[:0]
 	})
 	m.reclaim.SetTelemetry(opts.Telemetry)
 	// The head sentinel chunk has minKey nil (-infinity) and is a real
@@ -117,11 +126,27 @@ func New(o *Options) *Map {
 	return m
 }
 
+// Kinds of retired resources.
+const (
+	retiredSpan   uint8 = iota // an arena.Ref
+	retiredHeader              // a ValueHandle
+)
+
 // retire hands a span whose last reference was just unlinked to the
 // epoch domain: it returns to Allocator.Free once no reader pinned
 // before the unlink can still hold it.
 func (m *Map) retire(ref arena.Ref) {
-	m.reclaim.Retire(epoch.Retired{Val: uint64(ref)}, int64(ref.Len()))
+	m.reclaim.Retire(epoch.Retired{Kind: retiredSpan, Val: uint64(ref)}, int64(ref.Len()))
+}
+
+// retireHeader hands a deleted value's header to the epoch domain at the
+// point where its last chunk-entry reference went: the CAS that cleared
+// or reused the entry, a rebalance dropping it, or the discard of a value
+// that never reached an entry. Once no reader pinned before that point
+// remains, vheader.Table.Free advances the slot's generation and recycles
+// it, so any handle still held elsewhere reads as deleted.
+func (m *Map) retireHeader(h ValueHandle) {
+	m.reclaim.Retire(epoch.Retired{Kind: retiredHeader, Val: uint64(h)}, 0)
 }
 
 // ReclaimStats exposes the epoch domain's snapshot: current epoch,
@@ -154,8 +179,10 @@ func (m *Map) ArenaStats() arena.Stats { return m.alloc.Stats() }
 // Rebalances returns the number of chunk rebalances performed.
 func (m *Map) Rebalances() int64 { return m.rebalances.Load() }
 
-// HeaderCount returns the number of value headers allocated: one per
-// value ever created, since headers are never reused (§3.3).
+// HeaderCount returns the number of value headers in use: live values,
+// deleted ones still linked in a chunk, and retired ones awaiting their
+// grace period. Freed headers are recycled, so it tracks the live keys,
+// not the values ever created.
 func (m *Map) HeaderCount() uint64 { return m.headers.Count() }
 
 // NumChunks counts the chunks currently in the list.

@@ -269,7 +269,11 @@ func (m *Map) putAttempt(key []byte, vw ValueWriter, f func(*WBuffer) error, op 
 		// reference and we cannot linearize before it (§4.3): drop the
 		// never-published value and retry.
 		m.killValue(nil, newH, nil, 0, 0)
+		m.retireHeader(newH)
 		return putOutcome{}, nil
+	}
+	if h != 0 {
+		m.retireHeader(h) // the entry's deleted value: this CAS unlinked it
 	}
 	FpHeaderLock.Fire()
 	stamp := m.mvcc.clock.Load()
@@ -419,12 +423,16 @@ func (m *Map) ifPresentAttempt(key []byte, f func(*WBuffer) error, read func([]b
 // frozen. Then c's rebalance drops the entry, or, if it gathered the
 // entry before the delete, leaves the deleted handle in the replacement
 // chunk: every reader skips it, and the key's next operation or that
-// chunk's next rebalance clears it. A lost CAS means a put already reused
-// the entry; handles are never reused, so h cannot come back (no ABA).
+// chunk's next rebalance clears it. The winning CAS removes h's last
+// entry reference, so it retires h's header. A lost CAS means a put
+// already reused the entry (and retired h); h's slot cannot be recycled
+// while the caller is pinned, so h cannot come back (no ABA).
 func (m *Map) unlinkDeleted(c *chunk.Chunk, ei int32, h ValueHandle, key []byte) {
 	if m.keepDeleted(key) || !c.Publish() {
 		return
 	}
-	c.CASValHandle(ei, uint64(h), 0)
+	if c.CASValHandle(ei, uint64(h), 0) {
+		m.retireHeader(h)
+	}
 	c.Unpublish()
 }

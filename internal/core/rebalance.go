@@ -165,7 +165,7 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 
 	c.Freeze()
 	FpRebalanceFreeze.Fire()
-	live, deadKeys := m.gather(c)
+	live, deadKeys, deadHs := m.gather(c)
 
 	// Merge policy: when c is under-utilized, absorb the successor.
 	// Holding c's lock keeps c.Next() stable (a successor's rebalance
@@ -177,9 +177,10 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 			n.RebalanceMu.Lock()
 			if n.ReplacedBy() == nil && c.Next() == n {
 				n.Freeze()
-				live2, dk2 := m.gather(n)
+				live2, dk2, dh2 := m.gather(n)
 				live = append(live, live2...)
 				deadKeys = append(deadKeys, dk2...)
+				deadHs = append(deadHs, dh2...)
 				second = n
 				last = n
 			} else {
@@ -254,14 +255,17 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 		second.RebalanceMu.Unlock()
 	}
 
-	// Retire dead keys through the epoch domain: the retired chunks are
-	// already unlinked (forwarding is up), so no scan that pins after
-	// this point can reach them, and scans pinned before it keep the
-	// key bytes alive until they unpin. The dropped chunks' entry
-	// arrays themselves are on-heap and go to the GC with the chunk
-	// objects.
+	// Retire dead keys and the headers of dropped deleted values through
+	// the epoch domain: the retired chunks are already unlinked
+	// (forwarding is up), so no scan that pins after this point can reach
+	// them, and scans pinned before it keep the key bytes and header
+	// slots alive until they unpin. The dropped chunks' entry arrays
+	// themselves are on-heap and go to the GC with the chunk objects.
 	for _, kr := range deadKeys {
 		m.retire(arena.Ref(kr))
+	}
+	for _, h := range deadHs {
+		m.retireHeader(h)
 	}
 	retired = 1
 	if second != nil {
@@ -271,21 +275,23 @@ func (m *Map) rebalanceBody(pred, c *chunk.Chunk) (retired, produced, migrated i
 }
 
 // gather collects the frozen chunk c's pairs for its replacements. A pair
-// whose value is deleted is dropped — its key joins deadKeys — unless an
-// open snapshot can still see the key (keepDeleted). The frozen chunk's
-// entries no longer change, and its keys stay mapped until this rebalance
-// retires them.
-func (m *Map) gather(c *chunk.Chunk) (live []chunk.Pair, deadKeys []uint64) {
+// whose value is deleted is dropped — its key joins deadKeys and its
+// handle deadHs — unless an open snapshot can still see the key
+// (keepDeleted). The frozen chunk's entries no longer change, and its
+// keys and headers stay valid until this rebalance retires them.
+func (m *Map) gather(c *chunk.Chunk) (live []chunk.Pair, deadKeys []uint64, deadHs []ValueHandle) {
 	pairs, deadKeys := c.Gather()
 	live = pairs[:0]
 	for _, p := range pairs {
-		if m.IsDeleted(ValueHandle(p.ValHandle)) && !m.keepDeleted(m.KeyBytes(p.KeyRef)) {
+		h := ValueHandle(p.ValHandle)
+		if m.IsDeleted(h) && !m.keepDeleted(m.KeyBytes(p.KeyRef)) {
 			deadKeys = append(deadKeys, p.KeyRef)
+			deadHs = append(deadHs, h)
 			continue
 		}
 		live = append(live, p)
 	}
-	return live, deadKeys
+	return live, deadKeys, deadHs
 }
 
 // freeKey returns a key's off-heap space to the allocator immediately

@@ -21,9 +21,11 @@ var (
 	FpDeletedBit = faultpoint.New("core/deleted-bit")
 )
 
-// ValueHandle identifies a value: an index into the map's header table.
-// Handles are never reused (§3.3), so they double as ABA-free tokens on
-// the remove path (§4.4). Handle 0 is ⊥.
+// ValueHandle identifies a value: a slot of the map's header table and
+// the slot's generation. A slot is recycled only after an epoch grace
+// period and under a new generation, so a handle read under a pin is
+// an ABA-free token for that pin's entry CASes (§4.4), and a handle kept
+// past its value's removal reads as deleted. Handle 0 is ⊥.
 type ValueHandle uint64
 
 // KeyBytes returns the serialized key behind a key reference. Keys are

@@ -74,7 +74,7 @@ const (
 )
 
 // Retired is one deferred resource: an opaque caller-defined kind and
-// value (in Oak: an arena span ref).
+// value (in Oak: an arena span ref or a value header's handle).
 type Retired struct {
 	Kind uint8
 	Val  uint64
@@ -374,6 +374,10 @@ func (d *Domain) advanceLocked() bool {
 	return true
 }
 
+// drainBucket hands bucket i's items to the free callback. The bucket's
+// array is lent out for the callback and handed back (emptied) once it
+// returns, before the caller publishes the new epoch, so Retire's append
+// reuses it instead of regrowing a new one every cycle.
 func (d *Domain) drainBucket(i int) {
 	b := &d.limbo[i]
 	b.mu.Lock()
@@ -384,6 +388,15 @@ func (d *Domain) drainBucket(i int) {
 	if len(items) == 0 {
 		return
 	}
+	defer func() {
+		// Only a Retire that loaded an old epoch can have appended since:
+		// then its array stays and this one goes to the GC.
+		b.mu.Lock()
+		if b.items == nil {
+			b.items = items[:0]
+		}
+		b.mu.Unlock()
+	}()
 	FpDrain.Fire()
 	d.count.Add(int64(-len(items)))
 	d.drains.Inc()

@@ -362,3 +362,25 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("epoch did not advance")
 	}
 }
+
+// A drained bucket keeps its array: once each bucket has grown to the
+// backlog it holds, retiring and draining the same backlog again
+// allocates nothing.
+func TestDrainKeepsLimboArrays(t *testing.T) {
+	d := NewDomain(func([]Retired) {})
+	cycle := func() {
+		for i := 0; i < 100; i++ {
+			d.Retire(Retired{Val: uint64(i)}, 8)
+		}
+		if !d.Quiesce() {
+			t.Fatal("limbo did not drain")
+		}
+	}
+	for i := 0; i < buckets; i++ {
+		cycle()
+		d.Advance() // land the next cycle's retires in another bucket
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("a retire/drain cycle allocates %.1f times; want 0", n)
+	}
+}

@@ -45,3 +45,23 @@ func BenchmarkConcurrentReadLock(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAllocRecycled times Alloc when every header comes off a free
+// list: batches of 256 are allocated, deleted and freed in turn.
+func BenchmarkAllocRecycled(b *testing.B) {
+	t := NewTable()
+	hs := make([]uint64, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hs = append(hs, t.Alloc())
+		if len(hs) == cap(hs) {
+			b.StopTimer()
+			for _, h := range hs {
+				t.TryDelete(h)
+			}
+			t.Free(hs)
+			hs = hs[:0]
+			b.StartTimer()
+		}
+	}
+}

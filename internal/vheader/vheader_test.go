@@ -323,3 +323,125 @@ func TestFreshHeader(t *testing.T) {
 		t.Fatal("a fresh header deleted under its lock reads live")
 	}
 }
+
+// A freed slot comes back from Alloc under a new generation; the old
+// handle then reads as deleted through every check.
+func TestFreeRecyclesUnderNewGeneration(t *testing.T) {
+	tb := NewTable()
+	h := tb.Alloc()
+	tb.StoreData(h, 0xBEEF)
+	if !tb.TryDelete(h) {
+		t.Fatal("delete failed")
+	}
+	tb.Free([]uint64{h})
+	if n := tb.Count(); n != 0 {
+		t.Fatalf("Count after Free = %d; want 0", n)
+	}
+	h2 := tb.Alloc()
+	if h2&idxMask != h&idxMask || h2 == h {
+		t.Fatalf("Alloc after Free = %#x; want slot %d under a new generation", h2, h&idxMask)
+	}
+	if tb.Count() != 1 {
+		t.Fatalf("Count = %d; want 1", tb.Count())
+	}
+	if tb.LoadData(h2) != 0 || tb.IsDeleted(h2) || !tb.IsLive(h2) {
+		t.Fatal("recycled header is not live with a zero data word")
+	}
+	if tb.TryReadLock(h) || tb.TryWriteLock(h) || tb.TryDelete(h) || !tb.IsDeleted(h) || tb.IsLive(h) {
+		t.Fatal("stale handle reads live")
+	}
+	tb.LockFresh(h2)
+	if tb.IsLive(h) {
+		t.Fatal("stale handle reads live while its slot is fresh")
+	}
+	tb.WriteUnlock(h2)
+	if !tb.TryReadLock(h2) {
+		t.Fatal("read lock on the new occupant failed")
+	}
+	tb.ReadUnlock(h2)
+}
+
+// The generation wraps inside its field: a slot freed at the largest
+// generation comes back at generation 0, still a non-⊥ handle.
+func TestGenerationWraps(t *testing.T) {
+	tb := NewTable()
+	h := tb.Alloc()
+	tb.word(h).Store(genMask | deletedBit) // as if freed 2^29-1 times
+	tb.Free([]uint64{genMask | h})
+	if h2 := tb.Alloc(); h2 != h {
+		t.Fatalf("Alloc after the last generation = %#x; want %#x", h2, h)
+	}
+}
+
+func TestFreeRejectsLiveOrFreedHeaders(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	tb := NewTable()
+	live := tb.Alloc()
+	mustPanic("Free of a live header", func() { tb.Free([]uint64{live}) })
+	dead := tb.Alloc()
+	tb.TryDelete(dead)
+	tb.Free([]uint64{dead})
+	mustPanic("double Free", func() { tb.Free([]uint64{dead}) })
+}
+
+// Allocators race with a freer that recycles their deleted headers in
+// batches, as an epoch domain's drains do. No slot may be handed to two
+// owners at once, and Count must track the headers outstanding.
+func TestConcurrentAllocFree(t *testing.T) {
+	tb := NewTable()
+	const workers, rounds = 4, 20000
+	var owner [1 << 17]atomic.Int32 // by slot index
+	retired := make(chan uint64, 1024)
+	var wg sync.WaitGroup
+	for w := 1; w <= workers; w++ {
+		wg.Add(1)
+		go func(w int32) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				h := tb.Alloc()
+				if !owner[h&idxMask].CompareAndSwap(0, w) {
+					t.Errorf("slot %d handed out while owned by %d", h&idxMask, owner[h&idxMask].Load())
+					return
+				}
+				tb.StoreData(h, uint64(w))
+				if tb.LoadData(h) != uint64(w) || !tb.TryDelete(h) {
+					t.Errorf("slot %d changed under its owner", h&idxMask)
+					return
+				}
+				owner[h&idxMask].Store(0)
+				retired <- h
+			}
+		}(int32(w))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var batch []uint64
+		for h := range retired {
+			if batch = append(batch, h); len(batch) == 64 {
+				tb.Free(batch)
+				batch = batch[:0]
+			}
+		}
+		tb.Free(batch)
+	}()
+	wg.Wait()
+	close(retired)
+	<-done
+	if n := tb.Count(); n != 0 {
+		t.Fatalf("Count = %d after every header was freed", n)
+	}
+	// At most workers + 1024 + 64 headers are out at a time; the slack
+	// covers Allocs that find every list empty while a Free is pushing.
+	if hw := tb.next.Load() - 1; hw > 4096 {
+		t.Fatalf("%d slots used for at most %d headers out at a time", hw, workers+1024+64)
+	}
+}

@@ -290,6 +290,62 @@ func TestMergedCursorParkedAcrossChurn(t *testing.T) {
 	}
 }
 
+// TestMergedScanLeafHandleRecycled: a merged cursor holds each shard's
+// next entry — key and value handle — between steps without a pin. If
+// that entry is removed meanwhile and its header slot recycled for
+// another value, the leaf's handle must read as deleted, so the merge
+// skips the entry instead of yielding a removed key.
+func TestMergedScanLeafHandleRecycled(t *testing.T) {
+	m := newTestSharded(t, 2, 16)
+	for i := 0; i < 20; i++ {
+		m.Put(ik(i), iv(i))
+	}
+	cur := m.NewCursor(nil, nil, false)
+	_, first, _, _, ok := cur.Next()
+	if !ok {
+		t.Fatal("merged cursor yielded nothing")
+	}
+	// The other shard's leaf already holds its smallest key: the victim.
+	victim := -1
+	for i := 0; i < 20 && victim < 0; i++ {
+		if m.ShardIndex(ik(i)) != m.ShardIndex(first) {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatal("every key routed to one shard")
+	}
+	stale, _ := m.Get(ik(victim))
+	if ok, _ := m.Remove(ik(victim)); !ok {
+		t.Fatalf("Remove(%d) found nothing", victim)
+	}
+	if !m.Quiesce() {
+		t.Fatal("limbo did not drain")
+	}
+	slot := func(h core.ValueHandle) uint64 { return uint64(h) & (1<<32 - 1) } // vheader's handle layout
+	recycled := false
+	for i := 1000; i < 3000 && !recycled; i++ {
+		if m.ShardIndex(ik(i)) != m.ShardIndex(ik(victim)) {
+			continue
+		}
+		m.Put(ik(i), iv(i))
+		h, _ := m.Get(ik(i))
+		recycled = slot(h) == slot(stale) && h != stale
+	}
+	if !recycled {
+		t.Fatalf("the victim's header slot %d never came back", slot(stale))
+	}
+	for {
+		_, key, _, _, ok := cur.Next()
+		if !ok {
+			break
+		}
+		if int(keyInt(key)) == victim {
+			t.Fatalf("merged cursor yielded removed key %d through its recycled handle", victim)
+		}
+	}
+}
+
 func keyInt(b []byte) uint64 {
 	var v uint64
 	for _, c := range b {
