@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"oakmap/internal/faultpoint"
+	"oakmap/internal/freelist"
 	"oakmap/internal/telemetry"
 )
 
@@ -34,12 +35,12 @@ var (
 	// list insert and compact), under the owning lock: pausing here
 	// stretches the coalescing window against concurrent alloc/free.
 	FpCoalesce = faultpoint.New("arena/coalesce")
-	// FpClassMigrate is hit when a span changes lists: a split remainder
-	// re-parked after a pop, or a large span carved below largeMin moving
-	// to a size class. The span is privately held at that instant, so a
-	// pause here strands it from every allocation path — the window where
-	// concurrent allocs must fall through to other spans or the bump
-	// pointer rather than spin.
+	// FpClassMigrate is hit when park places a span that changes lists:
+	// a large-list carve remainder, a block tail, compact's output. The
+	// span is privately held at that instant, so a pause here strands it
+	// from every allocation path — the window where concurrent allocs
+	// must fall through to other spans or the bump pointer rather than
+	// spin.
 	FpClassMigrate = faultpoint.New("arena/class-migrate")
 )
 
@@ -53,12 +54,11 @@ type span struct {
 
 // Allocator carves variable-size ranges out of pool blocks on behalf of
 // a single map instance. It is the paper's per-instance memory manager,
-// rebuilt around segregated size-class free lists: fresh space comes
-// from a bump pointer in the current block, freed space is parked on
-// power-of-two size-class LIFOs with per-class locks (plus one
-// address-ordered coalescing list for spans ≥ largeMin) and reused on the
-// next fitting allocation, so traffic in different classes never shares a
-// lock.
+// rebuilt around exact size classes: fresh space comes from a bump
+// pointer in the current block, a freed span goes back on the lock-free
+// free list of its own size class (internal/freelist, linked through the
+// spans' first 8 bytes), or, from largeMin up, on one address-ordered
+// coalescing list, and serves the next request of its size.
 //
 // All methods are safe for concurrent use. Reads through Bytes take no
 // locks: the block table is a fixed-size array of atomic pointers, so a
@@ -80,11 +80,11 @@ type Allocator struct {
 	bumpMu sync.Mutex
 	cur    int //oak:guarded-by bumpMu — index of the block being bump-allocated
 	top    int //oak:guarded-by bumpMu — bump offset in the current block
+	// rescuedAt is the block that was current when the rescue last ran.
+	rescuedAt int //oak:guarded-by bumpMu
 
-	// Size-class free lists. classBits is the occupancy bitmap: bit c set
-	// iff classes[c] is non-empty.
-	classes   [numClasses]classList
-	classBits atomic.Uint32
+	// Size-class free lists, one per exact class size.
+	classes [numClasses]freelist.List[spanLinks]
 
 	// Large-span list: sorted by address, coalescing.
 	largeMu    sync.Mutex
@@ -118,7 +118,7 @@ type Allocator struct {
 
 // NewAllocator creates an allocator drawing from pool.
 func NewAllocator(pool *Pool) *Allocator {
-	return &Allocator{pool: pool, cur: -1}
+	return &Allocator{pool: pool, cur: -1, rescuedAt: -1}
 }
 
 // SetTelemetry attaches a recorder: block growth and free-list class
@@ -129,14 +129,10 @@ func (a *Allocator) SetTelemetry(r *telemetry.Recorder) {
 	a.tel.Store(r)
 }
 
-// align8 rounds n up to a multiple of 8. Allocations are 8-byte aligned
-// to keep value headers and numeric fields naturally aligned and to bound
-// fragmentation from odd-sized keys.
-func align8(n int) int { return (n + 7) &^ 7 }
-
 // Alloc reserves n bytes and returns a reference to them. The returned
-// range has exactly length n; internally the reservation is rounded up to
-// 8 bytes. Alloc never returns memory that overlaps a live allocation.
+// range has exactly length n; internally the reservation is SpanLen(n)
+// bytes, and a reservation larger than a block fails with ErrTooLarge.
+// Alloc never returns memory that overlaps a live allocation.
 func (a *Allocator) Alloc(n int) (Ref, error) {
 	if n < 0 {
 		return NilRef, errors.New("arena: negative allocation size")
@@ -159,19 +155,19 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 		a.bumpMu.Unlock()
 		return ref, nil
 	}
-	if n > a.pool.blockSize || n > MaxAllocSize {
+	rounded := SpanLen(n)
+	if rounded > a.pool.blockSize || n > MaxAllocSize {
 		return NilRef, ErrTooLarge
 	}
 	if FpAllocFail.Fire() {
 		return NilRef, ErrInjected
 	}
-	rounded := align8(n)
 	a.requests.Add(1)
 	if a.closed.Load() {
 		return NilRef, ErrClosed
 	}
-	if rounded <= maxClassSize {
-		if ref, ok := a.classAlloc(n, rounded); ok {
+	if rounded < largeMin {
+		if ref, ok := a.classPop(n, rounded); ok {
 			a.allocated.Add(int64(rounded))
 			return ref, nil
 		}
@@ -180,11 +176,11 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 		a.allocated.Add(int64(rounded))
 		return ref, nil
 	}
-	// Bump path. Before a growth would acquire a fresh block, one rescue
-	// pass (floor-class scan, then coalesce-and-retry) runs: exact-fit
-	// spans hiding below their ceil class and coalescible fragments must
-	// be reused before the footprint grows — and before exhaustion is
-	// declared.
+	// Bump path. When the current block is full, the rescue (compact and
+	// carve) runs before the footprint grows, but only once per block:
+	// rerun on every miss of a full block, it would sort every free span
+	// per allocation. Before growth fails for good, every Alloc gets one
+	// rescue of its own.
 	rescued := false
 	for {
 		a.bumpMu.Lock()
@@ -193,21 +189,29 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 			return NilRef, ErrClosed
 		}
 		if a.cur < 0 || a.top+rounded > a.pool.blockSize {
-			if !rescued {
+			grew := false
+			if a.rescuedAt == a.cur {
+				err := a.growLocked()
+				if err != nil && rescued {
+					a.bumpMu.Unlock()
+					return NilRef, err
+				}
+				grew = err == nil
+			}
+			if !grew {
+				// The rescue: coalesce every free span and carve the
+				// request from the first run that fits.
 				rescued = true
+				a.rescuedAt = a.cur
 				a.bumpMu.Unlock()
 				tick := a.tel.Load().Span(telemetry.OpArenaRescue)
-				ref, ok := a.rescueAlloc(n, rounded)
+				s, _ := a.compact(rounded)
 				tick.Done()
-				if ok {
+				if s.length > 0 {
 					a.allocated.Add(int64(rounded))
-					return ref, nil
+					return MakeRef(s.block, s.offset, n), nil
 				}
 				continue
-			}
-			if err := a.growLocked(); err != nil {
-				a.bumpMu.Unlock()
-				return NilRef, err
 			}
 		}
 		ref := MakeRef(a.cur, a.top, n)
@@ -230,7 +234,7 @@ func (a *Allocator) growLocked() error {
 	if a.cur >= 0 {
 		if rest := a.pool.blockSize - a.top; rest >= 8 {
 			a.dbg.noteFree(a.cur, a.top, rest)
-			a.reinsert(span{block: a.cur, offset: a.top, length: rest})
+			a.park(span{block: a.cur, offset: a.top, length: rest})
 		}
 	}
 	b, err := a.pool.acquire()
@@ -254,7 +258,7 @@ func (a *Allocator) Free(ref Ref) {
 	if ref.IsNil() {
 		return
 	}
-	rounded := align8(ref.Len())
+	rounded := SpanLen(ref.Len())
 	a.freed.Add(int64(rounded))
 	a.allocated.Add(int64(-rounded))
 	// A zero-length ref owns no bytes: parking it would add a degenerate
@@ -264,7 +268,11 @@ func (a *Allocator) Free(ref Ref) {
 		return
 	}
 	a.dbg.noteFree(ref.Block(), ref.Offset(), rounded)
-	a.reinsert(span{block: ref.Block(), offset: ref.Offset(), length: rounded})
+	if rounded < largeMin {
+		a.classPush(span{block: ref.Block(), offset: ref.Offset(), length: rounded})
+	} else {
+		a.largeInsert(span{block: ref.Block(), offset: ref.Offset(), length: rounded})
+	}
 }
 
 // Bytes returns the byte range behind ref. The slice aliases the block's
@@ -301,7 +309,7 @@ func (a *Allocator) Write(data []byte) (Ref, error) {
 
 // ClassStats is one size class's occupancy snapshot.
 type ClassStats struct {
-	Size  int   // class lower-bound span length in bytes
+	Size  int   // the class's span length in bytes
 	Spans int   // spans parked on this class
 	Bytes int64 // bytes parked on this class
 }
@@ -338,12 +346,10 @@ func (a *Allocator) Stats() Stats {
 	}
 	var listBytes int64
 	for c := range a.classes {
-		cl := &a.classes[c]
-		cl.mu.Lock()
-		st.Classes[c] = ClassStats{Size: classSize(c), Spans: len(cl.spans), Bytes: cl.bytes}
-		st.FreeSpans += len(cl.spans)
-		listBytes += cl.bytes
-		cl.mu.Unlock()
+		n := int(a.classes[c].Count())
+		st.Classes[c] = ClassStats{Size: classSize(c), Spans: n, Bytes: int64(n) * int64(classSize(c))}
+		st.FreeSpans += n
+		listBytes += st.Classes[c].Bytes
 	}
 	a.largeMu.Lock()
 	st.LargeSpans = len(a.large)
@@ -372,21 +378,23 @@ func (a *Allocator) Footprint() int64 {
 func (a *Allocator) LiveBytes() int64 { return a.allocated.Load() }
 
 // compact drains every free structure, coalesces adjacent spans in
-// address order, and re-parks the result. Its only caller is
-// rescueAlloc, just before the allocator would grow a block. Returns the
-// number of spans after coalescing.
-func (a *Allocator) compact() int {
+// address order, and re-parks the result. When want > 0 it first cuts
+// want bytes, first-fit, from the lowest-addressed run that holds them
+// and returns them as fit (fit.length is 0 if no run does). Its only
+// caller is Alloc's rescue, before the allocator would grow a block.
+// parked is the number of spans it re-parked.
+func (a *Allocator) compact(want int) (fit span, parked int) {
 	a.migrateMu.Lock()
 	defer a.migrateMu.Unlock()
 	if a.closed.Load() {
-		return 0
+		return span{}, 0
 	}
 	tick := a.tel.Load().Span(telemetry.OpArenaCompact)
 	defer tick.Done()
 	spans := a.drainAll(a.drained[:0])
 	a.drained = spans[:0]
 	if len(spans) == 0 {
-		return 0
+		return span{}, 0
 	}
 	slices.SortFunc(spans, func(x, y span) int {
 		switch {
@@ -408,9 +416,17 @@ func (a *Allocator) compact() int {
 		}
 	}
 	for _, s := range out {
-		a.reinsert(s)
+		if want > 0 && fit.length == 0 && s.length >= want {
+			fit = span{block: s.block, offset: s.offset, length: want}
+			a.dbg.noteAlloc(s.block, s.offset, want)
+			s.offset += want
+			s.length -= want
+		}
+		if s.length > 0 {
+			parked += a.park(s)
+		}
 	}
-	return len(out)
+	return fit, parked
 }
 
 // Close releases every block back to the pool. Any Ref obtained from this

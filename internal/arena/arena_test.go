@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"oakmap/internal/faultpoint"
+	"oakmap/internal/telemetry"
 )
 
 func TestRefPackRoundTrip(t *testing.T) {
@@ -107,6 +108,17 @@ func TestAllocatorErrors(t *testing.T) {
 	if _, err := a.Alloc(2048); err != ErrTooLarge {
 		t.Fatal("oversized alloc should fail with ErrTooLarge")
 	}
+	// A request that fits a block whose size is not a class boundary, but
+	// whose size class does not, fails the same way instead of bumping
+	// past the block's end.
+	odd := NewAllocator(NewPool(1000, 0))
+	defer odd.Close()
+	if _, err := odd.Alloc(990); err != ErrTooLarge {
+		t.Fatalf("Alloc(990) in 1000 B blocks: %v, want ErrTooLarge", err)
+	}
+	if r, err := odd.Alloc(896); err != nil || odd.Bytes(r)[895] != 0 {
+		t.Fatalf("Alloc(896) in 1000 B blocks: %v", err)
+	}
 	a.Close()
 	if _, err := a.Alloc(8); err != ErrClosed {
 		t.Fatalf("alloc after close: %v", err)
@@ -145,7 +157,7 @@ func TestAllocatorGrowsBlocks(t *testing.T) {
 }
 
 func TestFirstFitReuse(t *testing.T) {
-	a := NewAllocator(NewPool(4096, 0))
+	a := NewAllocator(NewPool(1<<16, 0))
 	defer a.Close()
 	r1, _ := a.Alloc(64)
 	a.Alloc(64) // keep the bump pointer moving
@@ -159,14 +171,19 @@ func TestFirstFitReuse(t *testing.T) {
 	if r3.Block() != r1.Block() || r3.Offset() != r1.Offset() {
 		t.Fatalf("first-fit did not reuse: %v vs %v", r3, r1)
 	}
-	// A smaller allocation splits the span.
-	a.Free(r3)
+	// A smaller allocation that misses its class splits a free large
+	// span at its head.
+	big, _ := a.Alloc(largeMin)
+	a.Alloc(64)
+	a.Free(big)
 	r4, _ := a.Alloc(32)
-	if r4.Offset() != r1.Offset() {
+	if r4.Block() != big.Block() || r4.Offset() != big.Offset() {
 		t.Fatalf("split head misplaced: %v", r4)
 	}
-	r5, _ := a.Alloc(24)
-	if r5.Offset() != r1.Offset()+32 {
+	// The rest fell below largeMin and was parked in class-sized pieces,
+	// the first one right after the head.
+	r5, _ := a.Alloc(pieceLen(largeMin - 32))
+	if r5.Offset() != big.Offset()+32 {
 		t.Fatalf("split tail misplaced: %v", r5)
 	}
 }
@@ -182,7 +199,7 @@ func TestCompactCoalesces(t *testing.T) {
 	for _, r := range refs {
 		a.Free(r)
 	}
-	if spans := a.compact(); spans != 1 {
+	if _, spans := a.compact(0); spans != 1 {
 		t.Fatalf("compact left %d spans; want 1 contiguous span", spans)
 	}
 }
@@ -296,14 +313,14 @@ func TestAccountingProperty(t *testing.T) {
 				r := live[len(live)-1]
 				live = live[:len(live)-1]
 				a.Free(r)
-				expect -= int64(align8(r.Len()))
+				expect -= int64(SpanLen(r.Len()))
 			} else {
 				r, err := a.Alloc(n)
 				if err != nil {
 					return false
 				}
 				live = append(live, r)
-				expect += int64(align8(n))
+				expect += int64(SpanLen(n))
 			}
 		}
 		return a.LiveBytes() == expect
@@ -349,29 +366,47 @@ func TestZeroLengthFreeNoLeak(t *testing.T) {
 }
 
 func TestClassMath(t *testing.T) {
-	for _, tc := range []struct{ n, floor, ceil int }{
-		{8, 0, 0},
-		{16, 1, 1},
-		{24, 1, 2},
-		{64, 3, 3},
-		{104, 3, 4},
-		{4096, 9, 9},
-		{4104, 9, -1}, // above maxClassSize: no ceil class
-		{8191, 9, -1},
+	for _, tc := range []struct{ n, span int }{
+		{1, 8},
+		{8, 8},
+		{100, 104}, // the benchmark's keys: every multiple of 8 up to 128 is a class
+		{128, 128},
+		{129, 144}, // above 128: 8 classes per power of two
+		{200, 208},
+		{256, 256},
+		{257, 288},
+		{4104, 4608},
+		{7681, largeMin}, // rounds up onto the large list
+		{largeMin + 1, largeMin + 8},
 	} {
-		if got := floorClass(tc.n); got != tc.floor {
-			t.Errorf("floorClass(%d) = %d, want %d", tc.n, got, tc.floor)
-		}
-		if tc.ceil >= 0 {
-			if got := ceilClass(tc.n); got != tc.ceil {
-				t.Errorf("ceilClass(%d) = %d, want %d", tc.n, got, tc.ceil)
-			}
+		if got := SpanLen(tc.n); got != tc.span {
+			t.Errorf("SpanLen(%d) = %d, want %d", tc.n, got, tc.span)
 		}
 	}
+	prev := 0
 	for c := 0; c < numClasses; c++ {
-		if classSize(c) != 8<<c {
-			t.Fatalf("classSize(%d) = %d", c, classSize(c))
+		size := classSize(c)
+		if size <= prev || size%8 != 0 || size >= largeMin {
+			t.Fatalf("classSize(%d) = %d after %d", c, size, prev)
 		}
+		if classOf(size) != c || SpanLen(size) != size || pieceLen(size) != size {
+			t.Fatalf("class %d (%d B): classOf %d, SpanLen %d, pieceLen %d",
+				c, size, classOf(size), SpanLen(size), pieceLen(size))
+		}
+		// Every length between two classes rounds up to the upper one, and
+		// a span of that length parks a piece of the lower one.
+		for n := prev + 1; n < size; n++ {
+			if SpanLen(n) != size {
+				t.Fatalf("SpanLen(%d) = %d, want %d", n, SpanLen(n), size)
+			}
+			if n%8 == 0 && pieceLen(n) != prev {
+				t.Fatalf("pieceLen(%d) = %d, want %d", n, pieceLen(n), prev)
+			}
+		}
+		prev = size
+	}
+	if classSize(numClasses-1) != largeMin-largeMin/16 {
+		t.Fatalf("largest class %d", classSize(numClasses-1))
 	}
 }
 
@@ -458,7 +493,8 @@ func TestLargeCarveMigratesToClass(t *testing.T) {
 	r, _ := a.Alloc(8192)
 	a.Alloc(8) // keep the bump pointer off the freed range
 	a.Free(r)
-	// 8192 - 4104 = 4088 < largeMin: the remainder must leave the list.
+	// 8192 - SpanLen(4104) = 3584 < largeMin: the remainder must leave
+	// the list.
 	if _, err := a.Alloc(4104); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +502,7 @@ func TestLargeCarveMigratesToClass(t *testing.T) {
 	if st.LargeSpans != 0 {
 		t.Fatalf("LargeSpans = %d, want 0 after carve-below-largeMin", st.LargeSpans)
 	}
-	if st.Classes[floorClass(4088)].Spans != 1 {
+	if st.Classes[classOf(largeMin-SpanLen(4104))].Spans != 1 {
 		t.Fatalf("remainder not migrated to class: %+v", st.Classes)
 	}
 	if FpClassMigrate.Hits() != 1 {
@@ -484,39 +520,39 @@ func TestSizeClassStats(t *testing.T) {
 	a.Free(r2)
 	a.Free(r3)
 	st := a.Stats()
-	if c := st.Classes[floorClass(64)]; c.Spans != 2 || c.Bytes != 128 || c.Size != 64 {
+	if c := st.Classes[classOf(64)]; c.Spans != 2 || c.Bytes != 128 || c.Size != 64 {
 		t.Fatalf("64B class stats: %+v", c)
 	}
-	if c := st.Classes[floorClass(align8(200))]; c.Spans != 1 || c.Bytes != int64(align8(200)) {
+	if c := st.Classes[classOf(SpanLen(200))]; c.Spans != 1 || c.Bytes != int64(SpanLen(200)) {
 		t.Fatalf("200B class stats: %+v", c)
 	}
 	if st.FreeSpans != 3 {
 		t.Fatalf("FreeSpans = %d", st.FreeSpans)
 	}
-	wantFree := int64(128 + align8(200))
+	wantFree := int64(128 + SpanLen(200))
 	if st.Fragmentation <= 0 || st.Fragmentation != float64(wantFree)/float64(st.Footprint) {
 		t.Fatalf("Fragmentation = %v (free %d, footprint %d)", st.Fragmentation, wantFree, st.Footprint)
 	}
 }
 
 // TestRescueExactFit: a freed span whose length is not a power of two
-// parks below its ceil class; when the pool is exhausted, the rescue
-// scan must still find and reuse it (regression for segregated-fit
-// missing exact fits the flat scan would have found).
+// must serve the next request of its size when the pool is exhausted
+// (regression for the power-of-two classes, which parked such a span
+// where a request of its own size could not pop it).
 func TestRescueExactFit(t *testing.T) {
 	p := NewPool(1024, 1024) // a single block, ever
 	a := NewAllocator(p)
 	defer a.Close()
 	var refs []Ref
 	for i := 0; i < 9; i++ { // 9 × 104 rounded bytes fill the block
-		r, err := a.Alloc(100) // rounded to 104: floor class 64, ceil 128
+		r, err := a.Alloc(100) // rounded to 104, its own class
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs = append(refs, r)
 	}
-	// Free alternating refs: non-adjacent, so coalescing cannot build a
-	// ≥128B span — only the floor-class scan can find these exact fits.
+	// Free alternating refs: non-adjacent, so only their own class can
+	// serve the request.
 	for i := 0; i < len(refs); i += 2 {
 		a.Free(refs[i])
 	}
@@ -601,7 +637,7 @@ func TestConcurrentClassChurn(t *testing.T) {
 		t.Fatalf("LiveBytes = %d after freeing everything", a.LiveBytes())
 	}
 	// And the freed space coalesces back down.
-	spans := a.compact()
+	_, spans := a.compact(0)
 	st := a.Stats()
 	if spans != st.FreeSpans {
 		t.Fatalf("compact reported %d spans, stats say %d", spans, st.FreeSpans)
@@ -701,14 +737,67 @@ func TestCompactKeepsListArrays(t *testing.T) {
 		for i := 0; i < len(refs); i += 2 { // every other span: nothing coalesces
 			a.Free(refs[i])
 		}
-		a.compact()
+		a.compact(0)
 		for i := 1; i < len(refs); i += 2 {
 			a.Free(refs[i])
 		}
-		a.compact()
+		a.compact(0)
 	}
 	cycle()
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {
 		t.Fatalf("a churn-and-compact cycle allocates %.1f times; want 0", n)
+	}
+}
+
+// TestExactClassChurn churns one live span of every 8-byte multiple from
+// 8 B to 8 KiB: each round frees a random quarter of them and allocates
+// the same lengths back in another order. A freed span serves the next
+// request of its own length, so after warm-up the allocator holds a
+// steady block count and never enters its rescue path. (With
+// power-of-two classes, a span of a length between two powers of two
+// could not serve a request of that length, and the churn lived in the
+// rescue path.)
+func TestExactClassChurn(t *testing.T) {
+	a := NewAllocator(NewPool(1<<20, 0))
+	defer a.Close()
+	rec := telemetry.New(telemetry.Config{})
+	a.SetTelemetry(rec)
+	rng := rand.New(rand.NewPCG(5, 8))
+	const sizes = 8 << 10 / 8
+	live := make([]Ref, sizes)
+	for _, j := range rng.Perm(sizes) {
+		r, err := a.Alloc(8 * (j + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[j] = r
+	}
+	round := func() {
+		idx := rng.Perm(sizes)[:sizes/4]
+		for _, j := range idx {
+			a.Free(live[j])
+		}
+		rng.Shuffle(len(idx), func(x, y int) { idx[x], idx[y] = idx[y], idx[x] })
+		for _, j := range idx {
+			r, err := a.Alloc(8 * (j + 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[j] = r
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	blocks := a.Stats().Blocks
+	rescues := rec.OpSnapshot(telemetry.OpArenaRescue).Count
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	if got := a.Stats().Blocks; got != blocks {
+		t.Errorf("blocks grew %d → %d under a steady live set", blocks, got)
+	}
+	if got := rec.OpSnapshot(telemetry.OpArenaRescue).Count; got != rescues {
+		t.Errorf("the churn entered the rescue path %d times after warm-up", got-rescues)
 	}
 }

@@ -49,7 +49,7 @@ func BenchmarkAllocFreeChurn(b *testing.B) {
 
 // BenchmarkChurnParallel is the contention benchmark behind the
 // size-class design: G goroutines churn mixed-size alloc/free against
-// one allocator, which pops per-class LIFOs under per-class locks.
+// one allocator, whose size classes are lock-free striped free lists.
 func BenchmarkChurnParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("g=%d", workers), func(b *testing.B) {
@@ -151,4 +151,56 @@ func BenchmarkRefPack(b *testing.B) {
 		sink = MakeRef(i%MaxBlocks, i&0x3ffffff, 128)
 	}
 	_ = sink
+}
+
+// BenchmarkUniformChurn sets the arena beside the Go heap on a churn of
+// lengths uniform over every byte count from 64 to 2,048 (write-churn's
+// range, not its powers of two): a ring of 4,096 live buffers, each op
+// replacing one with a buffer of a fresh random length. make leaves the
+// old buffer to the garbage collector; sync.Pool recycles 2 KiB buffers
+// resliced to length; the arena frees the span and allocates the new one.
+func BenchmarkUniformChurn(b *testing.B) {
+	const ring = 4096
+	length := func(rng *rand.Rand) int { return 64 + rng.IntN(2048-64+1) }
+	b.Run("make", func(b *testing.B) {
+		live := make([][]byte, ring)
+		rng := rand.New(rand.NewPCG(1, 2))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			live[i%ring] = make([]byte, length(rng))
+		}
+	})
+	b.Run("sync.Pool", func(b *testing.B) {
+		p := sync.Pool{New: func() any { return new([2048]byte) }}
+		live := make([]*[2048]byte, ring)
+		rng := rand.New(rand.NewPCG(1, 2))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if old := live[i%ring]; old != nil {
+				p.Put(old)
+			}
+			buf := p.Get().(*[2048]byte)
+			_ = buf[:length(rng)]
+			live[i%ring] = buf
+		}
+	})
+	b.Run("arena", func(b *testing.B) {
+		a := NewAllocator(NewPool(1<<20, 0))
+		defer a.Close()
+		live := make([]Ref, ring)
+		rng := rand.New(rand.NewPCG(1, 2))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if old := live[i%ring]; !old.IsNil() {
+				a.Free(old)
+			}
+			r, err := a.Alloc(length(rng))
+			if err != nil {
+				b.Fatal(err)
+			}
+			live[i%ring] = r
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(a.Footprint())/float64(a.LiveBytes()), "footprint/live")
+	})
 }

@@ -58,12 +58,12 @@ func TestDebugReuseClearsTracking(t *testing.T) {
 }
 
 func TestDebugSplitRemainderTracked(t *testing.T) {
-	a := NewAllocator(NewPool(4096, 0))
+	a := NewAllocator(NewPool(1<<16, 0))
 	defer a.Close()
-	r, _ := a.Alloc(128)
+	r, _ := a.Alloc(largeMin)
 	a.Alloc(64)
 	a.Free(r)
-	head, _ := a.Alloc(32) // carves the head; remainder re-parked
+	head, _ := a.Alloc(32) // carves the large span's head; remainder re-parked
 	if head.Offset() != r.Offset() {
 		t.Fatalf("expected head carve: %v vs %v", head, r)
 	}
@@ -80,7 +80,7 @@ func TestDebugCompactKeepsTracking(t *testing.T) {
 	a.Alloc(64)
 	a.Free(r1)
 	a.Free(r2)
-	a.compact() // merges the two spans; tracking must survive
+	a.compact(0) // merges the two spans; tracking must survive
 	mustPanicWith(t, "double/overlapping free", func() { a.Free(r1) })
 	// Popping the merged span clears both fragments.
 	r3, err := a.Alloc(128)

@@ -1,7 +1,8 @@
 // Package arena implements Oak's off-heap memory substrate: a pool of
-// large pointer-free byte slabs ("blocks"), a per-map allocator with
-// segregated size-class free lists, and packed 64-bit references into
-// the slabs.
+// large pointer-free byte slabs ("blocks"), a per-map allocator whose
+// exact size classes are lock-free free lists (internal/freelist) and
+// whose spans of 8 KiB and more share one coalescing list, and packed
+// 64-bit references into the slabs.
 //
 // In the paper, keys and values are allocated in off-heap arenas obtained
 // via direct ByteBuffers so that the JVM garbage collector never scans

@@ -1,157 +1,154 @@
 package arena
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sort"
-	"sync"
 
+	"oakmap/internal/freelist"
 	"oakmap/internal/telemetry"
 )
 
-// Size-class layout. Classes are powers of two from 8B (the alignment
-// quantum) to 4KiB; a free span of length L < largeMin is parked on the
-// class of its floor power of two, so every span in class c is at least
-// classSize(c) bytes and a pop from any class ≥ ceilClass(r) is
-// guaranteed to fit a request of r bytes without scanning. Spans of largeMin bytes or more live on a single
-// address-ordered list that coalesces adjacent spans on insert — the
-// only place coalescing is needed eagerly, because large spans are what
-// rebalances and big-value churn produce and re-request.
+// Size-class layout. Every multiple of 8 up to smallMax is a class; above
+// it each power of two is cut into 8 classes, up to largeMin. Alloc
+// reserves the class size of a request (SpanLen), Free gives the span back
+// to that same class, so a freed span serves the next request of its size
+// with one CAS. Rounding costs less than 1/8 of a request above smallMax
+// and nothing at or below it: the benchmark's 100 B keys take 104 B,
+// rounded to 8, where 4 classes per power of two would take 112 B
+// and add 8 B to every 228 B key+value entry. Spans of largeMin bytes or
+// more live on a single address-ordered list that coalesces adjacent
+// spans on insert and serves any size first-fit.
 const (
-	minClassShift = 3  // 8 B
-	maxClassShift = 12 // 4 KiB — largest segregated class
-	numClasses    = maxClassShift - minClassShift + 1
-	maxClassSize  = 1 << maxClassShift
-	// largeMin is the smallest span length kept on the large list.
-	largeMin = maxClassSize << 1
+	smallShift    = 7               // every multiple of 8 up to 1<<smallShift is a class
+	largeShift    = 13              // spans from 1<<largeShift up live on the large list
+	classesPerDbl = 8               // classes per power of two in between (their step: 2^k/8)
+	smallMax      = 1 << smallShift // 128 B
+	largeMin      = 1 << largeShift // 8 KiB, itself not a class
+	numClasses    = smallMax/8 + classesPerDbl*(largeShift-smallShift) - 1
 )
 
-// classSize returns the lower-bound span length of class c.
-func classSize(c int) int { return 1 << (minClassShift + c) }
-
-// floorClass maps a span length in [8, largeMin) to the class that holds
-// it: the largest class whose size does not exceed n.
-func floorClass(n int) int {
-	c := bits.Len(uint(n)) - 1 - minClassShift
-	if c >= numClasses {
-		c = numClasses - 1
+// SpanLen returns the bytes Alloc reserves for, and Free releases from, a
+// request of n bytes: n rounded up to 8 (which keeps numeric fields
+// aligned and leaves every free span room for its link), then up to its
+// size class below largeMin.
+func SpanLen(n int) int {
+	n = (n + 7) &^ 7
+	if n <= smallMax || n >= largeMin {
+		return n
 	}
-	return c
+	step := 1 << (bits.Len(uint(n-1)) - 4) // n in (2^k, 2^(k+1)]: step 2^k/8
+	return (n + step - 1) &^ (step - 1)
 }
 
-// ceilClass maps a request of rounded size n ≤ maxClassSize to the
-// smallest class every span of which is guaranteed to fit it.
-func ceilClass(n int) int {
-	if n <= 1<<minClassShift {
-		return 0
+// classOf returns the class of a class size below largeMin.
+func classOf(size int) int {
+	if size <= smallMax {
+		return size/8 - 1
 	}
-	return bits.Len(uint(n-1)) - minClassShift
+	k := bits.Len(uint(size-1)) - 1 // size in (2^k, 2^(k+1)]
+	return smallMax/8 + (k-smallShift)*classesPerDbl + (size-1<<k)>>(k-3) - 1
 }
 
-// classList is one size class's LIFO of free spans. Each class has its
-// own lock, so concurrent Alloc/Free traffic in different classes never
-// serializes; the trailing pad keeps neighboring classes on separate
-// cache lines.
-type classList struct {
-	mu    sync.Mutex
-	spans []span //oak:guarded-by mu
-	bytes int64  //oak:guarded-by mu
-	_     [24]byte
-}
-
-// setClassBit / clearClassBit maintain the occupancy bitmap consulted by
-// classAlloc to skip empty classes without taking their locks. Both are
-// called with the class's lock held, so the bit tracks emptiness
-// exactly. (CAS loops rather than atomic Or/And: those methods postdate
-// this module's go directive.)
-func (a *Allocator) setClassBit(c int) {
-	for {
-		old := a.classBits.Load()
-		if old&(1<<c) != 0 || a.classBits.CompareAndSwap(old, old|1<<c) {
-			return
-		}
+// classSize returns the span length of class c.
+func classSize(c int) int {
+	if c < smallMax/8 {
+		return 8 * (c + 1)
 	}
+	c -= smallMax / 8
+	base := smallMax << (c / classesPerDbl)
+	return base + (c%classesPerDbl+1)*(base/classesPerDbl)
 }
 
-func (a *Allocator) clearClassBit(c int) {
-	for {
-		old := a.classBits.Load()
-		if old&(1<<c) == 0 || a.classBits.CompareAndSwap(old, old&^(1<<c)) {
-			return
-		}
+// pieceLen returns the largest class size not above n, a multiple of 8
+// below largeMin: the first piece park cuts from a span of n bytes.
+func pieceLen(n int) int {
+	if n <= smallMax {
+		return n
 	}
+	step := 1 << (bits.Len(uint(n)) - 4) // n in [2^k, 2^(k+1)): step 2^k/8
+	return n &^ (step - 1)
 }
 
-// classPush parks a span of length in [8, largeMin) on its floor class.
+// A free span in a class list is named by its locator, (block+1)<<24 |
+// offset/8: 34 bits, nonzero, the free list's element index.
+const locOffBits = offsetBits - 3
+
+func locator(block, offset int) uint64 {
+	return uint64(block+1)<<locOffBits | uint64(offset>>3)
+}
+
+func unlocate(loc uint64) (block, offset int) {
+	return int(loc>>locOffBits) - 1, int(loc&(1<<locOffBits-1)) << 3
+}
+
+// spanLinks links the free spans of a class through their first 8 bytes.
+type spanLinks struct{ a *Allocator }
+
+func (l spanLinks) Link(loc uint64) uint64 {
+	b, off := unlocate(loc)
+	return loadLink(l.a.blocks[b].Load().buf, off)
+}
+
+func (l spanLinks) SetLink(loc, next uint64) {
+	b, off := unlocate(loc)
+	storeLink(l.a.blocks[b].Load().buf, off, next)
+}
+
+// loadLink and storeLink read and write a free span's link word. A pop
+// loads the link of the span it saw at a stripe's head, and that span may
+// meanwhile have been popped by another goroutine whose new owner is
+// writing it: a read racing a write. The pop's tagged CAS then fails and
+// discards what it read, and blocks stay in the table until Close, so the
+// race is benign; but under -race, where blocks are Go-heap slices, the
+// detector would report it. The two accessors are therefore left
+// uninstrumented; every other access to block bytes stays instrumented.
+//
+//go:norace
+func loadLink(buf []byte, off int) uint64 { return binary.LittleEndian.Uint64(buf[off:]) }
+
+//go:norace
+func storeLink(buf []byte, off int, next uint64) { binary.LittleEndian.PutUint64(buf[off:], next) }
+
+// classPop serves a request of class size size < largeMin from its own
+// class with one CAS.
+func (a *Allocator) classPop(n, size int) (Ref, bool) {
+	loc, ok := a.classes[classOf(size)].Pop(spanLinks{a})
+	if !ok {
+		return NilRef, false
+	}
+	b, off := unlocate(loc)
+	a.dbg.noteAlloc(b, off, size)
+	return MakeRef(b, off, n), true
+}
+
+// classPush puts a free span whose length is a class size on its class.
 func (a *Allocator) classPush(s span) {
-	c := floorClass(s.length)
-	cl := &a.classes[c]
-	cl.mu.Lock()
-	if a.closed.Load() {
-		cl.mu.Unlock()
-		return
-	}
-	cl.spans = append(cl.spans, s)
-	cl.bytes += int64(s.length)
-	if len(cl.spans) == 1 {
-		a.setClassBit(c)
-	}
-	cl.mu.Unlock()
+	loc := locator(s.block, s.offset)
+	a.classes[classOf(s.length)].Push(spanLinks{a}, loc, loc, 1)
 }
 
-// reinsert routes a span (a free, a split remainder, or a migrated large
-// tail) to its home structure.
-func (a *Allocator) reinsert(s span) {
-	if s.length >= largeMin {
-		a.largeInsert(s)
-	} else {
-		a.classPush(s)
-	}
-}
-
-// migrateSpan parks a span that is changing lists — a split remainder
-// re-parked after a pop, or a large tail carved below largeMin — firing
-// the fault point and the flight-recorder event that track free-list
-// class migrations.
-func (a *Allocator) migrateSpan(s span) {
+// park places a free span that Alloc did not hand out as one piece — a
+// large-list carve remainder, a block tail, compact's output — and
+// returns the number of pieces it parked. A span of largeMin bytes or
+// more goes to the large list whole; a shorter one is cut greedily into
+// class-sized pieces, always exactly, because 8 B is a class.
+func (a *Allocator) park(s span) int {
 	FpClassMigrate.Fire()
 	a.tel.Load().Event(telemetry.EvClassMigrate, uint64(s.length), 0, 0)
-	a.reinsert(s)
-}
-
-// classAlloc serves a request of rounded size ≤ maxClassSize from the
-// segregated classes: pop from the smallest non-empty class that
-// guarantees a fit, carve the head, and route the remainder back. The
-// hot case (free span of the exact class) is one lock, one pop.
-func (a *Allocator) classAlloc(n, rounded int) (Ref, bool) {
-	start := ceilClass(rounded)
-	for {
-		avail := a.classBits.Load() &^ (uint32(1)<<start - 1)
-		if avail == 0 {
-			return NilRef, false
-		}
-		c := bits.TrailingZeros32(avail)
-		cl := &a.classes[c]
-		cl.mu.Lock()
-		m := len(cl.spans)
-		if m == 0 {
-			// Raced with the pop that emptied the class; its bit is
-			// already clear (or about to be) — retry on a fresh view.
-			cl.mu.Unlock()
-			continue
-		}
-		s := cl.spans[m-1]
-		cl.spans = cl.spans[:m-1]
-		cl.bytes -= int64(s.length)
-		if m == 1 {
-			a.clearClassBit(c)
-		}
-		cl.mu.Unlock()
-		a.dbg.noteAlloc(s.block, s.offset, rounded)
-		if rest := s.length - rounded; rest >= 8 {
-			a.migrateSpan(span{block: s.block, offset: s.offset + rounded, length: rest})
-		}
-		return MakeRef(s.block, s.offset, n), true
+	if s.length >= largeMin {
+		a.largeInsert(s)
+		return 1
 	}
+	pieces := 0
+	for s.length > 0 {
+		p := span{block: s.block, offset: s.offset, length: pieceLen(s.length)}
+		a.classPush(p)
+		s.offset += p.length
+		s.length -= p.length
+		pieces++
+	}
+	return pieces
 }
 
 // spanBefore orders spans by address (block, then offset).
@@ -206,36 +203,22 @@ func (a *Allocator) largeInsert(s span) {
 
 // largeAlloc serves a request from the large list, first-fit in address
 // order (lowest-address span that fits — the policy that keeps high
-// addresses free to coalesce). A span carved below largeMin migrates to
-// a size class.
-func (a *Allocator) largeAlloc(n, rounded int) (Ref, bool) {
+// addresses free to coalesce), and parks the remainder.
+func (a *Allocator) largeAlloc(n, size int) (Ref, bool) {
 	a.largeMu.Lock()
 	if len(a.large) > 0 {
 		FpFreeListScan.Fire()
 	}
-	for i := range a.large {
-		s := a.large[i]
-		if s.length < rounded {
+	for i, s := range a.large {
+		if s.length < size {
 			continue
 		}
-		rest := span{block: s.block, offset: s.offset + rounded, length: s.length - rounded}
-		var migrate span
-		if rest.length >= largeMin {
-			a.large[i] = rest
-			a.largeBytes -= int64(rounded)
-		} else {
-			a.large = append(a.large[:i], a.large[i+1:]...)
-			a.largeBytes -= int64(s.length)
-			if rest.length >= 8 {
-				migrate = rest
-			}
-		}
+		a.large = append(a.large[:i], a.large[i+1:]...)
+		a.largeBytes -= int64(s.length)
 		a.largeMu.Unlock()
-		a.dbg.noteAlloc(s.block, s.offset, rounded)
-		if migrate.length > 0 {
-			// migrate.length < largeMin, so migrateSpan's reinsert is the
-			// same classPush this site always performed.
-			a.migrateSpan(migrate)
+		a.dbg.noteAlloc(s.block, s.offset, size)
+		if s.length > size {
+			a.park(span{block: s.block, offset: s.offset + size, length: s.length - size})
 		}
 		return MakeRef(s.block, s.offset, n), true
 	}
@@ -243,75 +226,21 @@ func (a *Allocator) largeAlloc(n, rounded int) (Ref, bool) {
 	return NilRef, false
 }
 
-// classScan is the rescue path's first-fit scan of the floor class: a
-// span whose length lies in [rounded, classSize(ceilClass)) is parked
-// there, invisible to classAlloc's guaranteed-fit search, yet it may fit
-// this exact request. O(class spans), taken only when bump allocation
-// would otherwise grow a new block.
-func (a *Allocator) classScan(n, rounded int) (Ref, bool) {
-	if rounded >= largeMin {
-		return NilRef, false
-	}
-	c := floorClass(rounded)
-	cl := &a.classes[c]
-	cl.mu.Lock()
-	for i := range cl.spans {
-		s := cl.spans[i]
-		if s.length < rounded {
-			continue
-		}
-		last := len(cl.spans) - 1
-		cl.spans[i] = cl.spans[last]
-		cl.spans = cl.spans[:last]
-		cl.bytes -= int64(s.length)
-		if last == 0 {
-			a.clearClassBit(c)
-		}
-		cl.mu.Unlock()
-		a.dbg.noteAlloc(s.block, s.offset, rounded)
-		if rest := s.length - rounded; rest >= 8 {
-			a.migrateSpan(span{block: s.block, offset: s.offset + rounded, length: rest})
-		}
-		return MakeRef(s.block, s.offset, n), true
-	}
-	cl.mu.Unlock()
-	return NilRef, false
-}
-
-// rescueAlloc is the can't-bump slow path: scan the floor class for an
-// exact fit, then coalesce everything and retry the classes — adjacent
-// small fragments may assemble into a fitting span.
-// Caller must not hold bumpMu (compact takes migrateMu).
-func (a *Allocator) rescueAlloc(n, rounded int) (Ref, bool) {
-	if ref, ok := a.classScan(n, rounded); ok {
-		return ref, true
-	}
-	a.compact()
-	if rounded <= maxClassSize {
-		if ref, ok := a.classAlloc(n, rounded); ok {
-			return ref, true
-		}
-	}
-	if ref, ok := a.largeAlloc(n, rounded); ok {
-		return ref, true
-	}
-	return a.classScan(n, rounded)
-}
-
 // drainAll removes every parked span from every structure and returns
-// them appended to out. The spans are copied out and each list keeps its
-// backing array, so the re-parking that follows a compact does not regrow
-// them. The debug tracker is deliberately untouched: drained spans are
-// still free, just privately held by the caller (compact, Close).
+// them appended to out; the large list keeps its backing array, so the
+// re-parking that follows a compact does not regrow it. The debug tracker
+// is deliberately untouched: drained spans are still free, just privately
+// held by the caller (compact, Close).
 func (a *Allocator) drainAll(out []span) []span {
+	links := spanLinks{a}
 	for c := range a.classes {
-		cl := &a.classes[c]
-		cl.mu.Lock()
-		out = append(out, cl.spans...)
-		cl.spans = cl.spans[:0]
-		cl.bytes = 0
-		a.clearClassBit(c)
-		cl.mu.Unlock()
+		size := classSize(c)
+		for j := 0; j < freelist.Stripes; j++ {
+			for loc := a.classes[c].TakeAll(links, j); loc != 0; loc = links.Link(loc) {
+				b, off := unlocate(loc)
+				out = append(out, span{block: b, offset: off, length: size})
+			}
+		}
 	}
 	a.largeMu.Lock()
 	out = append(out, a.large...)

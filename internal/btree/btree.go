@@ -191,18 +191,22 @@ func (m *Map) putLocked(key, val []byte, overwrite bool) error {
 	n.vals[i] = vref
 	m.size++
 	if len(n.keys) > order {
-		m.splitPath(key)
+		return m.splitPath(key)
 	}
 	return nil
 }
 
 // splitPath re-descends from the root splitting any overfull node on the
 // way to key. Splitting top-down keeps parents non-full before their
-// children split, so a single pass suffices.
-func (m *Map) splitPath(key []byte) {
+// children split, so a single pass suffices. A failed separator
+// allocation leaves the overfull node for the next insert to split.
+func (m *Map) splitPath(key []byte) error {
 	if len(m.root.keys) > order {
 		left := m.root
-		mid, right := m.splitNode(left)
+		mid, right, err := m.splitNode(left)
+		if err != nil {
+			return err
+		}
 		m.root = &node{
 			keys:     []arena.Ref{mid},
 			children: []*node{left, right},
@@ -213,7 +217,10 @@ func (m *Map) splitPath(key []byte) {
 		i := m.upperBound(n, key)
 		c := n.children[i]
 		if len(c.keys) > order {
-			mid, right := m.splitNode(c)
+			mid, right, err := m.splitNode(c)
+			if err != nil {
+				return err
+			}
 			n.keys = append(n.keys, 0)
 			copy(n.keys[i+1:], n.keys[i:])
 			n.keys[i] = mid
@@ -227,21 +234,28 @@ func (m *Map) splitPath(key []byte) {
 		}
 		n = c
 	}
+	return nil
 }
 
 // splitNode splits n in half, returning the separator and the new right
 // sibling.
-func (m *Map) splitNode(n *node) (arena.Ref, *node) {
+func (m *Map) splitNode(n *node) (arena.Ref, *node, error) {
 	h := len(n.keys) / 2
 	right := &node{leaf: n.leaf}
 	if n.leaf {
+		// The separator is a copy: Remove frees leaf keys, and the
+		// allocator reuses a freed span's bytes.
+		sep, err := m.alloc.Write(m.keyBytes(n.keys[h]))
+		if err != nil {
+			return 0, nil, err
+		}
 		right.keys = append(right.keys, n.keys[h:]...)
 		right.vals = append(right.vals, n.vals[h:]...)
 		n.keys = n.keys[:h:h]
 		n.vals = n.vals[:h:h]
 		right.next = n.next
 		n.next = right
-		return right.keys[0], right
+		return sep, right, nil
 	}
 	// Interior: the middle key moves up.
 	mid := n.keys[h]
@@ -249,7 +263,7 @@ func (m *Map) splitNode(n *node) (arena.Ref, *node) {
 	right.children = append(right.children, n.children[h+1:]...)
 	n.keys = n.keys[:h:h]
 	n.children = n.children[: h+1 : h+1]
-	return mid, right
+	return mid, right, nil
 }
 
 // Compute applies f to the value in place under the write lock.

@@ -24,7 +24,7 @@ func TestOffHeapAccountedAtQuiesce(t *testing.T) {
 	if !m.QuiesceReclaim() {
 		t.Fatal("limbo did not drain with no reader pinned")
 	}
-	round := func(n int) int64 { return int64(n+7) &^ 7 }
+	round := func(n int) int64 { return int64(arena.SpanLen(n)) }
 	var accounted int64
 	entries := 0
 	for c := m.head.Load(); c != nil; c = c.Next() {

@@ -218,7 +218,7 @@ func assertOneDiscard(t *testing.T, m *Map, key, val []byte) {
 	if !m.QuiesceReclaim() {
 		t.Fatal("limbo did not drain")
 	}
-	round := func(n int) int64 { return int64(n+7) &^ 7 }
+	round := func(n int) int64 { return int64(arena.SpanLen(n)) }
 	if got, want := m.LiveBytes(), round(len(key))+round(len(val)); got != want {
 		t.Fatalf("LiveBytes = %d after quiesce; want %d (one key + one value): the discarded span leaked", got, want)
 	}

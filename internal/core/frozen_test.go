@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"oakmap/internal/arena"
 	"oakmap/internal/chunk"
 )
 
@@ -89,7 +90,7 @@ func TestFrozenScanKeepsKeyAcrossRebalance(t *testing.T) {
 		m.rebalance(chunkOf(ik(i)))
 	}
 	var liveBytes int64
-	round := func(n int) int64 { return int64(n+7) &^ 7 }
+	round := func(n int) int64 { return int64(arena.SpanLen(n)) }
 	for k, v := range live {
 		liveBytes += round(len(k)) + round(len(v))
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"oakmap/internal/arena"
 	"oakmap/internal/chunk"
 	"oakmap/internal/faultpoint"
 )
@@ -146,7 +147,7 @@ func wantReclaimed(t *testing.T, m *Map, k []byte) {
 	if !m.QuiesceReclaim() {
 		t.Fatal("limbo did not drain")
 	}
-	round := func(n int) int64 { return int64(n+7) &^ 7 }
+	round := func(n int) int64 { return int64(arena.SpanLen(n)) }
 	want := int64(raceKeys-1) * (round(len(ik(0))) + round(len(iv(0))))
 	if got := m.LiveBytes(); got != want {
 		t.Fatalf("LiveBytes = %d after quiesce; want %d", got, want)

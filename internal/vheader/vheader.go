@@ -48,12 +48,16 @@
 // it any more and hands it to Free after an epoch grace period, when no
 // reader that could have loaded the handle is still pinned. Free
 // advances the slot's generation (a CAS from the deleted, unlocked state,
-// which panics on a double free) and pushes the slot onto one of a few
-// free lists; Alloc pops from them before it grows the table. Every view
-// that holds a handle across an unpin therefore meets either the deleted
-// header or a newer generation. A stale handle could alias a later
-// occupant only after 2^29 reuses of its slot, each of which takes a
-// full epoch grace period, an insert and a remove.
+// which panics on a double free) and pushes the slot onto a striped
+// lock-free free list (internal/freelist), linked through the free
+// slots' data words; Alloc pops from it before it grows the table. Every
+// view that holds a handle across an unpin therefore meets either the
+// deleted header or a newer generation. A stale handle could alias a
+// later occupant only after 2^29 reuses of its slot, each of which takes
+// a full epoch grace period, an insert and a remove. Slot indexes stay
+// below 2^30, inside the free list's 34-bit index field, and its 30-bit
+// removal tags make a delayed pop's CAS fail unless exactly 2^30 pops of
+// one stripe fell inside its window.
 //
 // Keeping the data reference inside the header — readable only under the
 // read lock, replaced only under the write lock — is what makes value
@@ -65,9 +69,10 @@
 package vheader
 
 import (
-	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
+
+	"oakmap/internal/freelist"
 )
 
 const (
@@ -86,18 +91,6 @@ const (
 	maxSegments = 1 << 14          // 2^30 headers per table
 )
 
-// Free-list layout: a list head packs the first free slot's index (0 =
-// empty) with a count of the pops the list has served, which tags every
-// pop so that a slot popped and pushed back in between cannot make a
-// stale CAS succeed (no ABA).
-const (
-	stripes  = 8
-	headBits = 30
-	headIdx  = uint64(1)<<headBits - 1
-	popOne   = uint64(1) << headBits
-	popMask  = ^uint64(0) >> headBits // pop counts wrap mod 2^34
-)
-
 // InitialVersion is what LoadVersion returns for a header whose version
 // was never stored, and the value a version clock must start at for the
 // version words to stay unmaterialised.
@@ -110,16 +103,6 @@ type (
 	verSegment [segmentSize]atomic.Uint64
 )
 
-// freeList is one stripe of free slots, linked through their data
-// words. pushed counts the slots ever pushed; pushed minus the head's pop
-// count is the list's length. The padding keeps stripes on separate
-// cache lines.
-type freeList struct {
-	head   atomic.Uint64
-	pushed atomic.Uint64
-	_      [48]byte
-}
-
 // Table is a table of value headers whose slots are recycled. Index 0 is
 // reserved so that "no header" can be expressed as 0 (the paper's ⊥
 // value reference).
@@ -130,16 +113,15 @@ type Table struct {
 	versions [maxSegments]atomic.Pointer[verSegment]
 	next     atomic.Uint64 // the next never-used slot index
 	_        [56]byte
-	// avail has bit i set while free list i may hold slots, so an Alloc
-	// finds every list empty with one load. A list is never non-empty
-	// with its bit clear once its pushes and pops have returned: Free
-	// sets the bit after each push, and a pop that empties a list clears
-	// it, then sets it again if the list refilled meanwhile.
-	avail atomic.Uint32
-	rotor uint32 // Free's next stripe; Free calls are serialized
-	_     [56]byte
-	free  [stripes]freeList
+	// free holds the freed slots, linked through their data words.
+	free freelist.List[slotLinks]
 }
+
+// slotLinks links free slots through their data words.
+type slotLinks struct{ t *Table }
+
+func (l slotLinks) Link(idx uint64) uint64   { return l.t.dataWord(idx).Load() }
+func (l slotLinks) SetLink(idx, next uint64) { l.t.dataWord(idx).Store(next) }
 
 // NewTable creates an empty header table.
 func NewTable() *Table {
@@ -149,13 +131,15 @@ func NewTable() *Table {
 }
 
 // Alloc returns a header in the live, unlocked state with a zero data
-// reference: a freed slot if a free list holds one, else a never-used
-// one. Either way the fast path is one atomic read-modify-write.
+// reference: a freed slot if the free list holds one, revived at the
+// generation Free gave it, else a never-used one. Either way the fast
+// path is one atomic read-modify-write.
 func (t *Table) Alloc() uint64 {
-	if t.avail.Load() != 0 {
-		if h, ok := t.allocFree(); ok {
-			return h
-		}
+	if idx, ok := t.free.Pop(slotLinks{t}); ok {
+		h := t.word(idx).Load()&genMask | idx
+		t.dataWord(idx).Store(0)
+		t.word(idx).Store(h & genMask) // live, unlocked
+		return h
 	}
 	idx := t.next.Add(1) - 1
 	seg := idx >> segmentBits
@@ -167,79 +151,12 @@ func (t *Table) Alloc() uint64 {
 	return idx
 }
 
-// allocFree pops a slot from the free lists marked available, starting
-// at a random one so that concurrent allocators spread over them.
-func (t *Table) allocFree() (uint64, bool) {
-	s := rand.Uint32()
-	for i := uint32(0); i < stripes; i++ {
-		j := (s + i) % stripes
-		if t.avail.Load()&(1<<j) != 0 {
-			if h, ok := t.pop(j); ok {
-				return h, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// pop takes the first slot of free list j, if any, and revives it at the
-// generation Free gave it. A competing pop that wins between the loads
-// and the CAS bumps the pop count, so a link read from a slot that was
-// meanwhile reused never lands in the head.
-func (t *Table) pop(j uint32) (uint64, bool) {
-	l := &t.free[j]
-	for {
-		old := l.head.Load()
-		idx := old & headIdx
-		if idx == 0 {
-			t.markEmpty(j)
-			return 0, false
-		}
-		next := t.dataWord(idx).Load()
-		if l.head.CompareAndSwap(old, old&^headIdx+popOne|next) {
-			if next == 0 {
-				t.markEmpty(j)
-			}
-			h := t.word(idx).Load()&genMask | idx
-			t.dataWord(idx).Store(0)
-			t.word(idx).Store(h & genMask) // live, unlocked
-			return h, true
-		}
-	}
-}
-
-// markEmpty clears free list j's avail bit, then sets it again if a push
-// refilled the list meanwhile.
-func (t *Table) markEmpty(j uint32) {
-	t.updateAvail(j, false)
-	if t.free[j].head.Load()&headIdx != 0 {
-		t.updateAvail(j, true)
-	}
-}
-
-// updateAvail sets or clears free list j's avail bit. (A CAS loop: the
-// atomic Or/And methods postdate this module's go directive.)
-func (t *Table) updateAvail(j uint32, set bool) {
-	for {
-		old := t.avail.Load()
-		nw := old &^ (1 << j)
-		if set {
-			nw = old | 1<<j
-		}
-		if old == nw || t.avail.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // Free hands retired headers back to Alloc. Each must be deleted and
 // unlocked, with no chunk entry referencing it and no reader left that
 // could have loaded its handle before it was unlinked (in Oak: an epoch
 // grace period has elapsed since its retire). Free advances each slot's
 // generation, so every outstanding copy of the handle goes stale, and
 // panics if a header is not in that state — a double free included.
-// Calls must not overlap (in Oak they come from the epoch domain's
-// drains, which are serialized).
 func (t *Table) Free(hs []uint64) {
 	for _, h := range hs {
 		gen := h & genMask
@@ -247,38 +164,21 @@ func (t *Table) Free(hs []uint64) {
 			panic("vheader: Free of a header that is live, locked or already freed")
 		}
 	}
-	// Spread the batch over the stripes, one linked run and one CAS each.
-	per := (len(hs) + stripes - 1) / stripes
+	// Push the batch as up to freelist.Stripes linked runs, one CAS each.
+	per := (len(hs) + freelist.Stripes - 1) / freelist.Stripes
 	for lo := 0; lo < len(hs); lo += per {
 		run := hs[lo:min(lo+per, len(hs))]
 		for i := 0; i+1 < len(run); i++ {
 			t.dataWord(run[i]).Store(run[i+1] & idxMask)
 		}
-		j := t.rotor % stripes
-		t.rotor++
-		l := &t.free[j]
-		l.pushed.Add(uint64(len(run)))
-		last := t.dataWord(run[len(run)-1])
-		for {
-			old := l.head.Load()
-			last.Store(old & headIdx)
-			if l.head.CompareAndSwap(old, old&^headIdx|run[0]&idxMask) {
-				break
-			}
-		}
-		t.updateAvail(j, true)
+		t.free.Push(slotLinks{t}, run[0]&idxMask, run[len(run)-1]&idxMask, len(run))
 	}
 }
 
 // Count returns the number of headers in use: allocated and not yet
 // handed back by Free. Exact when no Alloc or Free runs concurrently.
 func (t *Table) Count() uint64 {
-	used := int64(t.next.Load() - 1)
-	for i := range t.free {
-		l := &t.free[i]
-		pops := l.head.Load() >> headBits // before pushed: Free adds to pushed first
-		used -= int64((l.pushed.Load() - pops) & popMask)
-	}
+	used := int64(t.next.Load()-1) - int64(t.free.Count())
 	return uint64(max(used, 0))
 }
 
