@@ -229,17 +229,21 @@ func (a *Allocator) growLocked() error {
 	if idx >= MaxBlocks {
 		return ErrExhausted
 	}
-	// The remainder of the current block, if any, joins the free
-	// structures so it is not stranded.
+	b, err := a.pool.acquire()
+	if err != nil {
+		// The current block stays current, its tail still bumpable: it
+		// is parked only once the block is left behind.
+		return err
+	}
+	// The remainder of the current block joins the free structures so it
+	// is not stranded. Bump offsets are multiples of 8 and a block's size
+	// need not be, so the last blockSize%8 bytes are dropped: every free
+	// span's length is a multiple of 8, which park's class cut relies on.
 	if a.cur >= 0 {
-		if rest := a.pool.blockSize - a.top; rest >= 8 {
+		if rest := (a.pool.blockSize - a.top) &^ 7; rest > 0 {
 			a.dbg.noteFree(a.cur, a.top, rest)
 			a.park(span{block: a.cur, offset: a.top, length: rest})
 		}
-	}
-	b, err := a.pool.acquire()
-	if err != nil {
-		return err
 	}
 	a.blocks[idx].Store(b)
 	a.numBlocks.Store(int32(idx + 1))
@@ -263,7 +267,7 @@ func (a *Allocator) Free(ref Ref) {
 	a.allocated.Add(int64(-rounded))
 	// A zero-length ref owns no bytes: parking it would add a degenerate
 	// span that no allocation can ever pop (it used to leak one free-list
-	// slot per empty-value free). Mirrors growLocked's rest >= 8 guard.
+	// slot per empty-value free). Mirrors growLocked's rest > 0 guard.
 	if rounded == 0 || a.closed.Load() {
 		return
 	}
@@ -430,7 +434,11 @@ func (a *Allocator) compact(want int) (fit span, parked int) {
 }
 
 // Close releases every block back to the pool. Any Ref obtained from this
-// allocator is invalid afterwards; subsequent Allocs fail with ErrClosed.
+// allocator is invalid afterwards; subsequent Allocs fail with ErrClosed,
+// and subsequent Frees do nothing. No Free may run concurrently with
+// Close: Free pushes without a lock, writing the span's link into its
+// block, so one that passed its closed check before Close could write
+// into a block already back in the pool and handed to another allocator.
 func (a *Allocator) Close() {
 	a.migrateMu.Lock()
 	if a.closed.Swap(true) {

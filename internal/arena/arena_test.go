@@ -237,6 +237,94 @@ func TestPoolExhaustion(t *testing.T) {
 	}
 }
 
+// noOverlap fails t if two of refs share a byte.
+func noOverlap(t *testing.T, refs []Ref) {
+	t.Helper()
+	owner := map[[2]int]int{}
+	for i, r := range refs {
+		for off := r.Offset(); off < r.Offset()+SpanLen(r.Len()); off += 8 {
+			if j, ok := owner[[2]int{r.Block(), off}]; ok {
+				t.Fatalf("refs %d and %d share b%d+%d", j, i, r.Block(), off)
+			}
+			owner[[2]int{r.Block(), off}] = i
+		}
+	}
+}
+
+// A block size that is not a multiple of 8 leaves an unaligned tail when
+// the allocator moves on to the next block; the tail's last bytes are
+// dropped rather than parked as a piece shorter than the smallest class.
+// Small blocks send tails to the classes, large ones to the large list
+// and through compact.
+func TestUnalignedBlockSize(t *testing.T) {
+	for _, bs := range []int{1005, 3*largeMin + 5} {
+		a := NewAllocator(NewPool(bs, 0))
+		rng := rand.New(rand.NewPCG(uint64(bs), 1))
+		var refs []Ref
+		for a.Stats().Blocks < 6 {
+			n := 8
+			if rng.IntN(2) == 0 {
+				n = 1 + rng.IntN(bs/3)
+			}
+			r, err := a.Alloc(n)
+			if err != nil {
+				t.Fatalf("block size %d: Alloc(%d): %v", bs, n, err)
+			}
+			refs = append(refs, r)
+		}
+		for _, r := range refs[:len(refs)/2] {
+			a.Free(r)
+		}
+		a.compact(0)
+		refs = refs[len(refs)/2:]
+		for i := 0; i < 200; i++ {
+			r, err := a.Alloc(8 * (1 + rng.IntN(16)))
+			if err != nil {
+				t.Fatalf("block size %d: %v", bs, err)
+			}
+			refs = append(refs, r)
+		}
+		noOverlap(t, refs)
+		for _, c := range a.Stats().Classes {
+			if c.Size%8 != 0 {
+				t.Fatalf("class size %d", c.Size)
+			}
+		}
+		a.Close()
+	}
+}
+
+// An Alloc that meets an exhausted pool keeps the current block's tail
+// bumpable and parks none of it, however often it is turned away: a tail
+// both parked and bumpable would hand out the same bytes twice (under
+// arenadebug its second park panics as an overlapping free).
+func TestExhaustedPoolKeepsTail(t *testing.T) {
+	a := NewAllocator(NewPool(1024, 1024)) // one block
+	defer a.Close()
+	refs := make([]Ref, 0, 16)
+	r, err := a.Alloc(768)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs = append(refs, r)
+	for i := 0; i < 2; i++ {
+		if _, err := a.Alloc(512); err != ErrPoolExhausted {
+			t.Fatalf("Alloc(512) #%d: %v, want ErrPoolExhausted", i, err)
+		}
+	}
+	for {
+		r, err := a.Alloc(64)
+		if err != nil {
+			break
+		}
+		refs = append(refs, r)
+	}
+	noOverlap(t, refs)
+	if got := len(refs) - 1; got != 4 {
+		t.Fatalf("the 256 B tail served %d 64 B allocations, want 4", got)
+	}
+}
+
 func TestConcurrentAllocNoOverlap(t *testing.T) {
 	a := NewAllocator(NewPool(1<<16, 0))
 	defer a.Close()

@@ -132,7 +132,9 @@ func (a *Allocator) classPush(s span) {
 // large-list carve remainder, a block tail, compact's output — and
 // returns the number of pieces it parked. A span of largeMin bytes or
 // more goes to the large list whole; a shorter one is cut greedily into
-// class-sized pieces, always exactly, because 8 B is a class.
+// class-sized pieces, always exactly, because 8 B is a class and every
+// free span's length is a multiple of 8 (growLocked drops a block's
+// unaligned last bytes).
 func (a *Allocator) park(s span) int {
 	FpClassMigrate.Fire()
 	a.tel.Load().Event(telemetry.EvClassMigrate, uint64(s.length), 0, 0)

@@ -195,12 +195,13 @@ func (m *Map) NumChunks() int {
 }
 
 // Close releases all off-heap blocks back to the pool. The map must not
-// be used afterwards.
+// be used afterwards, nor concurrently with Close: an operation still in
+// flight could write into a block already handed to another map — a
+// value it copies in, or the free-list link of a span it frees.
 func (m *Map) Close() {
 	if m.closed.CompareAndSwap(false, true) {
-		// Best-effort limbo drain so accounting is clean before the
-		// blocks go back to the pool; a reader still pinned just means
-		// its spans are dropped with the blocks.
+		// Drain the limbo so accounting is clean before the blocks go
+		// back to the pool.
 		m.reclaim.Quiesce()
 		m.alloc.Close()
 	}

@@ -164,7 +164,8 @@ func (m *Map[K, V]) LiveBytes() int64 {
 func (m *Map[K, V]) NumShards() int { return m.s.NumShards() }
 
 // Close releases the map's off-heap blocks back to their pool. The map
-// and any outstanding buffer views become invalid.
+// and any outstanding buffer views become invalid. Close must not run
+// concurrently with any other call on the map.
 func (m *Map[K, V]) Close() { m.s.Close() }
 
 // ZC returns the map's zero-copy view (the paper's map.zc()).
