@@ -102,14 +102,9 @@ type Allocator struct {
 	// build tag.
 	dbg debugTracker
 
-	// Accounting counters are sharded (telemetry.Counter): every worker
-	// bumps them on every Alloc/Free, and the old single atomic words
-	// were the allocator's last all-threads shared cache lines. Reads
-	// (Stats, LiveBytes) merge the stripes — a weak snapshot, fine for
-	// accounting.
-	allocated telemetry.Counter // live bytes handed out
-	freed     telemetry.Counter // bytes returned via Free
-	requests  telemetry.Counter // number of Alloc calls
+	// requests counts Alloc calls. Bytes have no counter: LiveBytes
+	// derives them from the free structures.
+	requests telemetry.Counter
 
 	// tel, when set, receives block-grow/class-migrate events and
 	// compact/rescue durations.
@@ -168,12 +163,10 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 	}
 	if rounded < largeMin {
 		if ref, ok := a.classPop(n, rounded); ok {
-			a.allocated.Add(int64(rounded))
 			return ref, nil
 		}
 	}
 	if ref, ok := a.largeAlloc(n, rounded); ok {
-		a.allocated.Add(int64(rounded))
 		return ref, nil
 	}
 	// Bump path. When the current block is full, the rescue (compact and
@@ -208,7 +201,6 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 				s, _ := a.compact(rounded)
 				tick.Done()
 				if s.length > 0 {
-					a.allocated.Add(int64(rounded))
 					return MakeRef(s.block, s.offset, n), nil
 				}
 				continue
@@ -217,7 +209,6 @@ func (a *Allocator) Alloc(n int) (Ref, error) {
 		ref := MakeRef(a.cur, a.top, n)
 		a.top += rounded
 		a.bumpMu.Unlock()
-		a.allocated.Add(int64(rounded))
 		return ref, nil
 	}
 }
@@ -263,8 +254,6 @@ func (a *Allocator) Free(ref Ref) {
 		return
 	}
 	rounded := SpanLen(ref.Len())
-	a.freed.Add(int64(rounded))
-	a.allocated.Add(int64(-rounded))
 	// A zero-length ref owns no bytes: parking it would add a degenerate
 	// span that no allocation can ever pop (it used to leak one free-list
 	// slot per empty-value free). Mirrors growLocked's rest > 0 guard.
@@ -320,13 +309,11 @@ type ClassStats struct {
 
 // Stats is a snapshot of the allocator's accounting.
 type Stats struct {
-	LiveBytes    int64 // currently allocated (rounded) bytes
-	FreedBytes   int64 // cumulative bytes freed
-	Footprint    int64 // bytes of blocks held from the pool
-	Blocks       int
-	AllocCalls   int64
-	FreeSpans    int   // spans across every free structure
-	FreeCapacity int64 // bytes reusable: free structures + bump tail
+	LiveBytes  int64 // allocated (rounded) bytes; see Allocator.LiveBytes
+	Footprint  int64 // bytes of blocks held from the pool
+	Blocks     int
+	AllocCalls int64
+	FreeSpans  int // spans across every free structure
 
 	Classes    [numClasses]ClassStats // per-class occupancy
 	LargeSpans int                    // spans on the large coalescing list
@@ -341,13 +328,7 @@ type Stats struct {
 // Stats returns a snapshot of the allocator state. The paper highlights
 // cheap RAM-footprint estimation (§1.1); Footprint is that estimate.
 func (a *Allocator) Stats() Stats {
-	st := Stats{
-		LiveBytes:  a.allocated.Load(),
-		FreedBytes: a.freed.Load(),
-		Footprint:  int64(a.numBlocks.Load()) * int64(a.pool.blockSize),
-		Blocks:     int(a.numBlocks.Load()),
-		AllocCalls: a.requests.Load(),
-	}
+	st := Stats{AllocCalls: a.requests.Load()}
 	var listBytes int64
 	for c := range a.classes {
 		n := int(a.classes[c].Count())
@@ -361,12 +342,15 @@ func (a *Allocator) Stats() Stats {
 	st.FreeSpans += len(a.large)
 	listBytes += a.largeBytes
 	a.largeMu.Unlock()
-	st.FreeCapacity = listBytes
 	a.bumpMu.Lock()
+	st.Blocks = int(a.numBlocks.Load())
 	if a.cur >= 0 {
-		st.FreeCapacity += int64(a.pool.blockSize - a.top)
+		// The bytes the bump pointer has passed: the aligned part of each
+		// block left behind (see growLocked) and the current one up to top.
+		st.LiveBytes = int64(a.cur)*int64(a.pool.blockSize&^7) + int64(a.top) - listBytes
 	}
 	a.bumpMu.Unlock()
+	st.Footprint = int64(st.Blocks) * int64(a.pool.blockSize)
 	if st.Footprint > 0 {
 		st.Fragmentation = float64(listBytes) / float64(st.Footprint)
 	}
@@ -378,8 +362,13 @@ func (a *Allocator) Footprint() int64 {
 	return int64(a.numBlocks.Load()) * int64(a.pool.blockSize)
 }
 
-// LiveBytes returns the number of live allocated bytes.
-func (a *Allocator) LiveBytes() int64 { return a.allocated.Load() }
+// LiveBytes returns the allocated bytes, each rounded to its SpanLen. No
+// counter keeps it: it is the bytes the bump pointer has passed less those
+// on the free lists, so a span the allocator loses reads as live. It is
+// exact at rest and 0 after Close; under concurrent Alloc and Free it is a
+// weak snapshot, and it reads high while a rescue's compact or a
+// large-list carve holds spans off the lists.
+func (a *Allocator) LiveBytes() int64 { return a.Stats().LiveBytes }
 
 // compact drains every free structure, coalesces adjacent spans in
 // address order, and re-parks the result. When want > 0 it first cuts
@@ -435,10 +424,11 @@ func (a *Allocator) compact(want int) (fit span, parked int) {
 
 // Close releases every block back to the pool. Any Ref obtained from this
 // allocator is invalid afterwards; subsequent Allocs fail with ErrClosed,
-// and subsequent Frees do nothing. No Free may run concurrently with
-// Close: Free pushes without a lock, writing the span's link into its
-// block, so one that passed its closed check before Close could write
-// into a block already back in the pool and handed to another allocator.
+// subsequent Frees do nothing, and Stats, Footprint and LiveBytes read 0
+// blocks and 0 bytes. No Free may run concurrently with Close: Free pushes
+// without a lock, writing the span's link into its block, so one that
+// passed its closed check before Close could write into a block already
+// back in the pool and handed to another allocator.
 func (a *Allocator) Close() {
 	a.migrateMu.Lock()
 	if a.closed.Swap(true) {
@@ -450,8 +440,8 @@ func (a *Allocator) Close() {
 	a.bumpMu.Lock()
 	a.cur = -1
 	a.top = 0
+	n := int(a.numBlocks.Swap(0))
 	a.bumpMu.Unlock()
-	n := int(a.numBlocks.Load())
 	blocks := make([]*block, 0, n)
 	for i := 0; i < n; i++ {
 		if b := a.blocks[i].Load(); b != nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -14,8 +15,10 @@ import (
 func TestRefPackRoundTrip(t *testing.T) {
 	f := func(block uint16, offset, length uint32) bool {
 		b := int(block) % MaxBlocks
-		o := int(offset) % MaxBlockSize
-		l := int(length) % (MaxAllocSize + 1)
+		// Reduce in uint32: on a 32-bit int a large uint32 converts to a
+		// negative int.
+		o := int(offset % MaxBlockSize)
+		l := int(length % (MaxAllocSize + 1))
 		r := MakeRef(b, o, l)
 		return r.Block() == b && r.Offset() == o && r.Len() == l && !r.IsNil()
 	}
@@ -255,7 +258,8 @@ func noOverlap(t *testing.T, refs []Ref) {
 // the allocator moves on to the next block; the tail's last bytes are
 // dropped rather than parked as a piece shorter than the smallest class.
 // Small blocks send tails to the classes, large ones to the large list
-// and through compact.
+// and through compact. LiveBytes, derived from the free structures, stays
+// exact throughout, and after Close the allocator holds no block or byte.
 func TestUnalignedBlockSize(t *testing.T) {
 	for _, bs := range []int{1005, 3*largeMin + 5} {
 		a := NewAllocator(NewPool(bs, 0))
@@ -285,12 +289,22 @@ func TestUnalignedBlockSize(t *testing.T) {
 			refs = append(refs, r)
 		}
 		noOverlap(t, refs)
+		var live int64
+		for _, r := range refs {
+			live += int64(SpanLen(r.Len()))
+		}
+		if got := a.LiveBytes(); got != live {
+			t.Fatalf("block size %d: LiveBytes = %d, want %d", bs, got, live)
+		}
 		for _, c := range a.Stats().Classes {
 			if c.Size%8 != 0 {
 				t.Fatalf("class size %d", c.Size)
 			}
 		}
 		a.Close()
+		if st := a.Stats(); st.LiveBytes != 0 || st.Footprint != 0 || st.Blocks != 0 || a.Footprint() != 0 {
+			t.Fatalf("block size %d: after Close: %+v", bs, st)
+		}
 	}
 }
 
@@ -672,6 +686,17 @@ func TestConcurrentClassChurn(t *testing.T) {
 	sizes := []int{1, 8, 17, 64, 100, 500, 1000, 4000, 5000, 9000, 20000}
 	const goroutines = 8
 	const perG = 400
+	var stop atomic.Bool
+	statsDone := make(chan struct{})
+	go func() { // Stats derives LiveBytes from the lists the churn moves
+		defer close(statsDone)
+		for st := a.Stats(); st.LiveBytes <= st.Footprint; st = a.Stats() {
+			if stop.Load() {
+				return
+			}
+		}
+		t.Error("Stats read LiveBytes above Footprint")
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -721,6 +746,8 @@ func TestConcurrentClassChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	stop.Store(true)
+	<-statsDone
 	if a.LiveBytes() != 0 {
 		t.Fatalf("LiveBytes = %d after freeing everything", a.LiveBytes())
 	}

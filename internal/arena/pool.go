@@ -57,10 +57,9 @@ type Pool struct {
 	// srcFree its aligned bytes not carved yet.
 	src     *mapping //oak:guarded-by mu
 	srcFree []byte   //oak:guarded-by mu
-
-	created  atomic.Int64 // blocks ever created
-	loaned   atomic.Int64 // blocks currently held by allocators
-	capacity atomic.Int64 // total bytes in existence (free + loaned)
+	// created counts the blocks ever created; those not on free are
+	// loaned to allocators.
+	created int64 //oak:guarded-by mu
 
 	// tel, when set, receives block retain flight-recorder events.
 	tel atomic.Pointer[telemetry.Recorder]
@@ -93,22 +92,19 @@ func (p *Pool) acquire() (*block, error) {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		p.loaned.Add(1)
 		return b, nil
 	}
-	if p.maxBytes > 0 && p.capacity.Load()+int64(p.blockSize) > p.maxBytes {
+	if p.maxBytes > 0 && (p.created+1)*int64(p.blockSize) > p.maxBytes {
 		p.mu.Unlock()
 		return nil, ErrPoolExhausted
 	}
-	p.capacity.Add(int64(p.blockSize))
-	p.created.Add(1)
+	p.created++
 	b := p.carveLocked()
 	p.mu.Unlock()
 	if b == nil {
 		// Allocate outside the lock: creating 100MB is the slow path.
 		b = &block{buf: make([]byte, p.blockSize)}
 	}
-	p.loaned.Add(1)
 	return b, nil
 }
 
@@ -135,7 +131,6 @@ func (p *Pool) carveLocked() *block {
 
 // release returns a block to the pool for reuse by other allocators.
 func (p *Pool) release(b *block) {
-	p.loaned.Add(-1)
 	p.mu.Lock()
 	p.free = append(p.free, b)
 	retained := len(p.free)
@@ -153,18 +148,18 @@ type PoolStats struct {
 	BytesRetained  int64 // bytes of those free blocks
 }
 
-// Stats returns a snapshot of the pool's accounting counters.
+// Stats returns a snapshot of the pool's accounting, read under one lock.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
-	retained := len(p.free)
+	created, retained := p.created, int64(len(p.free))
 	p.mu.Unlock()
 	return PoolStats{
 		BlockSize:      p.blockSize,
-		BlocksCreated:  p.created.Load(),
-		BlocksLoaned:   p.loaned.Load(),
-		BytesCapacity:  p.capacity.Load(),
-		BlocksRetained: retained,
-		BytesRetained:  int64(retained) * int64(p.blockSize),
+		BlocksCreated:  created,
+		BlocksLoaned:   created - retained,
+		BytesCapacity:  created * int64(p.blockSize),
+		BlocksRetained: int(retained),
+		BytesRetained:  retained * int64(p.blockSize),
 	}
 }
 

@@ -533,11 +533,17 @@ func (c *Chunk) PutIfAbsentInList(ei int32) (int32, Status) {
 			return cur, Exists
 		}
 		c.entries[ei].next.Store(cur)
-		if c.frozen.Load() {
-			return none, Frozen
-		}
 		if FpLinkCAS.Fire() {
 			continue // injected lost race: re-scan from the prefix floor
+		}
+		// The link CAS is published like a value CAS: either Freeze waits
+		// for it and Gather sees the entry, or it sees the chunk frozen
+		// and links nothing. A link after Gather's walk would strand the
+		// entry, and its key, in a chunk that nothing retires.
+		c.published.Add(1)
+		if c.frozen.Load() {
+			c.published.Add(-1)
+			return none, Frozen
 		}
 		var ok bool
 		if pred < 0 {
@@ -545,6 +551,7 @@ func (c *Chunk) PutIfAbsentInList(ei int32) (int32, Status) {
 		} else {
 			ok = c.entries[pred].next.CompareAndSwap(cur, ei)
 		}
+		c.published.Add(-1)
 		if ok {
 			return ei, OK
 		}

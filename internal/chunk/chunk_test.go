@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"oakmap/internal/arena"
+	"oakmap/internal/faultpoint"
 )
 
 type fixture struct {
@@ -168,6 +169,26 @@ func TestFrozenRejectsUpdates(t *testing.T) {
 		// entry 1 was never linked, so LookUp must miss; the point is
 		// it did not panic or spin.
 		t.Fatal("unexpected lookup hit")
+	}
+}
+
+// A freeze that lands between a linker's scan and its link CAS must turn
+// the link away: Gather has walked the list by then, so an entry linked
+// after it would be in no replacement chunk, its key never retired.
+func TestLinkRacingFreezeRefused(t *testing.T) {
+	f := newFixture(t)
+	c := New(nil, 16, f.alloc, bytes.Compare)
+	ei, _ := c.AllocateEntry(f.keyRef(t, 1))
+	FpLinkCAS.Arm(faultpoint.Hook{Decide: func(int64) bool {
+		c.Freeze() // the rebalancer freezes just before the CAS
+		return false
+	}})
+	defer FpLinkCAS.Disarm()
+	if _, st := c.PutIfAbsentInList(ei); st != Frozen {
+		t.Fatalf("link after Freeze: status %v, want Frozen", st)
+	}
+	if live, dead := c.Gather(); len(live)+len(dead) != 0 {
+		t.Fatalf("frozen chunk gained entries: %d live, %d dead", len(live), len(dead))
 	}
 }
 

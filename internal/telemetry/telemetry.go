@@ -1,6 +1,7 @@
 // Package telemetry is the map's unified observability layer: sharded
-// always-on counters (replacing the ad-hoc atomic.Int64s that used to
-// live in arena/epoch/core/vheader), sampled op-latency histograms whose
+// always-on counters (the arena's alloc calls, epoch advances and drains,
+// core sizes, server commands; byte accounting derives from the arena's
+// free lists instead), sampled op-latency histograms whose
 // sample counts also estimate the op totals, and a lock-free flight
 // recorder for structural events. Everything a *Recorder exposes is
 // nil-safe: a nil recorder turns every call into a branch on a nil

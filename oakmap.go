@@ -426,8 +426,8 @@ func statsOf(c *core.Map) Stats {
 	occ := c.Occupancy()
 	return Stats{
 		Len:           c.Len(),
-		Footprint:     c.Footprint(),
-		LiveBytes:     c.LiveBytes(),
+		Footprint:     as.Footprint,
+		LiveBytes:     as.LiveBytes,
 		Rebalances:    c.Rebalances(),
 		Chunks:        occ.Chunks,
 		MetaBytes:     occ.MetaBytes,
@@ -448,14 +448,17 @@ func statsOf(c *core.Map) Stats {
 
 // Stats returns a snapshot of the map's internals.
 //
-// The snapshot is weak: each field is read atomically, but the fields
-// are read at slightly different instants, so under concurrent load
-// they may not describe any single moment — e.g. LiveBytes can include
-// an allocation whose entry Len has not counted yet, and LimboBytes can
-// disagree with a drain that completed between the two reads. Weak
-// snapshots never tear an individual field and are cheap enough for hot
-// polling loops. Tests and invariant checks that compare fields against
-// each other should use StatsConsistent instead.
+// The snapshot is weak: the fields are read at slightly different
+// instants, so under concurrent load they may not describe any single
+// moment — e.g. LiveBytes can include an allocation whose entry Len has
+// not counted yet, and LimboBytes can disagree with a drain that
+// completed between the two reads. Each shard's LiveBytes and Footprint
+// are read together, in one walk of its arena's free lists: LiveBytes is
+// the bytes the arena has handed out less those on its free lists, exact
+// at rest, and under load it reads high while the arena holds free spans
+// off its lists (a compaction, a large-span carve). Tests and invariant
+// checks that compare fields against each other should use
+// StatsConsistent instead.
 func (m *Map[K, V]) Stats() Stats {
 	var agg Stats
 	per := m.ShardStats()

@@ -177,8 +177,8 @@ func registerGauges(r *telemetry.Recorder, shards []*core.Map) {
 		per  func(i int) float64
 	}{
 		{"oak_len", gauge, false, func(i int) float64 { return float64(shards[i].Len()) }},
-		{"oak_footprint_bytes", gauge, false, func(i int) float64 { return float64(shards[i].Footprint()) }},
-		{"oak_live_bytes", gauge, false, func(i int) float64 { return float64(shards[i].LiveBytes()) }},
+		{"oak_footprint_bytes", gauge, false, func(i int) float64 { return float64(snaps[i].get().Footprint) }},
+		{"oak_live_bytes", gauge, false, func(i int) float64 { return float64(snaps[i].get().LiveBytes) }},
 		{"oak_chunks", gauge, false, func(i int) float64 { return float64(shards[i].NumChunks()) }},
 		{"oak_rebalances_total", counter, false, func(i int) float64 { return float64(shards[i].Rebalances()) }},
 		{"oak_header_count", gauge, false, func(i int) float64 { return float64(shards[i].HeaderCount()) }},
@@ -236,10 +236,10 @@ func registerGauges(r *telemetry.Recorder, shards []*core.Map) {
 	}
 	r.RegisterGauge("oak_shards", gauge, func() float64 { return float64(len(shards)) })
 	for i, c := range shards {
-		c := c
+		c, snap := c, snaps[i]
 		lbl := fmt.Sprintf("{shard=%q}", fmt.Sprint(i))
 		r.RegisterGauge("oak_shard_len"+lbl, gauge, func() float64 { return float64(c.Len()) })
-		r.RegisterGauge("oak_shard_live_bytes"+lbl, gauge, func() float64 { return float64(c.LiveBytes()) })
+		r.RegisterGauge("oak_shard_live_bytes"+lbl, gauge, func() float64 { return float64(snap.get().LiveBytes) })
 		r.RegisterGauge("oak_shard_rebalances_total"+lbl, counter, func() float64 { return float64(c.Rebalances()) })
 	}
 }
